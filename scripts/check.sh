@@ -10,15 +10,14 @@
 #               tools/bigfish/ with the checked-in config
 #               (tools/lint/bigfish-lint.toml): the determinism,
 #               error-propagation, layering and concurrency invariants,
-#               enforced statically. Fails on any non-baselined
-#               finding; also writes build/lint.sarif for CI upload.
+#               enforced statically. Fails on any finding.
 #   cppcheck  — general C++ static analysis; skipped with a notice when
 #               cppcheck is not installed.
 #   cli-smoke — `bigfish run --all --smoke`: every registered experiment
 #               end-to-end at tiny scale, plus CLI exit-code/usage
 #               checks (strict env validation, unknown-flag rejection).
-#   resume-smoke — kill -9 a checkpointed run mid-collection, `--resume`
-#               it and require a bit-identical artifact; then force an
+#   resume-smoke — kill -9 a `--resume` run (stage cache) mid-collection,
+#               rerun it and require a bit-identical artifact; then force an
 #               IO-crash under `--isolate --keep-going` and require
 #               exit 1 with a complete suite manifest (crashed + ok).
 #   simd      — the DESIGN.md §10 determinism gate: the kernel test
@@ -157,10 +156,8 @@ for stage in "${stages[@]}"; do
         "$repo/build/tools/lint/bigfish-lint" \
             --root="$repo" \
             --config="$repo/tools/lint/bigfish-lint.toml" \
-            --sarif="$repo/build/lint.sarif" \
             "$repo/src" "$repo/bench" "$repo/examples" "$repo/tests" \
             "$repo/tools/bigfish"
-        echo "== [lint] SARIF report: build/lint.sarif"
         ;;
       cppcheck)
         if command -v cppcheck > /dev/null 2>&1; then
@@ -212,7 +209,7 @@ for stage in "${stages[@]}"; do
         cmake --build "$builddir" --target bigfish -j "$jobs"
         rdir="$(mktemp -d)"
         tmpdirs+=("$rdir")
-        echo "== [resume-smoke] reference run (no checkpointing)"
+        echo "== [resume-smoke] reference run (no cache)"
         "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
             --json="$rdir/ref.json" > /dev/null
         echo "== [resume-smoke] kill -9 mid-collection, then --resume"
@@ -223,9 +220,9 @@ for stage in "${stages[@]}"; do
             --resume="$rdir/ckpt" --json="$rdir/out.json" \
             > "$rdir/first.log" 2>&1 &
         pid=$!
-        # Kill as soon as at least one journal record has been committed.
+        # Kill as soon as at least one collected cell has been committed.
         for _ in $(seq 1 200); do
-            if grep -lq '@rec' "$rdir"/ckpt/*.journal 2>/dev/null; then
+            if compgen -G "$rdir/ckpt/cell-*.bfc" > /dev/null; then
                 break
             fi
             sleep 0.05
@@ -239,10 +236,10 @@ for stage in "${stages[@]}"; do
             echo "== [resume-smoke] note: first run finished before the" \
                  "kill landed (resume path not exercised this time)"
         fi
-        # Timings differ run to run and the config echo names the resume
-        # dir; every result line must be identical.
-        if ! diff <(grep -v -e 'Seconds' -e '"resume"' "$rdir/ref.json") \
-                  <(grep -v -e 'Seconds' -e '"resume"' "$rdir/out.json"); then
+        # Timings differ run to run and the config echo names the cache
+        # dir (--resume sets it); every result line must be identical.
+        if ! diff <(grep -v -e 'Seconds' -e '"cache-dir"' "$rdir/ref.json") \
+                  <(grep -v -e 'Seconds' -e '"cache-dir"' "$rdir/out.json"); then
             echo "resumed artifact differs from reference" >&2
             exit 1
         fi

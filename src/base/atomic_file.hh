@@ -3,7 +3,7 @@
  * Atomic file IO: write-temp-fsync-rename.
  *
  * Every durable artifact the suite produces — run artifact JSON, model
- * weights, checkpoint journals, the suite manifest — must never be
+ * weights, stage-cache entries, the suite manifest — must never be
  * observable in a torn state. A kill -9 (or a simulated
  * FaultConfig::ioCrashAfterRecords crash) at any instant must leave
  * either the previous complete file or the new complete file, never a

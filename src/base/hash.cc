@@ -1,6 +1,8 @@
 #include "base/hash.hh"
 
 #include <array>
+#include <cinttypes>
+#include <cstdio>
 
 namespace bigfish {
 
@@ -43,6 +45,22 @@ fnv64(std::string_view text)
         hash *= 0x0000'0100'0000'01b3ULL;
     }
     return hash;
+}
+
+std::string
+hex16(std::uint64_t value)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
+    return buf;
+}
+
+std::string
+hexDouble(double value)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%a", value);
+    return buf;
 }
 
 } // namespace bigfish

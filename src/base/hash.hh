@@ -2,8 +2,8 @@
  * @file
  * The repository's two canonical non-cryptographic hashes.
  *
- * Every content-addressed facility (checkpoint journals, the stage
- * cache, stage fingerprints) uses the same two primitives:
+ * Every content-addressed facility (the stage cache, collection and
+ * stage fingerprints) uses the same two primitives:
  *
  *  - fnv64()  — FNV-1a over canonical one-line-per-field text; the
  *    fingerprint building block. Callers finalize compositions with
@@ -13,8 +13,8 @@
  *    torn, interleaved or bit-flipped writes surface as a clean
  *    validation failure instead of wrong data.
  *
- * Both are stable formats: their outputs are persisted in journal and
- * cache files, so changing either is a format break and must bump the
+ * Both are stable formats: their outputs are persisted in cache
+ * files, so changing either is a format break and must bump the
  * owning facility's format version line.
  */
 
@@ -22,6 +22,7 @@
 #define BF_BASE_HASH_HH
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace bigfish {
@@ -31,6 +32,12 @@ namespace bigfish {
 
 /** FNV-1a 64-bit hash of @p text. */
 [[nodiscard]] std::uint64_t fnv64(std::string_view text);
+
+/** @p value as 16 lowercase hex digits (keys, fingerprints). */
+std::string hex16(std::uint64_t value);
+
+/** Bit-exact hexfloat text ("%a") of @p value, for canonical lines. */
+std::string hexDouble(double value);
 
 } // namespace bigfish
 

@@ -10,7 +10,7 @@
  * seed via the same splitmix64 finalizer (base/rng.hh) that drives the
  * simulator — `delaySeconds(attempt, salt)` is a pure function.
  *
- * What counts as transient: IoError (disk hiccups, torn journals) and
+ * What counts as transient: IoError (disk hiccups, torn writes) and
  * Exhausted (a degraded collection round that may succeed on retry
  * under fault injection). InvalidArgument/ParseError are permanent —
  * retrying a usage error burns the attempt budget for nothing.

@@ -21,7 +21,7 @@
  * same horizontal combine tree the AVX2 path uses (hsum8/hsum128 below
  * ARE that tree) — and no path uses fused multiply-add, so changing
  * Tag (or the host CPU) can never change a trained weight, a
- * checkpoint fingerprint, or a `--resume` replay.
+ * cache fingerprint, or a `--resume` replay.
  */
 
 #ifndef BF_BASE_SIMD_HH

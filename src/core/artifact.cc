@@ -1,9 +1,9 @@
 #include "core/artifact.hh"
 
-#include <cinttypes>
 #include <cstdio>
 
 #include "base/atomic_file.hh"
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/table.hh"
 #include "spec/spec.hh"
@@ -30,14 +30,6 @@ formatDouble(const char *fmt, double v)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), fmt, v);
-    return buf;
-}
-
-std::string
-hex16(std::uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
     return buf;
 }
 
@@ -129,7 +121,7 @@ std::string
 RunArtifact::explainText() const
 {
     // sim_* columns attribute where cold time goes: stages that perform
-    // no simulation (and cache/journal replays) report zeros.
+    // no simulation (and cache replays) report zeros.
     Table table({"stage", "phase", "fingerprint", "cache", "cpu_s",
                  "wall_s", "items", "dropped", "sim_events", "sim_irqs",
                  "sim_allocs", "sim_MB_sorted", "sim_events_per_s"});

@@ -44,7 +44,7 @@
 
 namespace bigfish::core {
 
-class CheckpointJournal;
+class StageCache;
 
 /** One full experimental configuration. */
 struct CollectionConfig
@@ -114,15 +114,21 @@ class TraceCollector
     const CollectionConfig &config() const { return config_; }
 
     /**
-     * Attaches a checkpoint journal (core/checkpoint.hh): completed
-     * (site, run) cells are served from the journal instead of being
-     * recollected, and fresh cells are appended as they finish. Because
-     * every cell is a pure function of (config, site, run), the journal
+     * Attaches a stage cache (core/stage_cache.hh): completed (world,
+     * site, run) cells are replayed from its "cell" entries instead of
+     * being recollected, and fresh cells are stored as soon as they
+     * finish. Cells are keyed by @p fingerprint — the run's
+     * collectionFingerprint() — mixed with (world, site, run). Because
+     * every cell is a pure function of (config, site, run), the cache
      * never changes *what* is collected — only whether the work is
-     * redone — which is the bit-identical-resume contract. @p journal
+     * redone — which is the bit-identical-resume contract. @p cache
      * must outlive the collection calls; nullptr detaches.
      */
-    void setCheckpoint(CheckpointJournal *journal) { checkpoint_ = journal; }
+    void setCache(StageCache *cache, std::uint64_t fingerprint)
+    {
+        cache_ = cache;
+        cacheFingerprint_ = fingerprint;
+    }
 
     /**
      * Synthesizes the attacker-core timeline for (site, run) —
@@ -189,8 +195,8 @@ class TraceCollector
      * the corresponding single-attacker config; @p stats (optional) is
      * resized to one entry per attacker. @p perf (optional) accumulates
      * simulator work counters, summed over cells in serial order so the
-     * totals are identical at any thread count; journal-replayed cells
-     * contribute zero (counters measure work performed).
+     * totals are identical at any thread count; cells replayed from the
+     * cache contribute zero (counters measure work performed).
      */
     [[nodiscard]] Result<std::vector<attack::TraceSet>>
     collectClosedWorldMulti(const web::SiteCatalog &catalog,
@@ -246,20 +252,34 @@ class TraceCollector
                        sim::PerfCounters *perf = nullptr) const;
 
     /**
-     * Serves (world, site_key, run) from the attached journal when
-     * completed earlier; otherwise collects and journals it. The
-     * no-journal path is a plain collectOneMulti() call.
+     * Replays (world, site_key, run) from the attached cache when it
+     * was completed earlier; otherwise collects and stores it. The
+     * no-cache path is a plain collectOneMulti() call.
      */
     [[nodiscard]] std::vector<Result<attack::Trace>>
-    collectCellCheckpointed(int world, SiteId site_key,
-                            const web::SiteSignature &site, int run_index,
-                            std::span<const attack::AttackerKind> attackers,
-                            sim::PerfCounters *perf = nullptr) const;
+    collectCellCached(int world, SiteId site_key,
+                      const web::SiteSignature &site, int run_index,
+                      std::span<const attack::AttackerKind> attackers,
+                      sim::PerfCounters *perf = nullptr) const;
 
     CollectionConfig config_;
     sim::InterruptSynthesizer synthesizer_;
-    CheckpointJournal *checkpoint_ = nullptr;
+    StageCache *cache_ = nullptr;
+    std::uint64_t cacheFingerprint_ = 0;
 };
+
+/**
+ * Deterministic fingerprint of everything a collected trace's content
+ * depends on: the full CollectionConfig (signal faults included, IO
+ * faults excluded — they never alter content), the catalog geometry and
+ * the attacker set. Two configurations hash equal iff their collected
+ * cells are interchangeable.
+ */
+[[nodiscard]] std::uint64_t
+collectionFingerprint(const CollectionConfig &config,
+                      std::uint64_t catalog_seed, int num_sites,
+                      int open_world_extra,
+                      std::span<const attack::AttackerKind> attackers);
 
 } // namespace bigfish::core
 

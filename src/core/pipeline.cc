@@ -1,15 +1,14 @@
 #include "core/pipeline.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <sstream>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
-#include "core/checkpoint.hh"
 #include "core/stage_cache.hh"
 #include "stats/descriptive.hh"
 
@@ -63,23 +62,6 @@ distinctLabels(const attack::TraceSet &traces)
     return static_cast<int>(labels.size());
 }
 
-std::string
-hex16(std::uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-    return buf;
-}
-
-/** Bit-exact hexfloat text for canonical config lines. */
-std::string
-hexDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
-
 /** Everything the shared collection sweep produces, per attacker. */
 struct CollectOutput
 {
@@ -116,42 +98,21 @@ featurizeCanon(const PipelineConfig &pipeline, attack::AttackerKind kind)
 
 /**
  * The Collect stage body: shared-timeline trace collection for every
- * attacker, with checkpoint journaling/resume when a checkpointDir is
- * configured. `--resume` therefore composes with the stage cache: the
- * journal makes a *partial* collection restartable, the cache makes a
- * *finished* collection (and everything downstream) skippable.
+ * attacker. With a stage cache, every finished (world, site, run) cell
+ * is stored as a "cell" entry and replayed on the next run, so the one
+ * cache makes a *partial* collection restartable (`--resume`) and a
+ * *finished* one (and everything downstream) skippable.
  */
 Result<CollectOutput>
 collectStageBody(const CollectionConfig &collection,
                  std::span<const attack::AttackerKind> attackers,
-                 const PipelineConfig &pipeline, Label non_sensitive)
+                 const PipelineConfig &pipeline, Label non_sensitive,
+                 StageCache *cache, std::uint64_t collection_fp)
 {
     const web::SiteCatalog catalog(pipeline.numSites, pipeline.catalogSeed);
     TraceCollector collector(collection);
-
-    std::unique_ptr<CheckpointJournal> journal;
-    if (!pipeline.checkpointDir.empty()) {
-        Result<std::unique_ptr<CheckpointJournal>> opened =
-            CheckpointJournal::open(
-                pipeline.checkpointDir,
-                collectionFingerprint(collection, pipeline.catalogSeed,
-                                      pipeline.numSites,
-                                      pipeline.openWorldExtra, attackers),
-                collection.faults);
-        if (!opened.isOk())
-            return Status(opened.status());
-        journal = std::move(opened.value());
-        if (journal->repairStats().repaired())
-            warn("checkpoint journal " + journal->path() + " repaired: " +
-                 std::to_string(journal->repairStats().recordsDropped) +
-                 " record(s) and " +
-                 std::to_string(journal->repairStats().tailBytesDropped) +
-                 " torn tail byte(s) dropped");
-        if (journal->cellCount() > 0)
-            std::printf("resuming: %zu completed cell(s) from %s\n",
-                        journal->cellCount(), journal->path().c_str());
-        collector.setCheckpoint(journal.get());
-    }
+    collector.setCache(cache, collection_fp);
+    const std::size_t hits_before = cache ? cache->stats().hits : 0;
 
     CollectOutput out;
     Result<std::vector<attack::TraceSet>> closed_result =
@@ -173,6 +134,9 @@ collectStageBody(const CollectionConfig &collection,
             return Status(extra_result.status());
         out.openExtra = std::move(extra_result.value());
     }
+    if (cache != nullptr && cache->stats().hits > hits_before)
+        std::printf("resuming: replayed %zu collected cell(s) from %s\n",
+                    cache->stats().hits - hits_before, cache->dir().c_str());
     return out;
 }
 
@@ -342,7 +306,8 @@ runFingerprintingShared(const CollectionConfig &collection,
 
     std::optional<StageCache> cache;
     if (!pipeline.cacheDir.empty()) {
-        Result<StageCache> opened = StageCache::open(pipeline.cacheDir);
+        Result<StageCache> opened =
+            StageCache::open(pipeline.cacheDir, collection.faults);
         if (!opened.isOk())
             return Status(opened.status());
         cache = std::move(opened.value());
@@ -350,9 +315,9 @@ runFingerprintingShared(const CollectionConfig &collection,
     StageGraph graph(cache ? &*cache : nullptr);
 
     // Declare the whole graph up front: every stage's fingerprint is a
-    // pure function of configuration (checkpointDir/cacheDir excluded —
-    // they affect where work happens, never what it computes), so a
-    // warm run can probe the cache bottom-up before running anything.
+    // pure function of configuration (cacheDir excluded — it affects
+    // where work happens, never what it computes), so a warm run can
+    // probe the cache bottom-up before running anything.
     const std::uint64_t collection_fp = collectionFingerprint(
         collection, pipeline.catalogSeed, pipeline.numSites,
         pipeline.openWorldExtra, attackers);
@@ -458,7 +423,9 @@ runFingerprintingShared(const CollectionConfig &collection,
         Result<CollectOutput> collected = graph.run<CollectOutput>(
             collect_id, nullptr, [&]() -> Result<CollectOutput> {
                 return collectStageBody(collection, attackers, pipeline,
-                                        non_sensitive);
+                                        non_sensitive,
+                                        cache ? &*cache : nullptr,
+                                        collection_fp);
             });
         if (!collected.isOk())
             return Status(collected.status());

@@ -58,21 +58,15 @@ struct PipelineConfig
     /** Catalog seed (same seed = same 100 websites). */
     std::uint64_t catalogSeed = 7;
     /**
-     * Checkpoint/resume directory ("" disables journaling). When set,
-     * completed (site, run) cells are journaled there
-     * (core/checkpoint.hh) and a re-run with the same configuration
-     * resumes from the journal, bit-identically.
-     */
-    std::string checkpointDir;
-    /**
      * Stage cache directory ("" disables caching). When set, every
-     * cacheable stage output — featurized datasets, trained fold
-     * models, per-fold evaluation scores — is stored content-addressed
-     * (core/stage_cache.hh) and a re-run reuses whatever upstream
-     * prefix of the stage graph still fingerprints the same, replaying
-     * it bit-identically: changing only evaluation settings skips
-     * collection, featurization and (for eval-only knobs like topK)
-     * training too.
+     * cacheable output — collected (world, site, run) cells, featurized
+     * datasets, trained fold models, per-fold evaluation scores — is
+     * stored content-addressed (core/stage_cache.hh) and a re-run
+     * reuses whatever upstream prefix of the stage graph still
+     * fingerprints the same, replaying it bit-identically: an
+     * interrupted collection resumes from its stored cells, and
+     * changing only evaluation settings skips collection,
+     * featurization and (for eval-only knobs like topK) training too.
      */
     std::string cacheDir;
 };

@@ -70,15 +70,15 @@ commonScaleSchema()
                  "use the paper's exact CNN-LSTM hyperparameters")
         .addInt("threads", "", 0, 0, 4096,
                 "worker threads (0 = BF_THREADS, else hardware)")
-        .addString("resume", "BF_RESUME", "",
-                   "checkpoint/resume directory (\"\" disables)")
         .addString("cache-dir", "BF_CACHE_DIR", "",
-                   "stage cache directory: featurized data, fold models "
-                   "and fold scores (\"\" disables)")
+                   "stage cache directory: collected cells, featurized "
+                   "data, fold models and fold scores; rerunning with the "
+                   "same directory resumes or replays (\"\" disables)")
+        .addFlagAlias("resume", "cache-dir")
         .addInt("io-crash-after", "BF_IO_CRASH_AFTER", 0, 0, 1000000000,
-                "fault injection: crash after N checkpoint records")
+                "fault injection: crash after N stored collection cells")
         .addInt("io-torn-bytes", "BF_IO_TORN_BYTES", 0, 0, 1000000000,
-                "fault injection: torn bytes of the crashed record");
+                "fault injection: torn bytes of the crashed cell entry");
     return schema;
 }
 
@@ -96,7 +96,6 @@ scaleFromSpec(const spec::RunSpec &run_spec)
     scale.seed = static_cast<std::uint64_t>(run_spec.getInt("seed"));
     scale.paperModel = run_spec.getBool("paper-model");
     scale.threads = static_cast<int>(run_spec.getInt("threads"));
-    scale.resumeDir = run_spec.getString("resume");
     scale.cacheDir = run_spec.getString("cache-dir");
     scale.ioCrashAfterRecords =
         static_cast<int>(run_spec.getInt("io-crash-after"));
@@ -147,7 +146,6 @@ pipelineForScale(const ExperimentScale &scale)
     pipeline.eval.seed = scale.seed;
     pipeline.eval.topK = scale.topK;
     pipeline.factory = classifierForScale(scale);
-    pipeline.checkpointDir = scale.resumeDir;
     pipeline.cacheDir = scale.cacheDir;
     return pipeline;
 }

@@ -117,14 +117,12 @@ struct ExperimentScale
     std::uint64_t seed = 2022;
     bool paperModel = false;
     int threads = 0;
-    /** Checkpoint/resume directory ("" disables journaling). */
-    std::string resumeDir;
-    /** Stage cache directory (featurized data, fold models, fold
-     *  scores; "" disables caching). */
+    /** Stage cache directory (collected cells, featurized data, fold
+     *  models, fold scores; "" disables caching). */
     std::string cacheDir;
-    /** IO fault injection: crash after N journal records (0 = off). */
+    /** IO fault injection: crash after N stored cells (0 = off). */
     int ioCrashAfterRecords = 0;
-    /** IO fault injection: torn bytes of the crashed record. */
+    /** IO fault injection: torn bytes of the crashed cell entry. */
     int ioTornWriteBytes = 0;
 };
 
@@ -142,9 +140,10 @@ PipelineConfig pipelineForScale(const ExperimentScale &scale);
 
 /**
  * Builds the baseline CollectionConfig for the scale: master seed plus
- * the IO-layer fault knobs (sim/faults.hh) wired through so `--resume`
- * runs can be crash-tested from the CLI. Experiments overlay their own
- * machine/browser/defense configuration on top.
+ * the IO-layer fault knobs (sim/faults.hh) wired through so cached
+ * (`--cache-dir`/`--resume`) runs can be crash-tested from the CLI.
+ * Experiments overlay their own machine/browser/defense configuration
+ * on top.
  */
 CollectionConfig collectionForScale(const ExperimentScale &scale);
 

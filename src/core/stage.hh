@@ -21,8 +21,9 @@
  *     the StageCache under (codec.kind, fingerprint) and replays it
  *     bit-identically on the next run with the same fingerprint;
  *     stages without a codec (cheap or inherently local ones) simply
- *     recompute. `--resume` (checkpoint journals inside the Collect
- *     body) and `--cache-dir` compose through this one mechanism.
+ *     recompute. The Collect body stores each collected cell in the
+ *     same cache, so `--cache-dir` (alias `--resume`) both resumes a
+ *     killed collection and replays a finished one.
  *
  *  3. Framework-collected observability. Every execution records
  *     wall/CPU seconds, cache provenance (hit, miss, stored, ...) and
@@ -103,7 +104,7 @@ struct StageReport
     /** Units lost (dropped traces). */
     std::size_t dropped = 0;
     /** Simulator work counters (sim/perf.hh); zero for stages that do
-     *  no simulation and for cache/journal replays, exactly like
+     *  no simulation and for cache replays, exactly like
      *  cpuSeconds measures work performed rather than represented. */
     sim::PerfCounters sim;
 };

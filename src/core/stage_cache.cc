@@ -1,18 +1,18 @@
 #include "core/stage_cache.hh"
 
 #include <algorithm>
-#include <cinttypes>
+#include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <vector>
+#include <type_traits>
 
 #include "base/atomic_file.hh"
 #include "base/hash.hh"
 #include "base/logging.hh"
+#include "base/rng.hh"
 
 namespace bigfish::core {
 
@@ -20,164 +20,189 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string
-hex16(std::uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-    return buf;
-}
-
-constexpr char kHeaderPrefix[] = "# bigfish-stage-cache v1 kind=";
+constexpr char kHeaderPrefix[] = "# bigfish-stage-cache v2 kind=";
 constexpr char kEntrySuffix[] = ".bfc";
+/** The CRC32 trailer: the last four bytes, little-endian. */
+constexpr std::size_t kTrailerBytes = sizeof(std::uint32_t);
 
-/** Serializes one dataset section: a shape line then one row per
- *  sample, features as bit-exact hexfloats. */
-void
-writeDataset(std::ostringstream &out, const char *name,
-             const ml::Dataset &data)
+/** The header line that opens every (kind, key) entry. */
+std::string
+headerLine(std::string_view kind, std::uint64_t key)
 {
-    out << name << ' ' << data.features.size() << ' ' << data.featureLen()
-        << ' ' << data.numClasses << '\n';
-    char buf[48];
-    for (std::size_t i = 0; i < data.features.size(); ++i) {
-        out << "row " << data.labels[i];
-        for (const double v : data.features[i]) {
-            std::snprintf(buf, sizeof(buf), "%a", v);
-            out << ' ' << buf;
+    std::string line = kHeaderPrefix;
+    line += kind;
+    line += " key=";
+    line += hex16(key);
+    line += '\n';
+    return line;
+}
+
+// The payload formats are fixed-width little-endian, written and read
+// as the host's own bytes.
+static_assert(std::endian::native == std::endian::little,
+              "the cache payload codecs assume a little-endian host");
+static_assert(sizeof(Label) == 4 && sizeof(SiteId) == 4 &&
+                  sizeof(TimeNs) == 8 && sizeof(double) == 8,
+              "the cache payload layout assumes these widths");
+
+/** Appends fixed-width values to a payload. */
+class ByteWriter
+{
+  public:
+    template <typename T>
+    void
+    scalar(T v)
+    {
+        static_assert(std::is_arithmetic_v<T>);
+        out_.append(reinterpret_cast<const char *>(&v), sizeof(T));
+    }
+
+    void
+    str(std::string_view s)
+    {
+        scalar<std::uint64_t>(s.size());
+        out_.append(s);
+    }
+
+    /** A count-prefixed array of arithmetic values. */
+    template <typename T>
+    void
+    array(const std::vector<T> &values)
+    {
+        static_assert(std::is_arithmetic_v<T>);
+        scalar<std::uint64_t>(values.size());
+        out_.append(reinterpret_cast<const char *>(values.data()),
+                    values.size() * sizeof(T));
+    }
+
+    std::string take() { return std::move(out_); }
+
+  private:
+    std::string out_;
+};
+
+/**
+ * Bounds-checked reader over an untrusted payload. The first failed
+ * read latches !ok() and every later read returns zero/empty, so a
+ * decoder can read straight through and check once at the end.
+ */
+class ByteReader
+{
+  public:
+    explicit ByteReader(std::string_view in) : in_(in) {}
+
+    template <typename T>
+    T
+    get()
+    {
+        static_assert(std::is_arithmetic_v<T>);
+        T v{};
+        if (take(sizeof(T)))
+            std::memcpy(&v, in_.data() - sizeof(T), sizeof(T));
+        return v;
+    }
+
+    /**
+     * A sequence count whose elements each occupy at least
+     * @p min_element_bytes: fails (returning 0) unless that many bytes
+     * remain, so no caller ever allocates for data that is not there.
+     */
+    std::size_t
+    count(std::size_t min_element_bytes)
+    {
+        const auto n = get<std::uint64_t>();
+        if (n > in_.size() / min_element_bytes) {
+            ok_ = false;
+            return 0;
         }
-        out << '\n';
+        return static_cast<std::size_t>(n);
     }
-}
 
-/** Parses the section written by writeDataset(); false on mismatch. */
-bool
-readDataset(std::istringstream &in, const char *name, ml::Dataset &data)
-{
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    std::istringstream header(line);
-    std::string tag;
-    std::size_t rows = 0, cols = 0;
-    int classes = 0;
-    if (!(header >> tag >> rows >> cols >> classes) || tag != name)
-        return false;
-    data.features.clear();
-    data.labels.clear();
-    data.numClasses = classes;
-    data.features.reserve(rows);
-    data.labels.reserve(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-        if (!std::getline(in, line))
-            return false;
-        if (line.rfind("row ", 0) != 0)
-            return false;
-        const char *cursor = line.c_str() + 4;
-        char *end = nullptr;
-        const long label = std::strtol(cursor, &end, 10);
-        if (end == cursor)
-            return false;
-        cursor = end;
-        std::vector<double> x(cols);
-        for (std::size_t j = 0; j < cols; ++j) {
-            x[j] = std::strtod(cursor, &end);
-            if (end == cursor)
-                return false;
-            cursor = end;
-        }
-        data.add(std::move(x), static_cast<Label>(label));
+    void
+    str(std::string &s)
+    {
+        const std::size_t n = count(1);
+        s.assign(in_.data(), n);
+        take(n);
     }
-    return true;
-}
 
-/** One hexfloat-encoded vector<double> line: "<tag> <n> <%a>...". */
+    template <typename T>
+    void
+    array(std::vector<T> &values)
+    {
+        static_assert(std::is_arithmetic_v<T>);
+        values.resize(count(sizeof(T)));
+        const std::size_t bytes = values.size() * sizeof(T);
+        if (bytes > 0)
+            std::memcpy(values.data(), in_.data(), bytes);
+        take(bytes);
+    }
+
+    /** True when every read succeeded and the payload is consumed. */
+    bool done() const { return ok_ && in_.empty(); }
+    bool ok() const { return ok_; }
+
+  private:
+    /** Consumes @p bytes; false (latched) when fewer remain. */
+    bool
+    take(std::size_t bytes)
+    {
+        ok_ = ok_ && bytes <= in_.size();
+        if (ok_)
+            in_.remove_prefix(bytes);
+        return ok_;
+    }
+
+    std::string_view in_;
+    bool ok_ = true;
+};
+
+/** Doubles-per-row matrix (dataset features, fold scores). */
 void
-writeDoubleRow(std::ostringstream &out, const char *tag,
-               const std::vector<double> &values)
+writeRows(ByteWriter &out, const std::vector<std::vector<double>> &rows)
 {
-    out << tag << ' ' << values.size();
-    char buf[48];
-    for (const double v : values) {
-        std::snprintf(buf, sizeof(buf), "%a", v);
-        out << ' ' << buf;
-    }
-    out << '\n';
+    out.scalar<std::uint64_t>(rows.size());
+    for (const auto &row : rows)
+        out.array(row);
 }
 
-bool
-readDoubleRow(std::istringstream &in, const char *tag,
-              std::vector<double> &values)
-{
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    const std::string prefix = std::string(tag) + ' ';
-    if (line.rfind(prefix, 0) != 0)
-        return false;
-    const char *cursor = line.c_str() + prefix.size();
-    char *end = nullptr;
-    const long n = std::strtol(cursor, &end, 10);
-    if (end == cursor || n < 0)
-        return false;
-    cursor = end;
-    values.assign(static_cast<std::size_t>(n), 0.0);
-    for (long j = 0; j < n; ++j) {
-        values[static_cast<std::size_t>(j)] = std::strtod(cursor, &end);
-        if (end == cursor)
-            return false;
-        cursor = end;
-    }
-    return true;
-}
-
-/** One integer-label line: "<tag> <n> <label>...". */
 void
-writeLabelRow(std::ostringstream &out, const char *tag,
-              const std::vector<Label> &labels)
+readRows(ByteReader &in, std::vector<std::vector<double>> &rows)
 {
-    out << tag << ' ' << labels.size();
-    for (const Label l : labels)
-        out << ' ' << l;
-    out << '\n';
+    // Each row carries at least its own 8-byte count.
+    rows.resize(in.count(8));
+    for (auto &row : rows)
+        in.array(row);
 }
 
-bool
-readLabelRow(std::istringstream &in, const char *tag,
-             std::vector<Label> &labels)
+/** A dataset: class count, labels, then one feature row per label. */
+void
+writeDataset(ByteWriter &out, const ml::Dataset &data)
 {
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    const std::string prefix = std::string(tag) + ' ';
-    if (line.rfind(prefix, 0) != 0)
-        return false;
-    const char *cursor = line.c_str() + prefix.size();
-    char *end = nullptr;
-    const long n = std::strtol(cursor, &end, 10);
-    if (end == cursor || n < 0)
-        return false;
-    cursor = end;
-    labels.assign(static_cast<std::size_t>(n), Label{});
-    for (long j = 0; j < n; ++j) {
-        const long v = std::strtol(cursor, &end, 10);
-        if (end == cursor)
-            return false;
-        labels[static_cast<std::size_t>(j)] = static_cast<Label>(v);
-        cursor = end;
-    }
-    return true;
+    out.scalar<std::int32_t>(data.numClasses);
+    out.array(data.labels);
+    writeRows(out, data.features);
+}
+
+/** Inverse of writeDataset(); false unless labels and rows pair up. */
+bool
+readDataset(ByteReader &in, ml::Dataset &data)
+{
+    data.numClasses = in.get<std::int32_t>();
+    in.array(data.labels);
+    readRows(in, data.features);
+    return in.ok() && data.labels.size() == data.features.size();
 }
 
 } // namespace
 
 Result<StageCache>
-StageCache::open(const std::string &dir)
+StageCache::open(const std::string &dir, const sim::FaultConfig &faults)
 {
     Status created = createDirectories(dir);
     if (!created.isOk())
         return created;
-    return StageCache(dir);
+    return StageCache(dir, faults);
 }
 
 std::string
@@ -190,41 +215,31 @@ std::string
 StageCache::frame(std::string_view kind, std::uint64_t key,
                   std::string_view payload)
 {
-    std::string framed = kHeaderPrefix;
-    framed += kind;
-    framed += " key=";
-    framed += hex16(key);
-    framed += '\n';
+    std::string framed = headerLine(kind, key);
     framed += payload;
-    char trailer[32];
-    std::snprintf(trailer, sizeof(trailer), "@crc %08x\n", crc32(framed));
-    framed += trailer;
+    const std::uint32_t crc = crc32(framed);
+    framed.append(reinterpret_cast<const char *>(&crc), kTrailerBytes);
     return framed;
 }
 
 bool
-StageCache::unframe(const std::string &text, std::string_view kind,
+StageCache::unframe(const std::string &bytes, std::string_view kind,
                     std::uint64_t key, std::string &payload)
 {
-    // Split off and verify the CRC trailer first: everything else
-    // assumes an intact payload.
-    const std::size_t trailer = text.rfind("@crc ");
-    if (trailer == std::string::npos || trailer == 0 ||
-        text[trailer - 1] != '\n')
+    // Verify the CRC trailer first: everything else assumes an intact
+    // entry.
+    if (bytes.size() < kTrailerBytes)
         return false;
-    unsigned long crc = 0;
-    if (std::sscanf(text.c_str() + trailer, "@crc %lx", &crc) != 1)
-        return false;
-    const std::string framed = text.substr(0, trailer);
-    if (crc32(framed) != static_cast<std::uint32_t>(crc))
+    const std::size_t body = bytes.size() - kTrailerBytes;
+    std::uint32_t stored = 0;
+    std::memcpy(&stored, bytes.data() + body, kTrailerBytes);
+    if (crc32(std::string_view(bytes.data(), body)) != stored)
         return false;
 
-    const std::string header =
-        std::string(kHeaderPrefix) + std::string(kind) + " key=" + hex16(key);
-    const std::size_t newline = framed.find('\n');
-    if (newline == std::string::npos || framed.substr(0, newline) != header)
+    const std::string header = headerLine(kind, key);
+    if (header.size() > body || bytes.compare(0, header.size(), header) != 0)
         return false;
-    payload = framed.substr(newline + 1);
+    payload.assign(bytes, header.size(), body - header.size());
     return true;
 }
 
@@ -242,7 +257,7 @@ StageCache::lookup(std::string_view kind, std::uint64_t key)
         }
         std::ostringstream buffer;
         buffer << in.rdbuf();
-        content = buffer.str();
+        content = std::move(buffer).str();
     }
     std::string payload;
     if (!unframe(content, kind, key, payload)) {
@@ -257,25 +272,59 @@ StageCache::lookup(std::string_view kind, std::uint64_t key)
         ++stats_.misses;
         return std::nullopt;
     }
-    // Touch-on-hit: evict() ranks entries by mtime, so a hit must
-    // refresh the entry or a long-lived cache would evict its hottest
-    // entries first (they are the oldest-written ones). Best-effort —
-    // a read-only cache dir still serves hits, it just ages.
-    std::error_code touch_ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), touch_ec);
-    {
-        const std::lock_guard<std::mutex> lock(*mutex_);
-        ++stats_.hits;
-    }
+    const std::lock_guard<std::mutex> lock(*mutex_);
+    ++stats_.hits;
     return payload;
 }
 
 Status
 StageCache::put(std::string_view kind, std::uint64_t key,
-                  std::string_view payload)
+                std::string_view payload)
 {
-    Status written =
-        atomicWriteFile(entryPath(kind, key), frame(kind, key, payload));
+    std::string framed = frame(kind, key, payload);
+    const std::string path = entryPath(kind, key);
+
+    // --- Injected IO faults (cells only; deterministic in faults.seed
+    // and the entry key, so they hit the same cells at any --threads).
+    if (kind == kCellKind && faults_.ioEnabled()) {
+        {
+            const std::lock_guard<std::mutex> lock(*mutex_);
+            if (faults_.ioCrashAfterRecords > 0 &&
+                cellsPut_ >=
+                    static_cast<std::size_t>(faults_.ioCrashAfterRecords)) {
+                // Simulated kill -9 mid-write: a torn prefix of the
+                // entry reaches its final path (as it would without the
+                // atomic rename), then the process dies unwound.
+                const std::size_t torn = std::min(
+                    framed.size(), static_cast<std::size_t>(
+                                       std::max(faults_.ioTornWriteBytes, 0)));
+                FILE *out = torn > 0 ? std::fopen(path.c_str(), "wb")
+                                     : nullptr;
+                if (out != nullptr) {
+                    std::fwrite(framed.data(), 1, torn, out);
+                    std::fclose(out);
+                }
+                panic("fault injection: simulated crash after " +
+                      std::to_string(cellsPut_) +
+                      " cell entries (stage cache " + dir_ + ")");
+            }
+            ++cellsPut_;
+        }
+        const std::uint64_t word =
+            mix64(mix64(faults_.seed ^ 0x8d1c'42a7'55e0'3b96ULL) ^
+                  mix64(key));
+        const double uniform = static_cast<double>(word >> 11) * 0x1.0p-53;
+        if (uniform < faults_.ioCorruptRecordProb) {
+            // Flip one payload byte *after* the CRC was computed; the
+            // lookup must detect and drop exactly this entry.
+            const std::size_t header = framed.find('\n') + 1;
+            const std::size_t span = framed.size() - kTrailerBytes - header;
+            if (span > 0)
+                framed[header + (mix64(word) % span)] ^= 0x01;
+        }
+    }
+
+    Status written = atomicWriteFile(path, framed);
     if (written.isOk()) {
         const std::lock_guard<std::mutex> lock(*mutex_);
         ++stats_.stores;
@@ -290,36 +339,6 @@ StageCache::remove(std::string_view kind, std::uint64_t key)
     fs::remove(entryPath(kind, key), ec);
 }
 
-std::size_t
-StageCache::evict(std::size_t maxEntries)
-{
-    std::vector<std::pair<fs::file_time_type, fs::path>> entries;
-    std::error_code ec;
-    for (const auto &item : fs::directory_iterator(dir_, ec)) {
-        if (!item.is_regular_file(ec))
-            continue;
-        if (item.path().extension() != kEntrySuffix)
-            continue;
-        entries.emplace_back(fs::last_write_time(item.path(), ec),
-                             item.path());
-    }
-    if (entries.size() <= maxEntries)
-        return 0;
-    // Oldest-modified first; lookup() touches entries on hit, so mtime
-    // order is least-recently-*used* order, not least-recently-written.
-    // Ties broken by path so eviction order is stable under equal
-    // timestamps.
-    std::sort(entries.begin(), entries.end());
-    const std::size_t excess = entries.size() - maxEntries;
-    std::size_t removed = 0;
-    for (std::size_t i = 0; i < excess; ++i)
-        if (fs::remove(entries[i].second, ec))
-            ++removed;
-    const std::lock_guard<std::mutex> lock(*mutex_);
-    stats_.evicted += removed;
-    return removed;
-}
-
 StageCacheStats
 StageCache::stats() const
 {
@@ -330,35 +349,30 @@ StageCache::stats() const
 std::string
 encodeFeaturized(const FeaturizedEntry &entry)
 {
-    std::ostringstream out;
-    out << "meta dropped=" << entry.droppedTraces
-        << " collected=" << entry.collectedTraces
-        << " open=" << (entry.hasOpenWorld ? 1 : 0) << '\n';
-    writeDataset(out, "closed", entry.closedWorld);
+    ByteWriter out;
+    out.scalar<std::uint64_t>(entry.droppedTraces);
+    out.scalar<std::uint64_t>(entry.collectedTraces);
+    out.scalar<std::uint8_t>(entry.hasOpenWorld ? 1 : 0);
+    writeDataset(out, entry.closedWorld);
     if (entry.hasOpenWorld)
-        writeDataset(out, "open", entry.openWorld);
-    return out.str();
+        writeDataset(out, entry.openWorld);
+    return out.take();
 }
 
 std::optional<FeaturizedEntry>
 decodeFeaturized(const std::string &payload)
 {
-    std::istringstream in(payload);
-    std::string line;
-    if (!std::getline(in, line))
-        return std::nullopt;
-    unsigned long long dropped = 0, collected = 0;
-    int open = 0;
-    if (std::sscanf(line.c_str(), "meta dropped=%llu collected=%llu open=%d",
-                    &dropped, &collected, &open) != 3)
-        return std::nullopt;
+    ByteReader in(payload);
     FeaturizedEntry entry;
-    entry.droppedTraces = dropped;
-    entry.collectedTraces = collected;
-    entry.hasOpenWorld = open != 0;
-    if (!readDataset(in, "closed", entry.closedWorld))
+    entry.droppedTraces = in.get<std::uint64_t>();
+    entry.collectedTraces = in.get<std::uint64_t>();
+    const auto open = in.get<std::uint8_t>();
+    if (open > 1)
         return std::nullopt;
-    if (entry.hasOpenWorld && !readDataset(in, "open", entry.openWorld))
+    entry.hasOpenWorld = open == 1;
+    if (!readDataset(in, entry.closedWorld) ||
+        (entry.hasOpenWorld && !readDataset(in, entry.openWorld)) ||
+        !in.done())
         return std::nullopt;
     return entry;
 }
@@ -366,38 +380,85 @@ decodeFeaturized(const std::string &payload)
 std::string
 encodeFoldScores(const ml::FoldScores &fold)
 {
-    std::ostringstream out;
-    out << "scores " << fold.scores.size() << '\n';
-    for (const auto &row : fold.scores)
-        writeDoubleRow(out, "s", row);
-    writeLabelRow(out, "truths", fold.truths);
-    writeLabelRow(out, "predictions", fold.predictions);
-    return out.str();
+    ByteWriter out;
+    writeRows(out, fold.scores);
+    out.array(fold.truths);
+    out.array(fold.predictions);
+    return out.take();
 }
 
 std::optional<ml::FoldScores>
 decodeFoldScores(const std::string &payload)
 {
-    std::istringstream in(payload);
-    std::string line;
-    if (!std::getline(in, line))
-        return std::nullopt;
-    unsigned long long rows = 0;
-    if (std::sscanf(line.c_str(), "scores %llu", &rows) != 1)
-        return std::nullopt;
+    ByteReader in(payload);
     ml::FoldScores fold;
-    fold.scores.resize(rows);
-    for (auto &row : fold.scores)
-        if (!readDoubleRow(in, "s", row))
-            return std::nullopt;
-    if (!readLabelRow(in, "truths", fold.truths))
-        return std::nullopt;
-    if (!readLabelRow(in, "predictions", fold.predictions))
-        return std::nullopt;
-    if (fold.truths.size() != fold.scores.size() ||
+    readRows(in, fold.scores);
+    in.array(fold.truths);
+    in.array(fold.predictions);
+    if (!in.done() || fold.truths.size() != fold.scores.size() ||
         fold.predictions.size() != fold.scores.size())
         return std::nullopt;
     return fold;
+}
+
+std::string
+encodeCell(const CollectedCell &cell)
+{
+    ByteWriter out;
+    out.scalar<std::uint64_t>(cell.size());
+    for (const Result<attack::Trace> &slot : cell) {
+        out.scalar<std::uint8_t>(slot.isOk() ? 1 : 0);
+        if (!slot.isOk()) {
+            out.scalar(static_cast<std::int32_t>(slot.status().code()));
+            out.str(slot.status().message());
+            continue;
+        }
+        const attack::Trace &t = slot.value();
+        out.scalar<std::int32_t>(t.siteId);
+        out.scalar<std::int32_t>(t.label);
+        out.scalar<std::int64_t>(t.period);
+        out.str(t.attacker);
+        out.array(t.counts);
+        out.array(t.wallTimes);
+    }
+    return out.take();
+}
+
+std::optional<CollectedCell>
+decodeCell(const std::string &payload)
+{
+    ByteReader in(payload);
+    // Every slot holds at least its flag byte and a 4-byte field.
+    const std::size_t slots = in.count(5);
+    CollectedCell cell;
+    cell.reserve(slots);
+    for (std::size_t i = 0; i < slots && in.ok(); ++i) {
+        const auto ok = in.get<std::uint8_t>();
+        if (ok == 0) {
+            const auto code = in.get<std::int32_t>();
+            std::string message;
+            in.str(message);
+            if (code <= 0 ||
+                code > static_cast<std::int32_t>(ErrorCode::Exhausted))
+                return std::nullopt;
+            cell.emplace_back(
+                Status(static_cast<ErrorCode>(code), std::move(message)));
+            continue;
+        }
+        if (ok != 1)
+            return std::nullopt;
+        attack::Trace t;
+        t.siteId = in.get<std::int32_t>();
+        t.label = in.get<std::int32_t>();
+        t.period = in.get<std::int64_t>();
+        in.str(t.attacker);
+        in.array(t.counts);
+        in.array(t.wallTimes);
+        cell.emplace_back(std::move(t));
+    }
+    if (!in.done())
+        return std::nullopt;
+    return cell;
 }
 
 } // namespace bigfish::core

@@ -367,7 +367,7 @@ Supervisor::runOne(const std::string &name, const InProcessRun &in_process,
 
         // Isolated children: crashes, timeouts and plain failures (exit
         // 1) are transient from the suite's point of view — the retry
-        // plus a persistent --resume journal makes forward progress
+        // plus a persistent --resume cache makes forward progress
         // even through a deterministic mid-collection crash. Usage
         // errors (exit 2) and exec failures (127) are permanent.
         const bool retryable_state = outcome.state == RunState::Crashed ||

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "ml/conv.hh"
 #include "ml/lstm.hh"
@@ -15,15 +16,6 @@
 namespace bigfish::ml {
 
 namespace {
-
-/** Bit-exact hexfloat text for canon lines and weight dumps. */
-std::string
-hexDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
 
 /**
  * Packs the selected samples column-wise into one (rows x B*steps)

@@ -10,7 +10,7 @@
  * delegate the arithmetic, so blocking/threading decisions stay where
  * they were while the flops dispatch to the best ISA.
  *
- * Determinism contract (DESIGN.md §10), load-bearing for checkpoint
+ * Determinism contract (DESIGN.md §10), load-bearing for cache
  * fingerprints and `--resume` replay:
  *
  *  - Reductions (dot, dotTile4x2) accumulate into a fixed 8-lane

@@ -346,19 +346,20 @@ accumulateMatmulTransB(Matrix &c, const Matrix &a, const Matrix &b)
     if (k > 1 && k <= 32 && n >= 16) {
         // Short-k dots waste their accumulator setup; materialize B^T
         // (small: n*k floats) once and run the wide-row kernel instead.
-        // The transpose happens before any fan-out, so parallel row
-        // chunks only ever read it.
-        static thread_local std::vector<float> scratch;
-        scratch.resize(k * n);
+        // The buffer belongs to this call: row chunks run on other
+        // threads, and while it waits this thread may run another
+        // queued task that does the same GEMM, so per-thread scratch
+        // would be read by the wrong thread or resized underfoot.
+        std::vector<float> transposed(k * n);
         const float *__restrict bd = b.data();
-        float *__restrict bt = scratch.data();
+        float *__restrict bt = transposed.data();
         for (std::size_t j = 0; j < n; ++j)
             for (std::size_t kk = 0; kk < k; ++kk)
                 bt[kk * n + j] = bd[j * k + kk];
         forRowChunks(a.rows(), gemmFlops(a.rows(), k, n),
                      [&](std::size_t r0, std::size_t r1) {
-                         gemmAccRows(c.data(), a.data(), scratch.data(),
-                                     r0, r1, k, n, nullptr);
+                         gemmAccRows(c.data(), a.data(), bt, r0, r1, k,
+                                     n, nullptr);
                      });
         return;
     }

@@ -72,22 +72,23 @@ struct FaultConfig
     /** Largest fraction of periods a truncated trace keeps. */
     double truncateKeepMax = 1.0;
 
-    // --- IO-layer faults (checkpoint journal / artifact writes, §9).
+    // --- IO-layer faults (stage-cache "cell" entries, §9).
     // These drive the crash-recovery harness rather than the simulated
-    // signal: they corrupt or abort the *persistence* of traces, never
-    // their content, so they are deliberately excluded from enabled().
+    // signal: they corrupt or abort the *persistence* of collected
+    // cells (core/stage_cache.hh), never their content, so they are
+    // deliberately excluded from enabled().
     /**
-     * >0: hard-crash (abort, as if kill -9) after this many checkpoint
-     * journal records have been appended. The crash happens *mid-append*
-     * of the next record so resume code must cope with a torn tail.
+     * >0: hard-crash (abort, as if kill -9) after this many collected
+     * cells have been stored. The crash happens *mid-write* of the next
+     * cell entry, so resume code must cope with a torn entry.
      */
     int ioCrashAfterRecords = 0;
-    /** Bytes of the in-flight record that reach disk before the crash. */
+    /** Bytes of the in-flight cell entry that reach disk before the crash. */
     int ioTornWriteBytes = 0;
     /**
-     * Probability each appended journal record is corrupted on disk
-     * (one payload byte flipped after the CRC was computed), exercising
-     * the reader's CRC framing.
+     * Probability each stored cell entry is corrupted on disk (one
+     * payload byte flipped after the CRC was computed, chosen by
+     * faults.seed and the entry key), exercising the reader's CRC check.
      */
     double ioCorruptRecordProb = 0.0;
 
@@ -103,7 +104,7 @@ struct FaultConfig
      */
     bool enabled() const;
 
-    /** True when any IO-layer (journal/artifact) fault is active. */
+    /** True when any IO-layer (cell-entry) fault is active. */
     bool ioEnabled() const;
 
     /** The all-zeros plan (the default: no faults). */

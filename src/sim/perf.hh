@@ -24,8 +24,8 @@
  *    whole point of the arena is that repeated acquisitions stop being
  *    mallocs, while the logical count stays fixed.
  *  - bytesSorted counts each sort/merge once over the span it ordered.
- *  - Cells replayed from a checkpoint journal or stage cache report
- *    zero: counters measure work *performed*, exactly like cpuSeconds.
+ *  - Cells replayed from the stage cache report zero: counters
+ *    measure work *performed*, exactly like cpuSeconds.
  */
 
 #ifndef BF_SIM_PERF_HH
@@ -59,7 +59,7 @@ struct PerfCounters
         return *this;
     }
 
-    /** True when no work has been recorded (cache/journal replays). */
+    /** True when no work has been recorded (cache replays). */
     bool
     empty() const
     {

@@ -271,11 +271,36 @@ ParamSchema::addString(std::string name, std::string env,
     return add(std::move(def));
 }
 
+ParamSchema &
+ParamSchema::addFlagAlias(std::string alias, const std::string &target)
+{
+    panicIf(findFlag(alias) != nullptr,
+            "flag alias '" + alias + "' clashes with a declared flag");
+    for (ParamDef &def : params_) {
+        if (def.name == target) {
+            def.flagAlias = std::move(alias);
+            return *this;
+        }
+    }
+    panic("flag alias '" + alias + "' names undeclared parameter '" +
+          target + "'");
+}
+
 const ParamDef *
 ParamSchema::find(const std::string &name) const
 {
     for (const ParamDef &def : params_)
         if (def.name == name)
+            return &def;
+    return nullptr;
+}
+
+const ParamDef *
+ParamSchema::findFlag(const std::string &flag) const
+{
+    for (const ParamDef &def : params_)
+        if (def.name == flag ||
+            (!def.flagAlias.empty() && def.flagAlias == flag))
             return &def;
     return nullptr;
 }
@@ -430,13 +455,27 @@ resolveSpec(const std::string &experiment, const ParamSchema &schema,
     }
 
     // Layer 5: command-line flags (strongest; unknown flags rejected).
+    // A parameter's two spellings must agree: which one wins is not
+    // something a user should have to know.
+    std::map<std::string, std::pair<std::string, std::string>> by_alias;
     for (const auto &[name, raw] : sources.flags) {
-        const ParamDef *def = schema.find(name);
+        const ParamDef *def = schema.findFlag(name);
         if (def == nullptr)
             return invalidArgumentError(
                 "unknown flag --" + name + " for experiment " +
                 experiment + " (see `bigfish describe " + experiment +
                 "`)");
+        if (!def->flagAlias.empty()) {
+            const auto [seen, fresh] =
+                by_alias.try_emplace(def->name, name, raw);
+            if (!fresh && seen->second.first != name &&
+                seen->second.second != raw)
+                return invalidArgumentError(
+                    "--" + seen->second.first + "=" + seen->second.second +
+                    " and --" + name + "=" + raw + " set --" + def->name +
+                    " to different values");
+            seen->second = {name, raw};
+        }
         auto value = parseValue(*def, raw, "flag --" + name);
         if (!value.isOk())
             return value.status();
@@ -456,6 +495,8 @@ helpText(const ParamSchema &schema)
         if (left.size() < 26)
             left.resize(26, ' ');
         out += left + def.help;
+        if (!def.flagAlias.empty())
+            out += "; also --" + def.flagAlias;
         out += " (default " + def.defaultValue.render();
         if (!def.env.empty())
             out += ", env " + def.env;

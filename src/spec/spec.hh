@@ -110,6 +110,8 @@ struct ParamDef
 {
     std::string name; ///< Key in spec files; the flag is "--<name>".
     std::string env;  ///< Environment variable ("" = no env override).
+    /** Second command-line spelling "--<flagAlias>" ("" = none). */
+    std::string flagAlias;
     ValueType type = ValueType::Int;
     Value defaultValue;
     /** Inclusive legal range (Int parameters only). */
@@ -132,8 +134,18 @@ class ParamSchema
     ParamSchema &addString(std::string name, std::string env,
                            std::string default_value, std::string help);
 
+    /**
+     * Makes "--<alias>" a second command-line spelling of the declared
+     * parameter @p target. Flags only: spec files and the environment
+     * know the parameter by its name alone.
+     */
+    ParamSchema &addFlagAlias(std::string alias, const std::string &target);
+
     /** The definition of @p name, or nullptr when undeclared. */
     const ParamDef *find(const std::string &name) const;
+
+    /** find(), also accepting a flag alias. */
+    const ParamDef *findFlag(const std::string &flag) const;
 
     const std::vector<ParamDef> &params() const { return params_; }
 
@@ -234,8 +246,9 @@ struct SpecSources
  * Resolves @p schema against the layered @p sources into a full
  * RunSpec for @p experiment. Fails (with the offending source named)
  * on malformed or out-of-range values, on spec-file keys that are not
- * declared parameters, on unknown flags, and on a spec file whose
- * `experiment` disagrees with @p experiment.
+ * declared parameters, on unknown flags, on a flag and its alias given
+ * different values, and on a spec file whose `experiment` disagrees
+ * with @p experiment.
  */
 [[nodiscard]] Result<RunSpec> resolveSpec(const std::string &experiment,
                                           const ParamSchema &schema,

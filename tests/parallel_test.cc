@@ -6,14 +6,18 @@
  */
 
 #include <atomic>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/rng.hh"
 #include "base/thread_pool.hh"
 #include "core/collector.hh"
 #include "core/pipeline.hh"
 #include "ml/evaluation.hh"
+#include "ml/matrix.hh"
 #include "web/catalog.hh"
 
 namespace bigfish {
@@ -249,6 +253,44 @@ TEST(ParallelPipeline, EndToEndMetricsMatchAcrossThreadCounts)
     EXPECT_EQ(serial.closedWorld.topKMean, wide.closedWorld.topKMean);
     EXPECT_EQ(serial.droppedTraces, wide.droppedTraces);
     EXPECT_EQ(serial.collectedTraces, wide.collectedTraces);
+}
+
+TEST(ParallelGemm, TransposedBFoldTasksMatchSerialBitForBit)
+{
+    // accumulateMatmulTransB's short-k path (k <= 32, n >= 16)
+    // transposes B into a buffer and fans its rows out above the
+    // parallel threshold (1024 x 16 x 48 is ~1.6 MFLOP). Fold tasks run
+    // it concurrently: the calling thread, while it waits for its own
+    // row chunks, picks up further queued fold tasks. Every product
+    // must still match the serial one bit for bit.
+    constexpr std::size_t kFolds = 8, kRows = 1024, kK = 16, kN = 48;
+    const auto product = [&](std::size_t fold) {
+        Rng rng(fold + 1);
+        ml::Matrix a(kRows, kK), b(kN, kK), c(kRows, kN);
+        for (std::size_t i = 0; i < a.size(); ++i)
+            a.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+        for (std::size_t i = 0; i < b.size(); ++i)
+            b.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+        ml::accumulateMatmulTransB(c, a, b);
+        return c;
+    };
+
+    std::vector<ml::Matrix> serial;
+    {
+        ScopedThreads one(1);
+        for (std::size_t f = 0; f < kFolds; ++f)
+            serial.push_back(product(f));
+    }
+    ScopedThreads four(4);
+    for (int round = 0; round < 4; ++round) {
+        const std::vector<ml::Matrix> folds =
+            globalPool().parallelMap(kFolds, product);
+        for (std::size_t f = 0; f < kFolds; ++f)
+            EXPECT_EQ(std::memcmp(folds[f].data(), serial[f].data(),
+                                  serial[f].size() * sizeof(float)),
+                      0)
+                << "round " << round << " fold " << f;
+    }
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce)

@@ -9,29 +9,33 @@
  * fails on content while keeping its repair accounting exactly
  * consistent.
  *
- * Part 2 (checkpoint journals): pins the `--resume` bit-identity
- * contract — a journal truncated at ANY byte offset (kill -9 at record
- * K) repairs cleanly and the resumed collection produces bit-identical
- * traces and artifacts to an uninterrupted run; CRC-failed middle
- * records are dropped without losing their neighbors; IO fault
- * injection (crash-after-N, torn write, record corruption) exercises
- * the same repair paths deterministically.
+ * Part 2 (collected cells in the stage cache): pins the `--resume`
+ * bit-identity contract — a "cell" entry truncated at ANY byte offset
+ * (a torn write) misses cleanly and the resumed collection produces
+ * bit-identical traces and artifacts to an uninterrupted run; a
+ * corrupted cell is dropped without losing its neighbors; IO fault
+ * injection (crash-after-N, torn write, entry corruption) exercises
+ * the same paths deterministically. The suites keep the names of the
+ * journal these tests first pinned, so the tier-1 record reads across
+ * the change.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "attack/trace_io.hh"
 #include "base/rng.hh"
-#include "core/checkpoint.hh"
 #include "core/collector.hh"
 #include "core/pipeline.hh"
+#include "core/stage_cache.hh"
 #include "ml/classifier.hh"
 
 namespace bigfish::attack {
@@ -290,14 +294,25 @@ namespace {
 using attack::Trace;
 
 std::string
-journalDir(const std::string &leaf)
+cacheDir(const std::string &leaf)
 {
-    // Fresh per-test directory: journals persist across test processes
-    // by design, so a stale one from an earlier run must not leak in.
-    const std::string dir = testing::TempDir() + "bf_checkpoint_" + leaf;
+    // Fresh per-test directory: cache entries persist across test
+    // processes by design, so a stale one from an earlier run must not
+    // leak in.
+    const std::string dir = testing::TempDir() + "bf_cells_" + leaf;
     std::error_code ignored;
     std::filesystem::remove_all(dir, ignored);
     return dir;
+}
+
+/** Opens the cache at @p dir (a new instance stands for a new process). */
+StageCache
+openCache(const std::string &dir,
+          const sim::FaultConfig &faults = sim::FaultConfig::none())
+{
+    auto opened = StageCache::open(dir, faults);
+    EXPECT_TRUE(opened.isOk()) << opened.status().toString();
+    return std::move(opened).valueOrDie();
 }
 
 std::string
@@ -319,9 +334,10 @@ writeAll(const std::string &path, const std::string &bytes)
         << path;
 }
 
-/** A deterministic trace with "awkward" doubles (hexfloat territory). */
+/** A deterministic trace with "awkward" doubles (inexact fractions);
+ *  tiny, so the every-byte-offset loop below stays fast. */
 Trace
-exampleTrace(std::uint64_t seed, int n = 12)
+exampleTrace(std::uint64_t seed, int n = 4)
 {
     Rng rng(seed);
     Trace trace;
@@ -338,11 +354,11 @@ exampleTrace(std::uint64_t seed, int n = 12)
     return trace;
 }
 
-/** One journal cell: two attacker slots, optionally one dropped. */
-std::vector<Result<Trace>>
+/** One collected cell: two attacker slots, optionally one dropped. */
+CollectedCell
 exampleCell(std::uint64_t seed, bool with_drop = false)
 {
-    std::vector<Result<Trace>> cell;
+    CollectedCell cell;
     cell.emplace_back(exampleTrace(seed));
     if (with_drop)
         cell.emplace_back(
@@ -350,6 +366,21 @@ exampleCell(std::uint64_t seed, bool with_drop = false)
     else
         cell.emplace_back(exampleTrace(seed ^ 0xabcdef));
     return cell;
+}
+
+Status
+putCell(StageCache &cache, std::uint64_t key, const CollectedCell &cell)
+{
+    return cache.put("cell", key, encodeCell(cell));
+}
+
+std::optional<CollectedCell>
+lookupCell(StageCache &cache, std::uint64_t key)
+{
+    const std::optional<std::string> payload = cache.lookup("cell", key);
+    if (!payload)
+        return std::nullopt;
+    return decodeCell(*payload);
 }
 
 void
@@ -368,8 +399,7 @@ expectTracesBitIdentical(const Trace &a, const Trace &b)
 }
 
 void
-expectCellsBitIdentical(const std::vector<Result<Trace>> &a,
-                        const std::vector<Result<Trace>> &b)
+expectCellsBitIdentical(const CollectedCell &a, const CollectedCell &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -385,41 +415,26 @@ expectCellsBitIdentical(const std::vector<Result<Trace>> &a,
 
 TEST(CheckpointJournal, RoundTripsCellsIncludingDroppedTraces)
 {
-    const std::string dir = journalDir("roundtrip");
-    const auto faults = sim::FaultConfig::none();
-    auto journal = CheckpointJournal::open(dir, 0x1234, faults);
-    ASSERT_TRUE(journal.isOk()) << journal.status().toString();
-    EXPECT_EQ(journal.value()->cellCount(), 0u);
-
+    const std::string dir = cacheDir("roundtrip");
     const auto cell_a = exampleCell(1);
     const auto cell_b = exampleCell(2, /*with_drop=*/true);
-    ASSERT_TRUE(journal.value()
-                    ->appendCell(kCheckpointClosedWorld, 0, 0, cell_a)
-                    .isOk());
-    ASSERT_TRUE(journal.value()
-                    ->appendCell(kCheckpointOpenWorld, 3, 1, cell_b)
-                    .isOk());
-
-    // Same process: lookups hit the in-memory map.
-    const auto hit =
-        journal.value()->lookup(kCheckpointClosedWorld, 0, 0);
-    ASSERT_TRUE(hit.has_value());
-    expectCellsBitIdentical(*hit, cell_a);
-    EXPECT_FALSE(
-        journal.value()->lookup(kCheckpointClosedWorld, 0, 1).has_value());
+    {
+        StageCache cache = openCache(dir);
+        ASSERT_TRUE(putCell(cache, 1, cell_a).isOk());
+        ASSERT_TRUE(putCell(cache, 2, cell_b).isOk());
+        EXPECT_FALSE(lookupCell(cache, 3).has_value());
+    }
 
     // Fresh process: everything replays from disk, bit-identically —
     // including the dropped slot's error code and message.
-    journal = CheckpointJournal::open(dir, 0x1234, faults);
-    ASSERT_TRUE(journal.isOk());
-    EXPECT_EQ(journal.value()->cellCount(), 2u);
-    EXPECT_FALSE(journal.value()->repairStats().repaired());
-    const auto a = journal.value()->lookup(kCheckpointClosedWorld, 0, 0);
-    const auto b = journal.value()->lookup(kCheckpointOpenWorld, 3, 1);
+    StageCache cache = openCache(dir);
+    const auto a = lookupCell(cache, 1);
+    const auto b = lookupCell(cache, 2);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     expectCellsBitIdentical(*a, cell_a);
     expectCellsBitIdentical(*b, cell_b);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
 }
 
 TEST(CheckpointJournal, FingerprintSeparatesTraceAffectingConfigs)
@@ -454,14 +469,14 @@ TEST(CheckpointJournal, FingerprintSeparatesTraceAffectingConfigs)
     CollectionConfig signal_faults = base;
     signal_faults.faults.truncateProb = 0.5;
     EXPECT_NE(fp(signal_faults, one), reference)
-        << "signal faults change trace content, so they key the journal";
+        << "signal faults change trace content, so they key the cells";
 
     EXPECT_NE(fp(base, two), reference);
     EXPECT_NE(collectionFingerprint(base, 8, 4, 8, one), reference);
     EXPECT_NE(collectionFingerprint(base, 7, 5, 8, one), reference);
 
     // IO faults corrupt persistence, never trace content: a resumed
-    // run WITHOUT the crash fault must find the crashed run's journal.
+    // run WITHOUT the crash fault must find the crashed run's cells.
     CollectionConfig io_faults = base;
     io_faults.faults.ioCrashAfterRecords = 3;
     io_faults.faults.ioTornWriteBytes = 10;
@@ -471,71 +486,49 @@ TEST(CheckpointJournal, FingerprintSeparatesTraceAffectingConfigs)
 
 TEST(CheckpointJournal, TruncationAtEveryByteOffsetRepairsAndResumes)
 {
-    const std::string dir = journalDir("truncate");
-    const auto faults = sim::FaultConfig::none();
+    const std::string dir = cacheDir("truncate");
     constexpr int kCells = 5;
+    constexpr std::uint64_t kTorn = 2;
 
-    std::vector<std::vector<Result<Trace>>> cells;
+    std::vector<CollectedCell> cells;
     for (int i = 0; i < kCells; ++i)
         cells.push_back(exampleCell(100 + i, i % 2 == 1));
-
-    std::string journal_path;
+    std::string path;
     {
-        auto journal = CheckpointJournal::open(dir, 0xfeed, faults);
-        ASSERT_TRUE(journal.isOk());
+        StageCache cache = openCache(dir);
         for (int i = 0; i < kCells; ++i)
-            ASSERT_TRUE(journal.value()
-                            ->appendCell(kCheckpointClosedWorld, i, 0,
-                                         cells[i])
-                            .isOk());
-        journal_path = journal.value()->path();
+            ASSERT_TRUE(putCell(cache, i, cells[i]).isOk());
+        path = cache.entryPath("cell", kTorn);
     }
-    const std::string full = readAll(journal_path);
+    const std::string full = readAll(path);
     ASSERT_GT(full.size(), 100u);
 
-    // Kill -9 at every byte offset: the journal must always reopen,
-    // load a prefix of complete cells, and resume to a state where
-    // every cell is bit-identical to the uninterrupted journal's.
-    for (std::size_t cut = 0; cut <= full.size(); cut += 7) {
+    // A write of cell kTorn torn at every byte offset: the rerun must
+    // always see it as a miss (never as wrong data), keep every other
+    // cell, and re-store exactly the missing one, after which every
+    // cell is bit-identical to the uninterrupted run's.
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
         SCOPED_TRACE("truncated at byte " + std::to_string(cut));
-        writeAll(journal_path, full.substr(0, cut));
+        writeAll(path, full.substr(0, cut));
 
-        auto journal = CheckpointJournal::open(dir, 0xfeed, faults);
-        ASSERT_TRUE(journal.isOk()) << journal.status().toString();
-        const std::size_t loaded = journal.value()->cellCount();
-        ASSERT_LE(loaded, static_cast<std::size_t>(kCells));
-        if (cut < full.size()) {
-            EXPECT_LT(loaded, static_cast<std::size_t>(kCells));
-        }
-        EXPECT_EQ(journal.value()->repairStats().cellsLoaded, loaded);
-
-        // Every loaded cell is a bit-identical prefix cell, and the
-        // resumed "collection" re-appends exactly the missing ones.
+        StageCache resumed = openCache(dir);
         int missing = 0;
         for (int i = 0; i < kCells; ++i) {
-            const auto cached =
-                journal.value()->lookup(kCheckpointClosedWorld, i, 0);
+            const auto cached = lookupCell(resumed, i);
             if (cached.has_value()) {
                 expectCellsBitIdentical(*cached, cells[i]);
             } else {
                 ++missing;
-                ASSERT_TRUE(journal.value()
-                                ->appendCell(kCheckpointClosedWorld, i,
-                                             0, cells[i])
-                                .isOk());
+                EXPECT_EQ(static_cast<std::uint64_t>(i), kTorn);
+                ASSERT_TRUE(putCell(resumed, i, cells[i]).isOk());
             }
         }
-        EXPECT_EQ(static_cast<std::size_t>(kCells) - loaded,
-                  static_cast<std::size_t>(missing));
+        EXPECT_EQ(missing, cut < full.size() ? 1 : 0);
 
-        // After the resume, a fresh open sees the complete journal.
-        auto reopened = CheckpointJournal::open(dir, 0xfeed, faults);
-        ASSERT_TRUE(reopened.isOk());
-        EXPECT_EQ(reopened.value()->cellCount(),
-                  static_cast<std::size_t>(kCells));
+        // After the resume, a fresh open sees every cell.
+        StageCache reopened = openCache(dir);
         for (int i = 0; i < kCells; ++i) {
-            const auto cached =
-                reopened.value()->lookup(kCheckpointClosedWorld, i, 0);
+            const auto cached = lookupCell(reopened, i);
             ASSERT_TRUE(cached.has_value());
             expectCellsBitIdentical(*cached, cells[i]);
         }
@@ -544,116 +537,109 @@ TEST(CheckpointJournal, TruncationAtEveryByteOffsetRepairsAndResumes)
 
 TEST(CheckpointJournal, CorruptedMiddleRecordIsDroppedNotFatal)
 {
-    const std::string dir = journalDir("corrupt");
-    const auto faults = sim::FaultConfig::none();
-    std::string journal_path;
+    const std::string dir = cacheDir("corrupt");
+    std::string path;
     {
-        auto journal = CheckpointJournal::open(dir, 0xbeef, faults);
-        ASSERT_TRUE(journal.isOk());
+        StageCache cache = openCache(dir);
         for (int i = 0; i < 3; ++i)
-            ASSERT_TRUE(journal.value()
-                            ->appendCell(kCheckpointClosedWorld, i, 0,
-                                         exampleCell(i))
-                            .isOk());
-        journal_path = journal.value()->path();
+            ASSERT_TRUE(putCell(cache, i, exampleCell(i)).isOk());
+        path = cache.entryPath("cell", 1);
     }
-    std::string bytes = readAll(journal_path);
-    // Flip one payload byte inside the middle record (well past the
-    // first record, well before the last frame header).
-    const std::size_t second_frame = bytes.find("@rec ", bytes.find("@rec ") + 1);
-    ASSERT_NE(second_frame, std::string::npos);
-    const std::size_t target = bytes.find("0x", second_frame);
-    ASSERT_NE(target, std::string::npos);
-    bytes[target + 2] ^= 0x01;
-    writeAll(journal_path, bytes);
+    // Flip one payload byte of the middle cell.
+    std::string bytes = readAll(path);
+    bytes[bytes.size() / 2] ^= 0x01;
+    writeAll(path, bytes);
 
-    auto journal = CheckpointJournal::open(dir, 0xbeef, faults);
-    ASSERT_TRUE(journal.isOk());
-    EXPECT_TRUE(journal.value()->repairStats().repaired());
-    EXPECT_EQ(journal.value()->repairStats().recordsDropped, 1u);
-    EXPECT_EQ(journal.value()->cellCount(), 2u);
-    EXPECT_TRUE(
-        journal.value()->lookup(kCheckpointClosedWorld, 0, 0).has_value());
-    EXPECT_FALSE(
-        journal.value()->lookup(kCheckpointClosedWorld, 1, 0).has_value())
+    StageCache cache = openCache(dir);
+    EXPECT_TRUE(lookupCell(cache, 0).has_value());
+    EXPECT_FALSE(lookupCell(cache, 1).has_value())
         << "the corrupted cell must be forgotten";
-    EXPECT_TRUE(
-        journal.value()->lookup(kCheckpointClosedWorld, 2, 0).has_value())
-        << "records after the corrupted one must survive";
+    EXPECT_TRUE(lookupCell(cache, 2).has_value())
+        << "cells stored after the corrupted one must survive";
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(CheckpointJournal, MismatchedFingerprintOpensADifferentJournal)
 {
-    const std::string dir = journalDir("fingerprint");
-    const auto faults = sim::FaultConfig::none();
-    auto a = CheckpointJournal::open(dir, 0x1111, faults);
-    ASSERT_TRUE(a.isOk());
-    ASSERT_TRUE(a.value()
-                    ->appendCell(kCheckpointClosedWorld, 0, 0,
-                                 exampleCell(1))
-                    .isOk());
-    auto b = CheckpointJournal::open(dir, 0x2222, faults);
-    ASSERT_TRUE(b.isOk());
-    EXPECT_NE(a.value()->path(), b.value()->path());
-    EXPECT_EQ(b.value()->cellCount(), 0u)
+    // Cells are keyed by the collection fingerprint: a collector under
+    // another fingerprint finds none of them, so stale progress can
+    // never leak across configurations.
+    CollectionConfig config;
+    config.seed = 5;
+    config.browser.traceDuration = 2 * kSec;
+    const web::SiteCatalog catalog(2, 7);
+    const attack::AttackerKind kinds[] = {
+        attack::AttackerKind::LoopCounting};
+    StageCache cache = openCache(cacheDir("fingerprint"));
+
+    TraceCollector a(config);
+    a.setCache(&cache, 0x1111);
+    ASSERT_TRUE(a.collectClosedWorldMulti(catalog, 1, kinds).isOk());
+    EXPECT_EQ(cache.stats().stores, 2u);
+
+    TraceCollector b(config);
+    b.setCache(&cache, 0x2222);
+    ASSERT_TRUE(b.collectClosedWorldMulti(catalog, 1, kinds).isOk());
+    EXPECT_EQ(cache.stats().hits, 0u)
         << "stale progress must never leak across configurations";
+    EXPECT_EQ(cache.stats().stores, 4u);
+
+    // The original fingerprint still finds its own cells.
+    ASSERT_TRUE(a.collectClosedWorldMulti(catalog, 1, kinds).isOk());
+    EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 TEST(CheckpointJournal, IoCorruptFaultProducesRecordsTheRepairDrops)
 {
-    const std::string dir = journalDir("iofault");
+    const std::string dir = cacheDir("iofault");
     sim::FaultConfig faults = sim::FaultConfig::none();
     faults.ioCorruptRecordProb = 1.0;
     faults.seed = 99;
     ASSERT_TRUE(faults.ioEnabled());
     {
-        auto journal = CheckpointJournal::open(dir, 0xcafe, faults);
-        ASSERT_TRUE(journal.isOk());
+        StageCache cache = openCache(dir, faults);
         for (int i = 0; i < 3; ++i)
-            ASSERT_TRUE(journal.value()
-                            ->appendCell(kCheckpointClosedWorld, i, 0,
-                                         exampleCell(i))
-                            .isOk());
+            ASSERT_TRUE(putCell(cache, i, exampleCell(i)).isOk());
+        // IO faults act on collected cells only.
+        ASSERT_TRUE(cache.put("scores", 7, "intact").isOk());
     }
-    auto reopened =
-        CheckpointJournal::open(dir, 0xcafe, sim::FaultConfig::none());
-    ASSERT_TRUE(reopened.isOk());
-    EXPECT_EQ(reopened.value()->repairStats().recordsDropped, 3u)
-        << "every record was corrupted, every record must be dropped";
-    EXPECT_EQ(reopened.value()->cellCount(), 0u);
+    StageCache cache = openCache(dir);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(lookupCell(cache, i).has_value()) << "cell " << i;
+    EXPECT_EQ(cache.stats().corrupt, 3u)
+        << "every entry was corrupted, every entry must be dropped";
+    EXPECT_EQ(cache.lookup("scores", 7), std::optional<std::string>("intact"));
 }
 
 TEST(CheckpointJournalDeathTest, CrashFaultAbortsAndLeavesRepairableTornPrefix)
 {
-    const std::string dir = journalDir("crash");
+    const std::string dir = cacheDir("crash");
     sim::FaultConfig faults = sim::FaultConfig::none();
     faults.ioCrashAfterRecords = 1;
     faults.ioTornWriteBytes = 20;
 
     const auto crash = [&] {
-        auto journal = CheckpointJournal::open(dir, 0xdead, faults);
-        if (!journal.isOk())
+        auto cache = StageCache::open(dir, faults);
+        if (!cache.isOk())
             return;
-        // First append succeeds; the second hits the crash fault:
-        // a torn 20-byte prefix is persisted, then abort().
-        (void)journal.value()->appendCell(kCheckpointClosedWorld, 0, 0,
-                                          exampleCell(1));
-        (void)journal.value()->appendCell(kCheckpointClosedWorld, 1, 0,
-                                          exampleCell(2));
+        // The first put succeeds; the second hits the crash fault: a
+        // torn 20-byte prefix reaches the disk, then abort().
+        (void)putCell(cache.value(), 0, exampleCell(1));
+        (void)putCell(cache.value(), 1, exampleCell(2));
     };
     EXPECT_DEATH(crash(), "simulated crash");
 
-    auto reopened =
-        CheckpointJournal::open(dir, 0xdead, sim::FaultConfig::none());
-    ASSERT_TRUE(reopened.isOk());
-    EXPECT_EQ(reopened.value()->cellCount(), 1u)
-        << "the record completed before the crash must survive";
-    EXPECT_TRUE(reopened.value()->repairStats().repaired())
-        << "the torn prefix must be detected and dropped";
-    const auto cell =
-        reopened.value()->lookup(kCheckpointClosedWorld, 0, 0);
-    ASSERT_TRUE(cell.has_value());
+    StageCache cache = openCache(dir);
+    EXPECT_EQ(readAll(cache.entryPath("cell", 1)).size(), 20u)
+        << "the torn prefix must have reached the disk";
+    const auto cell = lookupCell(cache, 0);
+    ASSERT_TRUE(cell.has_value())
+        << "the cell stored before the crash must survive";
     expectCellsBitIdentical(*cell, exampleCell(1));
+    EXPECT_FALSE(lookupCell(cache, 1).has_value())
+        << "the torn entry must be detected and dropped";
+    EXPECT_EQ(cache.stats().corrupt, 1u);
 }
 
 TEST(CheckpointJournal, PipelineResumeIsBitIdenticalToUninterruptedRun)
@@ -672,7 +658,7 @@ TEST(CheckpointJournal, PipelineResumeIsBitIdenticalToUninterruptedRun)
         attack::AttackerKind::LoopCounting,
         attack::AttackerKind::SweepCounting};
 
-    // Reference: no checkpointing at all.
+    // Reference: no cache at all.
     const auto reference =
         runFingerprintingShared(config, kinds, pipeline);
     ASSERT_TRUE(reference.isOk());
@@ -692,32 +678,40 @@ TEST(CheckpointJournal, PipelineResumeIsBitIdenticalToUninterruptedRun)
             }
         };
 
-    // Checkpointed cold run: journal is created, results unchanged.
-    pipeline.checkpointDir = journalDir("pipeline");
+    // Cached cold run: cells are stored, results unchanged.
+    pipeline.cacheDir = cacheDir("pipeline");
     const auto cold = runFingerprintingShared(config, kinds, pipeline);
     ASSERT_TRUE(cold.isOk());
     expectSameResults(cold.value());
 
-    // Warm run: every cell served from the journal, results unchanged.
+    // Warm run: everything replays from the cache, results unchanged.
     const auto warm = runFingerprintingShared(config, kinds, pipeline);
     ASSERT_TRUE(warm.isOk());
     expectSameResults(warm.value());
 
-    // Kill-at-record-K: truncate the journal to 60% (torn mid-record),
-    // then rerun — the repaired journal plus recollection of missing
-    // cells must still be bit-identical to the uninterrupted run.
-    const std::uint64_t fp = collectionFingerprint(
-        config, pipeline.catalogSeed, pipeline.numSites,
-        pipeline.openWorldExtra, kinds);
-    auto journal = CheckpointJournal::open(pipeline.checkpointDir, fp,
-                                           sim::FaultConfig::none());
-    ASSERT_TRUE(journal.isOk());
-    const std::string path = journal.value()->path();
-    ASSERT_GT(journal.value()->cellCount(), 0u)
-        << "pipeline must journal into the fingerprinted path";
-    journal.value().reset(); // Close before mutating the file.
-    const std::string bytes = readAll(path);
-    writeAll(path, bytes.substr(0, bytes.size() * 3 / 5));
+    // Killed mid-collection: only cell entries survive, and every other
+    // one is torn at 60 % of its bytes. The rerun replays the intact
+    // cells and recollects the rest, and must still be bit-identical to
+    // the uninterrupted run.
+    std::vector<std::filesystem::path> entries;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(pipeline.cacheDir))
+        entries.push_back(entry.path());
+    std::sort(entries.begin(), entries.end());
+    std::size_t cells = 0, torn = 0;
+    for (const auto &path : entries) {
+        if (path.filename().string().rfind("cell-", 0) != 0) {
+            std::filesystem::remove(path);
+            continue;
+        }
+        if (cells++ % 2 == 0) {
+            const std::string bytes = readAll(path.string());
+            writeAll(path.string(), bytes.substr(0, bytes.size() * 3 / 5));
+            ++torn;
+        }
+    }
+    ASSERT_EQ(cells, 4u * 6u + 8u) << "one entry per collected cell";
+    ASSERT_GT(torn, 0u);
 
     const auto resumed = runFingerprintingShared(config, kinds, pipeline);
     ASSERT_TRUE(resumed.isOk());
@@ -726,4 +720,3 @@ TEST(CheckpointJournal, PipelineResumeIsBitIdenticalToUninterruptedRun)
 
 } // namespace
 } // namespace bigfish::core
-

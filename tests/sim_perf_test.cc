@@ -2,9 +2,9 @@
  * @file
  * Determinism tests for the simulator perf counters (sim/perf.hh,
  * DESIGN.md §13): for a pinned spec the counts are exact constants,
- * identical at every thread count and SIMD dispatch tag, and
- * journal-replayed cells report zero because the counters measure work
- * performed, exactly like cpuSeconds.
+ * identical at every thread count and SIMD dispatch tag, and cells
+ * replayed from the stage cache report zero because the counters
+ * measure work performed, exactly like cpuSeconds.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +13,8 @@
 
 #include "base/simd.hh"
 #include "base/thread_pool.hh"
-#include "core/checkpoint.hh"
 #include "core/collector.hh"
+#include "core/stage_cache.hh"
 #include "web/catalog.hh"
 
 namespace bigfish::core {
@@ -111,43 +111,42 @@ TEST(SimPerfCounters, CountsIdenticalAcrossSimdTags)
 TEST(SimPerfCounters, JournalReplayedCellsReportZero)
 {
     // Counters measure work *performed*: a sweep fully served from the
-    // checkpoint journal does no simulation and must report zero, so
-    // the --explain table attributes replays honestly (mirrors how a
-    // replayed stage's cpuSeconds is the replay cost, not the original).
+    // stage cache's collected cells does no simulation and must report
+    // zero, so the --explain table attributes replays honestly (mirrors
+    // how a replayed stage's cpuSeconds is the replay cost, not the
+    // original).
     namespace fs = std::filesystem;
-    const std::string dir =
-        testing::TempDir() + "bf_sim_perf_checkpoint";
+    const std::string dir = testing::TempDir() + "bf_sim_perf_cells";
     fs::remove_all(dir);
-    fs::create_directories(dir);
 
     const CollectionConfig config = pinnedConfig();
     const web::SiteCatalog catalog(kSites, kCatalogSeed);
     const attack::AttackerKind attackers[] = {config.attacker};
     const std::uint64_t fp = collectionFingerprint(
         config, kCatalogSeed, kSites, 0, attackers);
+    auto opened = StageCache::open(dir, config.faults);
+    ASSERT_TRUE(opened.isOk()) << opened.status().message();
+    StageCache &cache = opened.value();
+    constexpr std::size_t kCells = kSites * kRuns;
 
-    auto first = CheckpointJournal::open(dir, fp, config.faults);
-    ASSERT_TRUE(first.isOk()) << first.status().message();
     TraceCollector cold(config);
-    cold.setCheckpoint(first.value().get());
+    cold.setCache(&cache, fp);
     sim::PerfCounters cold_perf;
     ASSERT_TRUE(cold
                     .collectClosedWorldMulti(catalog, kRuns, attackers,
                                              nullptr, &cold_perf)
                     .isOk());
     EXPECT_FALSE(cold_perf.empty());
+    ASSERT_EQ(cache.stats().stores, kCells);
 
-    auto second = CheckpointJournal::open(dir, fp, config.faults);
-    ASSERT_TRUE(second.isOk()) << second.status().message();
-    ASSERT_EQ(second.value()->cellCount(),
-              static_cast<std::size_t>(kSites * kRuns));
     TraceCollector warm(config);
-    warm.setCheckpoint(second.value().get());
+    warm.setCache(&cache, fp);
     sim::PerfCounters warm_perf;
     ASSERT_TRUE(warm
                     .collectClosedWorldMulti(catalog, kRuns, attackers,
                                              nullptr, &warm_perf)
                     .isOk());
+    EXPECT_EQ(cache.stats().hits, kCells);
     EXPECT_TRUE(warm_perf.empty());
     fs::remove_all(dir);
 }

@@ -126,6 +126,37 @@ TEST(SpecResolve, UnknownFlagRejected)
               std::string::npos);
 }
 
+TEST(SpecResolve, FlagAliasSetsItsTargetAndMustAgreeWithIt)
+{
+    ParamSchema schema = testSchema();
+    schema.addFlagAlias("tag", "label");
+
+    SpecSources sources;
+    sources.flags = {{"tag", "x"}};
+    auto resolved = resolveSpec("exp", schema, sources);
+    ASSERT_TRUE(resolved.isOk()) << resolved.status().message();
+    EXPECT_EQ(resolved.value().getString("label"), "x");
+    EXPECT_FALSE(resolved.value().has("tag"));
+
+    // Both spellings with one value are fine; with two they are an
+    // error, whichever comes first.
+    sources.flags = {{"label", "x"}, {"tag", "x"}};
+    EXPECT_TRUE(resolveSpec("exp", schema, sources).isOk());
+    sources.flags = {{"tag", "x"}, {"label", "y"}};
+    resolved = resolveSpec("exp", schema, sources);
+    ASSERT_FALSE(resolved.isOk());
+    EXPECT_NE(resolved.status().message().find(
+                  "--tag=x and --label=y set --label"),
+              std::string::npos)
+        << resolved.status().message();
+
+    // The alias is a flag spelling only, not a spec-file key.
+    sources.flags.clear();
+    sources.specText = "tag = \"x\"\n";
+    sources.specName = "test.toml";
+    EXPECT_FALSE(resolveSpec("exp", schema, sources).isOk());
+}
+
 TEST(SpecResolve, UnknownSpecFileKeyRejected)
 {
     SpecSources sources;

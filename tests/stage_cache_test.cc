@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests of the content-addressed stage cache (core/stage_cache.hh):
- * payload round-trip bit-exactness through the featurized codec,
- * hit/miss/eviction accounting, fingerprint invalidation via
+ * payload round-trip bit-exactness through the binary codecs, decoder
+ * robustness against truncated or inflated payloads, hit/miss
+ * accounting, fingerprint invalidation via
  * stageFingerprint (core/stage.hh), corrupted-entry fallback, and
  * concurrent-writer safety under the deterministic-payload contract.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -47,7 +47,7 @@ openFresh(const std::string &leaf)
 }
 
 /** A deterministic dataset with awkward doubles (negative zero, inexact
- *  sums, tiny magnitudes) to stress the hexfloat round-trip. */
+ *  sums, tiny magnitudes) to stress the bit-exact round-trip. */
 ml::Dataset
 makeDataset(std::uint64_t seed, std::size_t rows, std::size_t cols)
 {
@@ -275,69 +275,66 @@ TEST(StageCache, UnframeRejectsKindOrKeyMismatch)
     EXPECT_FALSE(StageCache::unframe(text, "scores", 11, payload));
 }
 
-TEST(StageCache, EvictRemovesOldestBeyondBudget)
+TEST(StageCache, DecodersRejectTruncatedAndInflatedPayloads)
 {
-    StageCache cache = openFresh("evict");
-    std::vector<std::uint64_t> keys;
-    for (std::uint64_t i = 0; i < 6; ++i) {
-        keys.push_back(i);
-        ASSERT_TRUE(cache
-                        .put("featurized", i,
-                               encodeFeaturized(makeEntry(i, false)))
-                        .isOk());
-        // Distinct mtimes so eviction order is the store order even on
-        // coarse-granularity filesystems.
-        const std::string path = cache.entryPath("featurized", i);
-        const auto stamp = fs::last_write_time(path);
-        fs::last_write_time(path, stamp + std::chrono::seconds(i));
-    }
+    // The cache directory is input from outside the program: a decoder
+    // must refuse every strict prefix of a valid payload, and a count
+    // that claims more elements than bytes remain must fail before
+    // anything is allocated for it.
+    const std::string featurized = encodeFeaturized(makeEntry(5, true));
+    ml::FoldScores fold;
+    fold.scores = {{0.25, -1.5}, {3.0, 0.1 + 0.2}};
+    fold.truths = {1, 0};
+    fold.predictions = {0, 0};
+    const std::string scores = encodeFoldScores(fold);
+    CollectedCell cell;
+    attack::Trace trace;
+    trace.attacker = "loop-counting";
+    trace.counts = {1.0, 2.5, -0.0};
+    trace.wallTimes = {5, 6, 7};
+    cell.emplace_back(trace);
+    cell.emplace_back(Status(dataError("dropped")));
+    const std::string cell_bytes = encodeCell(cell);
 
-    EXPECT_EQ(cache.evict(6), 0u); // within budget: no-op
-    EXPECT_EQ(cache.evict(4), 2u); // oldest two go
-    EXPECT_EQ(cache.stats().evicted, 2u);
-    EXPECT_FALSE(fs::exists(cache.entryPath("featurized", keys[0])));
-    EXPECT_FALSE(fs::exists(cache.entryPath("featurized", keys[1])));
-    for (std::size_t i = 2; i < keys.size(); ++i)
-        EXPECT_TRUE(fs::exists(cache.entryPath("featurized", keys[i])))
-            << i;
+    ASSERT_TRUE(decodeFeaturized(featurized).has_value());
+    ASSERT_TRUE(decodeFoldScores(scores).has_value());
+    ASSERT_TRUE(decodeCell(cell_bytes).has_value());
+    for (std::size_t cut = 0; cut < featurized.size(); ++cut)
+        EXPECT_FALSE(
+            decodeFeaturized(featurized.substr(0, cut)).has_value())
+            << "featurized cut at " << cut;
+    for (std::size_t cut = 0; cut < scores.size(); ++cut)
+        EXPECT_FALSE(
+            decodeFoldScores(scores.substr(0, cut)).has_value())
+            << "scores cut at " << cut;
+    for (std::size_t cut = 0; cut < cell_bytes.size(); ++cut)
+        EXPECT_FALSE(
+            decodeCell(cell_bytes.substr(0, cut)).has_value())
+            << "cell cut at " << cut;
+    // Trailing bytes are a malformation too.
+    EXPECT_FALSE(decodeCell(cell_bytes + '\0').has_value());
+
+    // The leading count is a little-endian u64: claim 2^62 slots.
+    std::string inflated = cell_bytes;
+    inflated[7] = 0x40;
+    EXPECT_FALSE(decodeCell(inflated).has_value());
+    std::string rows = scores;
+    rows[7] = 0x40;
+    EXPECT_FALSE(decodeFoldScores(rows).has_value());
 }
 
-TEST(StageCache, HitRefreshesMtimeSoHotEntriesSurviveEviction)
+TEST(StageCache, VersionOneEntryMissesInsteadOfMisdecoding)
 {
-    // Regression test: eviction ranks entries by mtime, and before
-    // touch-on-hit a lookup left the mtime at store time — so the
-    // *hottest* entry of a long-lived cache (stored first, hit on
-    // every run) was always the first one evicted.
-    StageCache cache = openFresh("touch_on_hit");
-    for (std::uint64_t i = 0; i < 4; ++i) {
-        ASSERT_TRUE(cache
-                        .put("featurized", i,
-                               encodeFeaturized(makeEntry(i, false)))
-                        .isOk());
-        // Backdate into the past, store order = age order (oldest
-        // first), so the touch below — which stamps "now" — must beat
-        // every sibling on any filesystem granularity.
-        const std::string path = cache.entryPath("featurized", i);
-        const auto stamp = fs::last_write_time(path);
-        fs::last_write_time(path,
-                            stamp - std::chrono::seconds(100 - 10 * i));
-    }
-
-    // Hit the oldest-stored entry: the touch must move it past its
-    // siblings' mtimes, or the assertion below would evict it.
-    ASSERT_TRUE(cache.lookup("featurized", 0).has_value());
-    const auto touched = fs::last_write_time(cache.entryPath("featurized", 0));
-    for (std::uint64_t i = 1; i < 4; ++i)
-        EXPECT_GT(touched,
-                  fs::last_write_time(cache.entryPath("featurized", i)))
-            << "entry " << i;
-
-    // Evicting down to one entry must keep the hot key 0 and drop the
-    // never-hit entries instead.
-    EXPECT_EQ(cache.evict(1), 3u);
-    EXPECT_TRUE(fs::exists(cache.entryPath("featurized", 0)));
-    for (std::uint64_t i = 1; i < 4; ++i)
-        EXPECT_FALSE(fs::exists(cache.entryPath("featurized", i))) << i;
+    // A text entry in the previous format, CRC trailer and all: the
+    // binary reader must report a miss and drop the file.
+    StageCache cache = openFresh("v1");
+    const std::string path = cache.entryPath("scores", 9);
+    writeFile(path, "# bigfish-stage-cache v1 kind=scores "
+                    "key=0000000000000009\nscores 0\ntruths 0\n"
+                    "predictions 0\n@crc 00000000\n");
+    EXPECT_FALSE(cache.lookup("scores", 9).has_value());
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_FALSE(fs::exists(path));
 }
 
 TEST(StageCache, ConcurrentWritersOfSameKeyLeaveAValidEntry)

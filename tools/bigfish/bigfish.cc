@@ -14,8 +14,9 @@
  * resolution order: defaults -> BF_* environment -> preset -> spec file
  * -> flags; malformed values fail with the offending source named.
  *
- * Resilience flags (core/supervisor.hh): --resume=DIR checkpoints
- * collection progress and skips completed work on rerun, --isolate runs
+ * Resilience flags (core/supervisor.hh): --cache-dir=DIR (also spelled
+ * --resume=DIR) stores every collected cell and stage output in DIR, so
+ * a rerun resumes or replays bit-identically, --isolate runs
  * each experiment as a subprocess so a crash cannot take down --all,
  * --keep-going continues past failures, --timeout=SECS bounds each
  * experiment (enforced under --isolate), --retries=N retries transient
@@ -117,9 +118,8 @@ printUsage()
         "                     (see `bigfish describe <experiment>`)\n"
         "\n"
         "resilience flags:\n"
-        "  --resume=DIR       checkpoint collection progress in DIR and\n"
-        "                     skip already-completed work on rerun\n"
         "  --cache-dir=DIR    content-addressed stage cache in DIR:\n"
+        "                     collected cells (stored as each finishes),\n"
         "                     featurized datasets, trained fold models\n"
         "                     and fold scores. A rerun reuses every "
         "stage\n"
@@ -127,6 +127,10 @@ printUsage()
         "(e.g.\n"
         "                     an eval-only change skips collection AND\n"
         "                     training), bit-identically\n"
+        "  --resume=DIR       the same as --cache-dir=DIR: a run killed\n"
+        "                     mid-collection resumes from its stored\n"
+        "                     cells (the two flags must not name\n"
+        "                     different directories)\n"
         "  --isolate          run each experiment as a subprocess; a\n"
         "                     crash is contained, not fatal to --all\n"
         "  --keep-going       keep running later experiments after a "
@@ -199,7 +203,6 @@ struct RunOptions
     std::string specPath;
     std::string jsonPath;
     std::string jsonDir;
-    std::string resumeDir;
     std::string cacheDir;
     std::string manifestPath;
     std::vector<std::pair<std::string, std::string>> flags;
@@ -299,16 +302,13 @@ cmdRun(const core::ExperimentRegistry &registry,
             options.jsonPath = value;
         } else if (key == "json-dir") {
             options.jsonDir = value;
-        } else if (key == "resume") {
-            // Kept both as a CLI option (directory creation, child
-            // forwarding) and as a spec parameter (the pipeline reads
-            // it from the resolved scale).
-            options.resumeDir = value;
-            options.flags.emplace_back("resume", value);
-        } else if (key == "cache-dir") {
-            // Same dual treatment as --resume.
+        } else if (key == "cache-dir" || key == "resume") {
+            // Kept both as a CLI option (directory creation) and as a
+            // spec flag: the pipeline reads it from the resolved scale,
+            // and the spec layer rejects --resume and --cache-dir
+            // naming different directories.
             options.cacheDir = value;
-            options.flags.emplace_back("cache-dir", value);
+            options.flags.emplace_back(key, value);
         } else if (key == "explain" && value.empty()) {
             options.explain = true;
         } else if (key == "isolate" && value.empty()) {
@@ -380,22 +380,6 @@ cmdRun(const core::ExperimentRegistry &registry,
         return usageError("--json=PATH only applies to a single "
                           "experiment; use --json-dir=DIR");
 
-    // Create output directories up front so a missing --json-dir fails
-    // before hours of collection, not after.
-    for (const std::string &dir :
-         {options.jsonDir, options.resumeDir, options.cacheDir}) {
-        if (dir.empty())
-            continue;
-        const Status made = createDirectories(dir);
-        if (!made.isOk()) {
-            std::fprintf(stderr, "bigfish: %s\n",
-                         made.message().c_str());
-            return 1;
-        }
-    }
-    if (options.manifestPath.empty() && !options.jsonDir.empty())
-        options.manifestPath = options.jsonDir + "/suite-manifest.json";
-
     // Resolve every spec before running anything: a malformed value in
     // any source is a usage error (exit 2) caught up front, never a
     // mid-suite surprise.
@@ -440,6 +424,21 @@ cmdRun(const core::ExperimentRegistry &registry,
             p.artifactPath = options.jsonDir + "/" + name + ".json";
         prepared.emplace(name, std::move(p));
     }
+
+    // Create output directories once every spec resolved, so a missing
+    // --json-dir fails before hours of collection, not after.
+    for (const std::string &dir : {options.jsonDir, options.cacheDir}) {
+        if (dir.empty())
+            continue;
+        const Status made = createDirectories(dir);
+        if (!made.isOk()) {
+            std::fprintf(stderr, "bigfish: %s\n",
+                         made.message().c_str());
+            return 1;
+        }
+    }
+    if (options.manifestPath.empty() && !options.jsonDir.empty())
+        options.manifestPath = options.jsonDir + "/suite-manifest.json";
 
     core::SupervisorOptions supervisor_options;
     supervisor_options.keepGoing = options.keepGoing;

@@ -20,11 +20,6 @@
  *   --root=DIR       Paths in diagnostics/allowlists are relative to
  *                    DIR (default: current directory).
  *   --json           Machine-readable output on stdout.
- *   --sarif=FILE     Also write a SARIF 2.1.0 report ("-" = stdout).
- *   --baseline=FILE  Baseline file (overrides the config's [report]
- *                    baseline). Baselined findings warn, not fail.
- *   --write-baseline Rewrite the baseline from the current findings
- *                    and exit 0.
  *   --since=REV      Report findings only for files changed since the
  *                    git revision REV (plus untracked files). The
  *                    cross-TU passes still scan everything, so the
@@ -37,8 +32,7 @@
  *   --disable=RULE   Force-disable one rule (overrides config).
  *   --list-rules     Print the rule names and exit.
  *
- * Exit status: 0 clean (baselined findings allowed), 1 new findings,
- * 2 usage/config/IO error.
+ * Exit status: 0 clean, 1 findings, 2 usage/config/IO error.
  *
  * Suppressions: `// bigfish-lint: allow(rule-name)` on the offending
  * line or the line directly above silences that rule for that line;
@@ -100,8 +94,7 @@ usageError(const std::string &message)
 {
     std::cerr << "bigfish-lint: " << message
               << "\nusage: bigfish-lint [--config=FILE] [--root=DIR] "
-                 "[--json] [--sarif=FILE] [--baseline=FILE] "
-                 "[--write-baseline] [--since=REV] [--fix] "
+                 "[--json] [--since=REV] [--fix] "
                  "[--enable=RULE] [--disable=RULE] <path>...\n";
     return 2;
 }
@@ -184,10 +177,7 @@ main(int argc, char **argv)
     Config config;
     fs::path root = fs::current_path();
     bool json = false;
-    bool write_baseline = false;
     bool fix = false;
-    std::string sarif_path;
-    std::string baseline_flag;
     std::string since_rev;
     std::vector<fs::path> inputs;
     // Apply --enable/--disable after the config file regardless of
@@ -199,8 +189,6 @@ main(int argc, char **argv)
         const std::string arg = argv[a];
         if (arg == "--json") {
             json = true;
-        } else if (arg == "--write-baseline") {
-            write_baseline = true;
         } else if (arg == "--fix") {
             fix = true;
         } else if (arg == "--list-rules") {
@@ -211,10 +199,6 @@ main(int argc, char **argv)
             config_path = arg.substr(9);
         } else if (arg.rfind("--root=", 0) == 0) {
             root = fs::path(arg.substr(7));
-        } else if (arg.rfind("--sarif=", 0) == 0) {
-            sarif_path = arg.substr(8);
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            baseline_flag = arg.substr(11);
         } else if (arg.rfind("--since=", 0) == 0) {
             since_rev = arg.substr(8);
         } else if (arg.rfind("--enable=", 0) == 0) {
@@ -376,56 +360,9 @@ main(int argc, char **argv)
             diagnostics.end());
     }
 
-    // Baseline: the config's [report] path unless --baseline overrides.
-    Baseline baseline;
-    std::string baseline_path = baseline_flag;
-    if (baseline_path.empty() && !config.baselinePath().empty())
-        baseline_path = (root / config.baselinePath()).string();
-    if (write_baseline) {
-        if (baseline_path.empty())
-            return usageError(
-                "--write-baseline needs --baseline or a [report] "
-                "baseline in the config");
-        const std::string error =
-            writeBaselineFile(baseline_path, diagnostics);
-        if (!error.empty())
-            return usageError(error);
-        std::cerr << "bigfish-lint: wrote " << diagnostics.size()
-                  << " finding(s) to baseline " << baseline_path << "\n";
-        return 0;
-    }
-    if (!baseline_path.empty()) {
-        const std::string error = loadBaseline(baseline_path, baseline);
-        if (!error.empty())
-            return usageError(error);
-    }
-    std::vector<Diagnostic> fresh, baselined;
-    std::size_t stale = 0;
-    partitionAgainstBaseline(diagnostics, baseline, fresh, baselined,
-                             stale);
-    if (stale > 0)
-        std::cerr << "bigfish-lint: " << stale
-                  << " stale baseline entr(ies) match no current finding; "
-                     "rerun with --write-baseline to shrink the file\n";
-
-    if (!sarif_path.empty()) {
-        const std::string sarif = renderSarif(fresh, baselined);
-        if (sarif_path == "-") {
-            std::cout << sarif;
-        } else {
-            std::ofstream out(sarif_path, std::ios::binary);
-            if (!out) {
-                std::cerr << "bigfish-lint: cannot write SARIF to "
-                          << sarif_path << "\n";
-                return 2;
-            }
-            out << sarif;
-        }
-    }
-    if (json) {
-        std::cout << renderJson(fresh, baselined, files.size());
-    } else if (sarif_path != "-") {
-        std::cout << renderText(fresh, baselined, files.size());
-    }
-    return fresh.empty() ? 0 : 1;
+    if (json)
+        std::cout << renderJson(diagnostics, files.size());
+    else
+        std::cout << renderText(diagnostics, files.size());
+    return diagnostics.empty() ? 0 : 1;
 }

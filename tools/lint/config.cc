@@ -161,15 +161,6 @@ Config::parse(const std::string &text)
                 return where + error;
             continue;
         }
-        if (section == "report") {
-            if (key != "baseline")
-                return where + "report section takes only 'baseline'";
-            if (value.size() < 2 || value.front() != '"' ||
-                value.back() != '"')
-                return where + "baseline must be a quoted path";
-            baseline_ = value.substr(1, value.size() - 2);
-            continue;
-        }
         return where + "unknown section '" + section + "'";
     }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * bigfish-lint configuration: rule toggles, per-rule path allowlists,
- * the declared layer DAG and reporting options.
+ * and the declared layer DAG.
  *
  * Loaded from a TOML subset (tools/lint/bigfish-lint.toml) so the config
  * needs no third-party parser. Supported grammar:
@@ -14,8 +14,6 @@
  *   [layer.sim]                    # one section per architectural layer
  *   paths = ["src/sim/"]           # files belonging to the layer
  *   deps = ["base", "timers"]      # layers it may include (direct)
- *   [report]
- *   baseline = "tools/lint/lint-baseline.txt"
  *
  * Allowlist and layer entries are path prefixes, matched against the
  * path of the scanned file relative to the scan root with forward
@@ -78,14 +76,10 @@ class Config
     bool layerMayInclude(const std::string &from,
                          const std::string &to) const;
 
-    /** [report] baseline path (relative to the scan root), or "". */
-    const std::string &baselinePath() const { return baseline_; }
-
   private:
     std::map<std::string, bool> enabled_;
     std::map<std::string, std::vector<std::string>> allowlists_;
     std::map<std::string, Layer> layers_;
-    std::string baseline_;
 };
 
 } // namespace bigfish::lint

@@ -1,82 +1,26 @@
 /**
  * @file
- * bigfish-lint v2 reporting layer: baseline bookkeeping and the three
- * output formats (human text, the original --json records, and SARIF
- * 2.1.0 for CI upload).
- *
- * Baseline workflow: a checked-in file of `file:line:rule` triples
- * (comments with #, blank lines allowed). Findings present in the
- * baseline are *warnings* — printed, marked `baselineState:
- * "unchanged"` in SARIF, and excluded from the exit code — while
- * findings absent from it are *new* and fail the run. The tree's
- * baseline (tools/lint/lint-baseline.txt) is kept empty: every real
- * finding is fixed or suppressed inline with a justification, and the
- * baseline exists for incremental adoption of future rules.
+ * bigfish-lint reporting: the two output formats, human text (one line
+ * per finding) and the machine-readable --json document.
  */
 
 #ifndef BIGFISH_LINT_REPORT_HH
 #define BIGFISH_LINT_REPORT_HH
 
-#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "rules.hh"
 
 namespace bigfish::lint {
 
-using BaselineKey = std::tuple<std::string, int, std::string>;
-
-struct Baseline
-{
-    std::set<BaselineKey> entries;
-
-    bool contains(const Diagnostic &d) const
-    {
-        return entries.count({d.file, d.line, d.rule}) > 0;
-    }
-};
-
-/**
- * Loads @p path. A missing file is an empty baseline (first run);
- * a malformed line is an error. Returns "" or an error message.
- */
-std::string loadBaseline(const std::string &path, Baseline &out);
-
-/** Writes @p diagnostics as a baseline file. Returns "" or an error. */
-std::string writeBaselineFile(const std::string &path,
-                              const std::vector<Diagnostic> &diagnostics);
-
-/**
- * Splits @p all into new findings (fail) and baselined ones (warn),
- * preserving order. @p stale receives baseline entries matching no
- * current finding (informational: the baseline can shrink).
- */
-void partitionAgainstBaseline(const std::vector<Diagnostic> &all,
-                              const Baseline &baseline,
-                              std::vector<Diagnostic> &fresh,
-                              std::vector<Diagnostic> &baselined,
-                              std::size_t &stale);
-
-/** Human-readable one-line-per-finding report to @p outText. */
-std::string renderText(const std::vector<Diagnostic> &fresh,
-                       const std::vector<Diagnostic> &baselined,
+/** Human-readable one-line-per-finding report. */
+std::string renderText(const std::vector<Diagnostic> &diagnostics,
                        std::size_t filesScanned);
 
-/** The original machine-readable --json document. */
-std::string renderJson(const std::vector<Diagnostic> &fresh,
-                       const std::vector<Diagnostic> &baselined,
+/** The machine-readable --json document. */
+std::string renderJson(const std::vector<Diagnostic> &diagnostics,
                        std::size_t filesScanned);
-
-/**
- * SARIF 2.1.0 document: one run, every rule in tool.driver.rules,
- * new findings at level "error" (baselineState "new"), baselined at
- * "warning" (baselineState "unchanged"). URIs are scan-root relative,
- * so the document is byte-stable across checkouts (golden-testable).
- */
-std::string renderSarif(const std::vector<Diagnostic> &fresh,
-                        const std::vector<Diagnostic> &baselined);
 
 } // namespace bigfish::lint
 
