@@ -31,7 +31,9 @@
 #               Collect/Featurize but retrain) and a warm run with only
 #               --topk changed (must replay fold scores and skip
 #               training entirely), each proven via --explain
-#               provenance and bit-identical to a fresh uncached run.
+#               provenance and bit-identical to a fresh uncached run;
+#               then the cold spec with every fold score deleted (must
+#               replay each fold model and match the cold artifact).
 #   sim-perf  — the simulator perf-counter gate (DESIGN.md §13): the
 #               test_sim_perf determinism suite, then a table1 smoke
 #               whose --explain table and schemaVersion-3 artifact must
@@ -358,6 +360,26 @@ for stage in "${stages[@]}"; do
                 exit 1
             fi
         done
+        echo "== [stage-cache] cold spec again, fold scores deleted"
+        rm -f "$cdir"/cache/scores-*.bfc
+        "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
+            --folds=3 --cache-dir="$cdir/cache" --explain \
+            --json="$cdir/model-replay.json" > "$cdir/model-replay.log"
+        # Every fold model decodes from its "model" entry ...
+        grep -Eq '/train/[^ ]+ +\| train +\| [0-9a-f]{16} \| hit' \
+            "$cdir/model-replay.log"
+        if grep -Eq '/train/[^ ]+ +\| train +\| [0-9a-f]{16} \| (stored|miss|skipped)' \
+            "$cdir/model-replay.log"; then
+            echo "a fold model was not replayed from the cache" >&2
+            exit 1
+        fi
+        # ... and scores back to the cold run's artifact.
+        if ! diff \
+            <(grep -v -e 'Seconds' -e 'cache-dir' "$cdir/model-replay.json") \
+            <(grep -v -e 'Seconds' -e 'cache-dir' "$cdir/cold.json"); then
+            echo "model-replay artifact differs from the cold run" >&2
+            exit 1
+        fi
         echo "== [stage-cache] cached reuse is provenance-clean and" \
              "bit-identical"
         ;;

@@ -27,7 +27,7 @@
 
 namespace bigfish {
 
-/** CRC32 (IEEE 802.3, polynomial 0xedb88320) of @p data. */
+/** CRC32 (IEEE 802.3, polynomial 0xedb88320) of @p data, sliced by 8. */
 [[nodiscard]] std::uint32_t crc32(std::string_view data);
 
 /** FNV-1a 64-bit hash of @p text. */

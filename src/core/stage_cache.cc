@@ -1,15 +1,14 @@
 #include "core/stage_cache.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <type_traits>
 
 #include "base/atomic_file.hh"
+#include "base/bytes.hh"
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -37,125 +36,11 @@ headerLine(std::string_view kind, std::uint64_t key)
     return line;
 }
 
-// The payload formats are fixed-width little-endian, written and read
-// as the host's own bytes.
-static_assert(std::endian::native == std::endian::little,
-              "the cache payload codecs assume a little-endian host");
+// The payload layout assumes these widths (base/bytes.hh pins the
+// byte order and the IEEE-754 widths).
 static_assert(sizeof(Label) == 4 && sizeof(SiteId) == 4 &&
-                  sizeof(TimeNs) == 8 && sizeof(double) == 8,
+                  sizeof(TimeNs) == 8,
               "the cache payload layout assumes these widths");
-
-/** Appends fixed-width values to a payload. */
-class ByteWriter
-{
-  public:
-    template <typename T>
-    void
-    scalar(T v)
-    {
-        static_assert(std::is_arithmetic_v<T>);
-        out_.append(reinterpret_cast<const char *>(&v), sizeof(T));
-    }
-
-    void
-    str(std::string_view s)
-    {
-        scalar<std::uint64_t>(s.size());
-        out_.append(s);
-    }
-
-    /** A count-prefixed array of arithmetic values. */
-    template <typename T>
-    void
-    array(const std::vector<T> &values)
-    {
-        static_assert(std::is_arithmetic_v<T>);
-        scalar<std::uint64_t>(values.size());
-        out_.append(reinterpret_cast<const char *>(values.data()),
-                    values.size() * sizeof(T));
-    }
-
-    std::string take() { return std::move(out_); }
-
-  private:
-    std::string out_;
-};
-
-/**
- * Bounds-checked reader over an untrusted payload. The first failed
- * read latches !ok() and every later read returns zero/empty, so a
- * decoder can read straight through and check once at the end.
- */
-class ByteReader
-{
-  public:
-    explicit ByteReader(std::string_view in) : in_(in) {}
-
-    template <typename T>
-    T
-    get()
-    {
-        static_assert(std::is_arithmetic_v<T>);
-        T v{};
-        if (take(sizeof(T)))
-            std::memcpy(&v, in_.data() - sizeof(T), sizeof(T));
-        return v;
-    }
-
-    /**
-     * A sequence count whose elements each occupy at least
-     * @p min_element_bytes: fails (returning 0) unless that many bytes
-     * remain, so no caller ever allocates for data that is not there.
-     */
-    std::size_t
-    count(std::size_t min_element_bytes)
-    {
-        const auto n = get<std::uint64_t>();
-        if (n > in_.size() / min_element_bytes) {
-            ok_ = false;
-            return 0;
-        }
-        return static_cast<std::size_t>(n);
-    }
-
-    void
-    str(std::string &s)
-    {
-        const std::size_t n = count(1);
-        s.assign(in_.data(), n);
-        take(n);
-    }
-
-    template <typename T>
-    void
-    array(std::vector<T> &values)
-    {
-        static_assert(std::is_arithmetic_v<T>);
-        values.resize(count(sizeof(T)));
-        const std::size_t bytes = values.size() * sizeof(T);
-        if (bytes > 0)
-            std::memcpy(values.data(), in_.data(), bytes);
-        take(bytes);
-    }
-
-    /** True when every read succeeded and the payload is consumed. */
-    bool done() const { return ok_ && in_.empty(); }
-    bool ok() const { return ok_; }
-
-  private:
-    /** Consumes @p bytes; false (latched) when fewer remain. */
-    bool
-    take(std::size_t bytes)
-    {
-        ok_ = ok_ && bytes <= in_.size();
-        if (ok_)
-            in_.remove_prefix(bytes);
-        return ok_;
-    }
-
-    std::string_view in_;
-    bool ok_ = true;
-};
 
 /** Doubles-per-row matrix (dataset features, fold scores). */
 void

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <sstream>
 
+#include "base/bytes.hh"
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "ml/conv.hh"
@@ -16,6 +15,9 @@
 namespace bigfish::ml {
 
 namespace {
+
+/** Opens a SoftmaxRegressionClassifier model payload. */
+constexpr std::string_view kSoftmaxHeader = "# bigfish-softmax v2\n";
 
 /**
  * Packs the selected samples column-wise into one (rows x B*steps)
@@ -293,17 +295,13 @@ CnnLstmClassifier::predictScores(const std::vector<double> &x) const
 std::string
 CnnLstmClassifier::saveModel() const
 {
-    std::ostringstream out;
-    if (!saveWeights(out, net_).isOk())
-        return {};
-    return out.str();
+    return encodeWeights(net_);
 }
 
 bool
-CnnLstmClassifier::loadModel(const std::string &text)
+CnnLstmClassifier::loadModel(const std::string &payload)
 {
-    std::istringstream in(text);
-    return loadWeights(in, net_).isOk();
+    return decodeWeights(payload, net_).isOk();
 }
 
 MlpClassifier::MlpClassifier(int num_classes, std::size_t feature_len,
@@ -412,17 +410,13 @@ MlpClassifier::predictScores(const std::vector<double> &x) const
 std::string
 MlpClassifier::saveModel() const
 {
-    std::ostringstream out;
-    if (!saveWeights(out, net_).isOk())
-        return {};
-    return out.str();
+    return encodeWeights(net_);
 }
 
 bool
-MlpClassifier::loadModel(const std::string &text)
+MlpClassifier::loadModel(const std::string &payload)
 {
-    std::istringstream in(text);
-    return loadWeights(in, net_).isOk();
+    return decodeWeights(payload, net_).isOk();
 }
 
 SoftmaxRegressionClassifier::SoftmaxRegressionClassifier(
@@ -488,46 +482,27 @@ SoftmaxRegressionClassifier::predictScores(
 std::string
 SoftmaxRegressionClassifier::saveModel() const
 {
-    // The network classifiers persist through ml/serialize; this model
-    // holds plain double rows, so it dumps them directly — hexfloats
-    // round-trip bit-exactly through strtod.
-    std::ostringstream out;
-    out << "# bigfish-softmax v1 " << w_.size() << ' ' << featureLen_ + 1
-        << '\n';
-    for (const auto &row : w_) {
-        out << 'w';
-        for (const double v : row)
-            out << ' ' << hexDouble(v);
-        out << '\n';
-    }
-    return out.str();
+    ByteWriter out;
+    out.text(kSoftmaxHeader);
+    out.scalar<std::uint64_t>(w_.size());
+    out.scalar<std::uint64_t>(featureLen_ + 1);
+    for (const auto &row : w_)
+        out.raw(row.data(), row.size());
+    return out.take();
 }
 
 bool
-SoftmaxRegressionClassifier::loadModel(const std::string &text)
+SoftmaxRegressionClassifier::loadModel(const std::string &payload)
 {
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line))
+    ByteReader in(payload);
+    in.text(kSoftmaxHeader);
+    const auto rows = in.get<std::uint64_t>();
+    const auto cols = in.get<std::uint64_t>();
+    if (!in.ok() || rows != w_.size() || cols != featureLen_ + 1)
         return false;
-    unsigned long long rows = 0, cols = 0;
-    if (std::sscanf(line.c_str(), "# bigfish-softmax v1 %llu %llu", &rows,
-                    &cols) != 2 ||
-        rows != w_.size() || cols != featureLen_ + 1)
-        return false;
-    for (auto &row : w_) {
-        if (!std::getline(in, line) || line.rfind("w ", 0) != 0)
-            return false;
-        const char *cursor = line.c_str() + 1;
-        char *end = nullptr;
-        for (double &v : row) {
-            v = std::strtod(cursor, &end);
-            if (end == cursor)
-                return false;
-            cursor = end;
-        }
-    }
-    return true;
+    for (auto &row : w_)
+        in.raw(row.data(), row.size());
+    return in.done();
 }
 
 KnnClassifier::KnnClassifier(int num_classes, int k)

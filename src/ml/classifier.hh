@@ -55,10 +55,11 @@ class Classifier
 
     /**
      * Serialized trained state, or "" when the model does not support
-     * persistence (kNN memorizes its training set). The text restores
-     * bit-identical predictions through loadModel() on a freshly
-     * constructed model of the same architecture — which is what lets
-     * the stage cache replay trained fold models across runs.
+     * persistence (kNN memorizes its training set). The little-endian
+     * binary payload (base/bytes.hh) restores bit-identical predictions
+     * through loadModel() on a freshly constructed model of the same
+     * architecture — which is what lets the stage cache replay trained
+     * fold models across runs.
      */
     virtual std::string saveModel() const { return {}; }
 
@@ -152,7 +153,7 @@ class CnnLstmClassifier : public Classifier
     std::vector<double>
     predictScores(const std::vector<double> &x) const override;
     std::string saveModel() const override;
-    bool loadModel(const std::string &text) override;
+    bool loadModel(const std::string &payload) override;
 
     /** Accuracy on a dataset (used for validation-based early stopping). */
     double accuracy(const Dataset &data) const;
@@ -201,7 +202,7 @@ class SoftmaxRegressionClassifier : public Classifier
     std::vector<double>
     predictScores(const std::vector<double> &x) const override;
     std::string saveModel() const override;
-    bool loadModel(const std::string &text) override;
+    bool loadModel(const std::string &payload) override;
 
   private:
     int numClasses_;
@@ -239,7 +240,7 @@ class MlpClassifier : public Classifier
     std::vector<double>
     predictScores(const std::vector<double> &x) const override;
     std::string saveModel() const override;
-    bool loadModel(const std::string &text) override;
+    bool loadModel(const std::string &payload) override;
 
     /** Accuracy on a dataset (early stopping / diagnostics). */
     double accuracy(const Dataset &data) const;

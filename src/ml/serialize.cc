@@ -1,32 +1,96 @@
 #include "ml/serialize.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "base/atomic_file.hh"
+#include "base/bytes.hh"
 #include "base/logging.hh"
 
 namespace bigfish::ml {
 
 namespace {
 
-constexpr const char *kHeader = "# bigfish-weights v1";
+constexpr std::string_view kHeader = "# bigfish-weights v2\n";
+
+/** The leading line of @p bytes, shortened for an error message. */
+std::string
+firstLine(std::string_view bytes)
+{
+    return std::string(bytes.substr(0, std::min(bytes.find('\n'),
+                                                std::size_t{60})));
+}
 
 } // namespace
+
+std::string
+encodeWeights(Sequential &net)
+{
+    const auto params = net.params();
+    ByteWriter out;
+    out.text(kHeader);
+    out.scalar<std::uint64_t>(params.size());
+    for (const Matrix *p : params) {
+        out.scalar<std::uint64_t>(p->rows());
+        out.scalar<std::uint64_t>(p->cols());
+        out.raw(p->data(), p->size());
+    }
+    return out.take();
+}
+
+Status
+decodeWeights(std::string_view bytes, Sequential &net)
+{
+    ByteReader in(bytes);
+    if (!in.text(kHeader))
+        return parseError("not a bigfish-weights v2 stream: expected "
+                          "header \"" +
+                          firstLine(kHeader) + "\", found \"" +
+                          firstLine(bytes) + "\"");
+    const auto count = in.get<std::uint64_t>();
+    if (!in.ok())
+        return parseError("bigfish-weights stream missing tensor count");
+    const auto params = net.params();
+    if (count != params.size())
+        return shapeMismatchError(
+            "weight file has " + std::to_string(count) +
+            " tensors but the network has " +
+            std::to_string(params.size()));
+    for (std::size_t t = 0; t < params.size(); ++t) {
+        Matrix *p = params[t];
+        const auto rows = in.get<std::uint64_t>();
+        const auto cols = in.get<std::uint64_t>();
+        if (!in.ok())
+            return parseError("bigfish-weights stream truncated at tensor " +
+                              std::to_string(t));
+        if (rows != p->rows() || cols != p->cols())
+            return shapeMismatchError(
+                "weight tensor " + std::to_string(t) +
+                " shape mismatch: file " + std::to_string(rows) + "x" +
+                std::to_string(cols) + ", network " +
+                std::to_string(p->rows()) + "x" +
+                std::to_string(p->cols()));
+        in.raw(p->data(), p->size());
+        if (!in.ok())
+            return parseError(
+                "bigfish-weights stream truncated inside tensor " +
+                std::to_string(t));
+        for (std::size_t i = 0; i < p->size(); ++i)
+            if (!std::isfinite(p->data()[i]))
+                return dataError("non-finite weight in tensor " +
+                                 std::to_string(t));
+    }
+    if (!in.done())
+        return parseError("bigfish-weights stream has trailing bytes");
+    return Status::ok();
+}
 
 Status
 saveWeights(std::ostream &out, Sequential &net)
 {
-    const auto params = net.params();
-    out << kHeader << "\n" << params.size() << "\n";
-    out.precision(9);
-    for (const Matrix *p : params) {
-        out << p->rows() << ' ' << p->cols();
-        for (std::size_t i = 0; i < p->size(); ++i)
-            out << ' ' << p->data()[i];
-        out << "\n";
-    }
+    out << encodeWeights(net);
     if (!out)
         return ioError("weight stream write failed");
     return Status::ok();
@@ -35,12 +99,9 @@ saveWeights(std::ostream &out, Sequential &net)
 Status
 saveWeights(const std::string &path, Sequential &net)
 {
-    // Serialize to memory, then commit atomically (tmp+fsync+rename):
-    // a crash mid-save must never leave a torn checkpoint where a good
-    // one used to be.
-    std::ostringstream out;
-    BF_RETURN_IF_ERROR(saveWeights(out, net));
-    return atomicWriteFile(path, out.str());
+    // Commit atomically (tmp+fsync+rename): a crash mid-save must never
+    // leave a torn checkpoint where a good one used to be.
+    return atomicWriteFile(path, encodeWeights(net));
 }
 
 void
@@ -60,50 +121,15 @@ saveWeightsOrDie(std::ostream &out, Sequential &net)
 Status
 loadWeights(std::istream &in, Sequential &net)
 {
-    std::string header;
-    if (!std::getline(in, header) || header != kHeader)
-        return parseError(std::string("not a bigfish-weights v1 stream: "
-                                      "expected header \"") +
-                          kHeader + "\", found \"" +
-                          header.substr(0, 60) + "\"");
-    std::size_t count = 0;
-    if (!(in >> count))
-        return parseError("weight stream missing tensor count");
-    const auto params = net.params();
-    if (count != params.size())
-        return shapeMismatchError(
-            "weight file has " + std::to_string(count) +
-            " tensors but the network has " +
-            std::to_string(params.size()));
-    for (std::size_t t = 0; t < params.size(); ++t) {
-        Matrix *p = params[t];
-        std::size_t rows = 0, cols = 0;
-        if (!(in >> rows >> cols))
-            return parseError("weight stream truncated at tensor " +
-                              std::to_string(t));
-        if (rows != p->rows() || cols != p->cols())
-            return shapeMismatchError(
-                "weight tensor " + std::to_string(t) +
-                " shape mismatch: file " + std::to_string(rows) + "x" +
-                std::to_string(cols) + ", network " +
-                std::to_string(p->rows()) + "x" +
-                std::to_string(p->cols()));
-        for (std::size_t i = 0; i < p->size(); ++i) {
-            if (!(in >> p->data()[i]))
-                return parseError("weight stream truncated inside tensor " +
-                                  std::to_string(t));
-            if (!std::isfinite(p->data()[i]))
-                return dataError("non-finite weight in tensor " +
-                                 std::to_string(t));
-        }
-    }
-    return Status::ok();
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    return decodeWeights(bytes, net);
 }
 
 Status
 loadWeights(const std::string &path, Sequential &net)
 {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         return ioError("cannot open " + path + " for reading");
     return loadWeights(in, net);

@@ -7,11 +7,15 @@
  * lets the two phases run in different processes, mirroring the paper's
  * train-once / attack-many workflow.
  *
- * The format is a small text container (version line, tensor count,
- * then one "rows cols v0 v1 ..." line per tensor). It deliberately
- * stores only the *parameter tensors* in layer order; the loader
- * validates that shapes match the freshly constructed architecture, so
- * a weight file can never be silently applied to the wrong model.
+ * The format is a little-endian binary container written with the
+ * shared codec of base/bytes.hh: the header line "# bigfish-weights
+ * v2", the tensor count as a u64, then per tensor its rows and cols as
+ * u64 and its values as raw float32 bits, so a load restores the exact
+ * weights without any text conversion. It deliberately stores only the
+ * *parameter tensors* in layer order; the loader validates that shapes
+ * match the freshly constructed architecture, so a weight file can
+ * never be silently applied to the wrong model. Earlier text (v1)
+ * streams fail the header check.
  *
  * Error contract: load/save return Status instead of terminating — a
  * truncated or mismatched checkpoint is an expected operating condition
@@ -25,11 +29,23 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "base/status.hh"
 #include "ml/network.hh"
 
 namespace bigfish::ml {
+
+/** Every parameter tensor of @p net as a bigfish-weights v2 payload. */
+std::string encodeWeights(Sequential &net);
+
+/**
+ * Loads a whole encodeWeights() payload into an already-constructed
+ * network: ParseError when it is malformed, truncated or followed by
+ * trailing bytes, ShapeMismatch when a tensor count or shape differs
+ * from the network's parameters, DataError for a non-finite value.
+ */
+[[nodiscard]] Status decodeWeights(std::string_view bytes, Sequential &net);
 
 /** Writes every parameter tensor of @p net to the stream. */
 [[nodiscard]] Status saveWeights(std::ostream &out, Sequential &net);
@@ -41,11 +57,7 @@ namespace bigfish::ml {
 void saveWeightsOrDie(const std::string &path, Sequential &net);
 void saveWeightsOrDie(std::ostream &out, Sequential &net);
 
-/**
- * Loads weights into an already-constructed network. Fails if the
- * stream is malformed or truncated, any tensor shape differs from the
- * network's current parameters, or a stored value is non-finite.
- */
+/** decodeWeights() over the rest of the stream. */
 [[nodiscard]] Status loadWeights(std::istream &in, Sequential &net);
 
 /** Reads weights from a file. */

@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
+#include <vector>
 
+#include "base/bytes.hh"
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/result.hh"
@@ -41,6 +44,53 @@ TEST(Crc32, DetectsSingleBitFlips)
     flipped[4] ^= 0x01;
     EXPECT_NE(crc32(clean), crc32(flipped));
     EXPECT_EQ(crc32(clean), crc32(std::string(clean)));
+}
+
+/** A byte-at-a-time, bit-at-a-time CRC32 that shares no table. */
+std::uint32_t
+bytewiseCrc32(std::string_view data)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (const char byte : data) {
+        crc ^= static_cast<unsigned char>(byte);
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference)
+{
+    // Every length through two 8-byte blocks and beyond, at every start
+    // alignment: covers the block loop, its tail and unaligned loads.
+    Rng rng(32);
+    std::string buffer(257 + 8, '\0');
+    for (char &c : buffer)
+        c = static_cast<char>(rng.uniformInt(0, 255));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 257; ++len) {
+            const std::string_view slice(buffer.data() + offset, len);
+            ASSERT_EQ(crc32(slice), bytewiseCrc32(slice))
+                << "offset " << offset << ", length " << len;
+        }
+    }
+}
+
+TEST(Crc32, PinsAVersionTwoStageCacheTrailer)
+{
+    // The body of a v2 "scores" entry (header line, then one fold row
+    // of three class scores, its truth and its prediction). Its trailer
+    // is persisted on disk, so existing caches keep validating only
+    // while this value holds.
+    ByteWriter body;
+    body.text("# bigfish-stage-cache v2 kind=scores key=000000000000002a\n");
+    body.scalar<std::uint64_t>(1);
+    body.array(std::vector<double>{0.25, 0.5, 0.25});
+    body.array(std::vector<std::int32_t>{1});
+    body.array(std::vector<std::int32_t>{1});
+    const std::string bytes = body.take();
+    ASSERT_EQ(bytes.size(), 122u);
+    EXPECT_EQ(crc32(bytes), 0xdc9a19e0u);
 }
 
 TEST(Fnv64, MatchesReferenceVectors)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 
@@ -679,8 +680,10 @@ TEST(Serialize, CnnLstmRoundTripPreservesPredictions)
     for (std::size_t i = 0; i < train.size(); i += 5) {
         const auto a = model.predictScores(train.features[i]);
         const auto b = clone.predictScores(train.features[i]);
+        ASSERT_EQ(a.size(), b.size());
+        // Raw float32 bits round-trip, so predictions are bit-exact.
         for (std::size_t c = 0; c < a.size(); ++c)
-            EXPECT_NEAR(a[c], b[c], 1e-5);
+            EXPECT_EQ(a[c], b[c]);
     }
 }
 
@@ -774,6 +777,60 @@ TEST(SerializeErrors, RejectsWrongHeaderNamingWhatWasFound)
     EXPECT_EQ(status.code(), ErrorCode::ParseError);
     EXPECT_NE(status.message().find("bigfish-weights"), std::string::npos);
     EXPECT_NE(status.message().find("junk"), std::string::npos);
+}
+
+/** A two-tensor network whose encoded weights the error tests cut up. */
+Sequential
+smallDense(std::uint64_t seed)
+{
+    Rng rng(seed);
+    Sequential net;
+    net.add(std::make_unique<Dense>(3, 2, rng));
+    return net;
+}
+
+TEST(SerializeErrors, TruncatedAtEveryByteIsAParseError)
+{
+    Sequential net = smallDense(25);
+    const std::string bytes = encodeWeights(net);
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        SCOPED_TRACE("truncated at byte " + std::to_string(cut));
+        std::stringstream stream(bytes.substr(0, cut));
+        Sequential dest = smallDense(26);
+        const Status status = loadWeights(stream, dest);
+        ASSERT_FALSE(status.isOk());
+        EXPECT_EQ(status.code(), ErrorCode::ParseError);
+    }
+    Sequential dest = smallDense(26);
+    EXPECT_TRUE(decodeWeights(bytes, dest).isOk());
+}
+
+TEST(SerializeErrors, NanWeightBitsAreADataError)
+{
+    Sequential net = smallDense(27);
+    std::string bytes = encodeWeights(net);
+    // The last four bytes are the final weight's float32 bits.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::memcpy(bytes.data() + bytes.size() - sizeof(float), &nan,
+                sizeof(float));
+    Sequential dest = smallDense(28);
+    const Status status = decodeWeights(bytes, dest);
+    ASSERT_FALSE(status.isOk());
+    EXPECT_EQ(status.code(), ErrorCode::DataError);
+}
+
+TEST(SerializeErrors, VersionOneTextStreamIsAParseError)
+{
+    // The retired text format: header, tensor count, "rows cols v..."
+    // per tensor. Such weights (and v1 model cache entries) no longer
+    // load; the error names the format it expected.
+    std::stringstream stream("# bigfish-weights v1\n2\n2 3 0.1 0.2 0.3 "
+                             "0.4 0.5 0.6\n2 1 0.1 0.2\n");
+    Sequential net = smallDense(29);
+    const Status status = loadWeights(stream, net);
+    ASSERT_FALSE(status.isOk());
+    EXPECT_EQ(status.code(), ErrorCode::ParseError);
+    EXPECT_NE(status.message().find("bigfish-weights"), std::string::npos);
 }
 
 TEST(SerializeErrors, LoadWeightsOrDieStillAbortsOnBadInput)

@@ -18,6 +18,10 @@
  * the same paths deterministically. The suites keep the names of the
  * journal these tests first pinned, so the tier-1 record reads across
  * the change.
+ *
+ * Part 3 (fold models in the stage cache): a rerun whose fold scores
+ * were deleted replays every trained model from its "model" entry and
+ * reproduces the cold run's results.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +33,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/trace_io.hh"
@@ -716,6 +721,69 @@ TEST(CheckpointJournal, PipelineResumeIsBitIdenticalToUninterruptedRun)
     const auto resumed = runFingerprintingShared(config, kinds, pipeline);
     ASSERT_TRUE(resumed.isOk());
     expectSameResults(resumed.value());
+}
+
+TEST(StageCacheReplay, ModelEntriesReplayWhenScoresAreDeleted)
+{
+    // With every fold's scores gone, a rerun must decode each trained
+    // fold model from its "model" entry (no retraining) and score it
+    // back to the cold run's results, for the weight-file network
+    // payload and for the softmax model's own payload alike.
+    ml::MlpParams mlp;
+    mlp.hidden = 16;
+    mlp.maxEpochs = 3;
+    const std::pair<std::string, ml::ClassifierFactory> factories[] = {
+        {"mlp", ml::mlpFactory(mlp)},
+        {"softmax", ml::softmaxRegressionFactory()}};
+    for (const auto &[name, factory] : factories) {
+        SCOPED_TRACE(name);
+        CollectionConfig config;
+        config.seed = 13;
+        PipelineConfig pipeline;
+        pipeline.numSites = 4;
+        pipeline.tracesPerSite = 6;
+        pipeline.openWorldExtra = 8;
+        pipeline.featureLen = 64;
+        pipeline.eval.folds = 2;
+        pipeline.factory = factory;
+        pipeline.cacheDir = cacheDir("model_replay_" + name);
+        const attack::AttackerKind kinds[] = {
+            attack::AttackerKind::LoopCounting};
+
+        const auto cold = runFingerprintingShared(config, kinds, pipeline);
+        ASSERT_TRUE(cold.isOk());
+        std::size_t deleted = 0;
+        for (const auto &entry :
+             std::filesystem::directory_iterator(pipeline.cacheDir)) {
+            if (entry.path().filename().string().rfind("scores-", 0) == 0) {
+                std::filesystem::remove(entry.path());
+                ++deleted;
+            }
+        }
+        ASSERT_EQ(deleted, 4u) << "2 worlds x 2 folds";
+
+        const auto replay = runFingerprintingShared(config, kinds, pipeline);
+        ASSERT_TRUE(replay.isOk());
+        ASSERT_EQ(replay.value().size(), 1u);
+        std::size_t trains = 0;
+        for (const StageReport &report : replay.value()[0].stages) {
+            if (report.phase != "train")
+                continue;
+            ++trains;
+            EXPECT_EQ(report.cache, StageCacheState::Hit) << report.name;
+        }
+        EXPECT_EQ(trains, 4u);
+
+        const FingerprintResult &c = cold.value()[0];
+        const FingerprintResult &r = replay.value()[0];
+        EXPECT_EQ(r.closedWorld.foldTop1, c.closedWorld.foldTop1);
+        EXPECT_EQ(r.closedWorld.foldTopK, c.closedWorld.foldTopK);
+        EXPECT_EQ(r.openWorld.foldTop1, c.openWorld.foldTop1);
+        EXPECT_EQ(r.openWorld.openWorld.combinedAccuracy,
+                  c.openWorld.openWorld.combinedAccuracy);
+        EXPECT_EQ(r.openWorld.openWorld.sensitiveAccuracy,
+                  c.openWorld.openWorld.sensitiveAccuracy);
+    }
 }
 
 } // namespace
