@@ -38,7 +38,9 @@
 #               test_sim_perf determinism suite, then a table1 smoke
 #               whose --explain table and schemaVersion-3 artifact must
 #               carry the per-stage sim counters, with the counter
-#               values identical across --threads and BF_SIMD.
+#               values identical across --threads and BF_SIMD; then a
+#               background_noise run at the default 256 features whose
+#               artifact must match between --threads=1 and --threads=4.
 #   address   — full build + ctest under AddressSanitizer.
 #   undefined — full build + ctest under UBSan.
 #   thread    — full build + ctest under ThreadSanitizer.
@@ -422,6 +424,21 @@ for stage in "${stages[@]}"; do
         # vacuously; require at least one nonzero eventsSimulated row.
         grep -Eq '"simEvents": [1-9]' "$pdir/t2.json"
         echo "== [sim-perf] per-stage sim counters are deterministic"
+        # Full-size CNN-LSTM training (256 features, not the smoke
+        # spec's) with folds running concurrently: every result must be
+        # independent of the thread count.
+        for t in 1 4; do
+            "$builddir/bigfish" run background_noise --sites=4 --traces=4 \
+                --folds=3 --threads="$t" --json="$pdir/bg-t$t.json" \
+                > /dev/null
+        done
+        if ! diff <(grep -v -e 'Seconds' -e '"threads"' "$pdir/bg-t1.json") \
+                  <(grep -v -e 'Seconds' -e '"threads"' "$pdir/bg-t4.json"); then
+            echo "background_noise artifact differs between 1 and 4" \
+                 "threads" >&2
+            exit 1
+        fi
+        echo "== [sim-perf] background_noise bit-identical at 1 and 4 threads"
         ;;
       address|undefined|thread)
         san="$stage"

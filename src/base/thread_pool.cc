@@ -18,11 +18,11 @@ thread_local bool tls_on_worker = false;
 
 ThreadPool::ThreadPool(int threads) : threads_(threads < 1 ? 1 : threads)
 {
-    // A 1-thread pool is the serial path: no workers, no queue traffic.
-    if (threads_ == 1)
-        return;
-    workers_.reserve(threads_);
-    for (int i = 0; i < threads_; ++i)
+    // The caller of parallelFor runs bodies too, so threads_ - 1 workers
+    // make threads_ threads in all. A 1-thread pool is the serial path:
+    // no workers, no queue traffic.
+    workers_.reserve(threads_ - 1);
+    for (int i = 1; i < threads_; ++i)
         workers_.emplace_back([this] { workerLoop(); });
 }
 

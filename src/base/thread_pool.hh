@@ -1,8 +1,9 @@
 /**
  * @file
  * Deterministic parallel execution: a small worker pool plus
- * parallelFor/parallelMap helpers used by the collection, training and
- * kernel hot paths.
+ * parallelFor/parallelMap helpers used by collection, featurization and
+ * per-fold training. Fold tasks are the only level of parallelism in
+ * training: the ML kernels themselves always run on their caller.
  *
  * Design rules that make parallel runs bit-identical to serial ones:
  *
@@ -20,7 +21,9 @@
  *
  * Thread-count policy: the global pool defaults to the BF_THREADS
  * environment variable when set, else the hardware concurrency;
- * setGlobalThreads() (the --threads=N bench flag) overrides both.
+ * setGlobalThreads() (the --threads=N bench flag) overrides both. A
+ * count of N means N threads run bodies: N - 1 workers plus the thread
+ * that calls parallelFor.
  */
 
 #ifndef BF_BASE_THREAD_POOL_HH
@@ -43,9 +46,10 @@ class ThreadPool
 {
   public:
     /**
-     * @param threads Worker count; clamped to >= 1. A pool of 1 runs
-     *                everything inline on the calling thread and spawns
-     *                no workers at all (the exact serial path).
+     * @param threads Threads that run parallelFor bodies, counting the
+     *                caller; clamped to >= 1. The pool spawns threads - 1
+     *                workers, so a pool of 1 runs everything inline on
+     *                the calling thread (the exact serial path).
      */
     explicit ThreadPool(int threads);
 
@@ -55,7 +59,8 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** The number of threads that execute parallelFor bodies. */
+    /** The number of threads that execute parallelFor bodies: the
+     *  workers plus the calling thread. */
     int threadCount() const { return threads_; }
 
     /**
@@ -109,13 +114,13 @@ class ThreadPool
 int defaultThreadCount();
 
 /**
- * The process-wide pool used by the collection/training/kernel hot
- * paths. Created lazily with defaultThreadCount() threads.
+ * The process-wide pool used by the collection/featurization/training
+ * hot paths. Created lazily with defaultThreadCount() threads.
  */
 ThreadPool &globalPool();
 
 /**
- * Replaces the global pool with one of @p threads workers (<= 0 resets
+ * Replaces the global pool with one of @p threads threads (<= 0 resets
  * to defaultThreadCount()). Call only between parallel regions — e.g.
  * from flag parsing at startup or test setup.
  */

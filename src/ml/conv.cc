@@ -88,11 +88,12 @@ Conv1D::forwardBatch(const Matrix &in, std::size_t samples, bool)
 Matrix
 Conv1D::backward(const Matrix &grad_out)
 {
-    return backwardBatch(grad_out, 1);
+    return backwardBatch(grad_out, 1, true);
 }
 
 Matrix
-Conv1D::backwardBatch(const Matrix &grad_out, std::size_t samples)
+Conv1D::backwardBatch(const Matrix &grad_out, std::size_t samples,
+                      bool inputGrad)
 {
     const std::size_t all_in_t = inCols_;
     const std::size_t out_cols = grad_out.cols();
@@ -116,6 +117,9 @@ Conv1D::backwardBatch(const Matrix &grad_out, std::size_t samples)
             gb[o] += acc;
         }
     }
+
+    if (!inputGrad)
+        return Matrix();
 
     // dPatches = W^T * dOut, then scatter-add windows back onto the
     // (channels x time) input grid (the col2im step), sample by sample.

@@ -30,8 +30,8 @@ class Conv1D : public Layer
     bool supportsBatch() const override { return true; }
     Matrix forwardBatch(const Matrix &in, std::size_t samples,
                         bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out,
-                         std::size_t samples) override;
+    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
+                         bool inputGrad) override;
     std::vector<Matrix *> params() override { return {&w_, &b_}; }
     std::vector<Matrix *> grads() override { return {&gw_, &gb_}; }
     std::string name() const override { return "conv1d"; }

@@ -7,8 +7,8 @@
  * here with three runtime-dispatched implementations (AVX2, SSE2,
  * portable scalar) behind bf::simd::Tag (base/simd.hh). The callers
  * (ml/matrix.cc, lstm/gru, network) keep their loop *structure* and
- * delegate the arithmetic, so blocking/threading decisions stay where
- * they were while the flops dispatch to the best ISA.
+ * delegate the arithmetic, so blocking decisions stay where they were
+ * while the flops dispatch to the best ISA.
  *
  * Determinism contract (DESIGN.md §10), load-bearing for cache
  * fingerprints and `--resume` replay:

@@ -21,7 +21,7 @@ Layer::forwardBatch(const Matrix &, std::size_t, bool)
 }
 
 Matrix
-Layer::backwardBatch(const Matrix &, std::size_t)
+Layer::backwardBatch(const Matrix &, std::size_t, bool)
 {
     panic("layer '" + name() + "' has no batched backward");
 }
@@ -73,7 +73,7 @@ ReLU::forwardBatch(const Matrix &in, std::size_t, bool train)
 }
 
 Matrix
-ReLU::backwardBatch(const Matrix &grad_out, std::size_t)
+ReLU::backwardBatch(const Matrix &grad_out, std::size_t, bool)
 {
     return backward(grad_out);
 }
@@ -135,7 +135,7 @@ MaxPool1D::forward(const Matrix &in, bool)
 Matrix
 MaxPool1D::backward(const Matrix &grad_out)
 {
-    return backwardBatch(grad_out, 1);
+    return backwardBatch(grad_out, 1, true);
 }
 
 Matrix
@@ -147,7 +147,7 @@ MaxPool1D::forwardBatch(const Matrix &in, std::size_t samples, bool)
 }
 
 Matrix
-MaxPool1D::backwardBatch(const Matrix &grad_out, std::size_t)
+MaxPool1D::backwardBatch(const Matrix &grad_out, std::size_t, bool)
 {
     Matrix grad_in(inRows_, inCols_);
     const std::size_t out_cols = grad_out.cols();
@@ -226,7 +226,7 @@ Dropout::forwardBatch(const Matrix &in, std::size_t samples, bool train)
 }
 
 Matrix
-Dropout::backwardBatch(const Matrix &grad_out, std::size_t)
+Dropout::backwardBatch(const Matrix &grad_out, std::size_t, bool)
 {
     return backward(grad_out);
 }
@@ -269,7 +269,7 @@ Flatten::forwardBatch(const Matrix &in, std::size_t samples, bool)
 }
 
 Matrix
-Flatten::backwardBatch(const Matrix &grad_out, std::size_t samples)
+Flatten::backwardBatch(const Matrix &grad_out, std::size_t samples, bool)
 {
     panicIf(samples == 0 || grad_out.cols() != samples,
             "Flatten batched backward shape mismatch");
@@ -319,7 +319,7 @@ Dense::forwardBatch(const Matrix &in, std::size_t samples, bool)
 }
 
 Matrix
-Dense::backwardBatch(const Matrix &grad_out, std::size_t samples)
+Dense::backwardBatch(const Matrix &grad_out, std::size_t samples, bool)
 {
     panicIf(grad_out.rows() != w_.rows() || grad_out.cols() != samples,
             "Dense batched backward shape mismatch");

@@ -63,9 +63,15 @@ class Layer
     virtual Matrix forwardBatch(const Matrix &in, std::size_t samples,
                                 bool train);
 
-    /** Backpropagates through the most recent forwardBatch() call. */
+    /**
+     * Backpropagates through the most recent forwardBatch() call.
+     * @param inputGrad False when nothing reads dLoss/dInput (the first
+     *        layer of a network): a layer may then skip computing it
+     *        and return an empty Matrix. Parameter gradients are
+     *        accumulated either way.
+     */
     virtual Matrix backwardBatch(const Matrix &grad_out,
-                                 std::size_t samples);
+                                 std::size_t samples, bool inputGrad);
 
     /** Trainable parameter tensors (empty for stateless layers). */
     virtual std::vector<Matrix *> params() { return {}; }
@@ -89,8 +95,8 @@ class ReLU : public Layer
     bool supportsBatch() const override { return true; }
     Matrix forwardBatch(const Matrix &in, std::size_t samples,
                         bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out,
-                         std::size_t samples) override;
+    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
+                         bool inputGrad) override;
     std::string name() const override { return "relu"; }
 
   private:
@@ -117,8 +123,8 @@ class MaxPool1D : public Layer
     bool supportsBatch() const override { return true; }
     Matrix forwardBatch(const Matrix &in, std::size_t samples,
                         bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out,
-                         std::size_t samples) override;
+    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
+                         bool inputGrad) override;
     std::string name() const override { return "maxpool1d"; }
 
   private:
@@ -151,8 +157,8 @@ class Dropout : public Layer
     bool supportsBatch() const override { return true; }
     Matrix forwardBatch(const Matrix &in, std::size_t samples,
                         bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out,
-                         std::size_t samples) override;
+    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
+                         bool inputGrad) override;
     std::string name() const override { return "dropout"; }
 
   private:
@@ -171,8 +177,8 @@ class Flatten : public Layer
     bool supportsBatch() const override { return true; }
     Matrix forwardBatch(const Matrix &in, std::size_t samples,
                         bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out,
-                         std::size_t samples) override;
+    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
+                         bool inputGrad) override;
     std::string name() const override { return "flatten"; }
 
   private:
@@ -195,8 +201,8 @@ class Dense : public Layer
     bool supportsBatch() const override { return true; }
     Matrix forwardBatch(const Matrix &in, std::size_t samples,
                         bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out,
-                         std::size_t samples) override;
+    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
+                         bool inputGrad) override;
     std::vector<Matrix *> params() override { return {&w_, &b_}; }
     std::vector<Matrix *> grads() override { return {&gw_, &gb_}; }
     std::string name() const override { return "dense"; }

@@ -120,7 +120,7 @@ Lstm::forwardBatch(const Matrix &in, std::size_t samples, bool)
 }
 
 Matrix
-Lstm::backwardBatch(const Matrix &grad_out, std::size_t samples)
+Lstm::backwardBatch(const Matrix &grad_out, std::size_t samples, bool)
 {
     panicIf(samples != samples_, "Lstm batched backward sample mismatch");
     const std::size_t steps = inSeq_.cols() / samples;

@@ -33,8 +33,8 @@ class Lstm : public Layer
     bool supportsBatch() const override { return true; }
     Matrix forwardBatch(const Matrix &in, std::size_t samples,
                         bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out,
-                         std::size_t samples) override;
+    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
+                         bool inputGrad) override;
     std::vector<Matrix *> params() override { return {&wx_, &wh_, &b_}; }
     std::vector<Matrix *> grads() override { return {&gwx_, &gwh_, &gb_}; }
     std::string name() const override { return "lstm"; }

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 #include "ml/kernels.hh"
 
 namespace bigfish::ml {
@@ -92,62 +91,32 @@ Matrix::sum() const
 namespace {
 
 /**
- * Kernel tuning constants. KC blocks the inner (k) dimension so the
- * active B panel stays cache-resident across output rows; the parallel
- * threshold keeps small layers on the calling thread where fan-out
- * overhead would dominate.
+ * Kernel tuning constant: KC blocks the inner (k) dimension so the
+ * active B panel stays cache-resident across output rows.
  */
 constexpr std::size_t kBlockK = 240;
-constexpr double kParallelMinFlops = 1 << 19;
 
 // All floating-point arithmetic below delegates to the runtime-
-// dispatched SIMD kernel layer; this file keeps only the blocking,
-// chunking and threading structure. kernels::dot's fixed 8-lane
-// accumulation makes every reduction independent of both the dispatch
-// ISA and the thread count.
+// dispatched SIMD kernel layer; this file keeps only the blocking
+// structure. Every GEMM runs on the calling thread: training
+// parallelism lives one level up, in the per-fold tasks. kernels::dot's
+// fixed 8-lane accumulation makes every reduction independent of the
+// dispatch ISA.
 
 /**
- * Splits [0, rows) into contiguous row ranges run on the global pool
- * when the kernel is large enough to amortize fan-out. Each output row
- * is produced entirely by one range, so the arithmetic per row — and
- * therefore the result — is independent of the chunking. Templated on
- * the callable so the serial path (every small training-step GEMM)
- * inlines the kernel body instead of calling through std::function.
- */
-template <typename Fn>
-void
-forRowChunks(std::size_t rows, double flops, Fn &&fn)
-{
-    if (rows < 2 || flops < kParallelMinFlops) {
-        fn(0, rows);
-        return;
-    }
-    ThreadPool &pool = globalPool();
-    const std::size_t threads =
-        static_cast<std::size_t>(pool.threadCount());
-    if (threads <= 1) {
-        fn(0, rows);
-        return;
-    }
-    const std::size_t chunks = std::min(rows, threads * 2);
-    pool.parallelFor(chunks, [&](std::size_t c) {
-        fn(rows * c / chunks, rows * (c + 1) / chunks);
-    });
-}
-
-/**
- * C[r0:r1) += A * B for row-major operands, k-blocked i-k-j order with
- * an optional fused row-bias initialization. The k loop is unrolled
- * four wide so each load/store of a C element amortizes four FMAs —
- * the axpy-per-k form is store-bandwidth-bound, not FLOP-bound.
+ * C += A * B for row-major operands with @p rows output rows, k-blocked
+ * i-k-j order with an optional fused row-bias initialization. The k
+ * loop is unrolled four wide so each load/store of a C element
+ * amortizes four FMAs — the axpy-per-k form is store-bandwidth-bound,
+ * not FLOP-bound.
  */
 void
 gemmAccRows(float *__restrict c, const float *__restrict a,
-            const float *__restrict b, std::size_t r0, std::size_t r1,
-            std::size_t k, std::size_t n, const float *__restrict bias)
+            const float *__restrict b, std::size_t rows, std::size_t k,
+            std::size_t n, const float *__restrict bias)
 {
     if (bias != nullptr) {
-        for (std::size_t i = r0; i < r1; ++i) {
+        for (std::size_t i = 0; i < rows; ++i) {
             float *__restrict crow = c + i * n;
             const float bi = bias[i];
             for (std::size_t j = 0; j < n; ++j)
@@ -159,18 +128,17 @@ gemmAccRows(float *__restrict c, const float *__restrict a,
         // One dispatched kernel call per output row: the panel runs the
         // axpy4-per-4-k / axpy-remainder sequence inside the kernel
         // layer, so the ISA switch is paid once per row, not per 4 k's.
-        for (std::size_t i = r0; i < r1; ++i)
+        for (std::size_t i = 0; i < rows; ++i)
             kernels::gemmRowPanel(c + i * n, a + i * k, 1, b, k0, k1, n);
     }
 }
 
 /**
- * C[r0:r1) += A * B^T: rows of both operands are contiguous dots,
- * dispatched through the kernel layer's 4x2 register tile where the
- * extents allow (kernels::dotTile4x2 accumulates every C element
- * exactly like kernels::dot of the same operand rows, so the tile/dot
- * split below is a pure bandwidth optimization with no numeric
- * effect — at any chunk boundary, thread count, or ISA).
+ * C += A * B^T: rows of both operands are contiguous dots, dispatched
+ * through the kernel layer's 4x2 register tile where the extents allow
+ * (kernels::dotTile4x2 accumulates every C element exactly like
+ * kernels::dot of the same operand rows, so the tile/dot split below
+ * is a pure bandwidth optimization with no numeric effect at any ISA).
  *
  * k == 1 is the rank-1 outer-product case (dW += dOut * x^T with a
  * single column, the shape every backward pass hits for the conv2 /
@@ -181,16 +149,16 @@ gemmAccRows(float *__restrict c, const float *__restrict a,
 
 void
 gemmTransBAccRows(float *__restrict c, const float *__restrict a,
-                  const float *__restrict b, std::size_t r0,
-                  std::size_t r1, std::size_t k, std::size_t n)
+                  const float *__restrict b, std::size_t rows,
+                  std::size_t k, std::size_t n)
 {
     if (k == 1) {
-        for (std::size_t i = r0; i < r1; ++i)
+        for (std::size_t i = 0; i < rows; ++i)
             kernels::axpy(c + i * n, b, a[i], n);
         return;
     }
-    std::size_t i = r0;
-    for (; i + 4 <= r1; i += 4) {
+    std::size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
         std::size_t j = 0;
         for (; j + 2 <= n; j += 2)
             kernels::dotTile4x2(c, a, b, i, j, k, n);
@@ -199,7 +167,7 @@ gemmTransBAccRows(float *__restrict c, const float *__restrict a,
                 c[(i + r) * n + j] +=
                     kernels::dot(a + (i + r) * k, b + j * k, k);
     }
-    for (; i < r1; ++i) {
+    for (; i < rows; ++i) {
         const float *__restrict arow = a + i * k;
         float *__restrict crow = c + i * n;
         for (std::size_t j = 0; j < n; ++j)
@@ -208,7 +176,7 @@ gemmTransBAccRows(float *__restrict c, const float *__restrict a,
 }
 
 /**
- * C[r0:r1) += A^T * B where C has a.cols() rows; k unrolled as above.
+ * C += A^T * B where C has a_cols rows; k unrolled as above.
  *
  * The n == 1 case (dX = W^T * dOut with a single column, the other
  * common backward shape) is dispatched by accumulateMatmulTransA to
@@ -217,23 +185,20 @@ gemmTransBAccRows(float *__restrict c, const float *__restrict a,
  */
 void
 gemmTransAAccRows(float *__restrict c, const float *__restrict a,
-                  const float *__restrict b, std::size_t r0,
-                  std::size_t r1, std::size_t a_rows, std::size_t a_cols,
-                  std::size_t n)
+                  const float *__restrict b, std::size_t a_rows,
+                  std::size_t a_cols, std::size_t n)
 {
     for (std::size_t k0 = 0; k0 < a_rows; k0 += kBlockK) {
         const std::size_t k1 = std::min(a_rows, k0 + kBlockK);
         // Column i of A walked with stride a_cols; one dispatch per row.
-        for (std::size_t i = r0; i < r1; ++i)
+        for (std::size_t i = 0; i < a_cols; ++i)
             kernels::gemmRowPanel(c + i * n, a + i, a_cols, b, k0, k1, n);
     }
 }
 
 /**
  * c += A^T * b for a single column b: accumulates b[r] * row r of A
- * into c, so every access is contiguous. Always runs serially (all
- * rows write the same output vector), which also keeps the summation
- * order — and therefore the bits — identical at every thread count.
+ * into c, so every access is contiguous.
  */
 void
 gemmTransAVec(float *__restrict c, const float *__restrict a,
@@ -242,13 +207,6 @@ gemmTransAVec(float *__restrict c, const float *__restrict a,
 {
     for (std::size_t r = 0; r < a_rows; ++r)
         kernels::axpy(c, a + r * a_cols, b[r], a_cols);
-}
-
-double
-gemmFlops(std::size_t m, std::size_t k, std::size_t n)
-{
-    return 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-           static_cast<double>(n);
 }
 
 } // namespace
@@ -260,11 +218,8 @@ matmul(const Matrix &a, const Matrix &b)
     if (b.cols() == 1)
         return gemv(a, b);
     Matrix c(a.rows(), b.cols());
-    forRowChunks(a.rows(), gemmFlops(a.rows(), a.cols(), b.cols()),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmAccRows(c.data(), a.data(), b.data(), r0, r1,
-                                 a.cols(), b.cols(), nullptr);
-                 });
+    gemmAccRows(c.data(), a.data(), b.data(), a.rows(), a.cols(), b.cols(),
+                nullptr);
     return c;
 }
 
@@ -277,11 +232,8 @@ matmulBias(const Matrix &a, const Matrix &b, const Matrix &bias)
     if (b.cols() == 1)
         return gemvBias(a, b, bias);
     Matrix c(a.rows(), b.cols());
-    forRowChunks(a.rows(), gemmFlops(a.rows(), a.cols(), b.cols()),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmAccRows(c.data(), a.data(), b.data(), r0, r1,
-                                 a.cols(), b.cols(), bias.data());
-                 });
+    gemmAccRows(c.data(), a.data(), b.data(), a.rows(), a.cols(), b.cols(),
+                bias.data());
     return c;
 }
 
@@ -309,11 +261,8 @@ accumulateMatmul(Matrix &c, const Matrix &a, const Matrix &b)
     panicIf(a.cols() != b.rows(), "accumulateMatmul dimension mismatch");
     panicIf(c.rows() != a.rows() || c.cols() != b.cols(),
             "accumulateMatmul output shape mismatch");
-    forRowChunks(a.rows(), gemmFlops(a.rows(), a.cols(), b.cols()),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmAccRows(c.data(), a.data(), b.data(), r0, r1,
-                                 a.cols(), b.cols(), nullptr);
-                 });
+    gemmAccRows(c.data(), a.data(), b.data(), a.rows(), a.cols(), b.cols(),
+                nullptr);
 }
 
 void
@@ -327,11 +276,8 @@ accumulateMatmulTransA(Matrix &c, const Matrix &a, const Matrix &b)
         gemmTransAVec(c.data(), a.data(), b.data(), a.rows(), a.cols());
         return;
     }
-    forRowChunks(a.cols(), gemmFlops(a.cols(), a.rows(), b.cols()),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmTransAAccRows(c.data(), a.data(), b.data(), r0,
-                                       r1, a.rows(), a.cols(), b.cols());
-                 });
+    gemmTransAAccRows(c.data(), a.data(), b.data(), a.rows(), a.cols(),
+                      b.cols());
 }
 
 void
@@ -346,28 +292,18 @@ accumulateMatmulTransB(Matrix &c, const Matrix &a, const Matrix &b)
     if (k > 1 && k <= 32 && n >= 16) {
         // Short-k dots waste their accumulator setup; materialize B^T
         // (small: n*k floats) once and run the wide-row kernel instead.
-        // The buffer belongs to this call: row chunks run on other
-        // threads, and while it waits this thread may run another
-        // queued task that does the same GEMM, so per-thread scratch
-        // would be read by the wrong thread or resized underfoot.
+        // The buffer belongs to this call, so concurrent fold tasks
+        // doing the same GEMM never share scratch.
         std::vector<float> transposed(k * n);
         const float *__restrict bd = b.data();
         float *__restrict bt = transposed.data();
         for (std::size_t j = 0; j < n; ++j)
             for (std::size_t kk = 0; kk < k; ++kk)
                 bt[kk * n + j] = bd[j * k + kk];
-        forRowChunks(a.rows(), gemmFlops(a.rows(), k, n),
-                     [&](std::size_t r0, std::size_t r1) {
-                         gemmAccRows(c.data(), a.data(), bt, r0, r1, k,
-                                     n, nullptr);
-                     });
+        gemmAccRows(c.data(), a.data(), bt, a.rows(), k, n, nullptr);
         return;
     }
-    forRowChunks(a.rows(), gemmFlops(a.rows(), k, n),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmTransBAccRows(c.data(), a.data(), b.data(), r0,
-                                       r1, k, n);
-                 });
+    gemmTransBAccRows(c.data(), a.data(), b.data(), a.rows(), k, n);
 }
 
 Matrix
@@ -380,11 +316,8 @@ gemv(const Matrix &a, const Matrix &x)
     const float *__restrict xd = x.data();
     float *__restrict yd = y.data();
     const std::size_t k = a.cols();
-    forRowChunks(a.rows(), gemmFlops(a.rows(), k, 1),
-                 [&](std::size_t r0, std::size_t r1) {
-                     for (std::size_t i = r0; i < r1; ++i)
-                         yd[i] = kernels::dot(ad + i * k, xd, k);
-                 });
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        yd[i] = kernels::dot(ad + i * k, xd, k);
     return y;
 }
 
@@ -401,11 +334,8 @@ gemvBias(const Matrix &a, const Matrix &x, const Matrix &b)
     const float *__restrict bd = b.data();
     float *__restrict yd = y.data();
     const std::size_t k = a.cols();
-    forRowChunks(a.rows(), gemmFlops(a.rows(), k, 1),
-                 [&](std::size_t r0, std::size_t r1) {
-                     for (std::size_t i = r0; i < r1; ++i)
-                         yd[i] = bd[i] + kernels::dot(ad + i * k, xd, k);
-                 });
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        yd[i] = bd[i] + kernels::dot(ad + i * k, xd, k);
     return y;
 }
 

@@ -5,14 +5,14 @@
  *
  * Row-major and value-semantic, with 32-byte-aligned storage
  * (base/aligned.hh) so the SIMD kernel layer's 256-bit accesses start
- * aligned. The GEMM entry points below keep the blocking/threading
- * structure and delegate all floating-point arithmetic to ml/kernels.hh,
- * which dispatches per-ISA implementations that are bit-identical by
+ * aligned. The GEMM entry points below keep the blocking structure and
+ * delegate all floating-point arithmetic to ml/kernels.hh, which
+ * dispatches per-ISA implementations that are bit-identical by
  * construction; matmulReference() keeps the naive triple loop as the
  * correctness oracle for property tests and the old-vs-new
- * microbenchmarks. Row-parallelism splits output rows only — every
- * output element is accumulated in the same order at any thread count,
- * so results are bit-identical whether the pool has 1 or N threads.
+ * microbenchmarks. Every GEMM runs on its calling thread (training
+ * parallelism is one task per fold), so results never depend on the
+ * pool's thread count.
  * Convention used by the layers: a 1-D time series sample is a
  * (channels x time) matrix; a feature vector is (features x 1).
  */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "base/logging.hh"
 #include "ml/kernels.hh"
@@ -51,13 +52,12 @@ Sequential::forwardBatch(const Matrix &in, std::size_t samples, bool train)
     return x;
 }
 
-Matrix
+void
 Sequential::backwardBatch(const Matrix &grad_out, std::size_t samples)
 {
     Matrix g = grad_out;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-        g = (*it)->backwardBatch(g, samples);
-    return g;
+        g = (*it)->backwardBatch(g, samples, std::next(it) != layers_.rend());
 }
 
 std::vector<Matrix *>

@@ -38,8 +38,12 @@ class Sequential
      */
     Matrix forwardBatch(const Matrix &in, std::size_t samples, bool train);
 
-    /** Backpropagates through the most recent forwardBatch(). */
-    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples);
+    /**
+     * Backpropagates through the most recent forwardBatch(),
+     * accumulating every parameter gradient. The first layer is told
+     * that nothing reads its input gradient, so none is returned.
+     */
+    void backwardBatch(const Matrix &grad_out, std::size_t samples);
 
     /** All trainable parameter tensors. */
     std::vector<Matrix *> params();

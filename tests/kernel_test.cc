@@ -2,8 +2,8 @@
  * @file
  * Property tests of the optimized dense kernels against the naive
  * reference implementation: random shapes (including degenerate 0/1
- * dimensions) must agree within float tolerance, and the row-parallel
- * path must produce bits identical to the serial path.
+ * dimensions) must agree within float tolerance, and the GEMMs must not
+ * depend on the pool's thread count.
  *
  * The CrossIsa suite enforces the determinism contract of DESIGN.md
  * §10: every kernels:: entry point must produce bitwise-identical
@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -164,7 +165,8 @@ TEST(Kernel, GemvMatchesReference)
 
 TEST(Kernel, ThreadedPathBitIdenticalToSerial)
 {
-    // Large enough to clear the kernels' parallel-dispatch threshold.
+    // GEMMs run on their calling thread, so the pool size must not
+    // reach the bits of a GEMM this large (~5.8 MFLOP).
     Rng rng(7);
     const Matrix a = randomMatrix(96, 200, rng);
     const Matrix b = randomMatrix(200, 150, rng);
@@ -293,6 +295,97 @@ TEST(BatchedNetwork, GradientsMatchPerSampleAccumulation)
     ASSERT_EQ(sg.size(), bg.size());
     for (std::size_t i = 0; i < sg.size(); ++i)
         expectNear(*bg[i], *sg[i], 1e-3f);
+}
+
+/**
+ * The layers of CnnLstmClassifier at trace defaults (two channels,
+ * 32 filters of width 8, stride 3, pool 4, 32 LSTM units), so conv1 is
+ * the layer whose input gradient Sequential::backwardBatch skips.
+ */
+std::vector<std::unique_ptr<Layer>>
+makeCnnLstmLayers(std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::unique_ptr<Layer>> layers;
+    layers.push_back(std::make_unique<Conv1D>(2, 32, 8, 3, rng));
+    layers.push_back(std::make_unique<ReLU>());
+    layers.push_back(std::make_unique<MaxPool1D>(4));
+    layers.push_back(std::make_unique<Conv1D>(32, 32, 8, 3, rng));
+    layers.push_back(std::make_unique<ReLU>());
+    layers.push_back(std::make_unique<MaxPool1D>(4));
+    layers.push_back(std::make_unique<Lstm>(32, 32, rng));
+    layers.push_back(std::make_unique<Dropout>(0.3, rng()));
+    layers.push_back(std::make_unique<Dense>(32, 4, rng));
+    return layers;
+}
+
+TEST(BatchedNetwork, SkippedInputGradientLeavesParameterGradientsBitIdentical)
+{
+    constexpr std::size_t kSamples = 16, kChannels = 2, kSteps = 256;
+    Rng rng(404);
+    const Matrix batch = randomMatrix(kChannels, kSamples * kSteps, rng);
+    std::vector<Label> labels;
+    for (std::size_t s = 0; s < kSamples; ++s)
+        labels.push_back(static_cast<Label>(s % 4));
+
+    Sequential skipped;
+    for (auto &layer : makeCnnLstmLayers(55))
+        skipped.add(std::move(layer));
+    std::vector<std::unique_ptr<Layer>> full = makeCnnLstmLayers(55);
+
+    Matrix grad;
+    skipped.zeroGrads();
+    SoftmaxCrossEntropy::lossAndGradientBatch(
+        skipped.forwardBatch(batch, kSamples, true), labels, grad);
+    skipped.backwardBatch(grad, kSamples);
+
+    Matrix x = batch;
+    for (auto &layer : full) {
+        layer->zeroGrads();
+        x = layer->forwardBatch(x, kSamples, true);
+    }
+    SoftmaxCrossEntropy::lossAndGradientBatch(x, labels, grad);
+    Matrix g = grad;
+    for (auto it = full.rbegin(); it != full.rend(); ++it)
+        g = (*it)->backwardBatch(g, kSamples, true);
+    EXPECT_EQ(g.rows(), kChannels);
+    EXPECT_EQ(g.cols(), kSamples * kSteps);
+
+    std::vector<Matrix *> want;
+    for (auto &layer : full)
+        for (Matrix *m : layer->grads())
+            want.push_back(m);
+    const std::vector<Matrix *> got = skipped.grads();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i]->size(), want[i]->size());
+        EXPECT_EQ(std::memcmp(got[i]->data(), want[i]->data(),
+                              want[i]->size() * sizeof(float)),
+                  0)
+            << "gradient buffer " << i;
+    }
+}
+
+TEST(BatchedNetwork, ConvWithoutInputGradientReturnsEmpty)
+{
+    constexpr std::size_t kSamples = 3, kSteps = 40;
+    Rng rng(17);
+    const Matrix in = randomMatrix(2, kSamples * kSteps, rng);
+    Rng wa(9), wb(9);
+    Conv1D skipped(2, 5, 4, 2, wa), full(2, 5, 4, 2, wb);
+    const Matrix out = skipped.forwardBatch(in, kSamples, true);
+    full.forwardBatch(in, kSamples, true);
+    const Matrix grad_out = randomMatrix(out.rows(), out.cols(), rng);
+
+    EXPECT_EQ(skipped.backwardBatch(grad_out, kSamples, false).size(), 0u);
+    EXPECT_EQ(full.backwardBatch(grad_out, kSamples, true).size(),
+              in.size());
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(std::memcmp(skipped.grads()[i]->data(),
+                              full.grads()[i]->data(),
+                              full.grads()[i]->size() * sizeof(float)),
+                  0)
+            << "gradient buffer " << i;
 }
 
 // --- Cross-ISA bit-identity (DESIGN.md §10) ----------------------------

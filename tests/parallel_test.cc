@@ -6,9 +6,14 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -255,14 +260,57 @@ TEST(ParallelPipeline, EndToEndMetricsMatchAcrossThreadCounts)
     EXPECT_EQ(serial.collectedTraces, wide.collectedTraces);
 }
 
+/** The process's user + system CPU seconds, as getrusage reports. */
+double
+processCpuSeconds()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto seconds = [](const timeval &t) {
+        return static_cast<double>(t.tv_sec) +
+               1e-6 * static_cast<double>(t.tv_usec);
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ParallelPipeline, StageCpuSumsToProcessCpu)
+{
+    // Fold stages time themselves on their thread's CPU clock. A fold
+    // whose kernels fanned out into the pool would run other folds on
+    // its own thread while it waited, and count their CPU twice. More
+    // folds than threads keeps folds queued while the first ones train.
+    core::CollectionConfig collection = smallConfig();
+    core::PipelineConfig pipeline;
+    pipeline.numSites = 4;
+    pipeline.tracesPerSite = 6;
+    pipeline.eval.folds = 12;
+    const attack::AttackerKind kinds[] = {
+        attack::AttackerKind::LoopCounting,
+        attack::AttackerKind::SweepCounting};
+
+    ScopedThreads scoped(4);
+    const double cpu_start = processCpuSeconds();
+    const auto results =
+        core::runFingerprintingSharedOrDie(collection, kinds, pipeline);
+    const double process_cpu = processCpuSeconds() - cpu_start;
+
+    double stage_cpu = 0.0;
+    for (const auto &result : results)
+        for (const auto &stage : result.stages)
+            stage_cpu += stage.cpuSeconds;
+    EXPECT_GT(stage_cpu, 0.0);
+    EXPECT_LE(stage_cpu, 1.10 * process_cpu)
+        << "stage rows " << stage_cpu << " s, process " << process_cpu
+        << " s";
+}
+
 TEST(ParallelGemm, TransposedBFoldTasksMatchSerialBitForBit)
 {
     // accumulateMatmulTransB's short-k path (k <= 32, n >= 16)
-    // transposes B into a buffer and fans its rows out above the
-    // parallel threshold (1024 x 16 x 48 is ~1.6 MFLOP). Fold tasks run
-    // it concurrently: the calling thread, while it waits for its own
-    // row chunks, picks up further queued fold tasks. Every product
-    // must still match the serial one bit for bit.
+    // transposes B into a scratch buffer. Fold tasks run it
+    // concurrently on every pool thread, the caller included, so the
+    // scratch must belong to the call: every product must still match
+    // the serial one bit for bit.
     constexpr std::size_t kFolds = 8, kRows = 1024, kK = 16, kN = 48;
     const auto product = [&](std::size_t fold) {
         Rng rng(fold + 1);
@@ -340,15 +388,36 @@ TEST(ThreadPool, NestedRegionsRunInline)
     EXPECT_EQ(count.load(), 8 * 16);
 }
 
+TEST(ThreadPool, ThreadCountBoundsTheThreadsRunningBodies)
+{
+    // N threads in all: N - 1 workers plus the calling thread, so N
+    // threads compete for N cores, never N + 1.
+    for (const int threads : {1, 2, 4}) {
+        ThreadPool pool(threads);
+        const std::size_t n = 4 * static_cast<std::size_t>(threads);
+        std::vector<std::thread::id> ids(n);
+        pool.parallelFor(n, [&](std::size_t i) {
+            ids[i] = std::this_thread::get_id();
+            // Long enough that every idle thread picks up a chunk.
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        });
+        std::set<std::thread::id> distinct(ids.begin(), ids.end());
+        EXPECT_LE(distinct.size(), static_cast<std::size_t>(threads))
+            << "pool of " << threads;
+    }
+}
+
 TEST(ThreadPool, SingleThreadPoolSpawnsNoWorkers)
 {
     ThreadPool pool(1);
     EXPECT_EQ(pool.threadCount(), 1);
-    bool ran = false;
-    // A 1-thread pool runs the body inline on the caller; the write
+    std::set<std::thread::id> ids;
+    // A 1-thread pool runs every body inline on the caller; the insert
     // cannot race. bigfish-lint: allow(parallel-capture-race)
-    pool.parallelFor(1, [&](std::size_t) { ran = true; });
-    EXPECT_TRUE(ran);
+    pool.parallelFor(8, [&](std::size_t) {
+        ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
 } // namespace
