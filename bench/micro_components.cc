@@ -278,13 +278,22 @@ BM_CnnLstmTrainEpochPerSample(benchmark::State &state)
 BENCHMARK(BM_CnnLstmTrainEpochPerSample);
 
 /**
- * Per-ISA kernel sweep: each case runs once per simd::Tag (Arg 0..2 =
- * scalar/sse2/avx2, clamped to what the host supports) at the shapes
+ * Per-ISA kernel sweep: each case runs once per simd::Tag (scalar,
+ * then avx2 — clamped to scalar on a host without AVX2) at the shapes
  * the paper model actually trains — LSTM hidden 32 over 32-sample
  * batches (gate spans of 1024 lanes), the full CNN-LSTM Adam parameter
- * block, and the conv GEMM — so the scalar row IS the before and the
- * avx2 row the after of the vectorization.
+ * block, the conv GEMM and the A*B^T weight-gradient GEMM — so the
+ * scalar row IS the before and the avx2 row the after of the
+ * vectorization. adamStep has only the scalar path, so both of its
+ * rows run the same code. The Arg is the Tag's value (0 / 2).
  */
+void
+isaArgs(benchmark::internal::Benchmark *bench)
+{
+    bench->Arg(static_cast<int>(simd::Tag::Scalar))
+        ->Arg(static_cast<int>(simd::Tag::Avx2));
+}
+
 simd::Tag
 benchTag(benchmark::State &state)
 {
@@ -314,7 +323,7 @@ BM_KernelDotByIsa(benchmark::State &state)
             ml::kernels::dot(a.data(), b.data(), a.size()));
     simd::setActive(saved);
 }
-BENCHMARK(BM_KernelDotByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelDotByIsa)->Apply(isaArgs);
 
 void
 BM_KernelLstmGatesByIsa(benchmark::State &state)
@@ -342,7 +351,7 @@ BM_KernelLstmGatesByIsa(benchmark::State &state)
     }
     simd::setActive(saved);
 }
-BENCHMARK(BM_KernelLstmGatesByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelLstmGatesByIsa)->Apply(isaArgs);
 
 void
 BM_KernelAdamStepByIsa(benchmark::State &state)
@@ -377,7 +386,7 @@ BM_KernelAdamStepByIsa(benchmark::State &state)
     }
     simd::setActive(saved);
 }
-BENCHMARK(BM_KernelAdamStepByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelAdamStepByIsa)->Apply(isaArgs);
 
 void
 BM_KernelSigmoidByIsa(benchmark::State &state)
@@ -395,7 +404,7 @@ BM_KernelSigmoidByIsa(benchmark::State &state)
     }
     simd::setActive(saved);
 }
-BENCHMARK(BM_KernelSigmoidByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelSigmoidByIsa)->Apply(isaArgs);
 
 void
 BM_MatmulByIsa(benchmark::State &state)
@@ -411,7 +420,28 @@ BM_MatmulByIsa(benchmark::State &state)
         benchmark::DoNotOptimize(ml::matmul(a, b));
     simd::setActive(saved);
 }
-BENCHMARK(BM_MatmulByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MatmulByIsa)->Apply(isaArgs);
+
+void
+BM_MatmulTransBByIsa(benchmark::State &state)
+{
+    // C += A * B^T at a training shape (32x64 output, k = 250): the
+    // dotTile4x2 path. BM_KernelDotByIsa alone favours the scalar dot,
+    // but the 4x2 tile is what training runs, and it is why dot and
+    // dotTile4x2 keep their AVX2 spelling.
+    const simd::Tag saved = simd::active();
+    benchTag(state);
+    Rng rng(15);
+    ml::Matrix a(32, 250), b(64, 250), c(32, 64);
+    a.randomize(rng, 1.0);
+    b.randomize(rng, 1.0);
+    for (auto _ : state) {
+        ml::accumulateMatmulTransB(c, a, b);
+        benchmark::DoNotOptimize(c.data());
+    }
+    simd::setActive(saved);
+}
+BENCHMARK(BM_MatmulTransBByIsa)->Apply(isaArgs);
 
 } // namespace
 

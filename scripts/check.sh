@@ -21,11 +21,13 @@
 #               IO-crash under `--isolate --keep-going` and require
 #               exit 1 with a complete suite manifest (crashed + ok).
 #   simd      — the DESIGN.md §10 determinism gate: the kernel test
-#               binary under BF_SIMD=scalar, sse2 and avx2; three
-#               table1 smokes (one per BF_SIMD) whose artifacts must be
-#               bit-identical; and a cache-reuse smoke — two runs with
-#               --cache-dir where the second must hit the stage cache
-#               and replay a bit-identical artifact.
+#               binary under BF_SIMD=scalar and avx2; two table1
+#               smokes (one per BF_SIMD) whose artifacts must be
+#               bit-identical; a BF_SIMD=sse2 smoke that must warn it
+#               ignores the value and still match the avx2 artifact;
+#               and a cache-reuse smoke — two runs with --cache-dir
+#               where the second must hit the stage cache and replay a
+#               bit-identical artifact.
 #   stage-cache — the stage-graph reuse gate: a cold --cache-dir run,
 #               then a warm run with only eval folds changed (must skip
 #               Collect/Featurize but retrain) and a warm run with only
@@ -270,26 +272,37 @@ for stage in "${stages[@]}"; do
         cmake --build "$builddir" --target bigfish test_kernel -j "$jobs"
         sdir="$(mktemp -d)"
         tmpdirs+=("$sdir")
-        for isa in scalar sse2 avx2; do
+        for isa in scalar avx2; do
             echo "== [simd] kernel tests under BF_SIMD=$isa"
             BF_SIMD="$isa" "$builddir/tests/test_kernel" \
                 > "$sdir/kernel-$isa.log" ||
                 { tail -n 40 "$sdir/kernel-$isa.log"; exit 1; }
         done
         echo "== [simd] BF_SIMD artifact bit-identity (table1 --smoke)"
-        for isa in scalar sse2 avx2; do
+        for isa in scalar avx2; do
             BF_SIMD="$isa" "$builddir/bigfish" run table1_fingerprinting \
                 --smoke --threads=2 --json="$sdir/t1-$isa.json" > /dev/null
         done
-        for isa in sse2 avx2; do
-            # Timings are the only run-to-run difference allowed.
-            if ! diff <(grep -v 'Seconds' "$sdir/t1-scalar.json") \
-                      <(grep -v 'Seconds' "$sdir/t1-$isa.json"); then
-                echo "BF_SIMD=$isa artifact differs from scalar" >&2
-                exit 1
-            fi
-        done
+        # Timings are the only run-to-run difference allowed.
+        if ! diff <(grep -v 'Seconds' "$sdir/t1-scalar.json") \
+                  <(grep -v 'Seconds' "$sdir/t1-avx2.json"); then
+            echo "BF_SIMD=avx2 artifact differs from scalar" >&2
+            exit 1
+        fi
         echo "== [simd] artifacts bit-identical across BF_SIMD values"
+        echo "== [simd] retired BF_SIMD value is ignored with a warning"
+        BF_SIMD=sse2 "$builddir/bigfish" run table1_fingerprinting \
+            --smoke --threads=2 --json="$sdir/t1-retired.json" \
+            > /dev/null 2> "$sdir/t1-retired.err"
+        grep -qF "ignoring BF_SIMD='sse2' (want scalar or avx2)" \
+            "$sdir/t1-retired.err" ||
+            { echo "retired BF_SIMD value did not warn" >&2
+              cat "$sdir/t1-retired.err" >&2; exit 1; }
+        if ! diff <(grep -v 'Seconds' "$sdir/t1-avx2.json") \
+                  <(grep -v 'Seconds' "$sdir/t1-retired.json"); then
+            echo "retired BF_SIMD value: artifact differs from avx2" >&2
+            exit 1
+        fi
         echo "== [simd] cache-reuse smoke (two runs, one --cache-dir)"
         "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
             --cache-dir="$sdir/cache" --json="$sdir/cold.json" \

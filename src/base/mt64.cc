@@ -1,7 +1,5 @@
 #include "base/mt64.hh"
 
-#include "base/simd.hh"
-
 namespace bigfish {
 
 namespace {
@@ -20,7 +18,7 @@ twistWord(std::uint64_t cur, std::uint64_t next, std::uint64_t far)
 } // namespace
 
 void
-Mt64::refillScalar()
+Mt64::refill()
 {
     int i = 0;
     for (; i < kN - kM; ++i)
@@ -29,71 +27,6 @@ Mt64::refillScalar()
         mt_[i] = twistWord(mt_[i], mt_[i + 1], mt_[i + kM - kN]);
     mt_[kN - 1] = twistWord(mt_[kN - 1], mt_[0], mt_[kM - 1]);
     mti_ = 0;
-}
-
-#if defined(BF_SIMD_X86)
-
-__attribute__((target("avx2"))) void
-Mt64::refillAvx2()
-{
-    // The twist is pure 64-bit integer logic, so four lanes at a time is
-    // exact. Dependence check: iteration i writes mt_[i..i+3] and reads
-    // mt_[i..i+4] (before the write) plus mt_[i+kM] / mt_[i+kM-kN]; in
-    // phase one the far read is ahead of every write, in phase two it
-    // trails the write cursor by kM=156 > 4 words. Unaligned loads keep
-    // Mt64 free of an over-aligned-member ABI requirement.
-    const __m256i um = _mm256_set1_epi64x(static_cast<long long>(kUpperMask));
-    const __m256i lm = _mm256_set1_epi64x(static_cast<long long>(kLowerMask));
-    const __m256i one = _mm256_set1_epi64x(1);
-    const __m256i mat = _mm256_set1_epi64x(static_cast<long long>(kMatrixA));
-    const __m256i zero = _mm256_setzero_si256();
-    const auto twist4 = [&](const std::uint64_t *cur,
-                            const std::uint64_t *far) {
-        const __m256i x0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(cur));
-        const __m256i x1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(cur + 1));
-        const __m256i y = _mm256_or_si256(_mm256_and_si256(x0, um),
-                                          _mm256_and_si256(x1, lm));
-        // (y & 1) ? kMatrixA : 0, branchless: 0-(y&1) is an all-ones or
-        // all-zeros lane mask.
-        const __m256i mag = _mm256_and_si256(
-            _mm256_sub_epi64(zero, _mm256_and_si256(y, one)), mat);
-        const __m256i xf =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(far));
-        return _mm256_xor_si256(_mm256_xor_si256(xf, _mm256_srli_epi64(y, 1)),
-                                mag);
-    };
-    static_assert((kN - kM) % 4 == 0,
-                  "phase one must be an exact multiple of the lane width");
-    int i = 0;
-    for (; i < kN - kM; i += 4)
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(mt_ + i),
-                            twist4(mt_ + i, mt_ + i + kM));
-    for (; i + 4 <= kN - 1; i += 4)
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(mt_ + i),
-                            twist4(mt_ + i, mt_ + i + kM - kN));
-    for (; i < kN - 1; ++i)
-        mt_[i] = twistWord(mt_[i], mt_[i + 1], mt_[i + kM - kN]);
-    mt_[kN - 1] = twistWord(mt_[kN - 1], mt_[0], mt_[kM - 1]);
-    mti_ = 0;
-}
-
-#endif // BF_SIMD_X86
-
-void
-Mt64::refill()
-{
-    // Honors the BF_SIMD override like the kernel layer: =scalar really
-    // does run only portable code. The paths are integer-exact, so the
-    // choice can never change a deviate (rng_exact_test covers both).
-#if defined(BF_SIMD_X86)
-    if (simd::active() == simd::Tag::Avx2) {
-        refillAvx2();
-        return;
-    }
-#endif
-    refillScalar();
 }
 
 } // namespace bigfish

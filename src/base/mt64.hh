@@ -9,11 +9,11 @@
  * of thousands of times per run (every real-valued deviate consumes a
  * raw draw, and the polar normal rejection loop consumes several).
  * Mt64 produces the exact same stream — same seeding recurrence, same
- * twist, same tempering — from a state regeneration that is written to
- * vectorize (the twist is pure 64-bit integer logic, so the AVX2 path
- * is exact, not approximately equal). tests/rng_exact_test.cc pins
- * raw-draw equality against std::mt19937_64 across many refills on
- * every dispatch path.
+ * twist, same tempering — from a portable scalar twist that the
+ * compiler is free to auto-vectorize (the twist is pure 64-bit integer
+ * logic). A hand-written AVX2 twist measured at par with it, so there
+ * is one implementation and no ISA dispatch. tests/rng_exact_test.cc
+ * pins raw-draw equality against std::mt19937_64 across many refills.
  *
  * Mt64 satisfies the UniformRandomBitGenerator requirements with the
  * same result_type and min/max as std::mt19937_64, so std distribution
@@ -28,7 +28,7 @@
 
 namespace bigfish {
 
-/** MT19937-64 with a vectorized twist; stream-identical to std. */
+/** MT19937-64 engine; stream-identical to std::mt19937_64. */
 class Mt64
 {
   public:
@@ -69,14 +69,8 @@ class Mt64
     }
 
   private:
-    /** Regenerates the state block; dispatches on bf::simd::active(). */
+    /** Regenerates the state block (the MT19937-64 twist). */
     void refill();
-    /** Portable twist (reference implementation). */
-    void refillScalar();
-#if defined(__x86_64__) || defined(__i386__)
-    /** Four-words-at-a-time twist; exact (integer) AVX2. */
-    void refillAvx2();
-#endif
 
     std::uint64_t mt_[kN];
     int mti_;

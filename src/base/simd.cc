@@ -16,11 +16,7 @@ std::atomic<int> g_active{-1};
 Tag
 clampToSupported(Tag tag)
 {
-    if (tag == Tag::Avx2 && !supported(Tag::Avx2))
-        tag = Tag::Sse2;
-    if (tag == Tag::Sse2 && !supported(Tag::Sse2))
-        tag = Tag::Scalar;
-    return tag;
+    return supported(tag) ? tag : Tag::Scalar;
 }
 
 /** BF_SIMD override when set and recognized, else detect(). */
@@ -37,14 +33,12 @@ resolveInitial()
     Tag tag = detect();
     if (want == "scalar") {
         tag = Tag::Scalar;
-    } else if (want == "sse2") {
-        tag = Tag::Sse2;
     } else if (want == "avx2") {
         tag = Tag::Avx2;
     } else {
         warnOnce("simd/bad-env",
                  "ignoring BF_SIMD='" + want +
-                     "' (want scalar, sse2 or avx2); using " + name(tag));
+                     "' (want scalar or avx2); using " + name(tag));
         return tag;
     }
     const Tag effective = clampToSupported(tag);
@@ -64,8 +58,6 @@ name(Tag tag)
     switch (tag) {
     case Tag::Scalar:
         return "scalar";
-    case Tag::Sse2:
-        return "sse2";
     case Tag::Avx2:
         return "avx2";
     }
@@ -79,8 +71,6 @@ supported(Tag tag)
     switch (tag) {
     case Tag::Scalar:
         return true;
-    case Tag::Sse2:
-        return __builtin_cpu_supports("sse2") != 0;
     case Tag::Avx2:
         return __builtin_cpu_supports("avx2") != 0;
     }
@@ -93,11 +83,7 @@ supported(Tag tag)
 Tag
 detect()
 {
-    if (supported(Tag::Avx2))
-        return Tag::Avx2;
-    if (supported(Tag::Sse2))
-        return Tag::Sse2;
-    return Tag::Scalar;
+    return supported(Tag::Avx2) ? Tag::Avx2 : Tag::Scalar;
 }
 
 Tag

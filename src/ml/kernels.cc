@@ -1,23 +1,23 @@
 /**
  * @file
- * The three ISA paths behind ml/kernels.hh.
+ * The two ISA paths behind ml/kernels.hh: AVX2 or portable scalar.
  *
- * Every public kernel dispatches on bf::simd::active() to one of three
- * implementations (AVX2 / SSE2 / portable scalar) that are bit-identical
- * by construction — see the determinism contract in kernels.hh and
- * DESIGN.md §10. The rules this file lives by:
+ * Every public kernel except adamStep dispatches on bf::simd::active()
+ * to one of two implementations that are bit-identical by construction
+ * — see the determinism contract in kernels.hh and DESIGN.md §10. Adam
+ * is scalar-only: its AVX2 spelling measured at par with the
+ * -march=native scalar loop. The rules this file lives by:
  *
  *  - Reductions hold a fixed 8-lane virtual accumulator. AVX2 keeps it
- *    in one __m256; SSE2 keeps lanes 0-3 / 4-7 in two __m128; the
- *    scalar path keeps float acc[8]. All three funnel through the one
- *    canonical combine tree (simd::hsum128Pair) and add the n%8 tail
- *    serially afterwards.
+ *    in one __m256; the scalar path keeps float acc[8]. Both funnel
+ *    through the one canonical combine tree (simd::hsum8) and add the
+ *    n%8 tail serially afterwards.
  *  - Elementwise math uses one fixed expression tree per element, only
  *    IEEE-exact operations (+ - * / sqrt min max), and never a fused
  *    multiply-add: no FMA intrinsics appear below, and this TU builds
  *    with -ffp-contract=off so the compiler cannot introduce one.
  *  - exp/sigmoid/tanh are Cephes-derived polynomials whose scalar
- *    spelling performs exactly the operations the vector paths perform
+ *    spelling performs exactly the operations the AVX2 path performs
  *    lane-wise (including min/max NaN semantics and nearest-even
  *    integer rounding), so a tail element equals its vector lane.
  */
@@ -78,7 +78,7 @@ constexpr float kTanhC4 = -3.33332819422e-1f;
 // ====================== portable scalar path ======================
 //
 // Each scalar transcendental is written as the exact lane-wise
-// operation sequence of the vector paths: the clamp ternaries mirror
+// operation sequence of the AVX2 path: the clamp ternaries mirror
 // minps/maxps operand order (second operand wins on NaN), nearbyintf
 // mirrors cvtps2dq's nearest-even rounding, and sign handling uses the
 // same bit operations as andps/xorps.
@@ -147,7 +147,7 @@ scalarDot(const float *a, const float *b, std::size_t n)
     float tail = 0.0f;
     for (; i < n; ++i)
         tail += a[i] * b[i];
-    // The canonical combine tree (simd::hsum128Pair in vector form).
+    // The canonical combine tree (simd::hsum8 in vector form).
     return (((acc[0] + acc[4]) + (acc[2] + acc[6])) +
             ((acc[1] + acc[5]) + (acc[3] + acc[7]))) +
            tail;
@@ -314,329 +314,10 @@ scalarAdam(float *p, const float *g, float *m, float *v, std::size_t n,
 
 #if defined(BF_SIMD_X86)
 
-// Function-level target attributes keep the TU's baseline flags
-// ISA-agnostic: each path compiles for exactly the ISA it dispatches
-// to, so a non-AVX2 build machine still produces every path.
-#define BF_K_SSE2 __attribute__((target("sse2")))
+// A function-level target attribute keeps the TU's baseline flags
+// ISA-agnostic: the AVX2 path compiles for exactly the ISA it
+// dispatches to, so a non-AVX2 build machine still produces it.
 #define BF_K_AVX2 __attribute__((target("avx2")))
-
-// ====================== SSE2 path ======================
-
-BF_K_SSE2 inline __m128
-expPs128(__m128 x)
-{
-    x = _mm_min_ps(x, _mm_set1_ps(kExpHi));
-    x = _mm_max_ps(x, _mm_set1_ps(kExpLo));
-    const __m128 t = _mm_mul_ps(x, _mm_set1_ps(kLog2e));
-    const __m128i ni = _mm_cvtps_epi32(t); // nearest-even
-    const __m128 fn = _mm_cvtepi32_ps(ni);
-    __m128 r = _mm_sub_ps(x, _mm_mul_ps(fn, _mm_set1_ps(kLn2Hi)));
-    r = _mm_sub_ps(r, _mm_mul_ps(fn, _mm_set1_ps(kLn2Lo)));
-    const __m128 z = _mm_mul_ps(r, r);
-    __m128 p = _mm_set1_ps(kExpC0);
-    p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(kExpC1));
-    p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(kExpC2));
-    p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(kExpC3));
-    p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(kExpC4));
-    p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(kExpC5));
-    const __m128 y = _mm_add_ps(
-        _mm_add_ps(_mm_mul_ps(p, z), r), _mm_set1_ps(1.0f));
-    const __m128i ebits =
-        _mm_slli_epi32(_mm_add_epi32(ni, _mm_set1_epi32(127)), 23);
-    return _mm_mul_ps(y, _mm_castsi128_ps(ebits));
-}
-
-BF_K_SSE2 inline __m128
-sigmoidPs128(__m128 x)
-{
-    const __m128 nx = _mm_xor_ps(x, _mm_set1_ps(-0.0f));
-    const __m128 e = expPs128(nx);
-    const __m128 one = _mm_set1_ps(1.0f);
-    return _mm_div_ps(one, _mm_add_ps(one, e));
-}
-
-BF_K_SSE2 inline __m128
-tanhPs128(__m128 x)
-{
-    const __m128 signMask = _mm_set1_ps(-0.0f);
-    const __m128 sign = _mm_and_ps(x, signMask);
-    const __m128 ax = _mm_andnot_ps(signMask, x);
-    // Small branch: odd polynomial in x.
-    const __m128 z2 = _mm_mul_ps(x, x);
-    __m128 p = _mm_set1_ps(kTanhC0);
-    p = _mm_add_ps(_mm_mul_ps(p, z2), _mm_set1_ps(kTanhC1));
-    p = _mm_add_ps(_mm_mul_ps(p, z2), _mm_set1_ps(kTanhC2));
-    p = _mm_add_ps(_mm_mul_ps(p, z2), _mm_set1_ps(kTanhC3));
-    p = _mm_add_ps(_mm_mul_ps(p, z2), _mm_set1_ps(kTanhC4));
-    const __m128 small =
-        _mm_add_ps(_mm_mul_ps(_mm_mul_ps(p, z2), x), x);
-    // Large branch: 1 - 2/(exp(2|x|)+1), sign restored via xor.
-    const __m128 one = _mm_set1_ps(1.0f);
-    const __m128 e = expPs128(_mm_add_ps(ax, ax));
-    const __m128 large = _mm_xor_ps(
-        _mm_sub_ps(one,
-                   _mm_div_ps(_mm_set1_ps(2.0f), _mm_add_ps(e, one))),
-        sign);
-    const __m128 mask = _mm_cmplt_ps(ax, _mm_set1_ps(kTanhCut));
-    return _mm_or_ps(_mm_and_ps(mask, small),
-                     _mm_andnot_ps(mask, large));
-}
-
-BF_K_SSE2 float
-sse2Dot(const float *a, const float *b, std::size_t n)
-{
-    __m128 lo = _mm_setzero_ps(); // virtual lanes 0-3
-    __m128 hi = _mm_setzero_ps(); // virtual lanes 4-7
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        lo = _mm_add_ps(
-            lo, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-        hi = _mm_add_ps(hi, _mm_mul_ps(_mm_loadu_ps(a + i + 4),
-                                       _mm_loadu_ps(b + i + 4)));
-    }
-    float tail = 0.0f;
-    for (; i < n; ++i)
-        tail += a[i] * b[i];
-    return simd::hsum128Pair(lo, hi) + tail;
-}
-
-BF_K_SSE2 void
-sse2DotTile4x2(float *c, const float *a, const float *b, std::size_t i0,
-               std::size_t j0, std::size_t k, std::size_t n)
-{
-    const float *ar[4] = {a + (i0 + 0) * k, a + (i0 + 1) * k,
-                          a + (i0 + 2) * k, a + (i0 + 3) * k};
-    const float *bc[2] = {b + (j0 + 0) * k, b + (j0 + 1) * k};
-    __m128 accLo[4][2];
-    __m128 accHi[4][2];
-    for (int r = 0; r < 4; ++r)
-        for (int cc = 0; cc < 2; ++cc) {
-            accLo[r][cc] = _mm_setzero_ps();
-            accHi[r][cc] = _mm_setzero_ps();
-        }
-    std::size_t t = 0;
-    for (; t + 8 <= k; t += 8) {
-        const __m128 b0l = _mm_loadu_ps(bc[0] + t);
-        const __m128 b0h = _mm_loadu_ps(bc[0] + t + 4);
-        const __m128 b1l = _mm_loadu_ps(bc[1] + t);
-        const __m128 b1h = _mm_loadu_ps(bc[1] + t + 4);
-        for (int r = 0; r < 4; ++r) {
-            const __m128 al = _mm_loadu_ps(ar[r] + t);
-            const __m128 ah = _mm_loadu_ps(ar[r] + t + 4);
-            accLo[r][0] = _mm_add_ps(accLo[r][0], _mm_mul_ps(al, b0l));
-            accHi[r][0] = _mm_add_ps(accHi[r][0], _mm_mul_ps(ah, b0h));
-            accLo[r][1] = _mm_add_ps(accLo[r][1], _mm_mul_ps(al, b1l));
-            accHi[r][1] = _mm_add_ps(accHi[r][1], _mm_mul_ps(ah, b1h));
-        }
-    }
-    for (int r = 0; r < 4; ++r) {
-        for (int cc = 0; cc < 2; ++cc) {
-            float tail = 0.0f;
-            for (std::size_t tt = t; tt < k; ++tt)
-                tail += ar[r][tt] * bc[cc][tt];
-            const float s =
-                simd::hsum128Pair(accLo[r][cc], accHi[r][cc]) + tail;
-            c[(i0 + static_cast<std::size_t>(r)) * n + j0 +
-              static_cast<std::size_t>(cc)] += s;
-        }
-    }
-}
-
-BF_K_SSE2 void
-sse2Axpy(float *y, const float *x, float a, std::size_t n)
-{
-    const __m128 va = _mm_set1_ps(a);
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m128 vy = _mm_add_ps(
-            _mm_loadu_ps(y + j),
-            _mm_mul_ps(va, _mm_loadu_ps(x + j)));
-        _mm_storeu_ps(y + j, vy);
-    }
-    for (; j < n; ++j)
-        y[j] = y[j] + a * x[j];
-}
-
-BF_K_SSE2 void
-sse2Axpy4(float *y, const float *x0, const float *x1, const float *x2,
-          const float *x3, float a0, float a1, float a2, float a3,
-          std::size_t n)
-{
-    const __m128 v0 = _mm_set1_ps(a0);
-    const __m128 v1 = _mm_set1_ps(a1);
-    const __m128 v2 = _mm_set1_ps(a2);
-    const __m128 v3 = _mm_set1_ps(a3);
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m128 t01 =
-            _mm_add_ps(_mm_mul_ps(v0, _mm_loadu_ps(x0 + j)),
-                       _mm_mul_ps(v1, _mm_loadu_ps(x1 + j)));
-        const __m128 t23 =
-            _mm_add_ps(_mm_mul_ps(v2, _mm_loadu_ps(x2 + j)),
-                       _mm_mul_ps(v3, _mm_loadu_ps(x3 + j)));
-        _mm_storeu_ps(y + j, _mm_add_ps(_mm_loadu_ps(y + j),
-                                        _mm_add_ps(t01, t23)));
-    }
-    for (; j < n; ++j) {
-        const float t01 = a0 * x0[j] + a1 * x1[j];
-        const float t23 = a2 * x2[j] + a3 * x3[j];
-        y[j] = y[j] + (t01 + t23);
-    }
-}
-
-BF_K_SSE2 __attribute__((flatten)) void
-sse2GemmRowPanel(float *y, const float *a, std::size_t astride,
-                 const float *b, std::size_t k0, std::size_t k1,
-                 std::size_t n)
-{
-    std::size_t kk = k0;
-    for (; kk + 4 <= k1; kk += 4) {
-        const float *b0 = b + kk * n;
-        sse2Axpy4(y, b0, b0 + n, b0 + 2 * n, b0 + 3 * n,
-                  a[kk * astride], a[(kk + 1) * astride],
-                  a[(kk + 2) * astride], a[(kk + 3) * astride], n);
-    }
-    for (; kk < k1; ++kk)
-        sse2Axpy(y, b + kk * n, a[kk * astride], n);
-}
-
-BF_K_SSE2 void
-sse2Relu(float *d, std::size_t n)
-{
-    const __m128 zero = _mm_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        _mm_storeu_ps(d + i, _mm_max_ps(_mm_loadu_ps(d + i), zero));
-    for (; i < n; ++i)
-        d[i] = d[i] > 0.0f ? d[i] : 0.0f;
-}
-
-BF_K_SSE2 void
-sse2Sigmoid(float *d, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        _mm_storeu_ps(d + i, sigmoidPs128(_mm_loadu_ps(d + i)));
-    for (; i < n; ++i)
-        d[i] = sigmoidOne(d[i]);
-}
-
-BF_K_SSE2 void
-sse2Tanh(float *d, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        _mm_storeu_ps(d + i, tanhPs128(_mm_loadu_ps(d + i)));
-    for (; i < n; ++i)
-        d[i] = tanhOne(d[i]);
-}
-
-BF_K_SSE2 void
-sse2LstmForward(float *zi, float *zf, float *zg, float *zo, float *c,
-                float *h, std::size_t n)
-{
-    std::size_t s = 0;
-    for (; s + 4 <= n; s += 4) {
-        const __m128 i_g = sigmoidPs128(_mm_loadu_ps(zi + s));
-        const __m128 f_g = sigmoidPs128(_mm_loadu_ps(zf + s));
-        const __m128 g_g = tanhPs128(_mm_loadu_ps(zg + s));
-        const __m128 o_g = sigmoidPs128(_mm_loadu_ps(zo + s));
-        _mm_storeu_ps(zi + s, i_g);
-        _mm_storeu_ps(zf + s, f_g);
-        _mm_storeu_ps(zg + s, g_g);
-        _mm_storeu_ps(zo + s, o_g);
-        const __m128 c_new =
-            _mm_add_ps(_mm_mul_ps(f_g, _mm_loadu_ps(c + s)),
-                       _mm_mul_ps(i_g, g_g));
-        _mm_storeu_ps(c + s, c_new);
-        _mm_storeu_ps(h + s, _mm_mul_ps(o_g, tanhPs128(c_new)));
-    }
-    scalarLstmForward(zi + s, zf + s, zg + s, zo + s, c + s, h + s,
-                      n - s);
-}
-
-BF_K_SSE2 void
-sse2LstmBackward(const float *zi, const float *zf, const float *zg,
-                 const float *zo, const float *c, const float *cprev,
-                 const float *dh, float *dc, float *dzi, float *dzf,
-                 float *dzg, float *dzo, std::size_t n)
-{
-    const __m128 one = _mm_set1_ps(1.0f);
-    std::size_t s = 0;
-    for (; s + 4 <= n; s += 4) {
-        const __m128 i_g = _mm_loadu_ps(zi + s);
-        const __m128 f_g = _mm_loadu_ps(zf + s);
-        const __m128 g_g = _mm_loadu_ps(zg + s);
-        const __m128 o_g = _mm_loadu_ps(zo + s);
-        const __m128 tanh_c = tanhPs128(_mm_loadu_ps(c + s));
-        const __m128 dh_v = _mm_loadu_ps(dh + s);
-
-        const __m128 do_v = _mm_mul_ps(dh_v, tanh_c);
-        const __m128 dc_v = _mm_add_ps(
-            _mm_loadu_ps(dc + s),
-            _mm_mul_ps(_mm_mul_ps(dh_v, o_g),
-                       _mm_sub_ps(one, _mm_mul_ps(tanh_c, tanh_c))));
-
-        const __m128 di_v = _mm_mul_ps(dc_v, g_g);
-        const __m128 dg_v = _mm_mul_ps(dc_v, i_g);
-        const __m128 cp = cprev != nullptr ? _mm_loadu_ps(cprev + s)
-                                           : _mm_setzero_ps();
-        const __m128 df_v = _mm_mul_ps(dc_v, cp);
-
-        _mm_storeu_ps(dzi + s,
-                      _mm_mul_ps(_mm_mul_ps(di_v, i_g),
-                                 _mm_sub_ps(one, i_g)));
-        _mm_storeu_ps(dzf + s,
-                      _mm_mul_ps(_mm_mul_ps(df_v, f_g),
-                                 _mm_sub_ps(one, f_g)));
-        _mm_storeu_ps(
-            dzg + s,
-            _mm_mul_ps(dg_v,
-                       _mm_sub_ps(one, _mm_mul_ps(g_g, g_g))));
-        _mm_storeu_ps(dzo + s,
-                      _mm_mul_ps(_mm_mul_ps(do_v, o_g),
-                                 _mm_sub_ps(one, o_g)));
-
-        _mm_storeu_ps(dc + s, _mm_mul_ps(dc_v, f_g));
-    }
-    scalarLstmBackward(zi + s, zf + s, zg + s, zo + s, c + s,
-                       cprev != nullptr ? cprev + s : nullptr, dh + s,
-                       dc + s, dzi + s, dzf + s, dzg + s, dzo + s,
-                       n - s);
-}
-
-BF_K_SSE2 void
-sse2Adam(float *p, const float *g, float *m, float *v, std::size_t n,
-         const AdamConsts &k)
-{
-    const __m128 b1 = _mm_set1_ps(k.beta1);
-    const __m128 b2 = _mm_set1_ps(k.beta2);
-    const __m128 c1 = _mm_set1_ps(k.oneMinusBeta1);
-    const __m128 c2 = _mm_set1_ps(k.oneMinusBeta2);
-    const __m128 bc1 = _mm_set1_ps(k.invBiasCorrection1);
-    const __m128 bc2 = _mm_set1_ps(k.invBiasCorrection2);
-    const __m128 lr = _mm_set1_ps(k.learningRate);
-    const __m128 eps = _mm_set1_ps(k.epsilon);
-    const __m128 scale = _mm_set1_ps(k.gradScale);
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m128 gj = _mm_mul_ps(_mm_loadu_ps(g + j), scale);
-        const __m128 mj = _mm_add_ps(
-            _mm_mul_ps(b1, _mm_loadu_ps(m + j)), _mm_mul_ps(c1, gj));
-        const __m128 g2 = _mm_mul_ps(gj, gj);
-        const __m128 vj = _mm_add_ps(
-            _mm_mul_ps(b2, _mm_loadu_ps(v + j)), _mm_mul_ps(c2, g2));
-        _mm_storeu_ps(m + j, mj);
-        _mm_storeu_ps(v + j, vj);
-        const __m128 num = _mm_mul_ps(lr, _mm_mul_ps(mj, bc1));
-        const __m128 den = _mm_add_ps(
-            _mm_sqrt_ps(_mm_mul_ps(vj, bc2)), eps);
-        _mm_storeu_ps(p + j, _mm_sub_ps(_mm_loadu_ps(p + j),
-                                        _mm_div_ps(num, den)));
-    }
-    if (j < n)
-        scalarAdam(p + j, g + j, m + j, v + j, n - j, k);
-}
 
 // ====================== AVX2 path ======================
 
@@ -917,43 +598,6 @@ avx2LstmBackward(const float *zi, const float *zf, const float *zg,
                        n - s);
 }
 
-BF_K_AVX2 void
-avx2Adam(float *p, const float *g, float *m, float *v, std::size_t n,
-         const AdamConsts &k)
-{
-    const __m256 b1 = _mm256_set1_ps(k.beta1);
-    const __m256 b2 = _mm256_set1_ps(k.beta2);
-    const __m256 c1 = _mm256_set1_ps(k.oneMinusBeta1);
-    const __m256 c2 = _mm256_set1_ps(k.oneMinusBeta2);
-    const __m256 bc1 = _mm256_set1_ps(k.invBiasCorrection1);
-    const __m256 bc2 = _mm256_set1_ps(k.invBiasCorrection2);
-    const __m256 lr = _mm256_set1_ps(k.learningRate);
-    const __m256 eps = _mm256_set1_ps(k.epsilon);
-    const __m256 scale = _mm256_set1_ps(k.gradScale);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 gj =
-            _mm256_mul_ps(_mm256_loadu_ps(g + j), scale);
-        const __m256 mj =
-            _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + j)),
-                          _mm256_mul_ps(c1, gj));
-        const __m256 g2 = _mm256_mul_ps(gj, gj);
-        const __m256 vj =
-            _mm256_add_ps(_mm256_mul_ps(b2, _mm256_loadu_ps(v + j)),
-                          _mm256_mul_ps(c2, g2));
-        _mm256_storeu_ps(m + j, mj);
-        _mm256_storeu_ps(v + j, vj);
-        const __m256 num = _mm256_mul_ps(lr, _mm256_mul_ps(mj, bc1));
-        const __m256 den = _mm256_add_ps(
-            _mm256_sqrt_ps(_mm256_mul_ps(vj, bc2)), eps);
-        _mm256_storeu_ps(p + j,
-                         _mm256_sub_ps(_mm256_loadu_ps(p + j),
-                                       _mm256_div_ps(num, den)));
-    }
-    if (j < n)
-        scalarAdam(p + j, g + j, m + j, v + j, n - j, k);
-}
-
 #endif // BF_SIMD_X86
 
 } // namespace
@@ -964,14 +608,8 @@ float
 dot(const float *a, const float *b, std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2)
         return avx2Dot(a, b, n);
-    case simd::Tag::Sse2:
-        return sse2Dot(a, b, n);
-    case simd::Tag::Scalar:
-        break;
-    }
 #endif
     return scalarDot(a, b, n);
 }
@@ -981,15 +619,9 @@ dotTile4x2(float *c, const float *a, const float *b, std::size_t i0,
            std::size_t j0, std::size_t k, std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2) {
         avx2DotTile4x2(c, a, b, i0, j0, k, n);
         return;
-    case simd::Tag::Sse2:
-        sse2DotTile4x2(c, a, b, i0, j0, k, n);
-        return;
-    case simd::Tag::Scalar:
-        break;
     }
 #endif
     scalarDotTile4x2(c, a, b, i0, j0, k, n);
@@ -999,15 +631,9 @@ void
 axpy(float *y, const float *x, float a, std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2) {
         avx2Axpy(y, x, a, n);
         return;
-    case simd::Tag::Sse2:
-        sse2Axpy(y, x, a, n);
-        return;
-    case simd::Tag::Scalar:
-        break;
     }
 #endif
     scalarAxpy(y, x, a, n);
@@ -1019,15 +645,9 @@ axpy4(float *y, const float *x0, const float *x1, const float *x2,
       std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2) {
         avx2Axpy4(y, x0, x1, x2, x3, a0, a1, a2, a3, n);
         return;
-    case simd::Tag::Sse2:
-        sse2Axpy4(y, x0, x1, x2, x3, a0, a1, a2, a3, n);
-        return;
-    case simd::Tag::Scalar:
-        break;
     }
 #endif
     scalarAxpy4(y, x0, x1, x2, x3, a0, a1, a2, a3, n);
@@ -1039,15 +659,9 @@ gemmRowPanel(float *y, const float *a, std::size_t astride,
              std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2) {
         avx2GemmRowPanel(y, a, astride, b, k0, k1, n);
         return;
-    case simd::Tag::Sse2:
-        sse2GemmRowPanel(y, a, astride, b, k0, k1, n);
-        return;
-    case simd::Tag::Scalar:
-        break;
     }
 #endif
     scalarGemmRowPanel(y, a, astride, b, k0, k1, n);
@@ -1057,15 +671,9 @@ void
 relu(float *d, std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2) {
         avx2Relu(d, n);
         return;
-    case simd::Tag::Sse2:
-        sse2Relu(d, n);
-        return;
-    case simd::Tag::Scalar:
-        break;
     }
 #endif
     scalarRelu(d, n);
@@ -1075,15 +683,9 @@ void
 sigmoid(float *d, std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2) {
         avx2Sigmoid(d, n);
         return;
-    case simd::Tag::Sse2:
-        sse2Sigmoid(d, n);
-        return;
-    case simd::Tag::Scalar:
-        break;
     }
 #endif
     scalarSigmoid(d, n);
@@ -1093,15 +695,9 @@ void
 tanh(float *d, std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2) {
         avx2Tanh(d, n);
         return;
-    case simd::Tag::Sse2:
-        sse2Tanh(d, n);
-        return;
-    case simd::Tag::Scalar:
-        break;
     }
 #endif
     scalarTanh(d, n);
@@ -1135,15 +731,9 @@ lstmGatesForward(float *zi, float *zf, float *zg, float *zo, float *c,
                  float *h, std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2) {
         avx2LstmForward(zi, zf, zg, zo, c, h, n);
         return;
-    case simd::Tag::Sse2:
-        sse2LstmForward(zi, zf, zg, zo, c, h, n);
-        return;
-    case simd::Tag::Scalar:
-        break;
     }
 #endif
     scalarLstmForward(zi, zf, zg, zo, c, h, n);
@@ -1156,17 +746,10 @@ lstmGatesBackward(const float *zi, const float *zf, const float *zg,
                   float *dzg, float *dzo, std::size_t n)
 {
 #if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
+    if (simd::active() == simd::Tag::Avx2) {
         avx2LstmBackward(zi, zf, zg, zo, c, cprev, dh, dc, dzi, dzf,
                          dzg, dzo, n);
         return;
-    case simd::Tag::Sse2:
-        sse2LstmBackward(zi, zf, zg, zo, c, cprev, dh, dc, dzi, dzf,
-                         dzg, dzo, n);
-        return;
-    case simd::Tag::Scalar:
-        break;
     }
 #endif
     scalarLstmBackward(zi, zf, zg, zo, c, cprev, dh, dc, dzi, dzf, dzg,
@@ -1177,18 +760,6 @@ void
 adamStep(float *p, const float *g, float *m, float *v, std::size_t n,
          const AdamConsts &consts)
 {
-#if defined(BF_SIMD_X86)
-    switch (simd::active()) {
-    case simd::Tag::Avx2:
-        avx2Adam(p, g, m, v, n, consts);
-        return;
-    case simd::Tag::Sse2:
-        sse2Adam(p, g, m, v, n, consts);
-        return;
-    case simd::Tag::Scalar:
-        break;
-    }
-#endif
     scalarAdam(p, g, m, v, n, consts);
 }
 

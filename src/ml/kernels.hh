@@ -4,8 +4,9 @@
  *
  * Every floating-point inner loop that dominates training — GEMM
  * primitives, LSTM/GRU gate math, the Adam update, activations — lives
- * here with three runtime-dispatched implementations (AVX2, SSE2,
- * portable scalar) behind bf::simd::Tag (base/simd.hh). The callers
+ * here in AVX2 or portable scalar, dispatched at runtime behind
+ * bf::simd::Tag (base/simd.hh). A kernel has an AVX2 spelling only
+ * where it beats the scalar loop (the Adam update does not). The callers
  * (ml/matrix.cc, lstm/gru, network) keep their loop *structure* and
  * delegate the arithmetic, so blocking decisions stay where they were
  * while the flops dispatch to the best ISA.
@@ -17,8 +18,8 @@
  *    virtual accumulator: lane l sums a[i+l]*b[i+l] for i = 0, 8, 16…,
  *    the lanes combine through one canonical tree
  *    (((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))), and the n%8 tail is
- *    added serially afterwards. Scalar and SSE2 emulate exactly the
- *    lanes AVX2 holds in one register, so every Tag returns the same
+ *    added serially afterwards. The scalar path emulates exactly the
+ *    lanes AVX2 holds in one register, so both Tags return the same
  *    bits.
  *  - Elementwise kernels evaluate one fixed expression tree per
  *    element using IEEE-exact operations only (+ - * / sqrt); no
@@ -26,7 +27,7 @@
  *    -ffp-contract=off so the compiler cannot introduce one).
  *  - sigmoid/tanh are polynomial approximations (Cephes-derived
  *    expf/tanhf, ~2 ulp) evaluated in the same operation order on
- *    every path — std::exp/std::tanh vary by libm version and cannot
+ *    both paths — std::exp/std::tanh vary by libm version and cannot
  *    be vectorized reproducibly.
  */
 

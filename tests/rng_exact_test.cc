@@ -28,7 +28,6 @@
 
 #include "base/mt64.hh"
 #include "base/rng.hh"
-#include "base/simd.hh"
 
 namespace {
 
@@ -159,22 +158,13 @@ TEST(RngExact, InterleavedKindsStayInLockstep)
 // Mt64 vs std::mt19937_64 is a portable equality: the reference here is
 // the standard's normative engine definition, not a libstdc++ detail,
 // so these run on any standard library. Two million draws cover several
-// thousand state refills on every dispatch path the host supports.
+// thousand state refills.
 TEST(RngExact, Mt64MatchesStdMt19937_64RawDraws)
 {
-    const bigfish::simd::Tag previous = bigfish::simd::active();
-    const bigfish::simd::Tag tags[] = {bigfish::simd::Tag::Scalar,
-                                       bigfish::simd::Tag::Sse2,
-                                       bigfish::simd::Tag::Avx2};
-    for (const bigfish::simd::Tag want : tags) {
-        const bigfish::simd::Tag got = bigfish::simd::setActive(want);
-        bigfish::Mt64 engine(2022);
-        std::mt19937_64 ref(2022);
-        for (int i = 0; i < 2000000; ++i)
-            ASSERT_EQ(engine(), ref())
-                << "draw " << i << " under " << bigfish::simd::name(got);
-    }
-    bigfish::simd::setActive(previous);
+    bigfish::Mt64 engine(2022);
+    std::mt19937_64 ref(2022);
+    for (int i = 0; i < 2000000; ++i)
+        ASSERT_EQ(engine(), ref()) << "draw " << i;
 }
 
 TEST(RngExact, Mt64MatchesStdSeedingAndDistributionConsumption)

@@ -95,8 +95,7 @@ TEST(SimPerfCounters, CountsIdenticalAcrossSimdTags)
     TagGuard guard;
     simd::setActive(simd::Tag::Scalar);
     const sim::PerfCounters base = sweepCounters();
-    for (const simd::Tag tag :
-         {simd::Tag::Scalar, simd::Tag::Sse2, simd::Tag::Avx2}) {
+    for (const simd::Tag tag : {simd::Tag::Scalar, simd::Tag::Avx2}) {
         if (!simd::supported(tag))
             continue;
         simd::setActive(tag);
