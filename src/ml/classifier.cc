@@ -46,7 +46,12 @@ packBatch(const std::vector<Matrix> &inputs, const std::size_t *idx,
 Label
 Classifier::predict(const std::vector<double> &x) const
 {
-    const auto scores = predictScores(x);
+    return argmax(predictScores(x));
+}
+
+Label
+Classifier::argmax(const std::vector<double> &scores)
+{
     panicIf(scores.empty(), "classifier returned no scores");
     return static_cast<Label>(
         std::max_element(scores.begin(), scores.end()) - scores.begin());
@@ -128,51 +133,26 @@ CnnLstmClassifier::toInput(const std::vector<double> &x) const
 }
 
 double
-CnnLstmClassifier::accuracy(const Dataset &data) const
-{
-    if (data.size() == 0)
-        return 0.0;
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < data.size(); ++i)
-        if (predict(data.features[i]) == data.labels[i])
-            ++hits;
-    return static_cast<double>(hits) / static_cast<double>(data.size());
-}
-
-double
 CnnLstmClassifier::accuracyOn(const std::vector<Matrix> &inputs,
                               const std::vector<Label> &labels) const
 {
     if (inputs.empty())
         return 0.0;
     std::size_t hits = 0;
-    if (net_.supportsBatch()) {
-        const std::size_t chunk =
-            static_cast<std::size_t>(std::max(params_.batchSize, 1));
-        std::vector<std::size_t> idx(inputs.size());
-        std::iota(idx.begin(), idx.end(), 0);
-        for (std::size_t i = 0; i < inputs.size(); i += chunk) {
-            const std::size_t count = std::min(chunk, inputs.size() - i);
-            const Matrix logits =
-                net_.forwardBatch(packBatch(inputs, idx.data() + i, count),
-                                  count, false);
-            for (std::size_t s = 0; s < count; ++s) {
-                std::size_t best = 0;
-                for (std::size_t c = 1; c < logits.rows(); ++c)
-                    if (logits(c, s) > logits(best, s))
-                        best = c;
-                if (static_cast<Label>(best) == labels[i + s])
-                    ++hits;
-            }
-        }
-    } else {
-        for (std::size_t i = 0; i < inputs.size(); ++i) {
-            const Matrix logits = net_.forward(inputs[i], false);
+    const std::size_t chunk =
+        static_cast<std::size_t>(std::max(params_.batchSize, 1));
+    std::vector<std::size_t> idx(inputs.size());
+    std::iota(idx.begin(), idx.end(), 0);
+    for (std::size_t i = 0; i < inputs.size(); i += chunk) {
+        const std::size_t count = std::min(chunk, inputs.size() - i);
+        const Matrix logits = net_.forward(
+            packBatch(inputs, idx.data() + i, count), count, false);
+        for (std::size_t s = 0; s < count; ++s) {
             std::size_t best = 0;
             for (std::size_t c = 1; c < logits.rows(); ++c)
-                if (logits(c, 0) > logits(best, 0))
+                if (logits(c, s) > logits(best, s))
                     best = c;
-            if (static_cast<Label>(best) == labels[i])
+            if (static_cast<Label>(best) == labels[i + s])
                 ++hits;
         }
     }
@@ -206,9 +186,9 @@ CnnLstmClassifier::fit(const Dataset &train, const Dataset &validation)
         val_inputs.push_back(toInput(f));
 
     // Minibatches run through the whole network as one column-stacked
-    // matrix when every layer supports it: the per-layer GEMMs see B
-    // columns at once instead of B separate matrix-vector products.
-    const bool batched = net_.supportsBatch();
+    // matrix: the per-layer GEMMs see B columns at once instead of B
+    // separate matrix-vector products.
+    const auto batch_size = static_cast<std::size_t>(params_.batchSize);
     std::vector<Label> batch_labels;
 
     // The layer set is fixed for the whole fit, so gather the parameter
@@ -222,34 +202,18 @@ CnnLstmClassifier::fit(const Dataset &train, const Dataset &validation)
         std::shuffle(order.begin(), order.end(), rng.engine());
         double epoch_loss = 0.0;
         std::size_t loss_samples = 0;
-        std::size_t i = 0;
-        while (i < order.size()) {
+        for (std::size_t i = 0; i < order.size(); i += batch_size) {
             net_.zeroGrads();
-            const std::size_t batch_end = std::min(
-                i + static_cast<std::size_t>(params_.batchSize),
-                order.size());
-            const std::size_t batch = batch_end - i;
-            double batch_loss = 0.0;
-            if (batched) {
-                batch_labels.resize(batch);
-                for (std::size_t j = 0; j < batch; ++j)
-                    batch_labels[j] = train.labels[order[i + j]];
-                const Matrix logits = net_.forwardBatch(
-                    packBatch(inputs, order.data() + i, batch), batch,
-                    true);
-                batch_loss = SoftmaxCrossEntropy::lossAndGradientBatch(
-                    logits, batch_labels, grad);
-                net_.backwardBatch(grad, batch);
-                i = batch_end;
-            } else {
-                for (; i < batch_end; ++i) {
-                    const std::size_t s = order[i];
-                    const Matrix logits = net_.forward(inputs[s], true);
-                    batch_loss += SoftmaxCrossEntropy::lossAndGradient(
-                        logits, train.labels[s], grad);
-                    net_.backward(grad);
-                }
-            }
+            const std::size_t batch = std::min(batch_size, order.size() - i);
+            batch_labels.resize(batch);
+            for (std::size_t j = 0; j < batch; ++j)
+                batch_labels[j] = train.labels[order[i + j]];
+            const Matrix logits = net_.forward(
+                packBatch(inputs, order.data() + i, batch), batch, true);
+            const double batch_loss =
+                SoftmaxCrossEntropy::lossAndGradientBatch(logits,
+                                                          batch_labels, grad);
+            net_.backward(grad, batch);
             // A NaN in the loss or gradients would poison the weights
             // permanently; skip the batch and keep training.
             const bool stepped =
@@ -288,7 +252,7 @@ CnnLstmClassifier::fit(const Dataset &train, const Dataset &validation)
 std::vector<double>
 CnnLstmClassifier::predictScores(const std::vector<double> &x) const
 {
-    const Matrix logits = net_.forward(toInput(x), false);
+    const Matrix logits = net_.forward(toInput(x), 1, false);
     return SoftmaxCrossEntropy::probabilities(logits);
 }
 
@@ -300,121 +264,6 @@ CnnLstmClassifier::saveModel() const
 
 bool
 CnnLstmClassifier::loadModel(const std::string &payload)
-{
-    return decodeWeights(payload, net_).isOk();
-}
-
-MlpClassifier::MlpClassifier(int num_classes, std::size_t feature_len,
-                             MlpParams params, std::uint64_t seed)
-    : numClasses_(num_classes), featureLen_(feature_len), params_(params),
-      seed_(seed)
-{
-    fatalIf(num_classes < 2, "need at least two classes");
-    Rng rng(seed);
-    net_.add(std::make_unique<Dense>(feature_len, params_.hidden, rng));
-    net_.add(std::make_unique<ReLU>());
-    net_.add(std::make_unique<Dropout>(params_.dropout, rng()));
-    net_.add(std::make_unique<Dense>(params_.hidden,
-                                     static_cast<std::size_t>(num_classes),
-                                     rng));
-}
-
-Matrix
-MlpClassifier::toInput(const std::vector<double> &x) const
-{
-    panicIf(x.size() != featureLen_, "feature length mismatch");
-    Matrix in(featureLen_, 1);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        in(i, 0) = static_cast<float>(x[i]);
-    return in;
-}
-
-double
-MlpClassifier::accuracy(const Dataset &data) const
-{
-    if (data.size() == 0)
-        return 0.0;
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < data.size(); ++i)
-        if (predict(data.features[i]) == data.labels[i])
-            ++hits;
-    return static_cast<double>(hits) / static_cast<double>(data.size());
-}
-
-void
-MlpClassifier::fit(const Dataset &train, const Dataset &validation)
-{
-    fatalIf(train.size() == 0, "empty training set");
-    Adam adam(params_.learningRate);
-    Rng rng(mix64(seed_) ^ 0x31f7ULL);
-
-    double best_val = -1.0;
-    int epochs_since_best = 0;
-    skippedBatches_ = 0;
-    std::vector<std::size_t> order(train.size());
-    std::iota(order.begin(), order.end(), 0);
-
-    std::vector<Matrix> inputs;
-    inputs.reserve(train.size());
-    for (const auto &f : train.features)
-        inputs.push_back(toInput(f));
-
-    // Fixed layer set: collect the optimizer's pointer lists once
-    // rather than per step.
-    const std::vector<Matrix *> param_ptrs = net_.params();
-    const std::vector<Matrix *> grad_ptrs = net_.grads();
-
-    Matrix grad;
-    for (int epoch = 0; epoch < params_.maxEpochs; ++epoch) {
-        std::shuffle(order.begin(), order.end(), rng.engine());
-        std::size_t i = 0;
-        while (i < order.size()) {
-            net_.zeroGrads();
-            const std::size_t end = std::min(
-                i + static_cast<std::size_t>(params_.batchSize),
-                order.size());
-            const std::size_t batch = end - i;
-            for (; i < end; ++i) {
-                const std::size_t s = order[i];
-                const Matrix logits = net_.forward(inputs[s], true);
-                SoftmaxCrossEntropy::lossAndGradient(logits,
-                                                     train.labels[s], grad);
-                net_.backward(grad);
-            }
-            if (!adam.stepIfFinite(param_ptrs, grad_ptrs,
-                                   1.0 / static_cast<double>(batch))) {
-                ++skippedBatches_;
-                warnOnce("ml/non-finite-batch",
-                         "skipping training batch(es) with non-finite "
-                         "loss or gradients");
-            }
-        }
-        const double val_acc = validation.size() > 0 ? accuracy(validation)
-                                                     : accuracy(train);
-        if (val_acc > best_val + 1e-9) {
-            best_val = val_acc;
-            epochs_since_best = 0;
-        } else if (++epochs_since_best >= params_.patience) {
-            break;
-        }
-    }
-}
-
-std::vector<double>
-MlpClassifier::predictScores(const std::vector<double> &x) const
-{
-    return SoftmaxCrossEntropy::probabilities(
-        net_.forward(toInput(x), false));
-}
-
-std::string
-MlpClassifier::saveModel() const
-{
-    return encodeWeights(net_);
-}
-
-bool
-MlpClassifier::loadModel(const std::string &payload)
 {
     return decodeWeights(payload, net_).isOk();
 }
@@ -579,26 +428,6 @@ softmaxRegressionFactory()
         },
         "model=softmax-regression\nlr=0x1.999999999999ap-5\n"
         "epochs=120\nl2=0x1.a36e2eb1c432dp-14\n");
-}
-
-ClassifierFactory
-mlpFactory(MlpParams params)
-{
-    std::ostringstream canon;
-    canon << "model=mlp\n"
-          << "hidden=" << params.hidden << '\n'
-          << "dropout=" << hexDouble(params.dropout) << '\n'
-          << "learningRate=" << hexDouble(params.learningRate) << '\n'
-          << "maxEpochs=" << params.maxEpochs << '\n'
-          << "batchSize=" << params.batchSize << '\n'
-          << "patience=" << params.patience << '\n';
-    return ClassifierFactory(
-        [params](int num_classes, std::size_t feature_len,
-                 std::uint64_t seed) -> std::unique_ptr<Classifier> {
-            return std::make_unique<MlpClassifier>(num_classes, feature_len,
-                                                   params, seed);
-        },
-        canon.str());
 }
 
 ClassifierFactory

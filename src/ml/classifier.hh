@@ -53,6 +53,9 @@ class Classifier
     /** Argmax prediction. */
     Label predict(const std::vector<double> &x) const;
 
+    /** Index of the first maximum of @p scores (predict()'s rule). */
+    static Label argmax(const std::vector<double> &scores);
+
     /**
      * Serialized trained state, or "" when the model does not support
      * persistence (kNN memorizes its training set). The little-endian
@@ -155,9 +158,6 @@ class CnnLstmClassifier : public Classifier
     std::string saveModel() const override;
     bool loadModel(const std::string &payload) override;
 
-    /** Accuracy on a dataset (used for validation-based early stopping). */
-    double accuracy(const Dataset &data) const;
-
     /** The underlying network (for weight persistence / diagnostics). */
     Sequential &network() { return net_; }
 
@@ -214,54 +214,6 @@ class SoftmaxRegressionClassifier : public Classifier
     std::vector<std::vector<double>> w_; ///< (classes x features+1).
 };
 
-/** Hyperparameters of the MLP baseline. */
-struct MlpParams
-{
-    std::size_t hidden = 128;
-    double dropout = 0.3;
-    double learningRate = 1e-3;
-    int maxEpochs = 60;
-    int batchSize = 16;
-    int patience = 8;
-};
-
-/**
- * A two-layer perceptron baseline: Dense -> ReLU -> Dropout -> Dense.
- * Sits between softmax regression and the CNN-LSTM in capacity; used by
- * the classifier ablation to show the temporal front-end matters.
- */
-class MlpClassifier : public Classifier
-{
-  public:
-    MlpClassifier(int num_classes, std::size_t feature_len,
-                  MlpParams params, std::uint64_t seed);
-
-    void fit(const Dataset &train, const Dataset &validation) override;
-    std::vector<double>
-    predictScores(const std::vector<double> &x) const override;
-    std::string saveModel() const override;
-    bool loadModel(const std::string &payload) override;
-
-    /** Accuracy on a dataset (early stopping / diagnostics). */
-    double accuracy(const Dataset &data) const;
-
-    /** The underlying network (for weight persistence). */
-    Sequential &network() { return net_; }
-
-    /** Batches skipped in the last fit() due to non-finite gradients. */
-    std::size_t skippedBatches() const { return skippedBatches_; }
-
-  private:
-    Matrix toInput(const std::vector<double> &x) const;
-
-    std::size_t skippedBatches_ = 0;
-    int numClasses_;
-    std::size_t featureLen_;
-    MlpParams params_;
-    std::uint64_t seed_;
-    mutable Sequential net_;
-};
-
 /** k-nearest-neighbours on Euclidean trace distance. */
 class KnnClassifier : public Classifier
 {
@@ -283,9 +235,6 @@ ClassifierFactory cnnLstmFactory(CnnLstmParams params = {});
 
 /** Factory for the softmax-regression baseline. */
 ClassifierFactory softmaxRegressionFactory();
-
-/** Factory for the MLP baseline. */
-ClassifierFactory mlpFactory(MlpParams params = {});
 
 /** Factory for the kNN baseline. */
 ClassifierFactory knnFactory(int k = 5);

@@ -64,13 +64,7 @@ Conv1D::packPatches(const Matrix &in, std::size_t samples,
 }
 
 Matrix
-Conv1D::forward(const Matrix &in, bool train)
-{
-    return forwardBatch(in, 1, train);
-}
-
-Matrix
-Conv1D::forwardBatch(const Matrix &in, std::size_t samples, bool)
+Conv1D::forward(const Matrix &in, std::size_t samples, bool)
 {
     panicIf(in.rows() != inChannels_, "Conv1D channel mismatch");
     panicIf(samples == 0 || in.cols() == 0 || in.cols() % samples != 0,
@@ -86,14 +80,8 @@ Conv1D::forwardBatch(const Matrix &in, std::size_t samples, bool)
 }
 
 Matrix
-Conv1D::backward(const Matrix &grad_out)
-{
-    return backwardBatch(grad_out, 1, true);
-}
-
-Matrix
-Conv1D::backwardBatch(const Matrix &grad_out, std::size_t samples,
-                      bool inputGrad)
+Conv1D::backward(const Matrix &grad_out, std::size_t samples,
+                 bool inputGrad)
 {
     const std::size_t all_in_t = inCols_;
     const std::size_t out_cols = grad_out.cols();

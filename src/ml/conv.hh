@@ -25,13 +25,10 @@ class Conv1D : public Layer
     Conv1D(std::size_t in_channels, std::size_t out_channels,
            std::size_t kernel, std::size_t stride, Rng &rng);
 
-    Matrix forward(const Matrix &in, bool train) override;
-    Matrix backward(const Matrix &grad_out) override;
-    bool supportsBatch() const override { return true; }
-    Matrix forwardBatch(const Matrix &in, std::size_t samples,
-                        bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
-                         bool inputGrad) override;
+    Matrix forward(const Matrix &in, std::size_t samples,
+                   bool train) override;
+    Matrix backward(const Matrix &grad_out, std::size_t samples,
+                    bool inputGrad) override;
     std::vector<Matrix *> params() override { return {&w_, &b_}; }
     std::vector<Matrix *> grads() override { return {&gw_, &gb_}; }
     std::string name() const override { return "conv1d"; }
@@ -57,14 +54,14 @@ class Conv1D : public Layer
      * in patches_), so the former full input copy was pure overhead.
      */
     std::size_t inCols_ = 0;
-    /** Sample count of the most recent (batched) forward. */
+    /** Sample count of the most recent forward. */
     std::size_t samples_ = 1;
     /**
      * im2col buffer: column s*out_t + t holds the flattened
      * (channel-major) input window of sample s's output step t, so
      * forward/backward are plain GEMMs over contiguous memory — one wide
-     * GEMM for a whole minibatch on the batched path. Reused across
-     * calls to avoid reallocation.
+     * GEMM for a whole minibatch. Reused across calls to avoid
+     * reallocation.
      */
     Matrix patches_;
 };

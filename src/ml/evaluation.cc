@@ -43,10 +43,12 @@ scoreFold(const Classifier &model, const Dataset &data,
     out.scores.reserve(test.size());
     out.truths.reserve(test.size());
     out.predictions.reserve(test.size());
+    // One inference pass per sample: the prediction is the argmax of
+    // the scores just stored, by the same rule Classifier::predict uses.
     for (std::size_t i : test) {
         out.scores.push_back(model.predictScores(data.features[i]));
         out.truths.push_back(data.labels[i]);
-        out.predictions.push_back(model.predict(data.features[i]));
+        out.predictions.push_back(Classifier::argmax(out.scores.back()));
     }
     return out;
 }

@@ -703,10 +703,10 @@ tanh(float *d, std::size_t n)
     scalarTanh(d, n);
 }
 
-// The scalar transcendentals are deliberately Tag-independent: callers
-// with strided access (GRU's gate loop) use them per element and must
-// get the same bits at every BF_SIMD setting — which they do, because
-// the vector lanes compute exactly this operation sequence.
+// The scalar transcendentals are deliberately Tag-independent: the
+// kernel tests use them one value at a time as the reference the vector
+// activations must match at every BF_SIMD setting — which they do,
+// because the vector lanes compute exactly this operation sequence.
 
 float
 sigmoidScalar(float x)

@@ -3,11 +3,11 @@
  * The vectorized kernel layer behind the ML hot loops.
  *
  * Every floating-point inner loop that dominates training — GEMM
- * primitives, LSTM/GRU gate math, the Adam update, activations — lives
+ * primitives, LSTM gate math, the Adam update, activations — lives
  * here in AVX2 or portable scalar, dispatched at runtime behind
  * bf::simd::Tag (base/simd.hh). A kernel has an AVX2 spelling only
  * where it beats the scalar loop (the Adam update does not). The callers
- * (ml/matrix.cc, lstm/gru, network) keep their loop *structure* and
+ * (ml/matrix.cc, lstm, network) keep their loop *structure* and
  * delegate the arithmetic, so blocking decisions stay where they were
  * while the flops dispatch to the best ISA.
  *
@@ -90,7 +90,7 @@ void sigmoid(float *d, std::size_t n);
 /** d[i] = tanh(d[i]), in place. */
 void tanh(float *d, std::size_t n);
 
-/** The scalar path's sigmoid for one value (GRU's strided gate loop). */
+/** The scalar path's sigmoid for one value (the tests' reference). */
 float sigmoidScalar(float x);
 
 /** The scalar path's tanh for one value. */

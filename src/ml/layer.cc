@@ -15,19 +15,7 @@ Layer::zeroGrads()
 }
 
 Matrix
-Layer::forwardBatch(const Matrix &, std::size_t, bool)
-{
-    panic("layer '" + name() + "' has no batched forward");
-}
-
-Matrix
-Layer::backwardBatch(const Matrix &, std::size_t, bool)
-{
-    panic("layer '" + name() + "' has no batched backward");
-}
-
-Matrix
-ReLU::forward(const Matrix &in, bool)
+ReLU::forward(const Matrix &in, std::size_t, bool)
 {
     // One fused pass produces both the activation and the sign mask
     // backward needs, instead of the two full matrix copies (one kept
@@ -49,7 +37,7 @@ ReLU::forward(const Matrix &in, bool)
 }
 
 Matrix
-ReLU::backward(const Matrix &grad_out)
+ReLU::backward(const Matrix &grad_out, std::size_t, bool)
 {
     panicIf(grad_out.size() != mask_.size(), "ReLU backward shape mismatch");
     Matrix grad_in(grad_out.rows(), grad_out.cols());
@@ -65,27 +53,16 @@ ReLU::backward(const Matrix &grad_out)
     return grad_in;
 }
 
-Matrix
-ReLU::forwardBatch(const Matrix &in, std::size_t, bool train)
-{
-    // Elementwise: the batch layout changes nothing.
-    return forward(in, train);
-}
-
-Matrix
-ReLU::backwardBatch(const Matrix &grad_out, std::size_t, bool)
-{
-    return backward(grad_out);
-}
-
 MaxPool1D::MaxPool1D(std::size_t pool) : pool_(pool)
 {
     fatalIf(pool == 0, "MaxPool1D pool size must be positive");
 }
 
 Matrix
-MaxPool1D::pool(const Matrix &in, std::size_t samples)
+MaxPool1D::forward(const Matrix &in, std::size_t samples, bool)
 {
+    panicIf(samples == 0 || in.cols() % samples != 0,
+            "MaxPool1D batch column count mismatch");
     inRows_ = in.rows();
     inCols_ = in.cols();
     const std::size_t in_t = inCols_ / samples;
@@ -127,27 +104,7 @@ MaxPool1D::pool(const Matrix &in, std::size_t samples)
 }
 
 Matrix
-MaxPool1D::forward(const Matrix &in, bool)
-{
-    return pool(in, 1);
-}
-
-Matrix
-MaxPool1D::backward(const Matrix &grad_out)
-{
-    return backwardBatch(grad_out, 1, true);
-}
-
-Matrix
-MaxPool1D::forwardBatch(const Matrix &in, std::size_t samples, bool)
-{
-    panicIf(samples == 0 || in.cols() % samples != 0,
-            "MaxPool1D batch column count mismatch");
-    return pool(in, samples);
-}
-
-Matrix
-MaxPool1D::backwardBatch(const Matrix &grad_out, std::size_t, bool)
+MaxPool1D::backward(const Matrix &grad_out, std::size_t, bool)
 {
     Matrix grad_in(inRows_, inCols_);
     const std::size_t out_cols = grad_out.cols();
@@ -163,39 +120,7 @@ Dropout::Dropout(double rate, std::uint64_t seed) : rate_(rate), rng_(seed)
 }
 
 Matrix
-Dropout::forward(const Matrix &in, bool train)
-{
-    lastTrain_ = train;
-    if (!train || rate_ == 0.0)
-        return in;
-    const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
-    mask_ = Matrix(in.rows(), in.cols());
-    Matrix out = in;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        if (rng_.bernoulli(rate_)) {
-            mask_.data()[i] = 0.0f;
-            out.data()[i] = 0.0f;
-        } else {
-            mask_.data()[i] = keep_scale;
-            out.data()[i] *= keep_scale;
-        }
-    }
-    return out;
-}
-
-Matrix
-Dropout::backward(const Matrix &grad_out)
-{
-    if (!lastTrain_ || rate_ == 0.0)
-        return grad_out;
-    Matrix grad_in = grad_out;
-    for (std::size_t i = 0; i < grad_in.size(); ++i)
-        grad_in.data()[i] *= mask_.data()[i];
-    return grad_in;
-}
-
-Matrix
-Dropout::forwardBatch(const Matrix &in, std::size_t samples, bool train)
+Dropout::forward(const Matrix &in, std::size_t samples, bool train)
 {
     lastTrain_ = train;
     if (!train || rate_ == 0.0)
@@ -206,8 +131,9 @@ Dropout::forwardBatch(const Matrix &in, std::size_t samples, bool train)
     const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
     mask_ = Matrix(in.rows(), in.cols());
     Matrix out = in;
-    // Draw the mask sample-by-sample (each sample row-major), the exact
-    // order B per-sample forward() calls would consume the stream.
+    // Draw the mask sample-by-sample (each sample row-major), so B
+    // one-sample calls consume the stream in the same order as one
+    // B-sample call.
     for (std::size_t s = 0; s < samples; ++s) {
         for (std::size_t r = 0; r < in.rows(); ++r) {
             for (std::size_t t = 0; t < steps; ++t) {
@@ -226,59 +152,13 @@ Dropout::forwardBatch(const Matrix &in, std::size_t samples, bool train)
 }
 
 Matrix
-Dropout::backwardBatch(const Matrix &grad_out, std::size_t, bool)
+Dropout::backward(const Matrix &grad_out, std::size_t, bool)
 {
-    return backward(grad_out);
-}
-
-Matrix
-Flatten::forward(const Matrix &in, bool)
-{
-    inRows_ = in.rows();
-    inCols_ = in.cols();
-    return in.flattened();
-}
-
-Matrix
-Flatten::backward(const Matrix &grad_out)
-{
-    Matrix grad_in(inRows_, inCols_);
-    panicIf(grad_out.size() != grad_in.size(),
-            "Flatten backward shape mismatch");
-    std::copy(grad_out.data(), grad_out.data() + grad_out.size(),
-              grad_in.data());
-    return grad_in;
-}
-
-Matrix
-Flatten::forwardBatch(const Matrix &in, std::size_t samples, bool)
-{
-    panicIf(samples == 0 || in.cols() % samples != 0,
-            "Flatten batch column count mismatch");
-    inRows_ = in.rows();
-    inCols_ = in.cols();
-    const std::size_t steps = inCols_ / samples;
-    // (rows x samples*T) -> (rows*T x samples): column s becomes the
-    // row-major flattening of sample s, matching flattened().
-    Matrix out(inRows_ * steps, samples);
-    for (std::size_t r = 0; r < inRows_; ++r)
-        for (std::size_t s = 0; s < samples; ++s)
-            for (std::size_t t = 0; t < steps; ++t)
-                out(r * steps + t, s) = in(r, s * steps + t);
-    return out;
-}
-
-Matrix
-Flatten::backwardBatch(const Matrix &grad_out, std::size_t samples, bool)
-{
-    panicIf(samples == 0 || grad_out.cols() != samples,
-            "Flatten batched backward shape mismatch");
-    const std::size_t steps = inCols_ / samples;
-    Matrix grad_in(inRows_, inCols_);
-    for (std::size_t r = 0; r < inRows_; ++r)
-        for (std::size_t s = 0; s < samples; ++s)
-            for (std::size_t t = 0; t < steps; ++t)
-                grad_in(r, s * steps + t) = grad_out(r * steps + t, s);
+    if (!lastTrain_ || rate_ == 0.0)
+        return grad_out;
+    Matrix grad_in = grad_out;
+    for (std::size_t i = 0; i < grad_in.size(); ++i)
+        grad_in.data()[i] *= mask_.data()[i];
     return grad_in;
 }
 
@@ -291,38 +171,19 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng &rng)
 }
 
 Matrix
-Dense::forward(const Matrix &in, bool)
+Dense::forward(const Matrix &in, std::size_t samples, bool)
 {
-    input_ = in.rows() == w_.cols() && in.cols() == 1 ? in : in.flattened();
-    panicIf(input_.rows() != w_.cols(), "Dense input size mismatch");
-    return gemvBias(w_, input_, b_);
-}
-
-Matrix
-Dense::backward(const Matrix &grad_out)
-{
-    panicIf(grad_out.rows() != w_.rows() || grad_out.cols() != 1,
-            "Dense backward shape mismatch");
-    accumulateMatmulTransB(gw_, grad_out, input_);
-    gb_ += grad_out;
-    return matmulTransA(w_, grad_out);
-}
-
-Matrix
-Dense::forwardBatch(const Matrix &in, std::size_t samples, bool)
-{
-    // Batched Dense expects one (features x 1) sample per column.
     panicIf(in.rows() != w_.cols() || in.cols() != samples,
-            "Dense batched input shape mismatch");
+            "Dense input shape mismatch");
     input_ = in;
     return matmulBias(w_, in, b_);
 }
 
 Matrix
-Dense::backwardBatch(const Matrix &grad_out, std::size_t samples, bool)
+Dense::backward(const Matrix &grad_out, std::size_t samples, bool)
 {
     panicIf(grad_out.rows() != w_.rows() || grad_out.cols() != samples,
-            "Dense batched backward shape mismatch");
+            "Dense backward shape mismatch");
     accumulateMatmulTransB(gw_, grad_out, input_);
     {
         float *__restrict gb = gb_.data();

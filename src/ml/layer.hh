@@ -2,20 +2,16 @@
  * @file
  * Layer interface and the simple stateless/elementwise layers.
  *
- * Layers process one sample at a time — inputs are (channels x time)
- * matrices or (features x 1) vectors — and cache whatever the backward
- * pass needs. Gradients accumulate across samples in the layer's grad
- * buffers until the optimizer consumes them, giving exact minibatch
- * gradients without a batch dimension in the code.
- *
- * Layers may additionally implement the *batched* interface
- * (forwardBatch/backwardBatch): B same-shaped samples are concatenated
- * along the column axis into one (rows x B*T) matrix, sample b occupying
- * columns [b*T, (b+1)*T). Batched passes replace B small matrix-vector
- * products with one wide GEMM — the training-loop hot path at paper
- * scale — while computing the same minibatch gradient (summation order
- * differs, so results are numerically close but not bitwise equal to B
- * per-sample passes).
+ * Every layer runs on a minibatch: B same-shaped samples are
+ * concatenated along the column axis into one (rows x B*T) matrix,
+ * sample b occupying columns [b*T, (b+1)*T); a single sample is the
+ * B = 1 case. One wide GEMM per layer replaces B small matrix-vector
+ * products — the training-loop hot path at paper scale — and at B = 1
+ * the GEMM helpers (matrix.hh) hand any one-column operand to the
+ * matrix-vector kernels, so scoring one sample runs the same kernels a
+ * dedicated per-sample path would. Layers cache whatever the backward
+ * pass needs; parameter gradients accumulate in the layer's grad
+ * buffers until the optimizer consumes them.
  */
 
 #ifndef BF_ML_LAYER_HH
@@ -38,40 +34,26 @@ class Layer
     virtual ~Layer() = default;
 
     /**
-     * Computes the layer's output for one sample.
-     * @param in The input sample.
+     * Computes the layer's output for a minibatch.
+     * @param in @p samples same-shaped samples packed column-wise.
+     * @param samples Number of samples in @p in (1 for one sample).
      * @param train True during training (enables dropout etc.).
      */
-    virtual Matrix forward(const Matrix &in, bool train) = 0;
+    virtual Matrix forward(const Matrix &in, std::size_t samples,
+                           bool train) = 0;
 
     /**
      * Backpropagates through the most recent forward() call.
      * Parameter gradients are *accumulated* into the grad buffers.
-     * @param grad_out dLoss/dOutput.
-     * @return dLoss/dInput.
-     */
-    virtual Matrix backward(const Matrix &grad_out) = 0;
-
-    /** True when the batched interface below is implemented. */
-    virtual bool supportsBatch() const { return false; }
-
-    /**
-     * forward() over @p samples same-shaped samples packed column-wise
-     * into one (rows x samples*T) matrix. Layers without a batched
-     * implementation panic; gate on supportsBatch().
-     */
-    virtual Matrix forwardBatch(const Matrix &in, std::size_t samples,
-                                bool train);
-
-    /**
-     * Backpropagates through the most recent forwardBatch() call.
+     * @param grad_out dLoss/dOutput, same layout as the forward output.
+     * @param samples The sample count of that forward() call.
      * @param inputGrad False when nothing reads dLoss/dInput (the first
      *        layer of a network): a layer may then skip computing it
-     *        and return an empty Matrix. Parameter gradients are
-     *        accumulated either way.
+     *        and return an empty Matrix.
+     * @return dLoss/dInput.
      */
-    virtual Matrix backwardBatch(const Matrix &grad_out,
-                                 std::size_t samples, bool inputGrad);
+    virtual Matrix backward(const Matrix &grad_out, std::size_t samples,
+                            bool inputGrad) = 0;
 
     /** Trainable parameter tensors (empty for stateless layers). */
     virtual std::vector<Matrix *> params() { return {}; }
@@ -90,13 +72,10 @@ class Layer
 class ReLU : public Layer
 {
   public:
-    Matrix forward(const Matrix &in, bool train) override;
-    Matrix backward(const Matrix &grad_out) override;
-    bool supportsBatch() const override { return true; }
-    Matrix forwardBatch(const Matrix &in, std::size_t samples,
-                        bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
-                         bool inputGrad) override;
+    Matrix forward(const Matrix &in, std::size_t samples,
+                   bool train) override;
+    Matrix backward(const Matrix &grad_out, std::size_t samples,
+                    bool inputGrad) override;
     std::string name() const override { return "relu"; }
 
   private:
@@ -118,20 +97,13 @@ class MaxPool1D : public Layer
     /** @param pool Window (and stride) size; paper uses 4. */
     explicit MaxPool1D(std::size_t pool);
 
-    Matrix forward(const Matrix &in, bool train) override;
-    Matrix backward(const Matrix &grad_out) override;
-    bool supportsBatch() const override { return true; }
-    Matrix forwardBatch(const Matrix &in, std::size_t samples,
-                        bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
-                         bool inputGrad) override;
+    Matrix forward(const Matrix &in, std::size_t samples,
+                   bool train) override;
+    Matrix backward(const Matrix &grad_out, std::size_t samples,
+                    bool inputGrad) override;
     std::string name() const override { return "maxpool1d"; }
 
   private:
-    /** Pooling pass shared by the single and batched paths: windows
-     * never cross the per-sample boundary. */
-    Matrix pool(const Matrix &in, std::size_t samples);
-
     std::size_t pool_;
     /**
      * Winning input column per output cell; 32-bit since pooled rows
@@ -152,13 +124,10 @@ class Dropout : public Layer
      */
     Dropout(double rate, std::uint64_t seed);
 
-    Matrix forward(const Matrix &in, bool train) override;
-    Matrix backward(const Matrix &grad_out) override;
-    bool supportsBatch() const override { return true; }
-    Matrix forwardBatch(const Matrix &in, std::size_t samples,
-                        bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
-                         bool inputGrad) override;
+    Matrix forward(const Matrix &in, std::size_t samples,
+                   bool train) override;
+    Matrix backward(const Matrix &grad_out, std::size_t samples,
+                    bool inputGrad) override;
     std::string name() const override { return "dropout"; }
 
   private:
@@ -168,24 +137,10 @@ class Dropout : public Layer
     bool lastTrain_ = false;
 };
 
-/** Flattens any input to a (size x 1) column vector. */
-class Flatten : public Layer
-{
-  public:
-    Matrix forward(const Matrix &in, bool train) override;
-    Matrix backward(const Matrix &grad_out) override;
-    bool supportsBatch() const override { return true; }
-    Matrix forwardBatch(const Matrix &in, std::size_t samples,
-                        bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
-                         bool inputGrad) override;
-    std::string name() const override { return "flatten"; }
-
-  private:
-    std::size_t inRows_ = 0, inCols_ = 0;
-};
-
-/** Fully connected layer: out = W * in + b for (features x 1) inputs. */
+/**
+ * Fully connected layer: out = W * in + b, one (features x 1) sample per
+ * input column.
+ */
 class Dense : public Layer
 {
   public:
@@ -196,13 +151,10 @@ class Dense : public Layer
      */
     Dense(std::size_t in_features, std::size_t out_features, Rng &rng);
 
-    Matrix forward(const Matrix &in, bool train) override;
-    Matrix backward(const Matrix &grad_out) override;
-    bool supportsBatch() const override { return true; }
-    Matrix forwardBatch(const Matrix &in, std::size_t samples,
-                        bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
-                         bool inputGrad) override;
+    Matrix forward(const Matrix &in, std::size_t samples,
+                   bool train) override;
+    Matrix backward(const Matrix &grad_out, std::size_t samples,
+                    bool inputGrad) override;
     std::vector<Matrix *> params() override { return {&w_, &b_}; }
     std::vector<Matrix *> grads() override { return {&gw_, &gb_}; }
     std::string name() const override { return "dense"; }

@@ -29,47 +29,7 @@ Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, Rng &rng)
 }
 
 Matrix
-Lstm::forward(const Matrix &in, bool)
-{
-    panicIf(in.rows() != input_, "Lstm input feature mismatch");
-    inSeq_ = in;
-    samples_ = 1;
-    const std::size_t steps = in.cols();
-    gates_.resize(steps);
-    cells_.resize(steps);
-    hiddens_.resize(steps);
-
-    // Input-side pre-activations for every step in one fused GEMM:
-    // ZX = Wx * X + b, so the sequential loop only pays the recurrent
-    // product.
-    const Matrix zx = matmulBias(wx_, in, b_);
-    const float *__restrict zxd = zx.data();
-
-    Matrix h(hidden_, 1);
-    Matrix c(hidden_, 1);
-    for (std::size_t t = 0; t < steps; ++t) {
-        Matrix &z = gates_[t];
-        z.resize(4 * hidden_, 1);
-        // z = ZX[:, t] + Wh * h
-        const Matrix zr = gemv(wh_, h);
-        float *__restrict zd = z.data();
-        const float *__restrict zrd = zr.data();
-        for (std::size_t r = 0; r < 4 * hidden_; ++r)
-            zd[r] = zxd[r * steps + t] + zrd[r];
-
-        // Fused gate activation + state update; caches post-activation
-        // gate values in z for BPTT.
-        kernels::lstmGatesForward(zd, zd + hidden_, zd + 2 * hidden_,
-                                  zd + 3 * hidden_, c.data(), h.data(),
-                                  hidden_);
-        cells_[t] = c;
-        hiddens_[t] = h;
-    }
-    return h;
-}
-
-Matrix
-Lstm::forwardBatch(const Matrix &in, std::size_t samples, bool)
+Lstm::forward(const Matrix &in, std::size_t samples, bool)
 {
     panicIf(in.rows() != input_, "Lstm input feature mismatch");
     panicIf(samples == 0 || in.cols() % samples != 0,
@@ -120,12 +80,12 @@ Lstm::forwardBatch(const Matrix &in, std::size_t samples, bool)
 }
 
 Matrix
-Lstm::backwardBatch(const Matrix &grad_out, std::size_t samples, bool)
+Lstm::backward(const Matrix &grad_out, std::size_t samples, bool)
 {
-    panicIf(samples != samples_, "Lstm batched backward sample mismatch");
+    panicIf(samples != samples_, "Lstm backward sample mismatch");
     const std::size_t steps = inSeq_.cols() / samples;
     panicIf(grad_out.rows() != hidden_ || grad_out.cols() != samples,
-            "Lstm batched backward shape mismatch");
+            "Lstm backward shape mismatch");
 
     // Pre-activation gate gradients for every (sample, step) column,
     // laid out to match inSeq_ so the parameter gradients are three
@@ -187,82 +147,6 @@ Lstm::backwardBatch(const Matrix &grad_out, std::size_t samples, bool)
             float acc = 0.0f;
             const float *__restrict row = dzc + r * cols;
             for (std::size_t t = 0; t < cols; ++t)
-                acc += row[t];
-            gbd[r] += acc;
-        }
-    }
-    return matmulTransA(wx_, dzAll);
-}
-
-Matrix
-Lstm::backward(const Matrix &grad_out)
-{
-    const std::size_t steps = inSeq_.cols();
-    panicIf(grad_out.rows() != hidden_ || grad_out.cols() != 1,
-            "Lstm backward shape mismatch");
-
-    // Pre-activation gate gradients for every step, accumulated during
-    // the reverse sweep and turned into parameter gradients with three
-    // batched GEMMs afterwards.
-    Matrix dzAll(4 * hidden_, steps);
-    // Column t holds h_{t-1} (zeros for t = 0).
-    Matrix hprev(hidden_, steps);
-    for (std::size_t t = 1; t < steps; ++t)
-        for (std::size_t k = 0; k < hidden_; ++k)
-            hprev(k, t) = hiddens_[t - 1](k, 0);
-
-    Matrix dh = grad_out;       // dLoss/dh_t, accumulated backwards.
-    Matrix dc(hidden_, 1);      // dLoss/dc_t carried across steps.
-    std::vector<float> dz(4 * hidden_, 0.0f);
-
-    for (std::size_t ti = steps; ti-- > 0;) {
-        const Matrix &z = gates_[ti];
-        const Matrix &c = cells_[ti];
-        const Matrix *c_prev = ti > 0 ? &cells_[ti - 1] : nullptr;
-        const float *__restrict zd = z.data();
-        float *__restrict dhd = dh.data();
-
-        // Fused gate-gradient kernel over the step's hidden units;
-        // updates dc in place (carried to step t-1).
-        kernels::lstmGatesBackward(
-            zd, zd + hidden_, zd + 2 * hidden_, zd + 3 * hidden_,
-            c.data(), c_prev != nullptr ? c_prev->data() : nullptr,
-            dhd, dc.data(), dz.data(), dz.data() + hidden_,
-            dz.data() + 2 * hidden_, dz.data() + 3 * hidden_, hidden_);
-
-        float *__restrict dzc = dzAll.data();
-        for (std::size_t r = 0; r < 4 * hidden_; ++r)
-            dzc[r * steps + ti] = dz[r];
-
-        // dLoss/dh_{t-1} via the recurrent weights: dh = Wh^T * dz.
-        if (ti > 0) {
-            for (std::size_t k = 0; k < hidden_; ++k)
-                dhd[k] = 0.0f;
-            const float *__restrict whd = wh_.data();
-            for (std::size_t r = 0; r < 4 * hidden_; ++r) {
-                const float dz_v = dz[r];
-                if (dz_v == 0.0f)
-                    continue;
-                const float *__restrict whrow = whd + r * hidden_;
-                for (std::size_t k = 0; k < hidden_; ++k)
-                    dhd[k] += dz_v * whrow[k];
-            }
-        }
-    }
-
-    // Batched parameter gradients (identical math to the per-step
-    // accumulation, reordered into cache-friendly GEMMs):
-    //   dWx += dZ * X^T,  dWh += dZ * Hprev^T,  db += rowsum(dZ),
-    //   dX   = Wx^T * dZ.
-    accumulateMatmulTransB(gwx_, dzAll, inSeq_);
-    accumulateMatmulTransB(gwh_, dzAll, hprev);
-    {
-        const float *__restrict dzd = dzAll.data();
-        float *__restrict gbd = gb_.data();
-        for (std::size_t r = 0; r < 4 * hidden_; ++r) {
-            float acc = 0.0f;
-            const float *__restrict row = dzd + r * steps;
-            for (std::size_t t = 0; t < steps; ++t)
                 acc += row[t];
             gbd[r] += acc;
         }

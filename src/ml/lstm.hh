@@ -4,10 +4,11 @@
  * LSTM with 32 units and sigmoid recurrent activations over the
  * conv/pool front-end's output sequence).
  *
- * Input is a (features x time) matrix; the layer runs the standard LSTM
- * recurrence left to right and outputs the final hidden state as a
- * (hidden x 1) vector. Backward implements full backpropagation through
- * time, verified against finite differences in the test suite.
+ * Each sample is a (features x time) matrix; the layer runs the standard
+ * LSTM recurrence left to right over all samples at once and outputs
+ * the final hidden states as a (hidden x samples) matrix. Backward
+ * implements full backpropagation through time, verified against
+ * finite differences in the test suite.
  */
 
 #ifndef BF_ML_LSTM_HH
@@ -28,13 +29,10 @@ class Lstm : public Layer
      */
     Lstm(std::size_t input_size, std::size_t hidden_size, Rng &rng);
 
-    Matrix forward(const Matrix &in, bool train) override;
-    Matrix backward(const Matrix &grad_out) override;
-    bool supportsBatch() const override { return true; }
-    Matrix forwardBatch(const Matrix &in, std::size_t samples,
-                        bool train) override;
-    Matrix backwardBatch(const Matrix &grad_out, std::size_t samples,
-                         bool inputGrad) override;
+    Matrix forward(const Matrix &in, std::size_t samples,
+                   bool train) override;
+    Matrix backward(const Matrix &grad_out, std::size_t samples,
+                    bool inputGrad) override;
     std::vector<Matrix *> params() override { return {&wx_, &wh_, &b_}; }
     std::vector<Matrix *> grads() override { return {&gwx_, &gwh_, &gb_}; }
     std::string name() const override { return "lstm"; }
@@ -47,9 +45,9 @@ class Lstm : public Layer
     Matrix wx_, wh_, b_;
     Matrix gwx_, gwh_, gb_;
 
-    // Per-timestep caches for BPTT. On the batched path the per-step
-    // matrices carry one column per sample (4H x B / H x B) and inSeq_
-    // holds the whole (input x B*T) batch.
+    // Per-timestep caches for BPTT: the per-step matrices carry one
+    // column per sample (4H x B / H x B) and inSeq_ holds the whole
+    // (input x B*T) batch.
     Matrix inSeq_;
     std::size_t samples_ = 1;
     std::vector<Matrix> gates_; ///< Post-activation gates per step (4H x B).

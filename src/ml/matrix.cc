@@ -69,16 +69,6 @@ Matrix::operator*=(float value)
     return *this;
 }
 
-Matrix
-Matrix::flattened() const
-{
-    Matrix out;
-    out.rows_ = data_.size();
-    out.cols_ = 1;
-    out.data_ = data_;
-    return out;
-}
-
 double
 Matrix::sum() const
 {

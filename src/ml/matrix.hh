@@ -79,9 +79,6 @@ class Matrix
     /** Multiplies every element by @p value. */
     Matrix &operator*=(float value);
 
-    /** Reshapes to a (size x 1) column vector view-copy. */
-    Matrix flattened() const;
-
     /** Sum of all elements. */
     double sum() const;
 

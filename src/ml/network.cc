@@ -17,47 +17,20 @@ Sequential::add(std::unique_ptr<Layer> layer)
 }
 
 Matrix
-Sequential::forward(const Matrix &in, bool train)
+Sequential::forward(const Matrix &in, std::size_t samples, bool train)
 {
     Matrix x = in;
     for (auto &layer : layers_)
-        x = layer->forward(x, train);
-    return x;
-}
-
-Matrix
-Sequential::backward(const Matrix &grad_out)
-{
-    Matrix g = grad_out;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-        g = (*it)->backward(g);
-    return g;
-}
-
-bool
-Sequential::supportsBatch() const
-{
-    for (const auto &layer : layers_)
-        if (!layer->supportsBatch())
-            return false;
-    return true;
-}
-
-Matrix
-Sequential::forwardBatch(const Matrix &in, std::size_t samples, bool train)
-{
-    Matrix x = in;
-    for (auto &layer : layers_)
-        x = layer->forwardBatch(x, samples, train);
+        x = layer->forward(x, samples, train);
     return x;
 }
 
 void
-Sequential::backwardBatch(const Matrix &grad_out, std::size_t samples)
+Sequential::backward(const Matrix &grad_out, std::size_t samples)
 {
     Matrix g = grad_out;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-        g = (*it)->backwardBatch(g, samples, std::next(it) != layers_.rend());
+        g = (*it)->backward(g, samples, std::next(it) != layers_.rend());
 }
 
 std::vector<Matrix *>
@@ -112,40 +85,6 @@ SoftmaxCrossEntropy::probabilities(const Matrix &logits)
     for (double &p : probs)
         p /= sum;
     return probs;
-}
-
-double
-SoftmaxCrossEntropy::loss(const Matrix &logits, Label truth)
-{
-    const auto probs = probabilities(logits);
-    panicIf(truth < 0 || truth >= static_cast<Label>(probs.size()),
-            "loss label out of range");
-    return -std::log(std::max(probs[truth], 1e-12));
-}
-
-Matrix
-SoftmaxCrossEntropy::gradient(const Matrix &logits, Label truth)
-{
-    const auto probs = probabilities(logits);
-    Matrix grad(logits.rows(), 1);
-    for (std::size_t i = 0; i < logits.rows(); ++i)
-        grad(i, 0) = static_cast<float>(probs[i]);
-    grad(truth, 0) -= 1.0f;
-    return grad;
-}
-
-double
-SoftmaxCrossEntropy::lossAndGradient(const Matrix &logits, Label truth,
-                                     Matrix &grad)
-{
-    const auto probs = probabilities(logits);
-    panicIf(truth < 0 || truth >= static_cast<Label>(probs.size()),
-            "loss label out of range");
-    grad.resize(logits.rows(), 1);
-    for (std::size_t i = 0; i < logits.rows(); ++i)
-        grad(i, 0) = static_cast<float>(probs[i]);
-    grad(truth, 0) -= 1.0f;
-    return -std::log(std::max(probs[truth], 1e-12));
 }
 
 double

@@ -23,27 +23,18 @@ class Sequential
     /** Appends a layer; returns *this for chaining. */
     Sequential &add(std::unique_ptr<Layer> layer);
 
-    /** Runs all layers forward on one sample. */
-    Matrix forward(const Matrix &in, bool train);
-
-    /** Backpropagates through all layers (after a forward call). */
-    Matrix backward(const Matrix &grad_out);
-
-    /** True when every layer implements the batched interface. */
-    bool supportsBatch() const;
+    /**
+     * Runs all layers forward on a column-concatenated minibatch of
+     * @p samples samples (see layer.hh for the layout).
+     */
+    Matrix forward(const Matrix &in, std::size_t samples, bool train);
 
     /**
-     * forward() over a column-concatenated minibatch (see layer.hh for
-     * the layout). Requires supportsBatch().
+     * Backpropagates through the most recent forward(), accumulating
+     * every parameter gradient. The first layer is told that nothing
+     * reads its input gradient, so none is returned.
      */
-    Matrix forwardBatch(const Matrix &in, std::size_t samples, bool train);
-
-    /**
-     * Backpropagates through the most recent forwardBatch(),
-     * accumulating every parameter gradient. The first layer is told
-     * that nothing reads its input gradient, so none is returned.
-     */
-    void backwardBatch(const Matrix &grad_out, std::size_t samples);
+    void backward(const Matrix &grad_out, std::size_t samples);
 
     /** All trainable parameter tensors. */
     std::vector<Matrix *> params();
@@ -68,26 +59,12 @@ class Sequential
  * Softmax + cross-entropy head.
  *
  * Computes class probabilities from logits and, during training, the
- * loss gradient (probs - onehot) to feed Sequential::backward.
+ * loss and its gradient (probs - onehot) to feed Sequential::backward.
  */
 struct SoftmaxCrossEntropy
 {
     /** Probabilities from a (classes x 1) logit vector. */
     static std::vector<double> probabilities(const Matrix &logits);
-
-    /** Cross-entropy loss of the true class. */
-    static double loss(const Matrix &logits, Label truth);
-
-    /** dLoss/dLogits = softmax(logits) - onehot(truth). */
-    static Matrix gradient(const Matrix &logits, Label truth);
-
-    /**
-     * Loss and gradient from a single softmax evaluation (the training
-     * hot path; calling loss() + gradient() separately computes the
-     * probabilities twice). @p grad is resized to (classes x 1).
-     */
-    static double lossAndGradient(const Matrix &logits, Label truth,
-                                  Matrix &grad);
 
     /**
      * Summed loss and per-column gradients over a (classes x B) logit

@@ -238,11 +238,10 @@ TEST(BatchedNetwork, ForwardMatchesPerSample)
     }
 
     Sequential net = makeToyNet(7);
-    ASSERT_TRUE(net.supportsBatch());
-    const Matrix out = net.forwardBatch(batch, kSamples, false);
+    const Matrix out = net.forward(batch, kSamples, false);
     ASSERT_EQ(out.cols(), kSamples);
     for (std::size_t s = 0; s < kSamples; ++s) {
-        const Matrix one = net.forward(samples[s], false);
+        const Matrix one = net.forward(samples[s], 1, false);
         ASSERT_EQ(one.rows(), out.rows());
         for (std::size_t r = 0; r < out.rows(); ++r)
             EXPECT_NEAR(out(r, s), one(r, 0),
@@ -266,9 +265,9 @@ TEST(BatchedNetwork, GradientsMatchPerSampleAccumulation)
                 batch(r, s * kSteps + t) = samples[s](r, t);
     }
 
-    // Same seed -> identical weights and dropout mask stream, so the
-    // batched pass must reproduce the per-sample minibatch gradient up
-    // to float summation order.
+    // Same seed -> identical weights and dropout mask stream, so one
+    // B-sample pass must reproduce the gradient B one-sample passes
+    // accumulate, up to float summation order.
     Sequential serial = makeToyNet(31);
     Sequential batched = makeToyNet(31);
 
@@ -276,17 +275,17 @@ TEST(BatchedNetwork, GradientsMatchPerSampleAccumulation)
     double serial_loss = 0.0;
     serial.zeroGrads();
     for (std::size_t s = 0; s < kSamples; ++s) {
-        const Matrix logits = serial.forward(samples[s], true);
-        serial_loss +=
-            SoftmaxCrossEntropy::lossAndGradient(logits, labels[s], grad);
-        serial.backward(grad);
+        const Matrix logits = serial.forward(samples[s], 1, true);
+        serial_loss += SoftmaxCrossEntropy::lossAndGradientBatch(
+            logits, {labels[s]}, grad);
+        serial.backward(grad, 1);
     }
 
     batched.zeroGrads();
-    const Matrix logits = batched.forwardBatch(batch, kSamples, true);
+    const Matrix logits = batched.forward(batch, kSamples, true);
     const double batch_loss =
         SoftmaxCrossEntropy::lossAndGradientBatch(logits, labels, grad);
-    batched.backwardBatch(grad, kSamples);
+    batched.backward(grad, kSamples);
 
     EXPECT_NEAR(batch_loss, serial_loss,
                 1e-3 * (1.0 + std::fabs(serial_loss)));
@@ -300,7 +299,7 @@ TEST(BatchedNetwork, GradientsMatchPerSampleAccumulation)
 /**
  * The layers of CnnLstmClassifier at trace defaults (two channels,
  * 32 filters of width 8, stride 3, pool 4, 32 LSTM units), so conv1 is
- * the layer whose input gradient Sequential::backwardBatch skips.
+ * the layer whose input gradient Sequential::backward skips.
  */
 std::vector<std::unique_ptr<Layer>>
 makeCnnLstmLayers(std::uint64_t seed)
@@ -336,18 +335,18 @@ TEST(BatchedNetwork, SkippedInputGradientLeavesParameterGradientsBitIdentical)
     Matrix grad;
     skipped.zeroGrads();
     SoftmaxCrossEntropy::lossAndGradientBatch(
-        skipped.forwardBatch(batch, kSamples, true), labels, grad);
-    skipped.backwardBatch(grad, kSamples);
+        skipped.forward(batch, kSamples, true), labels, grad);
+    skipped.backward(grad, kSamples);
 
     Matrix x = batch;
     for (auto &layer : full) {
         layer->zeroGrads();
-        x = layer->forwardBatch(x, kSamples, true);
+        x = layer->forward(x, kSamples, true);
     }
     SoftmaxCrossEntropy::lossAndGradientBatch(x, labels, grad);
     Matrix g = grad;
     for (auto it = full.rbegin(); it != full.rend(); ++it)
-        g = (*it)->backwardBatch(g, kSamples, true);
+        g = (*it)->backward(g, kSamples, true);
     EXPECT_EQ(g.rows(), kChannels);
     EXPECT_EQ(g.cols(), kSamples * kSteps);
 
@@ -373,12 +372,12 @@ TEST(BatchedNetwork, ConvWithoutInputGradientReturnsEmpty)
     const Matrix in = randomMatrix(2, kSamples * kSteps, rng);
     Rng wa(9), wb(9);
     Conv1D skipped(2, 5, 4, 2, wa), full(2, 5, 4, 2, wb);
-    const Matrix out = skipped.forwardBatch(in, kSamples, true);
-    full.forwardBatch(in, kSamples, true);
+    const Matrix out = skipped.forward(in, kSamples, true);
+    full.forward(in, kSamples, true);
     const Matrix grad_out = randomMatrix(out.rows(), out.cols(), rng);
 
-    EXPECT_EQ(skipped.backwardBatch(grad_out, kSamples, false).size(), 0u);
-    EXPECT_EQ(full.backwardBatch(grad_out, kSamples, true).size(),
+    EXPECT_EQ(skipped.backward(grad_out, kSamples, false).size(), 0u);
+    EXPECT_EQ(full.backward(grad_out, kSamples, true).size(),
               in.size());
     for (std::size_t i = 0; i < 2; ++i)
         EXPECT_EQ(std::memcmp(skipped.grads()[i]->data(),
@@ -553,9 +552,9 @@ TEST(CrossIsa, ActivationsBitIdentical)
 
 TEST(CrossIsa, VectorActivationsMatchScalarHelpers)
 {
-    // The strided GRU loop uses sigmoidScalar/tanhScalar one value at a
-    // time; they must agree bitwise with the vector paths under every
-    // Tag, or mixing the two in one network breaks determinism.
+    // sigmoidScalar/tanhScalar are the one-value reference the LSTM-gate
+    // tests build their inputs from; they must agree bitwise with the
+    // vector paths under every Tag.
     TagGuard guard;
     Rng rng(106);
     std::vector<float> xs = randomVec(257, rng, 8.0);

@@ -199,12 +199,13 @@ TEST(SharedCollection, SharedPipelineMatchesSingleRunsAcrossThreads)
 ml::Dataset
 tinyDataset()
 {
-    // Separable two-class data; enough rows for 3 folds.
+    // Separable two-class data; enough rows for 3 folds and long
+    // enough rows for the CNN-LSTM's two conv/pool stages.
     ml::Dataset data;
     Rng rng(99);
     for (int i = 0; i < 24; ++i) {
         const Label y = i % 2;
-        std::vector<double> x(16);
+        std::vector<double> x(64);
         for (auto &v : x)
             v = rng.normal(y == 0 ? -1.0 : 1.0, 0.3);
         data.add(std::move(x), y);
@@ -219,9 +220,13 @@ TEST(ParallelCrossValidation, FoldMetricsMatchAcrossThreadCounts)
     config.folds = 3;
     config.seed = 5;
 
+    ml::CnnLstmParams params;
+    params.convFilters = 4;
+    params.lstmUnits = 4;
+    params.maxEpochs = 3;
     const auto run = [&](int threads) {
         ScopedThreads scoped(threads);
-        return ml::crossValidate(ml::mlpFactory(), data, config);
+        return ml::crossValidate(ml::cnnLstmFactory(params), data, config);
     };
     const auto serial = run(1);
     const auto parallel = run(8);

@@ -729,11 +729,12 @@ TEST(StageCacheReplay, ModelEntriesReplayWhenScoresAreDeleted)
     // fold model from its "model" entry (no retraining) and score it
     // back to the cold run's results, for the weight-file network
     // payload and for the softmax model's own payload alike.
-    ml::MlpParams mlp;
-    mlp.hidden = 16;
-    mlp.maxEpochs = 3;
+    ml::CnnLstmParams cnn = ml::CnnLstmParams::traceDefaults();
+    cnn.convFilters = 4;
+    cnn.lstmUnits = 4;
+    cnn.maxEpochs = 3;
     const std::pair<std::string, ml::ClassifierFactory> factories[] = {
-        {"mlp", ml::mlpFactory(mlp)},
+        {"cnn-lstm", ml::cnnLstmFactory(cnn)},
         {"softmax", ml::softmaxRegressionFactory()}};
     for (const auto &[name, factory] : factories) {
         SCOPED_TRACE(name);
