@@ -72,24 +72,31 @@ run(const core::RunContext &ctx)
                 "comb paper", "comb meas", "cache comb paper",
                 "cache comb meas"});
 
-    for (const auto &cell : cells()) {
+    const std::vector<Cell> table_cells = cells();
+    std::vector<core::CollectionConfig> configs;
+    for (const auto &cell : table_cells) {
         core::CollectionConfig cfg = core::collectionForScale(scale);
         cfg.machine = cell.machine;
         cfg.browser = cell.profile;
+        configs.push_back(cfg);
+    }
+    auto pipeline = core::pipelineForScale(scale);
+    pipeline.openWorldExtra = scale.openWorldExtra;
 
-        auto pipeline = core::pipelineForScale(scale);
-        pipeline.openWorldExtra = scale.openWorldExtra;
+    // Both attackers observe the same victim, and browsers with the same
+    // load behavior on one OS see the same victim timeline: one call
+    // synthesizes each distinct timeline once without changing any
+    // cell's traces.
+    const attack::AttackerKind kinds[] = {
+        attack::AttackerKind::LoopCounting,
+        attack::AttackerKind::SweepCounting};
+    auto shared = core::runFingerprintingShared(configs, kinds, pipeline);
+    if (!shared.isOk())
+        return shared.status();
 
-        // Both attackers observe the same victim: one shared-timeline
-        // collection halves the dominant phase without changing either
-        // attacker's traces.
-        const attack::AttackerKind kinds[] = {
-            attack::AttackerKind::LoopCounting,
-            attack::AttackerKind::SweepCounting};
-        auto shared = core::runFingerprintingShared(cfg, kinds, pipeline);
-        if (!shared.isOk())
-            return shared.status();
-        const auto &results = shared.value();
+    for (std::size_t c = 0; c < table_cells.size(); ++c) {
+        const Cell &cell = table_cells[c];
+        const auto &results = shared.value()[c];
         const auto &loop_result = results[0];
         const auto &sweep_result = results[1];
 

@@ -47,26 +47,36 @@ run(const core::RunContext &ctx)
         return formatPercent(
             ctx.descriptor->expectedValue(metric).value_or(0.0));
     };
-    Table table({"timer", "A (ms)", "P (ms)", "top-1 paper", "top-1 meas",
-                 "top-5 paper", "top-5 meas"});
+    // Every row runs the same machine and victim and differs only in the
+    // timer and period, so one call synthesizes each victim timeline once
+    // for all five rows.
+    std::vector<core::CollectionConfig> configs;
     for (const auto &row : rows) {
         core::CollectionConfig config = core::collectionForScale(scale);
         config.browser = web::BrowserProfile::nativePython();
         config.timerOverride = row.spec;
         config.period = row.period_ms * kMsec;
-        auto result = core::runFingerprinting(config, pipeline);
-        if (!result.isOk())
-            return result.status();
+        configs.push_back(config);
+    }
+    const attack::AttackerKind kinds[] = {configs.front().attacker};
+    auto results = core::runFingerprintingShared(configs, kinds, pipeline);
+    if (!results.isOk())
+        return results.status();
+
+    Table table({"timer", "A (ms)", "P (ms)", "top-1 paper", "top-1 meas",
+                 "top-5 paper", "top-5 meas"});
+    for (std::size_t r = 0; r < configs.size(); ++r) {
+        const RowSpec &row = rows[r];
+        const core::FingerprintResult &result = results.value()[r][0];
         const std::string label = std::string(row.timer) + "_p" +
                                   std::to_string(row.period_ms);
-        artifact.addResult(label, result.value());
+        artifact.addResult(label, result);
         table.addRow({row.timer, row.a_ms, std::to_string(row.period_ms),
                       expected(label + "_top1"),
-                      formatPercentPm(result.value().closedWorld.top1Mean,
-                                      result.value().closedWorld.top1Std),
+                      formatPercentPm(result.closedWorld.top1Mean,
+                                      result.closedWorld.top1Std),
                       expected(label + "_top5"),
-                      formatPercent(
-                          result.value().closedWorld.topKMean)});
+                      formatPercent(result.closedWorld.topKMean)});
         std::printf("finished: %s timer, P = %d ms\n", row.timer,
                     row.period_ms);
     }

@@ -41,8 +41,10 @@
 #               whose --explain table and schemaVersion-3 artifact must
 #               carry the per-stage sim counters, with the counter
 #               values identical across --threads and BF_SIMD; then a
-#               background_noise run at the default 256 features whose
-#               artifact must match between --threads=1 and --threads=4.
+#               background_noise run at the default 256 features and a
+#               table4_timer_defense smoke (one timeline group for all
+#               five rows) whose artifacts must each match between
+#               --threads=1 and --threads=4.
 #   address   — full build + ctest under AddressSanitizer.
 #   undefined — full build + ctest under UBSan.
 #   thread    — full build + ctest under ThreadSanitizer.
@@ -452,6 +454,20 @@ for stage in "${stages[@]}"; do
             exit 1
         fi
         echo "== [sim-perf] background_noise bit-identical at 1 and 4 threads"
+        # Table 4's five rows share one timeline group: one Collect
+        # serves every timer, at any thread count.
+        for t in 1 4; do
+            "$builddir/bigfish" run table4_timer_defense --smoke \
+                --threads="$t" --json="$pdir/t4-t$t.json" > /dev/null
+        done
+        if ! diff <(grep -v -e 'Seconds' -e '"threads"' "$pdir/t4-t1.json") \
+                  <(grep -v -e 'Seconds' -e '"threads"' "$pdir/t4-t4.json"); then
+            echo "table4_timer_defense artifact differs between 1 and 4" \
+                 "threads" >&2
+            exit 1
+        fi
+        echo "== [sim-perf] table4_timer_defense bit-identical at 1 and 4" \
+             "threads"
         ;;
       address|undefined|thread)
         san="$stage"

@@ -25,6 +25,19 @@ cellKey(std::uint64_t fingerprint, int world, SiteId site, int run)
     return key;
 }
 
+/** The error every attacker of a cell gets when no period is set. */
+std::vector<Result<attack::Trace>>
+periodUnsetCell(std::size_t attackers)
+{
+    std::vector<Result<attack::Trace>> out;
+    out.reserve(attackers);
+    for (std::size_t i = 0; i < attackers; ++i)
+        out.emplace_back(Status(invalidArgumentError(
+            "collection period must be positive (browser default and "
+            "override are both unset)")));
+    return out;
+}
+
 /** One-line-per-field canonical form of a config, for fingerprinting. */
 struct Canonical
 {
@@ -53,53 +66,158 @@ struct Canonical
     }
 };
 
-/** One collected cell and the simulator work it took (zero when
- *  replayed from the cache). */
-using CellResult = std::pair<CollectedCell, sim::PerfCounters>;
+/** Every group member's cell of one (world, site, run) task, with the
+ *  simulator work the task took (zero when all were replayed). */
+using GroupCellResult =
+    std::pair<std::vector<CollectedCell>, sim::PerfCounters>;
 
 /**
- * Accounts collected cells in serial order into one TraceSet per
- * attacker: drops are counted, kept traces are relabeled to @p relabel
- * when set, and the cells' perf counters are summed in that same order,
- * so the sets, @p stats and @p perf are identical at any thread count.
- * Fails when an attacker kept no trace of a non-empty @p world.
+ * Accounts one member's collected cells in serial order into one
+ * TraceSet per attacker: drops are counted and kept traces are
+ * relabeled to @p relabel when set, so the sets and stats are identical
+ * at any thread count. Fails when an attacker kept no trace of a
+ * non-empty @p world.
  */
-Result<std::vector<attack::TraceSet>>
-accountCells(std::vector<CellResult> &results, std::size_t attackers,
-             const char *world, std::optional<Label> relabel,
-             std::vector<CollectionStats> *stats, sim::PerfCounters *perf)
+Result<MemberCollection>
+accountCells(std::vector<GroupCellResult> &results, std::size_t member,
+             std::size_t attackers, const char *world,
+             std::optional<Label> relabel)
 {
-    std::vector<CollectionStats> local(attackers);
-    std::vector<attack::TraceSet> sets(attackers);
-    for (attack::TraceSet &set : sets)
+    MemberCollection out;
+    out.stats.resize(attackers);
+    out.sets.resize(attackers);
+    for (attack::TraceSet &set : out.sets)
         set.traces.reserve(results.size());
-    for (auto &[cell, cell_perf] : results) {
-        if (perf != nullptr)
-            *perf += cell_perf;
+    for (auto &task : results) {
+        CollectedCell &cell = task.first[member];
         for (std::size_t a = 0; a < attackers; ++a) {
-            ++local[a].attempted;
+            ++out.stats[a].attempted;
             if (!cell[a].isOk()) {
-                ++local[a].dropped;
+                ++out.stats[a].dropped;
                 warnOnce("collector/dropped-trace",
                          "dropping unusable trace(s); first: " +
                              cell[a].status().toString());
                 continue;
             }
-            ++local[a].collected;
+            ++out.stats[a].collected;
             if (relabel)
                 cell[a].value().label = *relabel;
-            sets[a].add(std::move(cell[a].value()));
+            out.sets[a].add(std::move(cell[a].value()));
         }
     }
-    if (stats != nullptr)
-        *stats = local;
     for (std::size_t a = 0; a < attackers; ++a) {
-        if (!results.empty() && sets[a].traces.empty())
+        if (!results.empty() && out.sets[a].traces.empty())
             return Status(exhaustedError(
                 std::string(world) + " collection dropped all " +
-                std::to_string(local[a].attempted) + " traces"));
+                std::to_string(out.stats[a].attempted) + " traces"));
     }
-    return sets;
+    return out;
+}
+
+/**
+ * Checks a group's preconditions, collects its @p cells tasks on the
+ * pool (cell_of(idx) gives the task's cache key, site and run) and
+ * accounts every member. @p perf sums the tasks' work in serial order,
+ * so it is identical at any thread count.
+ */
+template <typename CellOf>
+Result<std::vector<MemberCollection>>
+collectGroupWorld(std::span<const TraceCollector *const> members,
+                  std::size_t cells,
+                  std::span<const attack::AttackerKind> attackers,
+                  const char *world, std::optional<Label> relabel,
+                  sim::PerfCounters *perf, CellOf &&cell_of)
+{
+    if (attackers.empty())
+        return Status(
+            invalidArgumentError("need at least one attacker kind"));
+    if (members.empty())
+        return Status(invalidArgumentError("need at least one collector"));
+    for (const TraceCollector *member : members) {
+        if (!(member->timelineInputs() == members[0]->timelineInputs()))
+            return Status(invalidArgumentError(
+                "a collection group needs equal timeline inputs"));
+    }
+    // Every (site, run) cell derives its randomness from the config seed
+    // alone, so the cells are independent and collect in parallel; each
+    // result lands in its own pre-sized slot. The accounting below walks
+    // the slots in serial order, so the produced TraceSets, the
+    // dropped-trace stats and the summed perf counters are identical at
+    // any thread count.
+    auto results = parallelMap(cells, [&](std::size_t idx) {
+        sim::PerfCounters task_perf;
+        return GroupCellResult(
+            cell_of(idx, perf != nullptr ? &task_perf : nullptr),
+            task_perf);
+    });
+    if (perf != nullptr)
+        for (const GroupCellResult &task : results)
+            *perf += task.second;
+    std::vector<MemberCollection> out;
+    out.reserve(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        Result<MemberCollection> member =
+            accountCells(results, m, attackers.size(), world, relabel);
+        if (!member.isOk())
+            return Status(member.status());
+        out.push_back(std::move(member.value()));
+    }
+    return out;
+}
+
+/** The base timeline of a (site, run) and the RNG stream the browser
+ *  runtime effects draw from next. */
+struct BaseTimeline
+{
+    sim::RunTimeline timeline;
+    Rng browserRng;
+};
+
+/**
+ * Synthesizes the base timeline of (site, run) from @p in alone:
+ * workload realization, defense overlays and interrupt synthesis, all
+ * deterministic in (seed, site id, run index).
+ */
+BaseTimeline
+synthesizeBase(const TimelineInputs &in, const web::SiteSignature &site,
+               int run_index, sim::PerfCounters *perf)
+{
+    Rng rng(mix64(in.seed) ^
+            mix64(static_cast<std::uint64_t>(site.id) * 1000003ULL +
+                  static_cast<std::uint64_t>(run_index) + 17ULL));
+    Rng workload_rng = rng.fork(1);
+    Rng synth_rng = rng.fork(2);
+    Rng browser_rng = rng.fork(3);
+    Rng defense_rng = rng.fork(4);
+
+    // The browser's connection path scales how repeatable loads are
+    // (Tor circuits make the same page load very differently each time).
+    web::RealizationNoise noise = in.realization;
+    noise.phaseStartJitterMs *= in.loadVariability;
+    noise.phaseDurationSigma *= in.loadVariability;
+    noise.rateSigma *= in.loadVariability;
+    noise.runLoadSigma *= in.loadVariability;
+
+    sim::ActivityTimeline activity = web::realizeWorkload(
+        site, in.traceDuration, in.loadTimeScale, noise, workload_rng);
+
+    if (in.spuriousInterruptNoise) {
+        activity.superimpose(defense::spuriousInterruptOverlay(
+            activity.duration(), in.spuriousParams, defense_rng));
+    }
+    if (in.cacheSweepNoise) {
+        activity.superimpose(defense::cacheSweepOverlay(
+            activity.duration(), in.cacheSweepParams));
+    }
+    if (in.backgroundApps) {
+        activity.superimpose(defense::backgroundAppsOverlay(
+            activity.duration(), defense_rng));
+    }
+    activity.clampPhysical();
+
+    const sim::InterruptSynthesizer synthesizer(in.machine);
+    return {synthesizer.synthesize(activity, synth_rng, perf),
+            std::move(browser_rng)};
 }
 
 void
@@ -122,17 +240,27 @@ addTimerSpec(Canonical &canon, const char *prefix,
 
 } // namespace
 
-TraceCollector::TraceCollector(CollectionConfig config)
-    : config_(std::move(config)), synthesizer_(config_.machine)
+TimelineInputs
+TimelineInputs::of(const CollectionConfig &config)
 {
+    TimelineInputs in;
+    in.machine = config.machine;
+    in.realization = config.realization;
+    in.traceDuration = config.browser.traceDuration;
+    in.loadTimeScale = config.browser.loadTimeScale;
+    in.loadVariability = config.browser.loadVariability;
+    in.spuriousInterruptNoise = config.spuriousInterruptNoise;
+    in.spuriousParams = config.spuriousParams;
+    in.cacheSweepNoise = config.cacheSweepNoise;
+    in.cacheSweepParams = config.cacheSweepParams;
+    in.backgroundApps = config.backgroundApps;
+    in.seed = config.seed;
+    return in;
 }
 
-Rng
-TraceCollector::traceRng(SiteId site_id, int run_index) const
+TraceCollector::TraceCollector(CollectionConfig config)
+    : config_(std::move(config)), inputs_(TimelineInputs::of(config_))
 {
-    return Rng(mix64(config_.seed) ^
-               mix64(static_cast<std::uint64_t>(site_id) * 1000003ULL +
-                     static_cast<std::uint64_t>(run_index) + 17ULL));
 }
 
 std::uint64_t
@@ -142,45 +270,11 @@ TraceCollector::faultSalt(SiteId site_id, int run_index) const
                  static_cast<std::uint64_t>(run_index) + 101ULL);
 }
 
-sim::RunTimeline
-TraceCollector::synthesizeTimeline(const web::SiteSignature &site,
-                                   int run_index,
-                                   sim::PerfCounters *perf) const
+void
+TraceCollector::finishTimeline(sim::RunTimeline &timeline, Rng &browser_rng,
+                               const web::SiteSignature &site,
+                               int run_index) const
 {
-    Rng rng = traceRng(site.id, run_index);
-    Rng workload_rng = rng.fork(1);
-    Rng synth_rng = rng.fork(2);
-    Rng browser_rng = rng.fork(3);
-    Rng defense_rng = rng.fork(4);
-
-    // The browser's connection path scales how repeatable loads are
-    // (Tor circuits make the same page load very differently each time).
-    web::RealizationNoise noise = config_.realization;
-    noise.phaseStartJitterMs *= config_.browser.loadVariability;
-    noise.phaseDurationSigma *= config_.browser.loadVariability;
-    noise.rateSigma *= config_.browser.loadVariability;
-    noise.runLoadSigma *= config_.browser.loadVariability;
-
-    sim::ActivityTimeline activity = web::realizeWorkload(
-        site, config_.browser.traceDuration, config_.browser.loadTimeScale,
-        noise, workload_rng);
-
-    if (config_.spuriousInterruptNoise) {
-        activity.superimpose(defense::spuriousInterruptOverlay(
-            activity.duration(), config_.spuriousParams, defense_rng));
-    }
-    if (config_.cacheSweepNoise) {
-        activity.superimpose(defense::cacheSweepOverlay(
-            activity.duration(), config_.cacheSweepParams));
-    }
-    if (config_.backgroundApps) {
-        activity.superimpose(defense::backgroundAppsOverlay(
-            activity.duration(), defense_rng));
-    }
-    activity.clampPhysical();
-
-    sim::RunTimeline timeline =
-        synthesizer_.synthesize(activity, synth_rng, perf);
     web::applyBrowserRuntime(timeline, config_.browser, browser_rng);
 
     // Injected delivery faults and stalls mutate the shared ground
@@ -191,7 +285,16 @@ TraceCollector::synthesizeTimeline(const web::SiteSignature &site,
                                   faultSalt(site.id, run_index));
         plan.applyToTimeline(timeline);
     }
-    return timeline;
+}
+
+sim::RunTimeline
+TraceCollector::synthesizeTimeline(const web::SiteSignature &site,
+                                   int run_index,
+                                   sim::PerfCounters *perf) const
+{
+    BaseTimeline base = synthesizeBase(inputs_, site, run_index, perf);
+    finishTimeline(base.timeline, base.browserRng, site, run_index);
+    return std::move(base.timeline);
 }
 
 Result<attack::Trace>
@@ -254,19 +357,34 @@ Result<attack::Trace>
 TraceCollector::collectOne(const web::SiteSignature &site,
                            int run_index) const
 {
-    if (config_.effectivePeriod() <= 0)
-        return Status(invalidArgumentError(
-            "collection period must be positive (browser default and "
-            "override are both unset)"));
-    const sim::RunTimeline timeline = synthesizeTimeline(site, run_index);
+    const attack::AttackerKind attackers[] = {config_.attacker};
+    std::vector<Result<attack::Trace>> cell =
+        collectOneMulti(site, run_index, attackers);
+    return std::move(cell[0]);
+}
+
+std::vector<Result<attack::Trace>>
+TraceCollector::attackTimeline(
+    const web::SiteSignature &site, int run_index,
+    const sim::RunTimeline &timeline,
+    std::span<const attack::AttackerKind> attackers,
+    sim::PerfCounters *perf) const
+{
+    // The timer seed and fault plan depend only on (config seed, site,
+    // run), so each attacker runs over the shared ground truth with its
+    // own freshly seeded timer.
     const auto timer_seed =
         mix64(config_.seed ^ 0x71e4aeedULL) ^
         mix64(static_cast<std::uint64_t>(site.id) * 7919ULL +
               static_cast<std::uint64_t>(run_index));
     const sim::FaultPlan plan(config_.faults,
                               faultSalt(site.id, run_index));
-    return collectForAttacker(config_.attacker, site, run_index, timeline,
-                              plan, timer_seed);
+    std::vector<Result<attack::Trace>> out;
+    out.reserve(attackers.size());
+    for (attack::AttackerKind attacker : attackers)
+        out.push_back(collectForAttacker(attacker, site, run_index,
+                                         timeline, plan, timer_seed, perf));
+    return out;
 }
 
 std::vector<Result<attack::Trace>>
@@ -275,64 +393,92 @@ TraceCollector::collectOneMulti(
     std::span<const attack::AttackerKind> attackers,
     sim::PerfCounters *perf) const
 {
-    std::vector<Result<attack::Trace>> out;
-    out.reserve(attackers.size());
-    if (config_.effectivePeriod() <= 0) {
-        for (std::size_t i = 0; i < attackers.size(); ++i)
-            out.emplace_back(Status(invalidArgumentError(
-                "collection period must be positive (browser default and "
-                "override are both unset)")));
-        return out;
-    }
-    // Everything up to the attack itself — victim workload, timeline
-    // synthesis, browser runtime, fault plan, timer seed — depends only
-    // on (config seed, site, run). Synthesize once and run each attacker
-    // over the shared ground truth with its own freshly seeded timer.
+    if (config_.effectivePeriod() <= 0)
+        return periodUnsetCell(attackers.size());
     const sim::RunTimeline timeline =
         synthesizeTimeline(site, run_index, perf);
-    const auto timer_seed =
-        mix64(config_.seed ^ 0x71e4aeedULL) ^
-        mix64(static_cast<std::uint64_t>(site.id) * 7919ULL +
-              static_cast<std::uint64_t>(run_index));
-    const sim::FaultPlan plan(config_.faults,
-                              faultSalt(site.id, run_index));
-    for (attack::AttackerKind attacker : attackers)
-        out.push_back(collectForAttacker(attacker, site, run_index,
-                                         timeline, plan, timer_seed, perf));
-    return out;
+    return attackTimeline(site, run_index, timeline, attackers, perf);
 }
 
-std::vector<Result<attack::Trace>>
-TraceCollector::collectCellCached(
-    int world, SiteId site_key, const web::SiteSignature &site,
-    int run_index, std::span<const attack::AttackerKind> attackers,
-    sim::PerfCounters *perf) const
+std::optional<std::vector<Result<attack::Trace>>>
+TraceCollector::replayCell(int world, SiteId site_key, int run_index,
+                           std::size_t attackers) const
 {
     if (cache_ == nullptr)
-        return collectOneMulti(site, run_index, attackers, perf);
+        return std::nullopt;
     const std::uint64_t key =
         cellKey(cacheFingerprint_, world, site_key, run_index);
-    if (const auto payload = cache_->lookup(kCellKind, key)) {
-        // A cell stored under a different attacker set cannot occur (the
-        // fingerprint keys the attacker list), but stay defensive: an
-        // undecodable or mis-sized cell is dropped and recollected.
-        // Replayed cells deliberately add nothing to *perf: the counters
-        // measure work performed, exactly like cpuSeconds.
-        auto cached = decodeCell(*payload);
-        if (cached.has_value() && cached->size() == attackers.size())
-            return std::move(*cached);
-        cache_->remove(kCellKind, key);
-    }
-    auto cell = collectOneMulti(site, run_index, attackers, perf);
+    const auto payload = cache_->lookup(kCellKind, key);
+    if (!payload)
+        return std::nullopt;
+    // A cell stored under a different attacker set cannot occur (the
+    // fingerprint keys the attacker list), but stay defensive: an
+    // undecodable or mis-sized cell is dropped and recollected.
+    auto cached = decodeCell(*payload);
+    if (cached.has_value() && cached->size() == attackers)
+        return cached;
+    cache_->remove(kCellKind, key);
+    return std::nullopt;
+}
+
+void
+TraceCollector::storeCell(int world, SiteId site_key, int run_index,
+                          const std::vector<Result<attack::Trace>> &cell) const
+{
+    if (cache_ == nullptr)
+        return;
     // A cache that stops accepting entries (disk full, directory
     // deleted) only costs resumability, never the run itself.
-    const Status stored = cache_->put(kCellKind, key, encodeCell(cell));
+    const Status stored =
+        cache_->put(kCellKind,
+                    cellKey(cacheFingerprint_, world, site_key, run_index),
+                    encodeCell(cell));
     if (!stored.isOk())
         warnOnce("collector/cell-store",
                  "storing a collected cell failed (run continues without "
                  "resumability): " +
                      stored.toString());
-    return cell;
+}
+
+std::vector<std::vector<Result<attack::Trace>>>
+TraceCollector::collectGroupCell(
+    std::span<const TraceCollector *const> members, int world,
+    SiteId site_key, const web::SiteSignature &site, int run_index,
+    std::span<const attack::AttackerKind> attackers,
+    sim::PerfCounters *perf)
+{
+    // Replayed cells deliberately add nothing to *perf: the counters
+    // measure work performed, exactly like cpuSeconds.
+    std::vector<std::vector<Result<attack::Trace>>> cells(members.size());
+    std::vector<std::size_t> missing;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        auto cached = members[m]->replayCell(world, site_key, run_index,
+                                             attackers.size());
+        if (cached)
+            cells[m] = std::move(*cached);
+        else
+            missing.push_back(m);
+    }
+    std::optional<BaseTimeline> base;
+    for (const std::size_t m : missing) {
+        const TraceCollector &member = *members[m];
+        if (member.config_.effectivePeriod() <= 0) {
+            cells[m] = periodUnsetCell(attackers.size());
+        } else {
+            if (!base)
+                base = synthesizeBase(member.inputs_, site, run_index, perf);
+            // The last member to need the base takes it; the others
+            // finish a copy.
+            BaseTimeline own = m == missing.back() ? std::move(*base)
+                                                    : BaseTimeline(*base);
+            member.finishTimeline(own.timeline, own.browserRng, site,
+                                  run_index);
+            cells[m] = member.attackTimeline(site, run_index, own.timeline,
+                                             attackers, perf);
+        }
+        member.storeCell(world, site_key, run_index, cells[m]);
+    }
+    return cells;
 }
 
 attack::Trace
@@ -367,35 +513,40 @@ TraceCollector::collectClosedWorldMulti(
     std::span<const attack::AttackerKind> attackers,
     std::vector<CollectionStats> *stats, sim::PerfCounters *perf) const
 {
+    const TraceCollector *const self[] = {this};
+    Result<std::vector<MemberCollection>> group = collectClosedWorldGroup(
+        self, catalog, traces_per_site, attackers, perf);
+    if (!group.isOk())
+        return Status(group.status());
+    if (stats != nullptr)
+        *stats = std::move(group.value()[0].stats);
+    return std::move(group.value()[0].sets);
+}
+
+Result<std::vector<MemberCollection>>
+TraceCollector::collectClosedWorldGroup(
+    std::span<const TraceCollector *const> members,
+    const web::SiteCatalog &catalog, int traces_per_site,
+    std::span<const attack::AttackerKind> attackers,
+    sim::PerfCounters *perf)
+{
     if (traces_per_site <= 0)
         return Status(
             invalidArgumentError("traces_per_site must be positive"));
-    if (attackers.empty())
-        return Status(
-            invalidArgumentError("need at least one attacker kind"));
     const std::size_t cells =
         static_cast<std::size_t>(catalog.size()) *
         static_cast<std::size_t>(traces_per_site);
-
-    // Every (site, run) cell derives its randomness from the config seed
-    // alone, so the cells are independent and collect in parallel; each
-    // result lands in its own pre-sized slot. The accounting pass below
-    // walks the slots in serial order, so the produced TraceSets, the
-    // dropped-trace stats and the summed perf counters are identical at
-    // any thread count.
-    auto results = parallelMap(cells, [&](std::size_t idx) {
-        const SiteId id = static_cast<SiteId>(
-            idx / static_cast<std::size_t>(traces_per_site));
-        const int run = static_cast<int>(
-            idx % static_cast<std::size_t>(traces_per_site));
-        sim::PerfCounters cell_perf;
-        auto traces = collectCellCached(
-            kClosedWorldCell, id, catalog.site(id), run, attackers,
-            perf != nullptr ? &cell_perf : nullptr);
-        return std::make_pair(std::move(traces), cell_perf);
-    });
-    return accountCells(results, attackers.size(), "closed-world",
-                        std::nullopt, stats, perf);
+    return collectGroupWorld(
+        members, cells, attackers, "closed-world", std::nullopt, perf,
+        [&](std::size_t idx, sim::PerfCounters *task_perf) {
+            const SiteId id = static_cast<SiteId>(
+                idx / static_cast<std::size_t>(traces_per_site));
+            const int run = static_cast<int>(
+                idx % static_cast<std::size_t>(traces_per_site));
+            return collectGroupCell(members, kClosedWorldCell, id,
+                                    catalog.site(id), run, attackers,
+                                    task_perf);
+        });
 }
 
 attack::TraceSet
@@ -432,27 +583,37 @@ TraceCollector::collectOpenWorldMulti(
     std::span<const attack::AttackerKind> attackers,
     std::vector<CollectionStats> *stats, sim::PerfCounters *perf) const
 {
-    if (attackers.empty())
-        return Status(
-            invalidArgumentError("need at least one attacker kind"));
-    const std::size_t cells =
-        static_cast<std::size_t>(std::max(num_extra, 0));
+    const TraceCollector *const self[] = {this};
+    Result<std::vector<MemberCollection>> group = collectOpenWorldGroup(
+        self, catalog, num_extra, non_sensitive_label, attackers, perf);
+    if (!group.isOk())
+        return Status(group.status());
+    if (stats != nullptr)
+        *stats = std::move(group.value()[0].stats);
+    return std::move(group.value()[0].sets);
+}
+
+Result<std::vector<MemberCollection>>
+TraceCollector::collectOpenWorldGroup(
+    std::span<const TraceCollector *const> members,
+    const web::SiteCatalog &catalog, int num_extra,
+    Label non_sensitive_label,
+    std::span<const attack::AttackerKind> attackers,
+    sim::PerfCounters *perf)
+{
     // Each open-world trace visits a distinct one-off site (the paper's
-    // 5,000 unique non-sensitive pages); the cells are independent, so
-    // they collect in parallel with the same slot-then-account scheme as
-    // the closed world.
-    // The cache keys open-world cells by extension index (not the
-    // one-off site id), which is stable across catalog id schemes.
-    auto results = parallelMap(cells, [&](std::size_t i) {
-        sim::PerfCounters cell_perf;
-        auto traces = collectCellCached(
-            kOpenWorldCell, static_cast<SiteId>(i),
-            catalog.openWorldSite(static_cast<int>(i)), 0, attackers,
-            perf != nullptr ? &cell_perf : nullptr);
-        return std::make_pair(std::move(traces), cell_perf);
-    });
-    return accountCells(results, attackers.size(), "open-world",
-                        non_sensitive_label, stats, perf);
+    // 5,000 unique non-sensitive pages). The cache keys open-world cells
+    // by extension index (not the one-off site id), which is stable
+    // across catalog id schemes.
+    return collectGroupWorld(
+        members, static_cast<std::size_t>(std::max(num_extra, 0)),
+        attackers, "open-world", non_sensitive_label, perf,
+        [&](std::size_t i, sim::PerfCounters *task_perf) {
+            return collectGroupCell(
+                members, kOpenWorldCell, static_cast<SiteId>(i),
+                catalog.openWorldSite(static_cast<int>(i)), 0, attackers,
+                task_perf);
+        });
 }
 
 attack::TraceSet

@@ -16,6 +16,12 @@
  * Seeding is fully deterministic: trace (site, run) under the same
  * config always reproduces bit-identically, faults included.
  *
+ * The victim's base timeline (everything before applyBrowserRuntime)
+ * depends only on TimelineInputs. Configs that agree on them — Chrome,
+ * Firefox and Safari on one OS, or Table 4's timer variants — form a
+ * group, and collectClosedWorldGroup()/collectOpenWorldGroup()
+ * synthesize each (site, run) base once for the whole group.
+ *
  * Error contract: per-trace collection returns Result<Trace>; a trace
  * degraded below usability (e.g. truncated to a handful of periods) is
  * an error, not a crash. The closed/open-world collectors drop such
@@ -94,12 +100,48 @@ struct CollectionConfig
     }
 };
 
+/**
+ * Everything TraceCollector reads to synthesize the base timeline of a
+ * (site, run), i.e. before the browser runtime and injected faults are
+ * applied: the machine, the realization noise, the browser's three load
+ * fields, the defense overlays with their parameters, and the seed.
+ * The base synthesis takes only this type, so two configs with equal
+ * TimelineInputs synthesize byte-identical base timelines and equality
+ * cannot miss an input.
+ */
+struct TimelineInputs
+{
+    sim::MachineConfig machine;
+    web::RealizationNoise realization;
+    TimeNs traceDuration = 0;
+    double loadTimeScale = 1.0;
+    double loadVariability = 1.0;
+    bool spuriousInterruptNoise = false;
+    defense::SpuriousInterruptParams spuriousParams;
+    bool cacheSweepNoise = false;
+    defense::CacheSweepParams cacheSweepParams;
+    bool backgroundApps = false;
+    std::uint64_t seed = 0;
+
+    /** The timeline inputs of @p config. */
+    static TimelineInputs of(const CollectionConfig &config);
+
+    bool operator==(const TimelineInputs &) const = default;
+};
+
 /** Accounting of one closed/open-world collection sweep. */
 struct CollectionStats
 {
     std::size_t attempted = 0; ///< Traces collection was attempted for.
     std::size_t collected = 0; ///< Traces that made it into the set.
     std::size_t dropped = 0;   ///< Traces dropped as unusable.
+};
+
+/** One group member's collection: a TraceSet per attacker, with stats. */
+struct MemberCollection
+{
+    std::vector<attack::TraceSet> sets;
+    std::vector<CollectionStats> stats;
 };
 
 /** Collects traces for one configuration. */
@@ -112,6 +154,8 @@ class TraceCollector
     explicit TraceCollector(CollectionConfig config);
 
     const CollectionConfig &config() const { return config_; }
+
+    const TimelineInputs &timelineInputs() const { return inputs_; }
 
     /**
      * Attaches a stage cache (core/stage_cache.hh): completed (world,
@@ -229,12 +273,45 @@ class TraceCollector
                           std::vector<CollectionStats> *stats = nullptr,
                           sim::PerfCounters *perf = nullptr) const;
 
-  private:
-    /** Per-(site, run) root randomness. */
-    Rng traceRng(SiteId site_id, int run_index) const;
+    /**
+     * Closed-world collection for several collectors whose configs have
+     * equal TimelineInputs (the call fails otherwise). Every (site, run)
+     * task synthesizes the base timeline once, and only when some
+     * member's cell is not in that member's cache. Each member that
+     * needs the cell finishes its own copy of the base (browser runtime,
+     * faults) and runs every attacker with its own timer and period, so
+     * its sets are bit-identical to its own collectClosedWorldMulti(),
+     * which is this call with one member. @p perf (optional) sums the
+     * whole group's work in serial cell order: a synthesis is counted
+     * once.
+     */
+    [[nodiscard]] static Result<std::vector<MemberCollection>>
+    collectClosedWorldGroup(std::span<const TraceCollector *const> members,
+                            const web::SiteCatalog &catalog,
+                            int traces_per_site,
+                            std::span<const attack::AttackerKind> attackers,
+                            sim::PerfCounters *perf = nullptr);
 
-    /** Per-(site, run) fault-plan salt (independent of traceRng). */
+    /** Open-world counterpart of collectClosedWorldGroup(). */
+    [[nodiscard]] static Result<std::vector<MemberCollection>>
+    collectOpenWorldGroup(std::span<const TraceCollector *const> members,
+                          const web::SiteCatalog &catalog, int num_extra,
+                          Label non_sensitive_label,
+                          std::span<const attack::AttackerKind> attackers,
+                          sim::PerfCounters *perf = nullptr);
+
+  private:
+    /** Per-(site, run) fault-plan salt (independent of the trace RNG). */
     std::uint64_t faultSalt(SiteId site_id, int run_index) const;
+
+    /**
+     * Turns a base timeline (TimelineInputs only) into this config's
+     * ground truth: browser runtime effects drawn from @p browser_rng,
+     * then timeline-level faults.
+     */
+    void finishTimeline(sim::RunTimeline &timeline, Rng &browser_rng,
+                        const web::SiteSignature &site,
+                        int run_index) const;
 
     /**
      * Runs @p attacker over an already-synthesized timeline: fresh timer
@@ -251,19 +328,36 @@ class TraceCollector
                        std::uint64_t timer_seed,
                        sim::PerfCounters *perf = nullptr) const;
 
-    /**
-     * Replays (world, site_key, run) from the attached cache when it
-     * was completed earlier; otherwise collects and stores it. The
-     * no-cache path is a plain collectOneMulti() call.
-     */
+    /** Every attacker over one finished timeline of (site, run). */
     [[nodiscard]] std::vector<Result<attack::Trace>>
-    collectCellCached(int world, SiteId site_key,
-                      const web::SiteSignature &site, int run_index,
-                      std::span<const attack::AttackerKind> attackers,
-                      sim::PerfCounters *perf = nullptr) const;
+    attackTimeline(const web::SiteSignature &site, int run_index,
+                   const sim::RunTimeline &timeline,
+                   std::span<const attack::AttackerKind> attackers,
+                   sim::PerfCounters *perf) const;
+
+    /**
+     * Cell (world, site_key, run) of every member, each replayed from
+     * that member's cache or collected over one shared base timeline,
+     * which is synthesized only if some member needs it.
+     */
+    [[nodiscard]] static std::vector<std::vector<Result<attack::Trace>>>
+    collectGroupCell(std::span<const TraceCollector *const> members,
+                     int world, SiteId site_key,
+                     const web::SiteSignature &site, int run_index,
+                     std::span<const attack::AttackerKind> attackers,
+                     sim::PerfCounters *perf);
+
+    /** Cell (world, site_key, run) from the attached cache, if stored. */
+    [[nodiscard]] std::optional<std::vector<Result<attack::Trace>>>
+    replayCell(int world, SiteId site_key, int run_index,
+               std::size_t attackers) const;
+
+    /** Stores a freshly collected cell in the attached cache, if any. */
+    void storeCell(int world, SiteId site_key, int run_index,
+                   const std::vector<Result<attack::Trace>> &cell) const;
 
     CollectionConfig config_;
-    sim::InterruptSynthesizer synthesizer_;
+    TimelineInputs inputs_;
     StageCache *cache_ = nullptr;
     std::uint64_t cacheFingerprint_ = 0;
 };

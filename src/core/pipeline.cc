@@ -62,15 +62,12 @@ distinctLabels(const attack::TraceSet &traces)
     return static_cast<int>(labels.size());
 }
 
-/** Everything the shared collection sweep produces, per attacker. */
+/** Everything one config's collection produces, per attacker. */
 struct CollectOutput
 {
-    std::vector<attack::TraceSet> closed;
-    std::vector<attack::TraceSet> openExtra;
-    std::vector<CollectionStats> closedStats;
-    std::vector<CollectionStats> openStats;
-    /** Simulator work performed by this sweep (zero when replayed). */
-    sim::PerfCounters perf;
+    MemberCollection closed;
+    /** Empty when the run has no open world. */
+    MemberCollection openExtra;
 };
 
 /** The declared stage ids one attacker/world evaluation owns. */
@@ -97,46 +94,51 @@ featurizeCanon(const PipelineConfig &pipeline, attack::AttackerKind kind)
 }
 
 /**
- * The Collect stage body: shared-timeline trace collection for every
- * attacker. With a stage cache, every finished (world, site, run) cell
- * is stored as a "cell" entry and replayed on the next run, so the one
- * cache makes a *partial* collection restartable (`--resume`) and a
- * *finished* one (and everything downstream) skippable.
+ * The Collect stage body of a timeline group: shared-timeline trace
+ * collection for every member and attacker (TraceCollector's group
+ * calls). With a stage cache, every finished (world, site, run) cell is
+ * stored as a "cell" entry of its member's cache and replayed on the
+ * next run, so the one cache makes a *partial* collection restartable
+ * (`--resume`) and a *finished* one (and everything downstream)
+ * skippable. @p perf receives the group's simulator work.
  */
-Result<CollectOutput>
-collectStageBody(const CollectionConfig &collection,
+Result<std::vector<CollectOutput>>
+collectStageBody(std::span<const TraceCollector *const> members,
                  std::span<const attack::AttackerKind> attackers,
                  const PipelineConfig &pipeline, Label non_sensitive,
-                 StageCache *cache, std::uint64_t collection_fp)
+                 std::span<StageCache *const> caches,
+                 sim::PerfCounters *perf)
 {
     const web::SiteCatalog catalog(pipeline.numSites, pipeline.catalogSeed);
-    TraceCollector collector(collection);
-    collector.setCache(cache, collection_fp);
-    const std::size_t hits_before = cache ? cache->stats().hits : 0;
+    std::vector<std::size_t> hits_before;
+    for (const StageCache *cache : caches)
+        hits_before.push_back(cache ? cache->stats().hits : 0);
 
-    CollectOutput out;
-    Result<std::vector<attack::TraceSet>> closed_result =
-        collector.collectClosedWorldMulti(catalog, pipeline.tracesPerSite,
-                                          attackers, &out.closedStats,
-                                          &out.perf);
-    if (!closed_result.isOk())
-        return Status(closed_result.status());
-    out.closed = std::move(closed_result.value());
-
-    out.openStats.resize(attackers.size());
+    Result<std::vector<MemberCollection>> closed =
+        TraceCollector::collectClosedWorldGroup(
+            members, catalog, pipeline.tracesPerSite, attackers, perf);
+    if (!closed.isOk())
+        return Status(closed.status());
+    std::vector<CollectOutput> out(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m)
+        out[m].closed = std::move(closed.value()[m]);
     if (pipeline.openWorldExtra > 0) {
-        Result<std::vector<attack::TraceSet>> extra_result =
-            collector.collectOpenWorldMulti(catalog,
-                                            pipeline.openWorldExtra,
-                                            non_sensitive, attackers,
-                                            &out.openStats, &out.perf);
-        if (!extra_result.isOk())
-            return Status(extra_result.status());
-        out.openExtra = std::move(extra_result.value());
+        Result<std::vector<MemberCollection>> extra =
+            TraceCollector::collectOpenWorldGroup(
+                members, catalog, pipeline.openWorldExtra, non_sensitive,
+                attackers, perf);
+        if (!extra.isOk())
+            return Status(extra.status());
+        for (std::size_t m = 0; m < members.size(); ++m)
+            out[m].openExtra = std::move(extra.value()[m]);
     }
-    if (cache != nullptr && cache->stats().hits > hits_before)
-        std::printf("resuming: replayed %zu collected cell(s) from %s\n",
-                    cache->stats().hits - hits_before, cache->dir().c_str());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        const StageCache *cache = caches[m];
+        if (cache != nullptr && cache->stats().hits > hits_before[m])
+            std::printf("resuming: replayed %zu collected cell(s) from %s\n",
+                        cache->stats().hits - hits_before[m],
+                        cache->dir().c_str());
+    }
     return out;
 }
 
@@ -149,8 +151,8 @@ Result<FeaturizedEntry>
 featurizeStageBody(const CollectOutput &collected, std::size_t a,
                    const PipelineConfig &pipeline)
 {
-    const attack::TraceSet &closed = collected.closed[a];
-    const CollectionStats &closed_stats = collected.closedStats[a];
+    const attack::TraceSet &closed = collected.closed.sets[a];
+    const CollectionStats &closed_stats = collected.closed.stats[a];
 
     // Dropped traces must leave enough data for the evaluation
     // protocol to be meaningful; otherwise fail recoverably rather
@@ -177,12 +179,12 @@ featurizeStageBody(const CollectOutput &collected, std::size_t a,
         // The paper's open world: closed-world traces keep their site
         // labels ("sensitive"); one extra class holds all one-off
         // "non-sensitive" traces.
-        entry.droppedTraces += collected.openStats[a].dropped;
-        entry.collectedTraces += collected.openStats[a].collected;
+        const attack::TraceSet &extra = collected.openExtra.sets[a];
+        entry.droppedTraces += collected.openExtra.stats[a].dropped;
+        entry.collectedTraces += collected.openExtra.stats[a].collected;
         attack::TraceSet open = closed;
-        open.traces.reserve(closed.size() +
-                            collected.openExtra[a].traces.size());
-        for (const auto &trace : collected.openExtra[a].traces)
+        open.traces.reserve(closed.size() + extra.traces.size());
+        for (const auto &trace : extra.traces)
             open.add(trace);
         entry.openWorld =
             toDataset(open, pipeline.featureLen, pipeline.numSites + 1);
@@ -286,63 +288,72 @@ runWorld(StageGraph &graph, const WorldStages &stages,
         });
 }
 
-} // namespace
-
-Result<std::vector<FingerprintResult>>
-runFingerprintingShared(const CollectionConfig &collection,
-                        std::span<const attack::AttackerKind> attackers,
-                        const PipelineConfig &pipeline)
+/** One attacker's declared evaluation stages, per world. */
+struct AttackerStages
 {
-    if (attackers.empty())
-        return Status(
-            invalidArgumentError("need at least one attacker kind"));
-    if (pipeline.numSites < 2)
-        return Status(invalidArgumentError("need at least two sites"));
-    if (pipeline.eval.folds < 2)
-        return Status(
-            invalidArgumentError("cross-validation needs >= 2 folds"));
-    const Label non_sensitive = pipeline.numSites;
-    const bool has_open = pipeline.openWorldExtra > 0;
+    WorldStages closed;
+    WorldStages open;
+};
 
+/** One config's declared stage graph and, once probed or collected,
+ *  its featurized datasets. */
+struct ConfigRun
+{
+    const CollectionConfig *collection = nullptr;
     std::optional<StageCache> cache;
+    std::unique_ptr<StageGraph> graph;
+    std::uint64_t collectionFp = 0;
+    std::size_t collectId = 0;
+    std::vector<std::size_t> featIds;
+    std::vector<AttackerStages> stages;
+    std::vector<FeaturizedEntry> featurized;
+
+    StageCache *cachePtr() { return cache ? &*cache : nullptr; }
+};
+
+const StageCodec<FeaturizedEntry> kFeaturizedCodec{
+    "featurized", &encodeFeaturized, &decodeFeaturized};
+
+/**
+ * Opens @p run's stage cache and declares its whole graph up front:
+ * every stage's fingerprint is a pure function of configuration
+ * (cacheDir excluded — it affects where work happens, never what it
+ * computes), so a warm run can probe the cache bottom-up before running
+ * anything.
+ */
+Status
+declareRun(ConfigRun &run, const CollectionConfig &collection,
+           std::span<const attack::AttackerKind> attackers,
+           const PipelineConfig &pipeline)
+{
+    run.collection = &collection;
     if (!pipeline.cacheDir.empty()) {
         Result<StageCache> opened =
             StageCache::open(pipeline.cacheDir, collection.faults);
         if (!opened.isOk())
-            return Status(opened.status());
-        cache = std::move(opened.value());
+            return opened.status();
+        run.cache = std::move(opened.value());
     }
-    StageGraph graph(cache ? &*cache : nullptr);
+    run.graph = std::make_unique<StageGraph>(run.cachePtr());
+    StageGraph &graph = *run.graph;
 
-    // Declare the whole graph up front: every stage's fingerprint is a
-    // pure function of configuration (cacheDir excluded — it affects
-    // where work happens, never what it computes), so a warm run can
-    // probe the cache bottom-up before running anything.
-    const std::uint64_t collection_fp = collectionFingerprint(
+    run.collectionFp = collectionFingerprint(
         collection, pipeline.catalogSeed, pipeline.numSites,
         pipeline.openWorldExtra, attackers);
-    const std::size_t collect_id = graph.declare(
-        "collect", "collect", "collection=" + hex16(collection_fp) + "\n",
-        {});
+    run.collectId = graph.declare(
+        "collect", "collect",
+        "collection=" + hex16(run.collectionFp) + "\n", {});
 
-    const StageCodec<FeaturizedEntry> featurized_codec{
-        "featurized", &encodeFeaturized, &decodeFeaturized};
-    std::vector<std::size_t> feat_ids;
-    feat_ids.reserve(attackers.size());
+    run.featIds.reserve(attackers.size());
     for (std::size_t a = 0; a < attackers.size(); ++a) {
-        const std::size_t upstream[] = {collect_id};
-        feat_ids.push_back(graph.declare(
+        const std::size_t upstream[] = {run.collectId};
+        run.featIds.push_back(graph.declare(
             std::string("featurize/") +
                 attack::attackerKindName(attackers[a]),
             "featurize", featurizeCanon(pipeline, attackers[a]), upstream));
     }
 
-    struct AttackerStages
-    {
-        WorldStages closed;
-        WorldStages open;
-    };
-    std::vector<AttackerStages> attacker_stages(attackers.size());
+    run.stages.resize(attackers.size());
     for (std::size_t a = 0; a < attackers.size(); ++a) {
         const std::string who = attack::attackerKindName(attackers[a]);
         const auto declare_world = [&](const char *world,
@@ -354,7 +365,7 @@ runFingerprintingShared(const CollectionConfig &collection,
                         << hexDouble(pipeline.eval.valFraction) << '\n'
                         << "seed=" << pipeline.eval.seed << '\n'
                         << "world=" << world << '\n';
-            const std::size_t split_upstream[] = {feat_ids[a]};
+            const std::size_t split_upstream[] = {run.featIds[a]};
             stages.split = graph.declare("split/" + who + "/" + world,
                                          "eval", split_canon.str(),
                                          split_upstream);
@@ -386,49 +397,91 @@ runFingerprintingShared(const CollectionConfig &collection,
                 stages.score);
             return stages;
         };
-        attacker_stages[a].closed =
+        run.stages[a].closed =
             declare_world("closed", ml::kClosedWorldFoldSeedBase);
-        if (has_open)
-            attacker_stages[a].open =
+        if (pipeline.openWorldExtra > 0)
+            run.stages[a].open =
                 declare_world("open", ml::kOpenWorldFoldSeedBase);
     }
+    return Status();
+}
 
-    // Probe every attacker's Featurize entry before collecting anything
-    // (all-or-nothing — a partial hit still has to pay the shared
-    // collection, so it is treated as a miss). On a full hit the cached
-    // datasets replay bit-identically and the Collect stage never runs.
-    std::vector<FeaturizedEntry> featurized;
-    if (cache) {
-        featurized.reserve(attackers.size());
-        for (const std::size_t id : feat_ids) {
-            std::optional<FeaturizedEntry> entry =
-                graph.fromCache(id, featurized_codec);
-            if (!entry)
-                break;
-            featurized.push_back(std::move(*entry));
-        }
-        if (featurized.size() == attackers.size())
-            std::printf("stage cache: hit, %zu featurized entr%s from %s; "
-                        "skipping collection and featurization\n",
-                        featurized.size(),
-                        featurized.size() == 1 ? "y" : "ies",
-                        cache->dir().c_str());
-        else
-            std::printf("stage cache: featurized miss in %s; collecting\n",
-                        cache->dir().c_str());
+/**
+ * Probes every attacker's Featurize entry of @p run before collecting
+ * anything (all-or-nothing — a partial hit still has to pay the shared
+ * collection, so it is treated as a miss). On a full hit the cached
+ * datasets replay bit-identically, the Collect stage never runs, and
+ * this returns true.
+ */
+bool
+probeFeaturized(ConfigRun &run, std::size_t attackers)
+{
+    if (!run.cache)
+        return false;
+    run.featurized.reserve(attackers);
+    for (const std::size_t id : run.featIds) {
+        std::optional<FeaturizedEntry> entry =
+            run.graph->fromCache(id, kFeaturizedCodec);
+        if (!entry)
+            break;
+        run.featurized.push_back(std::move(*entry));
     }
+    if (run.featurized.size() == attackers) {
+        std::printf("stage cache: hit, %zu featurized entr%s from %s; "
+                    "skipping collection and featurization\n",
+                    run.featurized.size(),
+                    run.featurized.size() == 1 ? "y" : "ies",
+                    run.cache->dir().c_str());
+        return true;
+    }
+    std::printf("stage cache: featurized miss in %s; collecting\n",
+                run.cache->dir().c_str());
+    run.featurized.clear();
+    return false;
+}
 
-    if (featurized.size() != attackers.size()) {
-        featurized.clear();
-        Result<CollectOutput> collected = graph.run<CollectOutput>(
-            collect_id, nullptr, [&]() -> Result<CollectOutput> {
-                return collectStageBody(collection, attackers, pipeline,
-                                        non_sensitive,
-                                        cache ? &*cache : nullptr,
-                                        collection_fp);
+/**
+ * Runs the Collect stage once for @p members (configs with equal
+ * TimelineInputs whose featurized entries missed), then each member's
+ * Featurize stages. The first member's Collect row carries the group's
+ * CPU and simulator work; the other members' rows take its provenance
+ * with zero cost, so summing rows counts the shared work once.
+ */
+Status
+collectGroup(std::span<ConfigRun *const> members,
+             std::span<const attack::AttackerKind> attackers,
+             const PipelineConfig &pipeline, Label non_sensitive)
+{
+    std::vector<TraceCollector> collectors;
+    collectors.reserve(members.size());
+    std::vector<StageCache *> caches;
+    for (ConfigRun *run : members) {
+        collectors.emplace_back(*run->collection);
+        collectors.back().setCache(run->cachePtr(), run->collectionFp);
+        caches.push_back(run->cachePtr());
+    }
+    std::vector<const TraceCollector *> group;
+    for (const TraceCollector &collector : collectors)
+        group.push_back(&collector);
+
+    ConfigRun &leader = *members[0];
+    sim::PerfCounters perf;
+    Result<std::vector<CollectOutput>> collected =
+        leader.graph->run<std::vector<CollectOutput>>(
+            leader.collectId, nullptr,
+            [&]() -> Result<std::vector<CollectOutput>> {
+                return collectStageBody(group, attackers, pipeline,
+                                        non_sensitive, caches, &perf);
             });
-        if (!collected.isOk())
-            return Status(collected.status());
+    if (!collected.isOk())
+        return collected.status();
+
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        ConfigRun &run = *members[m];
+        StageGraph &graph = *run.graph;
+        // Featurize consumes this member's traces; they are freed as
+        // soon as its datasets exist.
+        const CollectOutput traces = std::move(collected.value()[m]);
         std::size_t total_collected = 0, total_dropped = 0;
         for (std::size_t a = 0; a < attackers.size(); ++a) {
             // Featurization stores before the folds evaluate: a run
@@ -436,40 +489,59 @@ runFingerprintingShared(const CollectionConfig &collection,
             // phases cached for the next attempt. A failed store
             // degrades to an uncached run, never a failed one.
             Result<FeaturizedEntry> entry = graph.run<FeaturizedEntry>(
-                feat_ids[a], &featurized_codec,
+                run.featIds[a], &kFeaturizedCodec,
                 [&]() -> Result<FeaturizedEntry> {
-                    return featurizeStageBody(collected.value(), a,
-                                              pipeline);
+                    return featurizeStageBody(traces, a, pipeline);
                 },
                 /*probe=*/false);
             if (!entry.isOk())
-                return Status(entry.status());
+                return entry.status();
             total_collected +=
                 static_cast<std::size_t>(entry.value().collectedTraces);
             total_dropped +=
                 static_cast<std::size_t>(entry.value().droppedTraces);
-            featurized.push_back(std::move(entry.value()));
+            run.featurized.push_back(std::move(entry.value()));
         }
-        graph.setCounts(collect_id, total_collected, total_dropped);
-        graph.setSimCounters(collect_id, collected.value().perf);
+        graph.setCounts(run.collectId, total_collected, total_dropped);
+        if (m == 0)
+            graph.setSimCounters(run.collectId, perf);
+        else
+            graph.setCacheState(
+                run.collectId,
+                leader.graph->reports()[leader.collectId].cache);
     }
+    return Status();
+}
+
+/**
+ * Evaluates every attacker of @p run from its featurized datasets and
+ * hands out the stage table: the shared Collect stage goes to the first
+ * attacker only, so summing per-attacker tables counts it once;
+ * everything else is owned by exactly one attacker.
+ */
+Result<std::vector<FingerprintResult>>
+evaluateRun(ConfigRun &run, std::span<const attack::AttackerKind> attackers,
+            const PipelineConfig &pipeline, Label non_sensitive)
+{
+    StageGraph &graph = *run.graph;
+    const bool has_open = pipeline.openWorldExtra > 0;
     for (std::size_t a = 0; a < attackers.size(); ++a)
         graph.setCounts(
-            feat_ids[a],
-            static_cast<std::size_t>(featurized[a].collectedTraces),
-            static_cast<std::size_t>(featurized[a].droppedTraces));
+            run.featIds[a],
+            static_cast<std::size_t>(run.featurized[a].collectedTraces),
+            static_cast<std::size_t>(run.featurized[a].droppedTraces));
 
     std::vector<FingerprintResult> results(attackers.size());
     for (std::size_t a = 0; a < attackers.size(); ++a) {
         FingerprintResult &result = results[a];
-        const FeaturizedEntry &entry = featurized[a];
+        const FeaturizedEntry &entry = run.featurized[a];
         result.droppedTraces =
             static_cast<std::size_t>(entry.droppedTraces);
         result.collectedTraces =
             static_cast<std::size_t>(entry.collectedTraces);
 
         Result<ml::EvalResult> closed = runWorld(
-            graph, attacker_stages[a].closed, pipeline, entry.closedWorld,
+            graph, run.stages[a].closed, pipeline, entry.closedWorld,
             ml::kClosedWorldFoldSeedBase, false, non_sensitive);
         if (!closed.isOk())
             return Status(closed.status());
@@ -477,7 +549,7 @@ runFingerprintingShared(const CollectionConfig &collection,
 
         if (has_open) {
             Result<ml::EvalResult> open = runWorld(
-                graph, attacker_stages[a].open, pipeline, entry.openWorld,
+                graph, run.stages[a].open, pipeline, entry.openWorld,
                 ml::kOpenWorldFoldSeedBase, true, non_sensitive);
             if (!open.isOk())
                 return Status(open.status());
@@ -486,15 +558,12 @@ runFingerprintingShared(const CollectionConfig &collection,
         }
     }
 
-    // Distribute the stage table: the shared Collect stage goes to the
-    // first attacker only, so summing per-attacker tables counts it
-    // once; everything else is owned by exactly one attacker.
     const auto &reports = graph.reports();
     for (std::size_t a = 0; a < attackers.size(); ++a) {
         FingerprintResult &result = results[a];
         if (a == 0)
-            result.stages.push_back(reports[collect_id]);
-        result.stages.push_back(reports[feat_ids[a]]);
+            result.stages.push_back(reports[run.collectId]);
+        result.stages.push_back(reports[run.featIds[a]]);
         const auto append_world = [&](const WorldStages &stages) {
             result.stages.push_back(reports[stages.split]);
             for (std::size_t f = 0; f < stages.train.size(); ++f) {
@@ -503,11 +572,92 @@ runFingerprintingShared(const CollectionConfig &collection,
             }
             result.stages.push_back(reports[stages.aggregate]);
         };
-        append_world(attacker_stages[a].closed);
+        append_world(run.stages[a].closed);
         if (has_open)
-            append_world(attacker_stages[a].open);
+            append_world(run.stages[a].open);
     }
     return results;
+}
+
+} // namespace
+
+Result<std::vector<std::vector<FingerprintResult>>>
+runFingerprintingShared(std::span<const CollectionConfig> collections,
+                        std::span<const attack::AttackerKind> attackers,
+                        const PipelineConfig &pipeline)
+{
+    if (collections.empty())
+        return Status(
+            invalidArgumentError("need at least one collection config"));
+    if (attackers.empty())
+        return Status(
+            invalidArgumentError("need at least one attacker kind"));
+    if (pipeline.numSites < 2)
+        return Status(invalidArgumentError("need at least two sites"));
+    if (pipeline.eval.folds < 2)
+        return Status(
+            invalidArgumentError("cross-validation needs >= 2 folds"));
+    const Label non_sensitive = pipeline.numSites;
+
+    std::vector<std::unique_ptr<ConfigRun>> runs;
+    runs.reserve(collections.size());
+    for (const CollectionConfig &collection : collections) {
+        runs.push_back(std::make_unique<ConfigRun>());
+        const Status declared =
+            declareRun(*runs.back(), collection, attackers, pipeline);
+        if (!declared.isOk())
+            return declared;
+    }
+
+    // Group configs by equal TimelineInputs, in first-appearance order:
+    // one Collect per group synthesizes each base timeline once.
+    std::vector<TimelineInputs> keys;
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t c = 0; c < collections.size(); ++c) {
+        const TimelineInputs key = TimelineInputs::of(collections[c]);
+        const auto it = std::find(keys.begin(), keys.end(), key);
+        if (it == keys.end()) {
+            keys.push_back(key);
+            groups.push_back({c});
+        } else {
+            groups[static_cast<std::size_t>(it - keys.begin())].push_back(c);
+        }
+    }
+
+    std::vector<std::vector<FingerprintResult>> results(collections.size());
+    for (const std::vector<std::size_t> &group : groups) {
+        std::vector<ConfigRun *> collecting;
+        for (const std::size_t c : group)
+            if (!probeFeaturized(*runs[c], attackers.size()))
+                collecting.push_back(runs[c].get());
+        if (!collecting.empty()) {
+            const Status collected = collectGroup(collecting, attackers,
+                                                  pipeline, non_sensitive);
+            if (!collected.isOk())
+                return collected;
+        }
+        for (const std::size_t c : group) {
+            Result<std::vector<FingerprintResult>> evaluated =
+                evaluateRun(*runs[c], attackers, pipeline, non_sensitive);
+            if (!evaluated.isOk())
+                return Status(evaluated.status());
+            results[c] = std::move(evaluated.value());
+        }
+    }
+    return results;
+}
+
+Result<std::vector<FingerprintResult>>
+runFingerprintingShared(const CollectionConfig &collection,
+                        std::span<const attack::AttackerKind> attackers,
+                        const PipelineConfig &pipeline)
+{
+    Result<std::vector<std::vector<FingerprintResult>>> results =
+        runFingerprintingShared(std::span(&collection, 1), attackers,
+                                pipeline);
+    if (!results.isOk())
+        return Status(results.status());
+    return std::move(results.value()[0]);
 }
 
 std::vector<FingerprintResult>

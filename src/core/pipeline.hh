@@ -135,6 +135,22 @@ runFingerprintingShared(const CollectionConfig &collection,
                         std::span<const attack::AttackerKind> attackers,
                         const PipelineConfig &pipeline);
 
+/**
+ * Runs runFingerprintingShared() for every config in @p collections and
+ * returns the results per [config][attacker]. Configs with equal
+ * TimelineInputs (core/collector.hh) form a group that runs one Collect:
+ * each (world, site, run) base timeline is synthesized once for the
+ * whole group, and only when some member's cell misses the cache. Every
+ * result is bit-identical to a separate call for its config, and every
+ * per-config cache entry keeps its key. A group's Collect cost and
+ * simulator counters are reported in the Collect row of its first
+ * member that collected; the other members' Collect rows read zero.
+ */
+[[nodiscard]] Result<std::vector<std::vector<FingerprintResult>>>
+runFingerprintingShared(std::span<const CollectionConfig> collections,
+                        std::span<const attack::AttackerKind> attackers,
+                        const PipelineConfig &pipeline);
+
 /** runFingerprintingShared() that fatal()s on failure. */
 std::vector<FingerprintResult>
 runFingerprintingSharedOrDie(

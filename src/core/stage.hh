@@ -256,6 +256,17 @@ class StageGraph
         reports_[id].dropped = dropped;
     }
 
+    /**
+     * Records @p state as stage @p id's provenance without running it:
+     * its work ran inside another graph's stage (a Collect shared by a
+     * timeline group), so its cost stays zero.
+     */
+    void
+    setCacheState(std::size_t id, StageCacheState state)
+    {
+        reports_[id].cache = state;
+    }
+
     /** Records simulator work counters for stage @p id. */
     void
     setSimCounters(std::size_t id, const sim::PerfCounters &counters)

@@ -42,6 +42,8 @@ struct SpuriousInterruptParams
     double burstSoftirqWork = 1.2;
     /** Stationary ping rate between bursts. */
     double baselineNetRate = 120.0;
+
+    bool operator==(const SpuriousInterruptParams &) const = default;
 };
 
 /**
@@ -61,6 +63,8 @@ struct CacheSweepParams
     double sweepCpuLoad = 1.0;
     /** Wakeups per second caused by the sweeping thread. */
     double sweepReschedRate = 20.0;
+
+    bool operator==(const CacheSweepParams &) const = default;
 };
 
 /** Builds the cache-sweep overlay (constant over the run). */

@@ -91,6 +91,8 @@ struct HandlerCostParams
 {
     TimeNs median = 2 * kUsec; ///< Median handler body cost.
     double sigma = 0.3;        ///< Lognormal shape (skew).
+
+    bool operator==(const HandlerCostParams &) const = default;
 };
 
 /**
@@ -133,6 +135,8 @@ class HandlerCostModel
      */
     TimeNs sample(InterruptKind kind, Rng &rng, bool vmIsolated = false,
                   double workScale = 1.0) const;
+
+    bool operator==(const HandlerCostModel &) const = default;
 
   private:
     HandlerCostParams table_[kNumInterruptKinds];

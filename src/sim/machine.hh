@@ -70,6 +70,8 @@ struct OsProfile
     static OsProfile windows();
     /** macOS Big Sur 11.5 on the MacBook. */
     static OsProfile macos();
+
+    bool operator==(const OsProfile &) const = default;
 };
 
 /** The full simulated-machine configuration. */
@@ -156,6 +158,8 @@ struct MachineConfig
     static MachineConfig windowsWorkstation();
     /** Preset matching the macOS Big Sur MacBook. */
     static MachineConfig macbook();
+
+    bool operator==(const MachineConfig &) const = default;
 };
 
 } // namespace bigfish::sim

@@ -97,6 +97,8 @@ struct RealizationNoise
     double phaseDurationSigma = 0.18;  ///< Lognormal sigma on durations.
     double rateSigma = 0.22;           ///< Lognormal sigma on phase rates.
     double runLoadSigma = 0.15;        ///< Lognormal sigma shared per run.
+
+    bool operator==(const RealizationNoise &) const = default;
 };
 
 /**

@@ -4,6 +4,8 @@
  * collection, dataset assembly, and the fingerprinting pipeline.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/collector.hh"
@@ -296,6 +298,76 @@ TEST(Presets, Table4TimersAndPeriods)
     const auto rand500 = presets::table4Timer("randomized", 500);
     EXPECT_EQ(rand500.timerOverride->kind, timers::TimerKind::Randomized);
     EXPECT_EQ(rand500.effectivePeriod(), 500 * kMsec);
+}
+
+/** The TimelineInputs group each config joins, numbered in first-
+ *  appearance order (as runFingerprintingShared groups them). */
+std::vector<std::size_t>
+timelineGroups(const std::vector<CollectionConfig> &configs)
+{
+    std::vector<TimelineInputs> keys;
+    std::vector<std::size_t> groups;
+    for (const CollectionConfig &config : configs) {
+        const TimelineInputs key = TimelineInputs::of(config);
+        auto it = std::find(keys.begin(), keys.end(), key);
+        if (it == keys.end())
+            it = keys.insert(keys.end(), key);
+        groups.push_back(static_cast<std::size_t>(it - keys.begin()));
+    }
+    return groups;
+}
+
+TEST(TimelineInputs, Table1PresetsFormFourGroups)
+{
+    // {Chrome, Firefox} x Linux, {Chrome, Firefox} x Windows,
+    // {Chrome, Firefox, Safari} x macOS and {Tor} x Linux.
+    std::vector<CollectionConfig> configs;
+    std::vector<std::string> names;
+    for (const presets::NamedConfig &row : presets::table1Rows()) {
+        configs.push_back(row.config);
+        names.push_back(row.name);
+    }
+    ASSERT_EQ(names, (std::vector<std::string>{
+                         "chrome/linux", "chrome/windows", "chrome/macos",
+                         "firefox/linux", "firefox/windows",
+                         "firefox/macos", "safari/macos", "tor/linux"}));
+    EXPECT_EQ(timelineGroups(configs),
+              (std::vector<std::size_t>{0, 1, 2, 0, 1, 2, 2, 3}));
+}
+
+TEST(TimelineInputs, Table4RowsFormOneGroup)
+{
+    const std::vector<CollectionConfig> configs = {
+        presets::table4Timer("jittered", 5),
+        presets::table4Timer("quantized", 5),
+        presets::table4Timer("randomized", 5),
+        presets::table4Timer("randomized", 100),
+        presets::table4Timer("randomized", 500)};
+    EXPECT_EQ(timelineGroups(configs),
+              (std::vector<std::size_t>(configs.size(), 0)));
+}
+
+TEST(TimelineInputs, OneDifferentInputSeparatesConfigs)
+{
+    const CollectionConfig base = presets::table1Row("chrome", "linux");
+    CollectionConfig background = base;
+    background.backgroundApps = true;
+    CollectionConfig tick = base;
+    tick.machine.os.tickHz = 1000;
+    CollectionConfig variability = base;
+    variability.browser.loadVariability = 1.5;
+    for (const CollectionConfig &other : {background, tick, variability})
+        EXPECT_FALSE(TimelineInputs::of(other) == TimelineInputs::of(base));
+
+    // What only the browser runtime, the timer or the attacker reads
+    // keeps a config in the group.
+    CollectionConfig runtime = base;
+    runtime.browser.runtimeNoiseSigma = 0.5;
+    runtime.browser.timer = timers::TimerSpec::quantized(kMsec);
+    runtime.period = 100 * kMsec;
+    runtime.attacker = attack::AttackerKind::SweepCounting;
+    runtime.faults.dropInterruptProb = 0.1;
+    EXPECT_TRUE(TimelineInputs::of(runtime) == TimelineInputs::of(base));
 }
 
 TEST(Pipeline, EndToEndBeatsChanceClearly)

@@ -771,6 +771,10 @@ TEST(SerializeErrors, LoadWeightsOrDieStillAbortsOnBadInput)
     Rng rng(24);
     Sequential net;
     net.add(std::make_unique<Dense>(2, 2, rng));
+    // Earlier tests in this binary have started the pool's threads; a
+    // forked child of a threaded process can crash before it reaches
+    // the code under test, so the child re-executes the binary instead.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_EXIT(loadWeightsOrDie(stream, net),
                 ::testing::ExitedWithCode(1), "bigfish-weights");
 }

@@ -21,6 +21,7 @@
 #include "base/thread_pool.hh"
 #include "core/collector.hh"
 #include "core/pipeline.hh"
+#include "core/presets.hh"
 #include "ml/evaluation.hh"
 #include "ml/matrix.hh"
 #include "web/catalog.hh"
@@ -293,20 +294,217 @@ TEST(ParallelPipeline, StageCpuSumsToProcessCpu)
         attack::AttackerKind::LoopCounting,
         attack::AttackerKind::SweepCounting};
 
-    ScopedThreads scoped(4);
-    const double cpu_start = processCpuSeconds();
-    const auto results =
-        core::runFingerprintingSharedOrDie(collection, kinds, pipeline);
-    const double process_cpu = processCpuSeconds() - cpu_start;
+    // The second input is a timeline group: Chrome and Firefox on one
+    // machine share one Collect, whose CPU must be counted once.
+    core::CollectionConfig firefox = collection;
+    firefox.browser = web::BrowserProfile::firefox();
+    firefox.browser.traceDuration = collection.browser.traceDuration;
+    const std::vector<core::CollectionConfig> group = {collection, firefox};
 
-    double stage_cpu = 0.0;
-    for (const auto &result : results)
-        for (const auto &stage : result.stages)
-            stage_cpu += stage.cpuSeconds;
-    EXPECT_GT(stage_cpu, 0.0);
-    EXPECT_LE(stage_cpu, 1.10 * process_cpu)
-        << "stage rows " << stage_cpu << " s, process " << process_cpu
-        << " s";
+    ScopedThreads scoped(4);
+    const auto check = [](const char *input, const auto &run) {
+        const double cpu_start = processCpuSeconds();
+        const std::vector<core::FingerprintResult> results = run();
+        const double process_cpu = processCpuSeconds() - cpu_start;
+
+        double stage_cpu = 0.0;
+        for (const auto &result : results)
+            for (const auto &stage : result.stages)
+                stage_cpu += stage.cpuSeconds;
+        EXPECT_GT(stage_cpu, 0.0) << input;
+        EXPECT_LE(stage_cpu, 1.10 * process_cpu)
+            << input << ": stage rows " << stage_cpu << " s, process "
+            << process_cpu << " s";
+    };
+    check("one config", [&] {
+        return core::runFingerprintingSharedOrDie(collection, kinds,
+                                                  pipeline);
+    });
+    check("timeline group", [&] {
+        std::vector<core::FingerprintResult> flat;
+        for (auto &per_config :
+             core::runFingerprintingShared(group, kinds, pipeline)
+                 .valueOrDie())
+            for (auto &result : per_config)
+                flat.push_back(std::move(result));
+        return flat;
+    });
+}
+
+/**
+ * Chrome/Linux, Firefox/Linux, Chrome/macOS, Safari/macOS and
+ * Tor/Linux with short traces: three timeline groups, {0, 1}, {2, 3}
+ * and {4}.
+ */
+std::vector<core::CollectionConfig>
+groupConfigs()
+{
+    std::vector<core::CollectionConfig> configs;
+    const std::pair<const char *, const char *> cells[] = {
+        {"chrome", "linux"}, {"firefox", "linux"}, {"chrome", "macos"},
+        {"safari", "macos"}, {"tor", "linux"}};
+    for (const auto &[browser, os] : cells) {
+        core::CollectionConfig config = core::presets::table1Row(browser, os);
+        config.seed = 11;
+        config.browser.traceDuration = 2 * kSec;
+        configs.push_back(config);
+    }
+    return configs;
+}
+
+core::PipelineConfig
+groupPipeline()
+{
+    core::PipelineConfig pipeline;
+    pipeline.numSites = 3;
+    pipeline.tracesPerSite = 4;
+    pipeline.openWorldExtra = 3;
+    pipeline.featureLen = 16;
+    pipeline.eval.folds = 2;
+    pipeline.factory = ml::knnFactory();
+    return pipeline;
+}
+
+constexpr attack::AttackerKind kBothAttackers[] = {
+    attack::AttackerKind::LoopCounting, attack::AttackerKind::SweepCounting};
+
+void
+expectSameEval(const ml::EvalResult &a, const ml::EvalResult &b)
+{
+    EXPECT_EQ(a.foldTop1, b.foldTop1);
+    EXPECT_EQ(a.foldTopK, b.foldTopK);
+    EXPECT_EQ(a.top1Mean, b.top1Mean);
+    EXPECT_EQ(a.topKMean, b.topKMean);
+    EXPECT_EQ(a.openWorld.combinedAccuracy, b.openWorld.combinedAccuracy);
+}
+
+TEST(GroupedCollection, GroupRunMatchesOneCallPerConfigAcrossThreads)
+{
+    const auto configs = groupConfigs();
+    const auto pipeline = groupPipeline();
+    const web::SiteCatalog catalog(pipeline.numSites, pipeline.catalogSeed);
+    const std::vector<std::vector<std::size_t>> groups = {
+        {0, 1}, {2, 3}, {4}};
+
+    std::vector<std::vector<core::FingerprintResult>> first;
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        ScopedThreads scoped(threads);
+        const auto grouped =
+            core::runFingerprintingShared(configs, kBothAttackers, pipeline)
+                .valueOrDie();
+        ASSERT_EQ(grouped.size(), configs.size());
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            const auto single = core::runFingerprintingSharedOrDie(
+                configs[c], kBothAttackers, pipeline);
+            ASSERT_EQ(grouped[c].size(), 2u);
+            for (std::size_t a = 0; a < 2; ++a) {
+                expectSameEval(grouped[c][a].closedWorld,
+                               single[a].closedWorld);
+                expectSameEval(grouped[c][a].openWorld, single[a].openWorld);
+                EXPECT_EQ(grouped[c][a].collectedTraces,
+                          single[a].collectedTraces);
+                EXPECT_EQ(grouped[c][a].droppedTraces,
+                          single[a].droppedTraces);
+            }
+        }
+        if (first.empty()) {
+            first = grouped;
+        } else {
+            for (std::size_t c = 0; c < configs.size(); ++c)
+                for (std::size_t a = 0; a < 2; ++a)
+                    expectSameEval(grouped[c][a].closedWorld,
+                                   first[c][a].closedWorld);
+        }
+
+        // The traces themselves: each member's sets from one group call
+        // equal its own collection, in both worlds.
+        for (const auto &group : groups) {
+            std::vector<core::TraceCollector> collectors;
+            for (const std::size_t c : group)
+                collectors.emplace_back(configs[c]);
+            std::vector<const core::TraceCollector *> members;
+            for (const auto &collector : collectors)
+                members.push_back(&collector);
+            const auto closed = core::TraceCollector::collectClosedWorldGroup(
+                                    members, catalog, pipeline.tracesPerSite,
+                                    kBothAttackers)
+                                    .valueOrDie();
+            const auto open =
+                core::TraceCollector::collectOpenWorldGroup(
+                    members, catalog, pipeline.openWorldExtra,
+                    pipeline.numSites, kBothAttackers)
+                    .valueOrDie();
+            for (std::size_t m = 0; m < members.size(); ++m) {
+                const auto own_closed =
+                    collectors[m]
+                        .collectClosedWorldMulti(catalog,
+                                                 pipeline.tracesPerSite,
+                                                 kBothAttackers)
+                        .valueOrDie();
+                const auto own_open =
+                    collectors[m]
+                        .collectOpenWorldMulti(catalog,
+                                               pipeline.openWorldExtra,
+                                               pipeline.numSites,
+                                               kBothAttackers)
+                        .valueOrDie();
+                for (std::size_t a = 0; a < 2; ++a) {
+                    expectBitIdentical(closed[m].sets[a], own_closed[a]);
+                    expectBitIdentical(open[m].sets[a], own_open[a]);
+                }
+            }
+        }
+    }
+
+    // A group whose timeline inputs differ is refused.
+    const core::TraceCollector chrome(configs[0]), tor(configs[4]);
+    const core::TraceCollector *const mixed[] = {&chrome, &tor};
+    EXPECT_FALSE(core::TraceCollector::collectClosedWorldGroup(
+                     mixed, catalog, 1, kBothAttackers)
+                     .isOk());
+}
+
+TEST(GroupedCollection, LaterMembersReportNoCollectWork)
+{
+    const auto configs = groupConfigs();
+    const auto pipeline = groupPipeline();
+    const auto grouped =
+        core::runFingerprintingShared(configs, kBothAttackers, pipeline)
+            .valueOrDie();
+    const auto collect_row = [](const core::FingerprintResult &result) {
+        const core::StageReport &row = result.stages.front();
+        EXPECT_EQ(row.phase, "collect");
+        return row;
+    };
+
+    sim::PerfCounters leaders;
+    for (const std::size_t c : {0u, 2u, 4u}) {
+        const core::StageReport row = collect_row(grouped[c][0]);
+        EXPECT_GT(row.cpuSeconds, 0.0) << c;
+        EXPECT_GT(row.sim.interruptsSynthesized, 0) << c;
+        leaders += row.sim;
+    }
+    for (const std::size_t c : {1u, 3u}) {
+        const core::StageReport row = collect_row(grouped[c][0]);
+        EXPECT_EQ(row.cpuSeconds, 0.0) << c;
+        EXPECT_EQ(row.wallSeconds, 0.0) << c;
+        EXPECT_TRUE(row.sim.empty()) << c;
+        EXPECT_EQ(row.cache, core::StageCacheState::Uncached) << c;
+        EXPECT_EQ(row.items, collect_row(grouped[c - 1][0]).items) << c;
+    }
+
+    // Every base timeline is synthesized once: the group run's
+    // synthesis counters equal running one member per group.
+    sim::PerfCounters one_per_group;
+    for (const std::size_t c : {0u, 2u, 4u})
+        one_per_group +=
+            collect_row(core::runFingerprintingSharedOrDie(
+                            configs[c], kBothAttackers, pipeline)[0])
+                .sim;
+    EXPECT_EQ(leaders.interruptsSynthesized,
+              one_per_group.interruptsSynthesized);
+    EXPECT_EQ(leaders.bytesSorted, one_per_group.bytesSorted);
 }
 
 TEST(ParallelGemm, TransposedBFoldTasksMatchSerialBitForBit)

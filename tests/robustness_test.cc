@@ -723,6 +723,100 @@ TEST(CheckpointJournal, PipelineResumeIsBitIdenticalToUninterruptedRun)
     expectSameResults(resumed.value());
 }
 
+/** Entry file names in @p dir that start with one of @p prefixes. */
+std::vector<std::string>
+entryNames(const std::string &dir,
+           std::initializer_list<const char *> prefixes)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        for (const char *prefix : prefixes)
+            if (name.rfind(prefix, 0) == 0)
+                names.push_back(name);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+TEST(StageCacheReplay, GroupMemberRecollectsFromOneBasePerCell)
+{
+    // Chrome and Firefox on one machine form one timeline group. With
+    // the second member's collected cells and featurized datasets gone,
+    // a rerun must skip the first member's Collect, recollect the second
+    // member from one base timeline per (world, site, run), and still
+    // match the cold run.
+    CollectionConfig chrome;
+    chrome.seed = 17;
+    chrome.browser.traceDuration = 2 * kSec;
+    CollectionConfig firefox = chrome;
+    firefox.browser = web::BrowserProfile::firefox();
+    firefox.browser.traceDuration = chrome.browser.traceDuration;
+    const std::vector<CollectionConfig> group = {chrome, firefox};
+
+    PipelineConfig pipeline;
+    pipeline.numSites = 3;
+    pipeline.tracesPerSite = 4;
+    pipeline.openWorldExtra = 3;
+    pipeline.featureLen = 32;
+    pipeline.eval.folds = 2;
+    pipeline.factory = ml::knnFactory(3);
+    const attack::AttackerKind kinds[] = {
+        attack::AttackerKind::LoopCounting,
+        attack::AttackerKind::SweepCounting};
+
+    // The first member's entries, from a run of that member alone.
+    pipeline.cacheDir = cacheDir("group_first");
+    ASSERT_TRUE(runFingerprintingShared(chrome, kinds, pipeline).isOk());
+    const std::vector<std::string> first_entries =
+        entryNames(pipeline.cacheDir, {"cell-", "featurized-"});
+
+    pipeline.cacheDir = cacheDir("group_replay");
+    const auto cold = runFingerprintingShared(group, kinds, pipeline);
+    ASSERT_TRUE(cold.isOk());
+    std::size_t deleted = 0;
+    for (const std::string &name :
+         entryNames(pipeline.cacheDir, {"cell-", "featurized-"})) {
+        if (std::binary_search(first_entries.begin(), first_entries.end(),
+                               name))
+            continue;
+        std::filesystem::remove(pipeline.cacheDir + "/" + name);
+        ++deleted;
+    }
+    ASSERT_EQ(deleted, 4u * 3u + 3u + 2u)
+        << "the second member's cells and featurized entries";
+
+    const auto rerun = runFingerprintingShared(group, kinds, pipeline);
+    ASSERT_TRUE(rerun.isOk());
+    const StageReport &first_collect = rerun.value()[0][0].stages.front();
+    const StageReport &second_collect = rerun.value()[1][0].stages.front();
+    EXPECT_EQ(first_collect.phase, "collect");
+    EXPECT_EQ(first_collect.cache, StageCacheState::Skipped);
+    EXPECT_TRUE(first_collect.sim.empty());
+    // The second member synthesized every base once, as the cold run's
+    // leader did for the whole group.
+    const StageReport &cold_collect = cold.value()[0][0].stages.front();
+    EXPECT_GT(second_collect.sim.interruptsSynthesized, 0);
+    EXPECT_EQ(second_collect.sim.interruptsSynthesized,
+              cold_collect.sim.interruptsSynthesized);
+    EXPECT_EQ(second_collect.sim.bytesSorted, cold_collect.sim.bytesSorted);
+    EXPECT_EQ(entryNames(pipeline.cacheDir, {"cell-", "featurized-"}).size(),
+              first_entries.size() + deleted);
+
+    for (std::size_t c = 0; c < group.size(); ++c) {
+        for (std::size_t a = 0; a < 2; ++a) {
+            const FingerprintResult &r = rerun.value()[c][a];
+            const FingerprintResult &k = cold.value()[c][a];
+            EXPECT_EQ(r.closedWorld.foldTop1, k.closedWorld.foldTop1);
+            EXPECT_EQ(r.closedWorld.foldTopK, k.closedWorld.foldTopK);
+            EXPECT_EQ(r.openWorld.foldTop1, k.openWorld.foldTop1);
+            EXPECT_EQ(r.openWorld.openWorld.combinedAccuracy,
+                      k.openWorld.openWorld.combinedAccuracy);
+            EXPECT_EQ(r.collectedTraces, k.collectedTraces);
+        }
+    }
+}
+
 TEST(StageCacheReplay, ModelEntriesReplayWhenScoresAreDeleted)
 {
     // With every fold's scores gone, a rerun must decode each trained
