@@ -286,11 +286,11 @@ BENCHMARK(BM_CnnLstmTrainEpochPerSample);
  * Per-ISA kernel sweep: each case runs once per simd::Tag (scalar,
  * then avx2 — clamped to scalar on a host without AVX2) at the shapes
  * the paper model actually trains — LSTM hidden 32 over 32-sample
- * batches (gate spans of 1024 lanes), the full CNN-LSTM Adam parameter
- * block, the conv GEMM and the A*B^T weight-gradient GEMM — so the
- * scalar row IS the before and the avx2 row the after of the
- * vectorization. adamStep has only the scalar path, so both of its
- * rows run the same code. The Arg is the Tag's value (0 / 2).
+ * batches (gate spans of 1024 lanes) and the A*B^T weight-gradient
+ * GEMM — so the scalar row IS the before and the avx2 row the after of
+ * the vectorization. Only the kernels that dispatch on the Tag are
+ * swept; the scalar-only Adam step runs once. The Arg is the Tag's
+ * value (0 / 2).
  */
 void
 isaArgs(benchmark::internal::Benchmark *bench)
@@ -359,12 +359,11 @@ BM_KernelLstmGatesByIsa(benchmark::State &state)
 BENCHMARK(BM_KernelLstmGatesByIsa)->Apply(isaArgs);
 
 void
-BM_KernelAdamStepByIsa(benchmark::State &state)
+BM_KernelAdamStep(benchmark::State &state)
 {
     // The LSTM weight block of the paper model: 4H x (H + in + 1),
-    // H=32, in=96 -> 16512 parameters per step.
-    const simd::Tag saved = simd::active();
-    benchTag(state);
+    // H=32, in=96 -> 16512 parameters per step. adamStep is scalar
+    // only, so it runs once rather than per Tag.
     constexpr std::size_t kParams = 4 * 32 * (32 + 96 + 1);
     Rng rng(13);
     std::vector<float> p(kParams), g(kParams), m(kParams), v(kParams);
@@ -389,51 +388,17 @@ BM_KernelAdamStepByIsa(benchmark::State &state)
                               kParams, consts);
         benchmark::DoNotOptimize(p.data());
     }
-    simd::setActive(saved);
 }
-BENCHMARK(BM_KernelAdamStepByIsa)->Apply(isaArgs);
-
-void
-BM_KernelSigmoidByIsa(benchmark::State &state)
-{
-    const simd::Tag saved = simd::active();
-    benchTag(state);
-    Rng rng(14);
-    std::vector<float> base(4096);
-    for (float &x : base)
-        x = static_cast<float>(rng.normal(0, 4));
-    for (auto _ : state) {
-        std::vector<float> d = base;
-        ml::kernels::sigmoid(d.data(), d.size());
-        benchmark::DoNotOptimize(d.data());
-    }
-    simd::setActive(saved);
-}
-BENCHMARK(BM_KernelSigmoidByIsa)->Apply(isaArgs);
-
-void
-BM_MatmulByIsa(benchmark::State &state)
-{
-    // The conv-sized GEMM from the old/new pair above, per ISA.
-    const simd::Tag saved = simd::active();
-    benchTag(state);
-    Rng rng(7);
-    ml::Matrix a(32, 48), b(48, 83);
-    a.randomize(rng, 1.0);
-    b.randomize(rng, 1.0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ml::matmul(a, b));
-    simd::setActive(saved);
-}
-BENCHMARK(BM_MatmulByIsa)->Apply(isaArgs);
+BENCHMARK(BM_KernelAdamStep);
 
 void
 BM_MatmulTransBByIsa(benchmark::State &state)
 {
     // C += A * B^T at a training shape (32x64 output, k = 250): the
-    // dotTile4x2 path. BM_KernelDotByIsa alone favours the scalar dot,
-    // but the 4x2 tile is what training runs, and it is why dot and
-    // dotTile4x2 keep their AVX2 spelling.
+    // dotTile4x2 path. Training spends its A*B^T time in this 4x2 tile
+    // rather than in single dots, so this case, not BM_KernelDotByIsa,
+    // is the one that decides whether dot and dotTile4x2 keep their
+    // AVX2 spelling.
     const simd::Tag saved = simd::active();
     benchTag(state);
     Rng rng(15);

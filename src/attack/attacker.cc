@@ -76,29 +76,10 @@ collectTrace(AttackerKind kind, const AttackerParams &params,
         static_cast<std::size_t>(timeline.duration / period + 1);
     trace.counts.reserve(expected_periods);
     trace.wallTimes.reserve(expected_periods);
-    // Resolve the timer's concrete type once per trace so the period
-    // loop instantiates the engine's devirtualized fast path — observe()
-    // runs tens of millions of times inside runPeriod. Unrecognized
-    // models (the randomized defense's decorators, test fakes) take the
-    // generic instantiation, which returns identical results.
-    const auto measure = [&](auto &t) {
-        while (engine.runPeriod(t, period, result)) {
-            trace.counts.push_back(static_cast<double>(result.iterations));
-            trace.wallTimes.push_back(result.wallTime);
-        }
-    };
-    if (auto *jittered = dynamic_cast<timers::JitteredTimer *>(&timer))
-        measure(*jittered);
-    else if (auto *quantized =
-                 dynamic_cast<timers::QuantizedTimer *>(&timer))
-        measure(*quantized);
-    else if (auto *precise = dynamic_cast<timers::PreciseTimer *>(&timer))
-        measure(*precise);
-    else if (auto *randomized =
-                 dynamic_cast<timers::RandomizedTimer *>(&timer))
-        measure(*randomized);
-    else
-        measure(timer);
+    while (engine.runPeriod(timer, period, result)) {
+        trace.counts.push_back(static_cast<double>(result.iterations));
+        trace.wallTimes.push_back(result.wallTime);
+    }
     return trace;
 }
 

@@ -98,14 +98,6 @@ class RunArtifact
     /** Traces dropped as unusable (fault accounting). */
     std::size_t droppedTraces() const { return droppedTraces_; }
 
-    double collectCpuSeconds() const { return collectCpuSeconds_; }
-    double collectWallSeconds() const { return collectWallSeconds_; }
-    double featurizeCpuSeconds() const { return featurizeCpuSeconds_; }
-    double featurizeWallSeconds() const { return featurizeWallSeconds_; }
-    double trainCpuSeconds() const { return trainCpuSeconds_; }
-    double trainWallSeconds() const { return trainWallSeconds_; }
-    double evalCpuSeconds() const { return evalCpuSeconds_; }
-    double evalWallSeconds() const { return evalWallSeconds_; }
     double wallSeconds() const { return wallSeconds_; }
     int threads() const { return threads_; }
     const SeedProvenance &seedProvenance() const { return provenance_; }

@@ -2,11 +2,13 @@
  * @file
  * The two ISA paths behind ml/kernels.hh: AVX2 or portable scalar.
  *
- * Every public kernel except adamStep dispatches on bf::simd::active()
- * to one of two implementations that are bit-identical by construction
- * — see the determinism contract in kernels.hh and DESIGN.md §10. Adam
- * is scalar-only: its AVX2 spelling measured at par with the
- * -march=native scalar loop. The rules this file lives by:
+ * Four kernels dispatch on bf::simd::active(): dot, dotTile4x2 and the
+ * two LSTM gate fusions, where the AVX2 spelling measured several times
+ * faster than the scalar loop. Their two implementations are
+ * bit-identical by construction — see the determinism contract in
+ * kernels.hh and DESIGN.md §10. axpy, gemmRowPanel and adamStep are
+ * scalar only: their AVX2 spellings measured at par with (or slower
+ * than) the -march=native scalar loops. The rules this file lives by:
  *
  *  - Reductions hold a fixed 8-lane virtual accumulator. AVX2 keeps it
  *    in one __m256; the scalar path keeps float acc[8]. Both funnel
@@ -184,63 +186,18 @@ scalarDotTile4x2(float *c, const float *a, const float *b,
     }
 }
 
+/** y[j] += (a0*x0[j] + a1*x1[j]) + (a2*x2[j] + a3*x3[j]): the
+ *  k-unrolled inner update of gemmRowPanel. */
 void
-scalarAxpy(float *y, const float *x, float a, std::size_t n)
-{
-    for (std::size_t j = 0; j < n; ++j)
-        y[j] = y[j] + a * x[j];
-}
-
-void
-scalarAxpy4(float *y, const float *x0, const float *x1, const float *x2,
-            const float *x3, float a0, float a1, float a2, float a3,
-            std::size_t n)
+axpy4(float *y, const float *x0, const float *x1, const float *x2,
+      const float *x3, float a0, float a1, float a2, float a3,
+      std::size_t n)
 {
     for (std::size_t j = 0; j < n; ++j) {
         const float t01 = a0 * x0[j] + a1 * x1[j];
         const float t23 = a2 * x2[j] + a3 * x3[j];
         y[j] = y[j] + (t01 + t23);
     }
-}
-
-// flatten: the per-4-k axpy4 bodies inline into the panel loop — at the
-// small n the training gemms run (batch-width panels), the ten-argument
-// call per k-group otherwise costs as much as the vector work itself.
-__attribute__((flatten)) void
-scalarGemmRowPanel(float *y, const float *a, std::size_t astride,
-                   const float *b, std::size_t k0, std::size_t k1,
-                   std::size_t n)
-{
-    std::size_t kk = k0;
-    for (; kk + 4 <= k1; kk += 4) {
-        const float *b0 = b + kk * n;
-        scalarAxpy4(y, b0, b0 + n, b0 + 2 * n, b0 + 3 * n,
-                    a[kk * astride], a[(kk + 1) * astride],
-                    a[(kk + 2) * astride], a[(kk + 3) * astride], n);
-    }
-    for (; kk < k1; ++kk)
-        scalarAxpy(y, b + kk * n, a[kk * astride], n);
-}
-
-void
-scalarRelu(float *d, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        d[i] = d[i] > 0.0f ? d[i] : 0.0f; // maxps(d, 0)
-}
-
-void
-scalarSigmoid(float *d, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        d[i] = sigmoidOne(d[i]);
-}
-
-void
-scalarTanh(float *d, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        d[i] = tanhOne(d[i]);
 }
 
 void
@@ -433,97 +390,6 @@ avx2DotTile4x2(float *c, const float *a, const float *b, std::size_t i0,
 }
 
 BF_K_AVX2 void
-avx2Axpy(float *y, const float *x, float a, std::size_t n)
-{
-    const __m256 va = _mm256_set1_ps(a);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 vy = _mm256_add_ps(
-            _mm256_loadu_ps(y + j),
-            _mm256_mul_ps(va, _mm256_loadu_ps(x + j)));
-        _mm256_storeu_ps(y + j, vy);
-    }
-    for (; j < n; ++j)
-        y[j] = y[j] + a * x[j];
-}
-
-BF_K_AVX2 void
-avx2Axpy4(float *y, const float *x0, const float *x1, const float *x2,
-          const float *x3, float a0, float a1, float a2, float a3,
-          std::size_t n)
-{
-    const __m256 v0 = _mm256_set1_ps(a0);
-    const __m256 v1 = _mm256_set1_ps(a1);
-    const __m256 v2 = _mm256_set1_ps(a2);
-    const __m256 v3 = _mm256_set1_ps(a3);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 t01 =
-            _mm256_add_ps(_mm256_mul_ps(v0, _mm256_loadu_ps(x0 + j)),
-                          _mm256_mul_ps(v1, _mm256_loadu_ps(x1 + j)));
-        const __m256 t23 =
-            _mm256_add_ps(_mm256_mul_ps(v2, _mm256_loadu_ps(x2 + j)),
-                          _mm256_mul_ps(v3, _mm256_loadu_ps(x3 + j)));
-        _mm256_storeu_ps(y + j,
-                         _mm256_add_ps(_mm256_loadu_ps(y + j),
-                                       _mm256_add_ps(t01, t23)));
-    }
-    for (; j < n; ++j) {
-        const float t01 = a0 * x0[j] + a1 * x1[j];
-        const float t23 = a2 * x2[j] + a3 * x3[j];
-        y[j] = y[j] + (t01 + t23);
-    }
-}
-
-BF_K_AVX2 __attribute__((flatten)) void
-avx2GemmRowPanel(float *y, const float *a, std::size_t astride,
-                 const float *b, std::size_t k0, std::size_t k1,
-                 std::size_t n)
-{
-    std::size_t kk = k0;
-    for (; kk + 4 <= k1; kk += 4) {
-        const float *b0 = b + kk * n;
-        avx2Axpy4(y, b0, b0 + n, b0 + 2 * n, b0 + 3 * n,
-                  a[kk * astride], a[(kk + 1) * astride],
-                  a[(kk + 2) * astride], a[(kk + 3) * astride], n);
-    }
-    for (; kk < k1; ++kk)
-        avx2Axpy(y, b + kk * n, a[kk * astride], n);
-}
-
-BF_K_AVX2 void
-avx2Relu(float *d, std::size_t n)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(d + i,
-                         _mm256_max_ps(_mm256_loadu_ps(d + i), zero));
-    for (; i < n; ++i)
-        d[i] = d[i] > 0.0f ? d[i] : 0.0f;
-}
-
-BF_K_AVX2 void
-avx2Sigmoid(float *d, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(d + i, sigmoidPs256(_mm256_loadu_ps(d + i)));
-    for (; i < n; ++i)
-        d[i] = sigmoidOne(d[i]);
-}
-
-BF_K_AVX2 void
-avx2Tanh(float *d, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(d + i, tanhPs256(_mm256_loadu_ps(d + i)));
-    for (; i < n; ++i)
-        d[i] = tanhOne(d[i]);
-}
-
-BF_K_AVX2 void
 avx2LstmForward(float *zi, float *zf, float *zg, float *zo, float *c,
                 float *h, std::size_t n)
 {
@@ -602,7 +468,7 @@ avx2LstmBackward(const float *zi, const float *zf, const float *zg,
 
 } // namespace
 
-// ====================== public dispatchers ======================
+// ====================== public kernels ======================
 
 float
 dot(const float *a, const float *b, std::size_t n)
@@ -630,83 +496,33 @@ dotTile4x2(float *c, const float *a, const float *b, std::size_t i0,
 void
 axpy(float *y, const float *x, float a, std::size_t n)
 {
-#if defined(BF_SIMD_X86)
-    if (simd::active() == simd::Tag::Avx2) {
-        avx2Axpy(y, x, a, n);
-        return;
-    }
-#endif
-    scalarAxpy(y, x, a, n);
+    for (std::size_t j = 0; j < n; ++j)
+        y[j] = y[j] + a * x[j];
 }
 
-void
-axpy4(float *y, const float *x0, const float *x1, const float *x2,
-      const float *x3, float a0, float a1, float a2, float a3,
-      std::size_t n)
-{
-#if defined(BF_SIMD_X86)
-    if (simd::active() == simd::Tag::Avx2) {
-        avx2Axpy4(y, x0, x1, x2, x3, a0, a1, a2, a3, n);
-        return;
-    }
-#endif
-    scalarAxpy4(y, x0, x1, x2, x3, a0, a1, a2, a3, n);
-}
-
-void
+// flatten: the per-4-k axpy4 bodies inline into the panel loop — at the
+// small n the training gemms run (batch-width panels), the ten-argument
+// call per k-group otherwise costs as much as the vector work itself.
+__attribute__((flatten)) void
 gemmRowPanel(float *y, const float *a, std::size_t astride,
-             const float *b, std::size_t k0, std::size_t k1,
-             std::size_t n)
+             const float *b, std::size_t k0, std::size_t k1, std::size_t n)
 {
-#if defined(BF_SIMD_X86)
-    if (simd::active() == simd::Tag::Avx2) {
-        avx2GemmRowPanel(y, a, astride, b, k0, k1, n);
-        return;
+    std::size_t kk = k0;
+    for (; kk + 4 <= k1; kk += 4) {
+        const float *b0 = b + kk * n;
+        axpy4(y, b0, b0 + n, b0 + 2 * n, b0 + 3 * n, a[kk * astride],
+              a[(kk + 1) * astride], a[(kk + 2) * astride],
+              a[(kk + 3) * astride], n);
     }
-#endif
-    scalarGemmRowPanel(y, a, astride, b, k0, k1, n);
-}
-
-void
-relu(float *d, std::size_t n)
-{
-#if defined(BF_SIMD_X86)
-    if (simd::active() == simd::Tag::Avx2) {
-        avx2Relu(d, n);
-        return;
-    }
-#endif
-    scalarRelu(d, n);
-}
-
-void
-sigmoid(float *d, std::size_t n)
-{
-#if defined(BF_SIMD_X86)
-    if (simd::active() == simd::Tag::Avx2) {
-        avx2Sigmoid(d, n);
-        return;
-    }
-#endif
-    scalarSigmoid(d, n);
-}
-
-void
-tanh(float *d, std::size_t n)
-{
-#if defined(BF_SIMD_X86)
-    if (simd::active() == simd::Tag::Avx2) {
-        avx2Tanh(d, n);
-        return;
-    }
-#endif
-    scalarTanh(d, n);
+    for (; kk < k1; ++kk)
+        axpy(y, b + kk * n, a[kk * astride], n);
 }
 
 // The scalar transcendentals are deliberately Tag-independent: the
-// kernel tests use them one value at a time as the reference the vector
-// activations must match at every BF_SIMD setting — which they do,
-// because the vector lanes compute exactly this operation sequence.
+// kernel tests use them one value at a time as the reference every lane
+// of lstmGatesForward must match at every BF_SIMD setting — which it
+// does, because the vector lanes compute exactly this operation
+// sequence.
 
 float
 sigmoidScalar(float x)
@@ -718,12 +534,6 @@ float
 tanhScalar(float x)
 {
     return tanhOne(x);
-}
-
-float
-expScalar(float x)
-{
-    return expOne(x);
 }
 
 void

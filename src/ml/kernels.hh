@@ -3,13 +3,13 @@
  * The vectorized kernel layer behind the ML hot loops.
  *
  * Every floating-point inner loop that dominates training — GEMM
- * primitives, LSTM gate math, the Adam update, activations — lives
- * here in AVX2 or portable scalar, dispatched at runtime behind
- * bf::simd::Tag (base/simd.hh). A kernel has an AVX2 spelling only
- * where it beats the scalar loop (the Adam update does not). The callers
- * (ml/matrix.cc, lstm, network) keep their loop *structure* and
- * delegate the arithmetic, so blocking decisions stay where they were
- * while the flops dispatch to the best ISA.
+ * primitives, LSTM gate math, the Adam update — lives here. A kernel
+ * has an AVX2 spelling, dispatched at runtime behind bf::simd::Tag
+ * (base/simd.hh), only where it beats the scalar loop: dot, dotTile4x2
+ * and the two LSTM gate fusions. axpy, gemmRowPanel and adamStep are
+ * scalar only. The callers (ml/matrix.cc, lstm, network) keep their
+ * loop *structure* and delegate the arithmetic, so blocking decisions
+ * stay where they were.
  *
  * Determinism contract (DESIGN.md §10), load-bearing for cache
  * fingerprints and `--resume` replay:
@@ -25,10 +25,10 @@
  *    element using IEEE-exact operations only (+ - * / sqrt); no
  *    fused multiply-add anywhere (this file's TU builds with
  *    -ffp-contract=off so the compiler cannot introduce one).
- *  - sigmoid/tanh are polynomial approximations (Cephes-derived
- *    expf/tanhf, ~2 ulp) evaluated in the same operation order on
- *    both paths — std::exp/std::tanh vary by libm version and cannot
- *    be vectorized reproducibly.
+ *  - The LSTM gates' sigmoid/tanh are polynomial approximations
+ *    (Cephes-derived expf/tanhf, ~2 ulp) evaluated in the same
+ *    operation order on both paths — std::exp/std::tanh vary by libm
+ *    version and cannot be vectorized reproducibly.
  */
 
 #ifndef BF_ML_KERNELS_HH
@@ -59,45 +59,23 @@ void dotTile4x2(float *c, const float *a, const float *b, std::size_t i0,
 void axpy(float *y, const float *x, float a, std::size_t n);
 
 /**
- * Four fused axpys: y[j] += (a0*x0[j] + a1*x1[j]) + (a2*x2[j] +
- * a3*x3[j]) — the k-unrolled inner update of the row-major GEMM.
- */
-void axpy4(float *y, const float *x0, const float *x1, const float *x2,
-           const float *x3, float a0, float a1, float a2, float a3,
-           std::size_t n);
-
-/**
  * One output row of the k-blocked row-major GEMM:
  *   y[j] += sum over kk in [k0,k1) of a[kk*astride] * b[kk*n + j]
- * evaluated as exactly the axpy4-per-4-k / axpy-remainder sequence the
- * GEMM loops used to issue call by call — hoisted into the kernel
- * layer so ISA dispatch happens once per row panel, not once per four
- * k's (the per-call switch dominated small-k GEMMs). @p astride is 1
- * for row-major A, the row stride of A for the A^T walk.
+ * evaluated four k's at a time as y[j] += (a0*x0[j] + a1*x1[j]) +
+ * (a2*x2[j] + a3*x3[j]), then one axpy per remaining k. @p astride is
+ * 1 for row-major A, the row stride of A for the A^T walk.
  */
 void gemmRowPanel(float *y, const float *a, std::size_t astride,
                   const float *b, std::size_t k0, std::size_t k1,
                   std::size_t n);
 
-/** d[i] = max(d[i], 0). */
-void relu(float *d, std::size_t n);
-
 // --- Activations (polynomial, bit-identical across Tags) ---------------
 
-/** d[i] = 1 / (1 + exp(-d[i])), in place. */
-void sigmoid(float *d, std::size_t n);
-
-/** d[i] = tanh(d[i]), in place. */
-void tanh(float *d, std::size_t n);
-
-/** The scalar path's sigmoid for one value (the tests' reference). */
+/** The LSTM gates' sigmoid for one value (the tests' reference). */
 float sigmoidScalar(float x);
 
-/** The scalar path's tanh for one value. */
+/** The LSTM gates' tanh for one value. */
 float tanhScalar(float x);
-
-/** The scalar path's exp for one value (exposed for property tests). */
-float expScalar(float x);
 
 // --- Fused recurrent gate math -----------------------------------------
 

@@ -19,9 +19,8 @@ ReLU::forward(const Matrix &in, std::size_t, bool)
 {
     // One fused pass produces both the activation and the sign mask
     // backward needs, instead of the two full matrix copies (one kept
-    // as input_, one rectified) this used to make. The rectified value
-    // is the same select every kernels::relu ISA path computes, and
-    // both selects are branchless compare+blend so the loop vectorizes.
+    // as input_, one rectified) this used to make. Both selects are
+    // branchless compare+blend so the loop vectorizes.
     const std::size_t n = in.size();
     mask_.resize(n);
     Matrix out(in.rows(), in.cols());

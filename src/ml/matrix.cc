@@ -86,12 +86,11 @@ namespace {
  */
 constexpr std::size_t kBlockK = 240;
 
-// All floating-point arithmetic below delegates to the runtime-
-// dispatched SIMD kernel layer; this file keeps only the blocking
-// structure. Every GEMM runs on the calling thread: training
-// parallelism lives one level up, in the per-fold tasks. kernels::dot's
-// fixed 8-lane accumulation makes every reduction independent of the
-// dispatch ISA.
+// All floating-point arithmetic below delegates to the kernel layer
+// (ml/kernels.hh); this file keeps only the blocking structure. Every
+// GEMM runs on the calling thread: training parallelism lives one level
+// up, in the per-fold tasks. kernels::dot's fixed 8-lane accumulation
+// makes every reduction independent of the dispatch ISA.
 
 /**
  * C += A * B for row-major operands with @p rows output rows, k-blocked
@@ -115,9 +114,8 @@ gemmAccRows(float *__restrict c, const float *__restrict a,
     }
     for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
         const std::size_t k1 = std::min(k, k0 + kBlockK);
-        // One dispatched kernel call per output row: the panel runs the
-        // axpy4-per-4-k / axpy-remainder sequence inside the kernel
-        // layer, so the ISA switch is paid once per row, not per 4 k's.
+        // One kernel call per output row: the panel runs the
+        // four-k / one-k axpy sequence inside the kernel layer.
         for (std::size_t i = 0; i < rows; ++i)
             kernels::gemmRowPanel(c + i * n, a + i * k, 1, b, k0, k1, n);
     }
@@ -180,7 +178,7 @@ gemmTransAAccRows(float *__restrict c, const float *__restrict a,
 {
     for (std::size_t k0 = 0; k0 < a_rows; k0 += kBlockK) {
         const std::size_t k1 = std::min(a_rows, k0 + kBlockK);
-        // Column i of A walked with stride a_cols; one dispatch per row.
+        // Column i of A walked with stride a_cols; one panel per row.
         for (std::size_t i = 0; i < a_cols; ++i)
             kernels::gemmRowPanel(c + i * n, a + i, a_cols, b, k0, k1, n);
     }
@@ -327,12 +325,6 @@ gemvBias(const Matrix &a, const Matrix &x, const Matrix &b)
     for (std::size_t i = 0; i < a.rows(); ++i)
         yd[i] = bd[i] + kernels::dot(ad + i * k, xd, k);
     return y;
-}
-
-void
-reluInPlace(Matrix &m)
-{
-    kernels::relu(m.data(), m.size());
 }
 
 Matrix

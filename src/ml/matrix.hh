@@ -6,9 +6,9 @@
  * Row-major and value-semantic, with 32-byte-aligned storage
  * (base/aligned.hh) so the SIMD kernel layer's 256-bit accesses start
  * aligned. The GEMM entry points below keep the blocking structure and
- * delegate all floating-point arithmetic to ml/kernels.hh, which
- * dispatches per-ISA implementations that are bit-identical by
- * construction; matmulReference() keeps the naive triple loop as the
+ * delegate all floating-point arithmetic to ml/kernels.hh, whose
+ * per-ISA implementations are bit-identical by construction;
+ * matmulReference() keeps the naive triple loop as the
  * correctness oracle for property tests and the old-vs-new
  * microbenchmarks. Every GEMM runs on its calling thread (training
  * parallelism is one task per fold), so results never depend on the
@@ -122,9 +122,6 @@ Matrix gemv(const Matrix &a, const Matrix &x);
 
 /** Fused y = A * x + b for (n x 1) columns. */
 Matrix gemvBias(const Matrix &a, const Matrix &x, const Matrix &b);
-
-/** max(v, 0) over every element, in place (vectorizable epilogue). */
-void reluInPlace(Matrix &m);
 
 /**
  * The naive i-j-k triple-loop matmul the optimized kernels replaced.

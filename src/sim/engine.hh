@@ -22,10 +22,7 @@
 #ifndef BF_SIM_ENGINE_HH
 #define BF_SIM_ENGINE_HH
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "base/types.hh"
@@ -68,116 +65,13 @@ class ExecutionEngine
      * iteration executes, and the period ends on the first iteration
      * boundary where observed time has advanced by at least @p period.
      *
-     * A member template so that callers holding a *concrete* timer type
-     * (the trace-collection loop dispatches once per trace) get a
-     * devirtualized, inlined observe() in the probe loop below — the
-     * engine calls observe() tens of millions of times per run.
-     * Instantiated with the TimerModel base the code is byte-for-byte
-     * the old virtual path; every instantiation returns identical
-     * results because observe() is a deterministic function of real
-     * time (see timer.hh), so only call overhead changes.
-     *
      * @param timer The attacker's clock.
      * @param period The target period length P in observed time.
      * @param result Filled with the counter value and wall time.
      * @return false when the run has ended (no period was executed).
      */
-    template <typename Timer>
-    bool
-    runPeriod(Timer &timer, TimeNs period, PeriodResult &result)
-    {
-        if (atEnd())
-            return false;
-        now_ = skipStolen(now_);
-        if (atEnd())
-            return false;
-
-        const TimeNs t_begin_real = static_cast<TimeNs>(std::llround(now_));
-        const TimeNs t_begin_obs = timer.observe(t_begin_real);
-        const TimeNs target = t_begin_obs + period;
-        std::int64_t counter = 0;
-
-        const auto &stolen = timeline_.stolen;
-        const double infinity = std::numeric_limits<double>::infinity();
-
-        while (true) {
-            const double cost = iterCostNs_[timeline_.stepAt(
-                static_cast<TimeNs>(now_))];
-            const double next_arrival =
-                stolenIdx_ < stolen.size()
-                    ? static_cast<double>(stolen[stolenIdx_].arrival)
-                    : infinity;
-            const double seg_end =
-                std::min({next_arrival,
-                          static_cast<double>(timeline_.stepEnd(
-                              static_cast<TimeNs>(now_))),
-                          durationF_});
-
-            if (counter == 0) {
-                // do-while semantics: the first iteration always executes.
-                now_ = stepOneIteration(now_, cost);
-                ++counter;
-                if (timer.observe(static_cast<TimeNs>(
-                        std::llround(now_))) >= target ||
-                    now_ >= durationF_) {
-                    break;
-                }
-                continue;
-            }
-
-            const std::int64_t n_max =
-                seg_end > now_
-                    ? static_cast<std::int64_t>((seg_end - now_) / cost)
-                    : 0;
-            if (n_max > 0) {
-                const TimeNs t_bulk = static_cast<TimeNs>(
-                    std::llround(now_ + static_cast<double>(n_max) * cost));
-                if (timer.observe(t_bulk) < target) {
-                    // The whole uninterrupted stretch fits inside the
-                    // period.
-                    now_ += static_cast<double>(n_max) * cost;
-                    counter += n_max;
-                } else {
-                    // The period ends inside this stretch: binary search
-                    // the first iteration boundary where the (monotone)
-                    // observed clock crosses the target.
-                    std::int64_t lo = 1, hi = n_max;
-                    while (lo < hi) {
-                        const std::int64_t mid = lo + (hi - lo) / 2;
-                        const TimeNs t_mid =
-                            static_cast<TimeNs>(std::llround(
-                                now_ + static_cast<double>(mid) * cost));
-                        if (timer.observe(t_mid) >= target)
-                            hi = mid;
-                        else
-                            lo = mid + 1;
-                    }
-                    now_ += static_cast<double>(lo) * cost;
-                    counter += lo;
-                    break;
-                }
-            }
-            if (now_ >= durationF_)
-                break;
-
-            // One iteration straddling an interrupt arrival or a step
-            // boundary; charged at the current step's cost (boundaries
-            // are coarse relative to a single iteration).
-            now_ = stepOneIteration(now_, cost);
-            ++counter;
-            if (timer.observe(static_cast<TimeNs>(std::llround(now_))) >=
-                    target ||
-                now_ >= durationF_) {
-                break;
-            }
-        }
-
-        result.iterations = counter;
-        result.startReal = t_begin_real;
-        result.wallTime =
-            static_cast<TimeNs>(std::llround(now_)) - t_begin_real;
-        return true;
-    }
+    bool runPeriod(timers::TimerModel &timer, TimeNs period,
+                   PeriodResult &result);
 
     /** Current real time. */
     TimeNs now() const { return static_cast<TimeNs>(now_); }

@@ -32,9 +32,9 @@ struct RawEvent
 };
 
 /**
- * Orders events by time, breaking ties by emission order. A total,
- * deterministic order — unlike the unstable full-stream std::sort this
- * replaced, whose tie permutation depended on the standard library.
+ * Orders events by time, breaking ties by emission order. `seq` is
+ * unique, so this is a total order and the sorted stream does not
+ * depend on the standard library's sort.
  */
 bool
 byTimeSeq(const RawEvent &a, const RawEvent &b)
@@ -42,38 +42,6 @@ byTimeSeq(const RawEvent &a, const RawEvent &b)
     if (a.at != b.at)
         return a.at < b.at;
     return a.seq < b.seq;
-}
-
-/**
- * K-way merges per-source event streams, each already ordered by
- * (at, seq), into `merged` with a linear min-scan: the stream count is
- * cores + 1, so scanning beats a heap and the whole merge is O(n * k)
- * with sequential access — replacing the former O(n log n) full
- * std::sort over every event of the run.
- */
-void
-mergeStreams(const std::vector<const std::vector<RawEvent> *> &streams,
-             std::vector<RawEvent> &merged)
-{
-    std::size_t total = 0;
-    for (const auto *s : streams)
-        total += s->size();
-    merged.clear();
-    merged.reserve(total);
-    std::vector<std::size_t> pos(streams.size(), 0);
-    for (std::size_t n = 0; n < total; ++n) {
-        std::size_t best = streams.size();
-        for (std::size_t i = 0; i < streams.size(); ++i) {
-            if (pos[i] >= streams[i]->size())
-                continue;
-            if (best == streams.size() ||
-                byTimeSeq((*streams[i])[pos[i]],
-                          (*streams[best])[pos[best]])) {
-                best = i;
-            }
-        }
-        merged.push_back((*streams[best])[pos[best]++]);
-    }
 }
 
 } // namespace
@@ -125,16 +93,9 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
     }
     noisy.clampPhysical();
 
-    // ---- Phase 1: generate raw events, one stream per source. --------
-    // Tick trains are in time order by construction; the per-step noise
-    // events are sorted span by span (spans cover disjoint time ranges,
-    // so the concatenation is globally ordered). The merge below then
-    // replaces what used to be a full std::sort over every event.
+    // ---- Phase 1: generate raw events, then sort them once. -----------
     long long seq = 0;
-    std::vector<std::vector<RawEvent>> tick_streams(
-        static_cast<std::size_t>(cores));
-    std::vector<RawEvent> noise;
-    long long span_sorted_bytes = 0;
+    std::vector<RawEvent> events;
     int round_robin = 0;
     auto route = [&]() -> CoreId {
         switch (config_.routing) {
@@ -149,8 +110,6 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
     // Per-core scheduler ticks with distinct phases.
     const TimeNs tick_period = config_.tickPeriod();
     for (CoreId c = 0; c < cores; ++c) {
-        std::vector<RawEvent> &stream =
-            tick_streams[static_cast<std::size_t>(c)];
         const TimeNs phase = static_cast<TimeNs>(
             rng.uniform() * static_cast<double>(tick_period));
         for (TimeNs t = phase; t < activity.duration(); t += tick_period) {
@@ -159,12 +118,11 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
             e.type = RawEvent::Type::Tick;
             e.core = c;
             e.seq = seq++;
-            stream.push_back(e);
+            events.push_back(e);
         }
     }
 
     for (std::size_t step = 0; step < noisy.numIntervals(); ++step) {
-        const std::size_t span_begin = noise.size();
         const ActivitySample &sample = noisy.at(step);
         const TimeNs lo = static_cast<TimeNs>(step) * noisy.interval();
         const TimeNs hi =
@@ -201,7 +159,7 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
                 e.core = route();
                 e.work = 0.6 + sample.softirqWork;
                 e.seq = seq++;
-                noise.push_back(e);
+                events.push_back(e);
             }
         }
 
@@ -217,7 +175,7 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
             e.type = RawEvent::Type::ReschedIpi;
             e.core = attacker;
             e.seq = seq++;
-            noise.push_back(e);
+            events.push_back(e);
         }
         const int flushes = rng.poisson(sample.tlbRate * dt);
         for (int i = 0; i < flushes; ++i) {
@@ -225,7 +183,7 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
             e.at = at_uniform();
             e.type = RawEvent::Type::TlbFlush;
             e.seq = seq++;
-            noise.push_back(e);
+            events.push_back(e);
         }
         const int stalls =
             rng.poisson(config_.os.untraceableStallRate * dt);
@@ -235,7 +193,7 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
             e.type = RawEvent::Type::Stall;
             e.core = attacker;
             e.seq = seq++;
-            noise.push_back(e);
+            events.push_back(e);
         }
         if (!config_.pinnedCores && sample.cpuLoad > 0.0) {
             const double share =
@@ -247,18 +205,8 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
                 e.type = RawEvent::Type::Preempt;
                 e.core = attacker;
                 e.seq = seq++;
-                noise.push_back(e);
+                events.push_back(e);
             }
-        }
-
-        // Order this step's span; spans cover disjoint [lo, hi) ranges,
-        // so the noise stream as a whole stays ordered.
-        if (noise.size() - span_begin > 1) {
-            std::sort(noise.begin() +
-                          static_cast<std::ptrdiff_t>(span_begin),
-                      noise.end(), byTimeSeq);
-            span_sorted_bytes += static_cast<long long>(
-                (noise.size() - span_begin) * sizeof(RawEvent));
         }
 
         // Machine state (same DVFS model as the synthesizer; the walk
@@ -288,20 +236,10 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
         timeline.iterCostFactor[step] = std::max(0.5, factor);
     }
 
-    std::vector<RawEvent> events;
-    {
-        std::vector<const std::vector<RawEvent> *> streams;
-        streams.reserve(tick_streams.size() + 1);
-        for (const std::vector<RawEvent> &stream : tick_streams)
-            streams.push_back(&stream);
-        streams.push_back(&noise);
-        mergeStreams(streams, events);
-    }
+    std::sort(events.begin(), events.end(), byTimeSeq);
     if (perf) {
-        perf->allocations +=
-            static_cast<long long>(tick_streams.size()) + 2;
+        ++perf->allocations;
         perf->bytesSorted +=
-            span_sorted_bytes +
             static_cast<long long>(events.size() * sizeof(RawEvent));
     }
 

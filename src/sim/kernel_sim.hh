@@ -52,10 +52,9 @@ class KernelSim
     /**
      * Runs the event-driven simulation for one trace.
      *
-     * Event streams are generated per source (per-core tick trains,
-     * per-step noise spans) and k-way merged by (time, emission order)
-     * instead of globally sorted: each source is already in time order,
-     * so the merge is linear with an explicit deterministic tie-break.
+     * Raw events from every source (per-core tick trains, per-step
+     * device, IPI, shootdown, stall and preemption draws) are sorted
+     * once by (time, emission order), a total deterministic order.
      *
      * @param activity The victim's activity over the run.
      * @param rng Per-run randomness.

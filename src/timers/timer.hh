@@ -59,13 +59,6 @@ class TimerModel
     virtual std::string name() const = 0;
 };
 
-// The concrete timers are `final` with inline observe() bodies: the
-// execution engine's period loop makes tens of millions of observe()
-// calls per run, and when the engine's templated fast path holds a
-// concrete reference the compiler can then devirtualize and inline the
-// read instead of an indirect call per probe (the generic TimerModel&
-// path still works and returns identical values).
-
 /** A perfect clock: observe(T) == T. */
 class PreciseTimer final : public TimerModel
 {
