@@ -63,11 +63,12 @@ run(const core::RunContext &ctx)
     config.browser = web::BrowserProfile::chrome();
     const web::SiteCatalog catalog(scale.sites, 7);
     const core::TraceCollector collector(config);
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
     auto collected =
-        collector.collectClosedWorld(catalog, scale.tracesPerSite);
+        collector.collectClosedWorldMulti(catalog, scale.tracesPerSite, loop);
     if (!collected.isOk())
         return collected.status();
-    const auto &traces = collected.value();
+    const auto &traces = collected.value()[0];
 
     ml::EvalConfig eval;
     eval.folds = scale.folds;

@@ -23,16 +23,18 @@ namespace bigfish::bench {
 
 namespace {
 
+const attack::AttackerKind kLoop[] = {attack::AttackerKind::LoopCounting};
+
 Result<double>
 accuracy(const core::CollectionConfig &config,
          const core::PipelineConfig &pipeline,
          core::RunArtifact &artifact, const std::string &label)
 {
-    auto result = core::runFingerprinting(config, pipeline);
-    if (!result.isOk())
-        return result.status();
-    artifact.addResult(label, result.value());
-    return result.value().closedWorld.top1Mean;
+    auto results = core::runFingerprintingShared(config, kLoop, pipeline);
+    if (!results.isOk())
+        return results.status();
+    artifact.addResult(label, results.value()[0]);
+    return results.value()[0].closedWorld.top1Mean;
 }
 
 Result<core::RunArtifact>
@@ -84,24 +86,28 @@ run(const core::RunContext &ctx)
          }},
     };
 
-    Table table({"model (cumulative deletions)", "top-1", "delta"});
+    // Deletions accumulate; each step changes the machine, so each
+    // config collects on its own.
+    std::vector<core::CollectionConfig> configs;
     core::CollectionConfig config = base;
-    double prev = -1.0;
-    int step_index = 0;
     for (const auto &step : steps) {
         step.apply(config);
-        auto acc = accuracy(config, pipeline, artifact,
-                            "channel_step" +
-                                std::to_string(step_index++));
-        if (!acc.isOk())
-            return acc.status();
-        table.addRow({step.name, formatPercent(acc.value()),
-                      prev < 0
-                          ? std::string("-")
-                          : formatDouble((acc.value() - prev) * 100.0,
-                                         1)});
-        prev = acc.value();
-        std::printf("finished: %s\n", step.name);
+        configs.push_back(config);
+    }
+    auto channels = core::runFingerprintingShared(configs, kLoop, pipeline);
+    if (!channels.isOk())
+        return channels.status();
+    Table table({"model (cumulative deletions)", "top-1", "delta"});
+    double prev = -1.0;
+    for (std::size_t s = 0; s < configs.size(); ++s) {
+        const core::FingerprintResult &result = channels.value()[s][0];
+        artifact.addResult("channel_step" + std::to_string(s), result);
+        const double acc = result.closedWorld.top1Mean;
+        table.addRow({steps[s].name, formatPercent(acc),
+                      prev < 0 ? std::string("-")
+                               : formatDouble((acc - prev) * 100.0, 1)});
+        prev = acc;
+        std::printf("finished: %s\n", steps[s].name);
     }
     std::printf("\nLEAKAGE-CHANNEL ABLATION (chance = %.1f%%)\n%s",
                 100.0 / scale.sites, table.render().c_str());

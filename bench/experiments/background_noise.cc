@@ -29,21 +29,21 @@ run(const core::RunContext &ctx)
     core::CollectionConfig background = quiet;
     background.backgroundApps = true;
 
-    auto bg = core::runFingerprinting(background, pipeline);
-    if (!bg.isOk())
-        return bg.status();
-    artifact.addResult("loop-counting_background", bg.value());
-
-    auto qt = core::runFingerprinting(quiet, pipeline);
-    if (!qt.isOk())
-        return qt.status();
-    artifact.addResult("loop-counting_quiet", qt.value());
+    const core::CollectionConfig configs[] = {background, quiet};
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
+    auto results = core::runFingerprintingShared(configs, loop, pipeline);
+    if (!results.isOk())
+        return results.status();
+    const core::FingerprintResult &bg = results.value()[0][0];
+    const core::FingerprintResult &qt = results.value()[1][0];
+    artifact.addResult("loop-counting_background", bg);
+    artifact.addResult("loop-counting_quiet", qt);
 
     std::printf("\nbackground noise (Slack + Spotify playing music):\n");
     std::printf("  paper:    96.6%% -> 93.4%%\n");
     std::printf("  measured: %.1f%% -> %.1f%%\n",
-                qt.value().closedWorld.top1Mean * 100.0,
-                bg.value().closedWorld.top1Mean * 100.0);
+                qt.closedWorld.top1Mean * 100.0,
+                bg.closedWorld.top1Mean * 100.0);
     std::printf("\nexpected shape: background apps cost only a few "
                 "points.\n");
     return artifact;

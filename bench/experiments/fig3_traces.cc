@@ -48,7 +48,6 @@ run(const core::RunContext &ctx)
     core::CollectionConfig config;
     config.machine = sim::MachineConfig::linuxDesktop();
     config.browser = web::BrowserProfile::chrome();
-    config.attacker = attack::AttackerKind::LoopCounting;
     config.seed = scale.seed;
     const core::TraceCollector collector(config);
 
@@ -57,12 +56,14 @@ run(const core::RunContext &ctx)
                 "time axis: 0 .. 15 s\n\n");
 
     for (const auto &site : web::SiteCatalog::exampleSites()) {
-        auto trace = collector.collectOne(site, 0);
+        auto trace =
+            collector.collectOne(attack::AttackerKind::LoopCounting, site, 0);
         if (!trace.isOk())
             return trace.status();
         std::printf("%s\n", site.name.c_str());
         for (int row = 0; row < 3; ++row) {
-            auto strip = collector.collectOne(site, row);
+            auto strip = collector.collectOne(
+                attack::AttackerKind::LoopCounting, site, row);
             if (!strip.isOk())
                 return strip.status();
             renderStrip(strip.value(), 100);

@@ -34,14 +34,9 @@ run(const core::RunContext &ctx)
     if (runs == 0)
         runs = scale.tracesPerSite >= 100 ? 100 : 30;
 
-    core::CollectionConfig loop_config;
-    loop_config.attacker = attack::AttackerKind::LoopCounting;
-    loop_config.seed = scale.seed;
-    core::CollectionConfig sweep_config = loop_config;
-    sweep_config.attacker = attack::AttackerKind::SweepCounting;
-
-    const core::TraceCollector loop_collector(loop_config);
-    const core::TraceCollector sweep_collector(sweep_config);
+    core::CollectionConfig config;
+    config.seed = scale.seed;
+    const core::TraceCollector collector(config);
 
     Table table({"website", "runs", "paper r", "measured r", "loop max",
                  "sweep max"});
@@ -49,10 +44,12 @@ run(const core::RunContext &ctx)
         std::vector<std::vector<double>> loop_runs, sweep_runs;
         double loop_max = 0.0, sweep_max = 0.0;
         for (int run_index = 0; run_index < runs; ++run_index) {
-            auto loop = loop_collector.collectOne(site, run_index);
+            auto loop = collector.collectOne(
+                attack::AttackerKind::LoopCounting, site, run_index);
             if (!loop.isOk())
                 return loop.status();
-            auto sweep = sweep_collector.collectOne(site, run_index);
+            auto sweep = collector.collectOne(
+                attack::AttackerKind::SweepCounting, site, run_index);
             if (!sweep.isOk())
                 return sweep.status();
             loop_runs.push_back(

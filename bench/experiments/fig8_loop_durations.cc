@@ -38,8 +38,9 @@ durationsUnder(const char *title, const timers::TimerSpec &spec,
 
     std::vector<double> durations_ms;
     for (int run_index = 0; run_index < runs; ++run_index) {
-        auto trace =
-            collector.collectOne(web::nytimesSignature(0), run_index);
+        auto trace = collector.collectOne(attack::AttackerKind::LoopCounting,
+                                          web::nytimesSignature(0),
+                                          run_index);
         if (!trace.isOk())
             return trace.status();
         for (TimeNs w : trace.value().wallTimes)

@@ -47,27 +47,26 @@ run(const core::RunContext &ctx)
     {
         const char *name;
         const char *slug;
-        const core::CollectionConfig &config;
     } variants[] = {
-        {"no noise", "none", base},
-        {"cache-sweep noise", "cache_noise", cache_noise},
-        {"interrupt noise", "irq_noise", irq_noise},
+        {"no noise", "none"},
+        {"cache-sweep noise", "cache_noise"},
+        {"interrupt noise", "irq_noise"},
     };
+    const core::CollectionConfig configs[] = {base, cache_noise, irq_noise};
 
     // Loop- and sweep-counting attack the same victim under each noise
     // condition: shared-timeline collection runs the expensive synthesis
     // once per condition instead of once per (attacker, condition).
+    auto results = core::runFingerprintingShared(configs, kinds, pipeline);
+    if (!results.isOk())
+        return results.status();
     double acc[2][3];
     for (std::size_t v = 0; v < 3; ++v) {
-        auto shared = core::runFingerprintingShared(variants[v].config,
-                                                    kinds, pipeline);
-        if (!shared.isOk())
-            return shared.status();
         for (std::size_t a = 0; a < 2; ++a) {
-            artifact.addResult(std::string(attackers[a]) + "_" +
-                                   variants[v].slug,
-                               shared.value()[a]);
-            acc[a][v] = shared.value()[a].closedWorld.top1Mean;
+            const core::FingerprintResult &result = results.value()[v][a];
+            artifact.addResult(
+                std::string(attackers[a]) + "_" + variants[v].slug, result);
+            acc[a][v] = result.closedWorld.top1Mean;
         }
         std::printf("finished loop+sweep / %s\n", variants[v].name);
     }

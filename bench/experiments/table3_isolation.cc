@@ -59,22 +59,27 @@ run(const core::RunContext &ctx)
     };
     Table table({"isolation mechanism", "top-1 paper", "top-1 meas",
                  "top-5 paper", "top-5 meas"});
-    int step_index = 0;
+    // Mechanisms accumulate; each step changes the machine, so each
+    // config collects on its own.
+    std::vector<core::CollectionConfig> configs;
     for (const auto &step : steps) {
-        step.apply(config); // Mechanisms accumulate.
-        auto result = core::runFingerprinting(config, pipeline);
-        if (!result.isOk())
-            return result.status();
-        const std::string label =
-            "isolation_step" + std::to_string(step_index++);
-        artifact.addResult(label, result.value());
-        table.addRow({step.name, expected(label + "_top1"),
-                      formatPercentPm(result.value().closedWorld.top1Mean,
-                                      result.value().closedWorld.top1Std),
+        step.apply(config);
+        configs.push_back(config);
+    }
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
+    auto results = core::runFingerprintingShared(configs, loop, pipeline);
+    if (!results.isOk())
+        return results.status();
+    for (std::size_t s = 0; s < configs.size(); ++s) {
+        const core::FingerprintResult &result = results.value()[s][0];
+        const std::string label = "isolation_step" + std::to_string(s);
+        artifact.addResult(label, result);
+        table.addRow({steps[s].name, expected(label + "_top1"),
+                      formatPercentPm(result.closedWorld.top1Mean,
+                                      result.closedWorld.top1Std),
                       expected(label + "_top5"),
-                      formatPercent(
-                          result.value().closedWorld.topKMean)});
-        std::printf("finished: %s\n", step.name);
+                      formatPercent(result.closedWorld.topKMean)});
+        std::printf("finished: %s\n", steps[s].name);
     }
 
     std::printf("\n%s", table.render().c_str());

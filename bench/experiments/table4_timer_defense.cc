@@ -58,7 +58,7 @@ run(const core::RunContext &ctx)
         config.period = row.period_ms * kMsec;
         configs.push_back(config);
     }
-    const attack::AttackerKind kinds[] = {configs.front().attacker};
+    const attack::AttackerKind kinds[] = {attack::AttackerKind::LoopCounting};
     auto results = core::runFingerprintingShared(configs, kinds, pipeline);
     if (!results.isOk())
         return results.status();

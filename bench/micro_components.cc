@@ -128,7 +128,10 @@ BM_CollectLoopTrace(benchmark::State &state)
     const auto site = web::nytimesSignature(0);
     int run = 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(collector.collectOneOrDie(site, run++));
+        benchmark::DoNotOptimize(
+            collector
+                .collectOne(attack::AttackerKind::LoopCounting, site, run++)
+                .valueOrDie());
 }
 BENCHMARK(BM_CollectLoopTrace);
 
@@ -136,12 +139,14 @@ void
 BM_CollectSweepTrace(benchmark::State &state)
 {
     core::CollectionConfig config;
-    config.attacker = attack::AttackerKind::SweepCounting;
     const core::TraceCollector collector(config);
     const auto site = web::nytimesSignature(0);
     int run = 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(collector.collectOneOrDie(site, run++));
+        benchmark::DoNotOptimize(
+            collector
+                .collectOne(attack::AttackerKind::SweepCounting, site, run++)
+                .valueOrDie());
 }
 BENCHMARK(BM_CollectSweepTrace);
 

@@ -34,7 +34,9 @@ main(int argc, char **argv)
     // ---- Train on ordinary per-load traces. ---------------------------
     std::printf("training on %d x 14 aligned traces...\n", sites);
     const core::TraceCollector collector(config);
-    const auto trainset = collector.collectClosedWorldOrDie(catalog, 14);
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
+    const auto trainset =
+        collector.collectClosedWorldMulti(catalog, 14, loop).valueOrDie()[0];
     const auto train_data = core::toDataset(trainset, feature_len, sites);
     auto model = ml::cnnLstmFactory(ml::CnnLstmParams::traceDefaults())(
         sites, train_data.featureLen(), 11);
@@ -60,7 +62,7 @@ main(int argc, char **argv)
 
     auto timer = config.effectiveTimer().make(559);
     const auto long_trace = attack::collectTraceOrDie(
-        config.attacker, config.attackerParams, config.machine, timeline,
+        loop[0], config.attackerParams, config.machine, timeline,
         *timer, config.effectivePeriod(), 560);
 
     // ---- Segment and classify. ----------------------------------------

@@ -24,7 +24,10 @@ namespace {
 double
 accuracy(core::CollectionConfig config, const core::PipelineConfig &p)
 {
-    return core::runFingerprintingOrDie(config, p).closedWorld.top1Mean;
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
+    return core::runFingerprintingShared(config, loop, p)
+        .valueOrDie()[0]
+        .closedWorld.top1Mean;
 }
 
 } // namespace

@@ -25,6 +25,7 @@ main()
 {
     core::CollectionConfig config;
     config.seed = 2022;
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
 
     core::PipelineConfig pipeline;
     pipeline.numSites = 6;
@@ -36,7 +37,8 @@ main()
     pipeline.factory = ml::knnFactory(3);
 
     std::printf("Baseline (no faults)...\n");
-    const auto clean = core::runFingerprintingOrDie(config, pipeline);
+    const auto clean = core::runFingerprintingShared(config, loop, pipeline)
+                            .valueOrDie()[0];
     std::printf("  top-1 %.1f%%  (%zu traces collected, %zu dropped)\n\n",
                 clean.closedWorld.top1Mean * 100.0,
                 clean.collectedTraces, clean.droppedTraces);
@@ -57,7 +59,8 @@ main()
     config.faults.seed = 7;
 
     std::printf("Same evaluation under injected faults...\n");
-    const auto faulted = core::runFingerprintingOrDie(config, pipeline);
+    const auto faulted = core::runFingerprintingShared(config, loop, pipeline)
+                            .valueOrDie()[0];
     std::printf("  top-1 %.1f%%  (%zu traces collected, %zu dropped)\n",
                 faulted.closedWorld.top1Mean * 100.0,
                 faulted.collectedTraces, faulted.droppedTraces);
@@ -67,7 +70,8 @@ main()
                 100.0 / pipeline.numSites);
 
     // Deterministic: the same fault seed replays the identical run.
-    const auto again = core::runFingerprintingOrDie(config, pipeline);
+    const auto again = core::runFingerprintingShared(config, loop, pipeline)
+                            .valueOrDie()[0];
     std::printf("  replay with same fault seed: top-1 %.1f%% "
                 "(%s)\n",
                 again.closedWorld.top1Mean * 100.0,

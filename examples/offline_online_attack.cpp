@@ -47,8 +47,10 @@ main(int argc, char **argv)
     std::printf("[offline] collecting %d x %d traces...\n", sites,
                 traces_per_site);
     const core::TraceCollector collector(config);
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
     const auto trainset =
-        collector.collectClosedWorldOrDie(catalog, traces_per_site);
+        collector.collectClosedWorldMulti(catalog, traces_per_site, loop)
+            .valueOrDie()[0];
     attack::saveTracesOrDie(trace_path, trainset);
     std::printf("[offline] saved %zu traces to %s\n", trainset.size(),
                 trace_path.c_str());
@@ -77,7 +79,10 @@ main(int argc, char **argv)
     for (SiteId id = 0; id < sites; id += 3) {
         // Run indices beyond the training range = unseen loads.
         const auto victim_trace =
-            collector.collectOneOrDie(catalog.site(id), traces_per_site + 5);
+            collector
+                .collectOne(attack::AttackerKind::LoopCounting,
+                            catalog.site(id), traces_per_site + 5)
+                .valueOrDie();
         attack::TraceSet one;
         one.add(victim_trace);
         const auto features = core::toDataset(one, feature_len, sites);

@@ -22,12 +22,12 @@ int
 main()
 {
     // 1. Attack setup: a 4-core Linux desktop, Chrome's jittered 0.1 ms
-    //    timer, the loop-counting attacker with P = 5 ms.
+    //    timer with P = 5 ms, and the loop-counting attacker.
     core::CollectionConfig config;
     config.machine = sim::MachineConfig::linuxDesktop();
     config.browser = web::BrowserProfile::chrome();
-    config.attacker = attack::AttackerKind::LoopCounting;
     config.seed = 2022;
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
 
     const core::TraceCollector collector(config);
 
@@ -35,7 +35,8 @@ main()
     const auto sites = web::SiteCatalog::exampleSites();
     std::printf("Collecting example traces (15 s victim page loads)...\n");
     for (const auto &site : sites) {
-        const attack::Trace trace = collector.collectOneOrDie(site, 0);
+        const attack::Trace trace =
+            collector.collectOne(loop[0], site, 0).valueOrDie();
         std::printf(
             "  %-14s %4zu periods   counter: min %7.0f  mean %7.0f  "
             "max %7.0f\n",
@@ -54,7 +55,8 @@ main()
 
     std::printf("\nTraining the CNN-LSTM on %d sites x %d traces...\n",
                 pipeline.numSites, pipeline.tracesPerSite);
-    const auto result = core::runFingerprintingOrDie(config, pipeline);
+    const auto result =
+        core::runFingerprintingShared(config, loop, pipeline).valueOrDie()[0];
     std::printf("closed-world accuracy: top-1 %.1f%%  top-%d %.1f%%\n",
                 result.closedWorld.top1Mean * 100.0,
                 result.closedWorld.topK,

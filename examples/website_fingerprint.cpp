@@ -30,7 +30,10 @@ perSiteReport(const core::CollectionConfig &config,
               std::size_t feature_len)
 {
     const core::TraceCollector collector(config);
-    const auto set = collector.collectClosedWorldOrDie(catalog, traces_per_site);
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
+    const auto set =
+        collector.collectClosedWorldMulti(catalog, traces_per_site, loop)
+            .valueOrDie()[0];
     const auto data =
         core::toDataset(set, feature_len, catalog.size());
 
@@ -89,8 +92,11 @@ main(int argc, char **argv)
                 "one-off traces\n", sites, traces, open_extra);
 
     // Loop-counting attack (this paper).
-    config.attacker = attack::AttackerKind::LoopCounting;
-    const auto loop = core::runFingerprintingOrDie(config, pipeline);
+    const attack::AttackerKind loop_kind[] = {
+        attack::AttackerKind::LoopCounting};
+    const auto loop =
+        core::runFingerprintingShared(config, loop_kind, pipeline)
+            .valueOrDie()[0];
     std::printf("\nloop-counting attack:\n");
     std::printf("  closed world: top-1 %.1f%%  top-%d %.1f%%\n",
                 loop.closedWorld.top1Mean * 100.0,
@@ -103,10 +109,13 @@ main(int argc, char **argv)
                 loop.openWorld.openWorld.combinedAccuracy * 100.0);
 
     // Sweep-counting baseline (Shusterman et al.).
-    config.attacker = attack::AttackerKind::SweepCounting;
+    const attack::AttackerKind sweep_kind[] = {
+        attack::AttackerKind::SweepCounting};
     auto sweep_pipeline = pipeline;
     sweep_pipeline.openWorldExtra = 0;
-    const auto sweep = core::runFingerprintingOrDie(config, sweep_pipeline);
+    const auto sweep =
+        core::runFingerprintingShared(config, sweep_kind, sweep_pipeline)
+            .valueOrDie()[0];
     std::printf("\nsweep-counting (cache-occupancy) baseline:\n");
     std::printf("  closed world: top-1 %.1f%%  top-%d %.1f%%\n",
                 sweep.closedWorld.top1Mean * 100.0,
@@ -114,7 +123,6 @@ main(int argc, char **argv)
                 sweep.closedWorld.topKMean * 100.0);
 
     // Per-site report for the loop attack.
-    config.attacker = attack::AttackerKind::LoopCounting;
     const web::SiteCatalog catalog(sites, pipeline.catalogSeed);
     perSiteReport(config, catalog, traces, pipeline.featureLen);
     return 0;

@@ -45,10 +45,11 @@
 #               only full-size CNN-LSTM training in this script) whose
 #               artifact and stage-cache files must match between
 #               --threads=1, --threads=4 and BF_SIMD=scalar
-#               --threads=4, and a
-#               table4_timer_defense smoke (one timeline group for all
-#               five rows) whose artifact must match between
-#               --threads=1 and --threads=4.
+#               --threads=4; then table2_noise, table3_isolation and
+#               table4_timer_defense smokes (each runs all its configs
+#               through one call: three and five timeline groups, and
+#               one group for all five Table 4 rows) whose artifacts
+#               must match between --threads=1 and --threads=4.
 #   address   — full build + ctest under AddressSanitizer.
 #   undefined — full build + ctest under UBSan.
 #   thread    — full build + ctest under ThreadSanitizer.
@@ -472,20 +473,24 @@ for stage in "${stages[@]}"; do
         done
         echo "== [sim-perf] background_noise bit-identical at 1 and 4" \
              "threads and BF_SIMD=scalar"
-        # Table 4's five rows share one timeline group: one Collect
-        # serves every timer, at any thread count.
-        for t in 1 4; do
-            "$builddir/bigfish" run table4_timer_defense --smoke \
-                --threads="$t" --json="$pdir/t4-t$t.json" > /dev/null
+        # Experiments that run several configs through one call: Table
+        # 2's three noise conditions and Table 3's five isolation steps
+        # each form their own timeline group, and Table 4's five rows
+        # share one. Their artifacts must not depend on the thread count.
+        for exp in table2_noise table3_isolation table4_timer_defense; do
+            for t in 1 4; do
+                "$builddir/bigfish" run "$exp" --smoke \
+                    --threads="$t" --json="$pdir/$exp-t$t.json" > /dev/null
+            done
+            if ! diff <(grep -v -e 'Seconds' -e '"threads"' \
+                            "$pdir/$exp-t1.json") \
+                      <(grep -v -e 'Seconds' -e '"threads"' \
+                            "$pdir/$exp-t4.json"); then
+                echo "$exp artifact differs between 1 and 4 threads" >&2
+                exit 1
+            fi
+            echo "== [sim-perf] $exp bit-identical at 1 and 4 threads"
         done
-        if ! diff <(grep -v -e 'Seconds' -e '"threads"' "$pdir/t4-t1.json") \
-                  <(grep -v -e 'Seconds' -e '"threads"' "$pdir/t4-t4.json"); then
-            echo "table4_timer_defense artifact differs between 1 and 4" \
-                 "threads" >&2
-            exit 1
-        fi
-        echo "== [sim-perf] table4_timer_defense bit-identical at 1 and 4" \
-             "threads"
         ;;
       address|undefined|thread)
         san="$stage"

@@ -353,16 +353,6 @@ TraceCollector::collectForAttacker(attack::AttackerKind attacker,
     return trace;
 }
 
-Result<attack::Trace>
-TraceCollector::collectOne(const web::SiteSignature &site,
-                           int run_index) const
-{
-    const attack::AttackerKind attackers[] = {config_.attacker};
-    std::vector<Result<attack::Trace>> cell =
-        collectOneMulti(site, run_index, attackers);
-    return std::move(cell[0]);
-}
-
 std::vector<Result<attack::Trace>>
 TraceCollector::attackTimeline(
     const web::SiteSignature &site, int run_index,
@@ -387,17 +377,17 @@ TraceCollector::attackTimeline(
     return out;
 }
 
-std::vector<Result<attack::Trace>>
-TraceCollector::collectOneMulti(
-    const web::SiteSignature &site, int run_index,
-    std::span<const attack::AttackerKind> attackers,
-    sim::PerfCounters *perf) const
+Result<attack::Trace>
+TraceCollector::collectOne(attack::AttackerKind attacker,
+                           const web::SiteSignature &site,
+                           int run_index) const
 {
     if (config_.effectivePeriod() <= 0)
-        return periodUnsetCell(attackers.size());
-    const sim::RunTimeline timeline =
-        synthesizeTimeline(site, run_index, perf);
-    return attackTimeline(site, run_index, timeline, attackers, perf);
+        return std::move(periodUnsetCell(1)[0]);
+    const sim::RunTimeline timeline = synthesizeTimeline(site, run_index);
+    const attack::AttackerKind attackers[] = {attacker};
+    return std::move(
+        attackTimeline(site, run_index, timeline, attackers, nullptr)[0]);
 }
 
 std::optional<std::vector<Result<attack::Trace>>>
@@ -481,32 +471,6 @@ TraceCollector::collectGroupCell(
     return cells;
 }
 
-attack::Trace
-TraceCollector::collectOneOrDie(const web::SiteSignature &site,
-                                int run_index) const
-{
-    // OrDie wrapper implementation: abort-on-error is the contract.
-    // bigfish-lint: allow(ordie-outside-binary)
-    return collectOne(site, run_index).valueOrDie();
-}
-
-Result<attack::TraceSet>
-TraceCollector::collectClosedWorld(const web::SiteCatalog &catalog,
-                                   int traces_per_site,
-                                   CollectionStats *stats) const
-{
-    const attack::AttackerKind attackers[] = {config_.attacker};
-    std::vector<CollectionStats> multi_stats;
-    Result<std::vector<attack::TraceSet>> sets = collectClosedWorldMulti(
-        catalog, traces_per_site, attackers,
-        stats != nullptr ? &multi_stats : nullptr);
-    if (!sets.isOk())
-        return Status(sets.status());
-    if (stats != nullptr)
-        *stats = multi_stats[0];
-    return std::move(sets.value()[0]);
-}
-
 Result<std::vector<attack::TraceSet>>
 TraceCollector::collectClosedWorldMulti(
     const web::SiteCatalog &catalog, int traces_per_site,
@@ -549,33 +513,6 @@ TraceCollector::collectClosedWorldGroup(
         });
 }
 
-attack::TraceSet
-TraceCollector::collectClosedWorldOrDie(const web::SiteCatalog &catalog,
-                                        int traces_per_site,
-                                        CollectionStats *stats) const
-{
-    // OrDie wrapper implementation: abort-on-error is the contract.
-    // bigfish-lint: allow(ordie-outside-binary)
-    return collectClosedWorld(catalog, traces_per_site, stats).valueOrDie();
-}
-
-Result<attack::TraceSet>
-TraceCollector::collectOpenWorld(const web::SiteCatalog &catalog,
-                                 int num_extra, Label non_sensitive_label,
-                                 CollectionStats *stats) const
-{
-    const attack::AttackerKind attackers[] = {config_.attacker};
-    std::vector<CollectionStats> multi_stats;
-    Result<std::vector<attack::TraceSet>> sets = collectOpenWorldMulti(
-        catalog, num_extra, non_sensitive_label, attackers,
-        stats != nullptr ? &multi_stats : nullptr);
-    if (!sets.isOk())
-        return Status(sets.status());
-    if (stats != nullptr)
-        *stats = multi_stats[0];
-    return std::move(sets.value()[0]);
-}
-
 Result<std::vector<attack::TraceSet>>
 TraceCollector::collectOpenWorldMulti(
     const web::SiteCatalog &catalog, int num_extra,
@@ -614,18 +551,6 @@ TraceCollector::collectOpenWorldGroup(
                 catalog.openWorldSite(static_cast<int>(i)), 0, attackers,
                 task_perf);
         });
-}
-
-attack::TraceSet
-TraceCollector::collectOpenWorldOrDie(const web::SiteCatalog &catalog,
-                                      int num_extra,
-                                      Label non_sensitive_label,
-                                      CollectionStats *stats) const
-{
-    return collectOpenWorld(catalog, num_extra, non_sensitive_label, stats)
-        // OrDie wrapper implementation: abort-on-error is the contract.
-        // bigfish-lint: allow(ordie-outside-binary)
-        .valueOrDie();
 }
 
 std::uint64_t

@@ -4,14 +4,19 @@
  *
  * One CollectionConfig describes a full experimental configuration — the
  * machine and OS (Table 1 rows, Table 3 isolation knobs), the browser
- * (timer + load behavior), the attacker kind (Figure 2a vs 2b), an
- * optional timer override (Table 4 defenses), optional noise
- * countermeasures (Table 2), and an optional FaultConfig (dropped or
- * duplicated interrupts, skewed/non-monotonic timers, attacker stalls,
- * truncated traces). TraceCollector realizes victim workloads,
- * synthesizes interrupt timelines, applies browser runtime effects,
- * defense overlays and injected faults, runs the attacker, and returns
- * labeled traces.
+ * (timer + load behavior), an optional timer override (Table 4
+ * defenses), optional noise countermeasures (Table 2), and an optional
+ * FaultConfig (dropped or duplicated interrupts, skewed/non-monotonic
+ * timers, attacker stalls, truncated traces). TraceCollector realizes
+ * victim workloads, synthesizes interrupt timelines, applies browser
+ * runtime effects, defense overlays and injected faults, runs the
+ * attackers, and returns labeled traces.
+ *
+ * The attacker kind (Figure 2a vs 2b) is an argument of every
+ * collection call, not part of the config: both attackers watch the
+ * same victim, and synthesis, timer seeding and fault planning never
+ * depend on which one measures, so one synthesized timeline serves
+ * every attacker of a call.
  *
  * Seeding is fully deterministic: trace (site, run) under the same
  * config always reproduces bit-identically, faults included.
@@ -57,7 +62,6 @@ struct CollectionConfig
 {
     sim::MachineConfig machine = sim::MachineConfig::linuxDesktop();
     web::BrowserProfile browser = web::BrowserProfile::chrome();
-    attack::AttackerKind attacker = attack::AttackerKind::LoopCounting;
     attack::AttackerParams attackerParams;
 
     /** Replaces the browser's timer (Table 4 timer defenses). */
@@ -191,56 +195,25 @@ class TraceCollector
                                             nullptr) const;
 
     /**
-     * Collects one trace of @p site. Fails (without terminating) when
-     * the trace comes back unusable — e.g. fault-truncated below
-     * kMinViablePeriods or empty.
+     * Collects one trace of @p site with @p attacker. Fails (without
+     * terminating) when the trace comes back unusable — e.g.
+     * fault-truncated below kMinViablePeriods or empty.
      */
-    [[nodiscard]] Result<attack::Trace> collectOne(const web::SiteSignature &site,
-                                     int run_index) const;
-
-    /** collectOne() that fatal()s on failure (binary boundaries only). */
-    attack::Trace collectOneOrDie(const web::SiteSignature &site,
-                                  int run_index) const;
-
-    /**
-     * Collects one trace of @p site per attacker in @p attackers, all
-     * from a single timeline synthesis. Timeline synthesis, timer
-     * seeding and fault planning are attacker-independent, so each
-     * returned trace is bit-identical to a separate collectOne() call
-     * under a config whose only difference is `attacker` — but the
-     * expensive synthesis runs once instead of attackers.size() times.
-     * The config's own `attacker` field is ignored.
-     */
-    [[nodiscard]] std::vector<Result<attack::Trace>>
-    collectOneMulti(const web::SiteSignature &site, int run_index,
-                    std::span<const attack::AttackerKind> attackers,
-                    sim::PerfCounters *perf = nullptr) const;
+    [[nodiscard]] Result<attack::Trace>
+    collectOne(attack::AttackerKind attacker, const web::SiteSignature &site,
+               int run_index) const;
 
     /**
      * Closed-world dataset: @p traces_per_site traces of every catalog
-     * site, labeled by site id. Unusable traces are dropped with
-     * accounting in @p stats (optional); the call fails only when the
-     * configuration is invalid or no trace at all survived.
-     */
-    [[nodiscard]] Result<attack::TraceSet>
-    collectClosedWorld(const web::SiteCatalog &catalog, int traces_per_site,
-                       CollectionStats *stats = nullptr) const;
-
-    /** collectClosedWorld() that fatal()s on failure. */
-    attack::TraceSet
-    collectClosedWorldOrDie(const web::SiteCatalog &catalog,
-                            int traces_per_site,
-                            CollectionStats *stats = nullptr) const;
-
-    /**
-     * Closed-world collection for several attackers sharing every
-     * synthesized timeline (see collectOneMulti). Returns one TraceSet
-     * per attacker, each bit-identical to a collectClosedWorld() under
-     * the corresponding single-attacker config; @p stats (optional) is
-     * resized to one entry per attacker. @p perf (optional) accumulates
-     * simulator work counters, summed over cells in serial order so the
-     * totals are identical at any thread count; cells replayed from the
-     * cache contribute zero (counters measure work performed).
+     * site, labeled by site id, as one TraceSet per attacker in
+     * @p attackers; all attackers share every synthesized timeline.
+     * Unusable traces are dropped with accounting in @p stats (optional,
+     * resized to one entry per attacker); the call fails only when the
+     * configuration is invalid or an attacker kept no trace at all.
+     * @p perf (optional) accumulates simulator work counters, summed over
+     * cells in serial order so the totals are identical at any thread
+     * count; cells replayed from the cache contribute zero (counters
+     * measure work performed).
      */
     [[nodiscard]] Result<std::vector<attack::TraceSet>>
     collectClosedWorldMulti(const web::SiteCatalog &catalog,
@@ -250,22 +223,10 @@ class TraceCollector
                             sim::PerfCounters *perf = nullptr) const;
 
     /**
-     * Open-world extension: @p num_extra traces, each of a distinct
-     * one-off site, all labeled @p non_sensitive_label. Unusable traces
-     * are dropped with accounting in @p stats (optional).
+     * Open-world extension of collectClosedWorldMulti(): @p num_extra
+     * traces, each of a distinct one-off site, all labeled
+     * @p non_sensitive_label.
      */
-    [[nodiscard]] Result<attack::TraceSet>
-    collectOpenWorld(const web::SiteCatalog &catalog, int num_extra,
-                     Label non_sensitive_label,
-                     CollectionStats *stats = nullptr) const;
-
-    /** collectOpenWorld() that fatal()s on failure. */
-    attack::TraceSet
-    collectOpenWorldOrDie(const web::SiteCatalog &catalog, int num_extra,
-                          Label non_sensitive_label,
-                          CollectionStats *stats = nullptr) const;
-
-    /** Open-world counterpart of collectClosedWorldMulti(). */
     [[nodiscard]] Result<std::vector<attack::TraceSet>>
     collectOpenWorldMulti(const web::SiteCatalog &catalog, int num_extra,
                           Label non_sensitive_label,
@@ -316,9 +277,9 @@ class TraceCollector
     /**
      * Runs @p attacker over an already-synthesized timeline: fresh timer
      * from the (attacker-independent) @p timer_seed, fault wrapping,
-     * attack, truncation and viability checks. collectOne() and
-     * collectOneMulti() share this path, which is what makes the shared
-     * timeline bit-compatible with separate single-attacker collections.
+     * attack, truncation and viability checks. Every collection call
+     * shares this path, which is what makes the shared timeline
+     * bit-compatible with separate single-attacker collections.
      */
     [[nodiscard]] Result<attack::Trace>
     collectForAttacker(attack::AttackerKind attacker,

@@ -642,6 +642,8 @@ runFingerprintingShared(std::span<const CollectionConfig> collections,
             if (!evaluated.isOk())
                 return Status(evaluated.status());
             results[c] = std::move(evaluated.value());
+            // Scored: this config's datasets are no longer needed.
+            std::vector<FeaturizedEntry>().swap(runs[c]->featurized);
         }
     }
     return results;
@@ -658,39 +660,6 @@ runFingerprintingShared(const CollectionConfig &collection,
     if (!results.isOk())
         return Status(results.status());
     return std::move(results.value()[0]);
-}
-
-std::vector<FingerprintResult>
-runFingerprintingSharedOrDie(
-    const CollectionConfig &collection,
-    std::span<const attack::AttackerKind> attackers,
-    const PipelineConfig &pipeline)
-{
-    return runFingerprintingShared(collection, attackers, pipeline)
-        // OrDie wrapper implementation: abort-on-error is the contract.
-        // bigfish-lint: allow(ordie-outside-binary)
-        .valueOrDie();
-}
-
-Result<FingerprintResult>
-runFingerprinting(const CollectionConfig &collection,
-                  const PipelineConfig &pipeline)
-{
-    const attack::AttackerKind attackers[] = {collection.attacker};
-    Result<std::vector<FingerprintResult>> results =
-        runFingerprintingShared(collection, attackers, pipeline);
-    if (!results.isOk())
-        return Status(results.status());
-    return std::move(results.value()[0]);
-}
-
-FingerprintResult
-runFingerprintingOrDie(const CollectionConfig &collection,
-                       const PipelineConfig &pipeline)
-{
-    // OrDie wrapper implementation: abort-on-error is the contract.
-    // bigfish-lint: allow(ordie-outside-binary)
-    return runFingerprinting(collection, pipeline).valueOrDie();
 }
 
 } // namespace bigfish::core

@@ -2,11 +2,12 @@
  * @file
  * FingerprintPipeline: collect → featurize → cross-validated classify.
  *
- * This is the library's highest-level entry point: given one
- * CollectionConfig (the attack setup) and one PipelineConfig (dataset
- * scale + classifier), it reproduces the paper's evaluation protocol and
- * returns Table-ready accuracy numbers for the closed-world and
- * open-world settings.
+ * This is the library's highest-level entry point: given the
+ * CollectionConfigs (attack setups), the attacker kinds and one
+ * PipelineConfig (dataset scale + classifier), runFingerprintingShared()
+ * reproduces the paper's evaluation protocol and returns Table-ready
+ * accuracy numbers for the closed-world and open-world settings, per
+ * config and attacker.
  *
  * Internally the run is a declared stage graph (core/stage.hh):
  * Collect → Featurize per attacker → per world FoldSplit →
@@ -16,7 +17,7 @@
  * bit-identically, and the per-stage timing/cache table comes back in
  * FingerprintResult::stages.
  *
- * Error contract: runFingerprinting() returns Result<FingerprintResult>.
+ * Error contract: runFingerprintingShared() returns a Result.
  * Traces that come back unusable (fault-truncated, empty) are dropped
  * with accounting in FingerprintResult::droppedTraces rather than
  * aborting the evaluation; the run fails only when the configuration is
@@ -97,7 +98,9 @@ struct FingerprintResult
 };
 
 /**
- * Runs the complete evaluation for one attack configuration.
+ * Runs the complete evaluation for every config in @p collections and
+ * every attacker in @p attackers, returning the results per
+ * [config][attacker] in argument order.
  *
  * Closed world: numSites x tracesPerSite traces, k-fold CV, top-1/top-5.
  * Open world (when enabled): the closed-world traces become "sensitive"
@@ -106,57 +109,33 @@ struct FingerprintResult
  *
  * Degraded collection (injected faults, truncated traces) drops traces
  * with accounting instead of failing; see FingerprintResult.
- */
-[[nodiscard]] Result<FingerprintResult>
-runFingerprinting(const CollectionConfig &collection,
-                  const PipelineConfig &pipeline);
-
-/** runFingerprinting() that fatal()s on failure (binary boundaries). */
-FingerprintResult
-runFingerprintingOrDie(const CollectionConfig &collection,
-                       const PipelineConfig &pipeline);
-
-/**
- * Runs the complete evaluation for several attackers that differ ONLY in
- * attacker kind (the benchmarks compare loop-counting vs sweep-counting
- * over otherwise-identical configurations). Victim timelines are
- * synthesized once and shared across attackers, so collection costs
- * ~1/attackers.size() of separate runFingerprinting() calls while every
- * returned result is bit-identical to its single-attacker run —
- * synthesis and timer seeding never depend on the attacker.
  *
- * @p collection's own `attacker` field is ignored; results are returned
- * in @p attackers order. The shared Collect stage is reported once, in
- * the first result's stage table, so summing results does not
+ * The attackers of a config watch the same victim: its timelines are
+ * synthesized once and shared, and every result is bit-identical to a
+ * one-attacker call, because synthesis and timer seeding never depend
+ * on the attacker. A config's Collect stage is reported once, in its
+ * first attacker's stage table, so summing results does not
  * double-count it.
- */
-[[nodiscard]] Result<std::vector<FingerprintResult>>
-runFingerprintingShared(const CollectionConfig &collection,
-                        std::span<const attack::AttackerKind> attackers,
-                        const PipelineConfig &pipeline);
-
-/**
- * Runs runFingerprintingShared() for every config in @p collections and
- * returns the results per [config][attacker]. Configs with equal
- * TimelineInputs (core/collector.hh) form a group that runs one Collect:
- * each (world, site, run) base timeline is synthesized once for the
- * whole group, and only when some member's cell misses the cache. Every
- * result is bit-identical to a separate call for its config, and every
- * per-config cache entry keeps its key. A group's Collect cost and
- * simulator counters are reported in the Collect row of its first
- * member that collected; the other members' Collect rows read zero.
+ *
+ * Configs with equal TimelineInputs (core/collector.hh) form a group
+ * that runs one Collect: each (world, site, run) base timeline is
+ * synthesized once for the whole group, and only when some member's
+ * cell misses the cache. Every result is bit-identical to a separate
+ * call for its config, and every per-config cache entry keeps its key.
+ * A group's Collect cost and simulator counters are reported in the
+ * Collect row of its first member that collected; the other members'
+ * Collect rows read zero.
  */
 [[nodiscard]] Result<std::vector<std::vector<FingerprintResult>>>
 runFingerprintingShared(std::span<const CollectionConfig> collections,
                         std::span<const attack::AttackerKind> attackers,
                         const PipelineConfig &pipeline);
 
-/** runFingerprintingShared() that fatal()s on failure. */
-std::vector<FingerprintResult>
-runFingerprintingSharedOrDie(
-    const CollectionConfig &collection,
-    std::span<const attack::AttackerKind> attackers,
-    const PipelineConfig &pipeline);
+/** runFingerprintingShared() for one config: its results per attacker. */
+[[nodiscard]] Result<std::vector<FingerprintResult>>
+runFingerprintingShared(const CollectionConfig &collection,
+                        std::span<const attack::AttackerKind> attackers,
+                        const PipelineConfig &pipeline);
 
 /** Converts a TraceSet into an ml::Dataset of fixed-length features. */
 ml::Dataset toDataset(const attack::TraceSet &traces,

@@ -36,8 +36,7 @@ browserFor(const std::string &browser)
 } // namespace
 
 CollectionConfig
-table1Row(const std::string &browser, const std::string &os,
-          attack::AttackerKind attacker)
+table1Row(const std::string &browser, const std::string &os)
 {
     // The paper's matrix: Chrome and Firefox on all three OSes; Safari
     // only on macOS; Tor Browser only on Linux.
@@ -48,7 +47,6 @@ table1Row(const std::string &browser, const std::string &os,
     CollectionConfig config;
     config.machine = machineFor(os);
     config.browser = browserFor(browser);
-    config.attacker = attacker;
     return config;
 }
 
@@ -73,12 +71,11 @@ table1Rows()
 }
 
 CollectionConfig
-table2Condition(const std::string &noise, attack::AttackerKind attacker)
+table2Condition(const std::string &noise)
 {
     CollectionConfig config;
     config.machine = sim::MachineConfig::linuxDesktop();
     config.browser = web::BrowserProfile::chrome();
-    config.attacker = attacker;
     if (noise == "none") {
         // Baseline.
     } else if (noise == "cache-sweep") {

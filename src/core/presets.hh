@@ -5,11 +5,13 @@
  *
  * The benchmark harnesses print tables; these presets let library users
  * reproduce any single row (or build new experiments relative to one)
- * without copying configuration out of bench code:
+ * without copying configuration out of bench code. A preset describes
+ * the machine and victim only; the attacker is an argument of the run:
  *
  * @code
  * auto config = core::presets::table1Row("chrome", "linux");
- * auto result = core::runFingerprinting(config, pipeline);
+ * const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
+ * auto results = core::runFingerprintingShared(config, loop, pipeline);
  * @endcode
  */
 
@@ -37,20 +39,16 @@ struct NamedConfig
  * paper does not evaluate (e.g. Safari on Windows).
  */
 CollectionConfig table1Row(const std::string &browser,
-                           const std::string &os,
-                           attack::AttackerKind attacker =
-                               attack::AttackerKind::LoopCounting);
+                           const std::string &os);
 
 /** All eight Table 1 browser x OS combinations, in paper order. */
 std::vector<NamedConfig> table1Rows();
 
 /**
  * Table 2 condition: noise in {"none", "cache-sweep", "interrupt",
- * "background"} for the given attacker, on the paper's Chrome/Linux
- * machine.
+ * "background"} on the paper's Chrome/Linux machine.
  */
-CollectionConfig table2Condition(const std::string &noise,
-                                 attack::AttackerKind attacker);
+CollectionConfig table2Condition(const std::string &noise);
 
 /**
  * Table 3 isolation level 0-4 (cumulative):

@@ -16,6 +16,9 @@
 namespace bigfish::core {
 namespace {
 
+constexpr attack::AttackerKind kLoop = attack::AttackerKind::LoopCounting;
+constexpr attack::AttackerKind kLoopOnly[] = {kLoop};
+
 TEST(CollectionConfig, EffectiveDefaults)
 {
     CollectionConfig config;
@@ -38,8 +41,8 @@ TEST(TraceCollector, DeterministicPerSeed)
     config.seed = 77;
     const TraceCollector c1(config), c2(config);
     const auto site = web::amazonSignature(3);
-    const auto a = c1.collectOneOrDie(site, 5);
-    const auto b = c2.collectOneOrDie(site, 5);
+    const auto a = c1.collectOne(kLoop, site, 5).valueOrDie();
+    const auto b = c2.collectOne(kLoop, site, 5).valueOrDie();
     ASSERT_EQ(a.counts.size(), b.counts.size());
     for (std::size_t i = 0; i < a.counts.size(); ++i)
         EXPECT_DOUBLE_EQ(a.counts[i], b.counts[i]);
@@ -50,8 +53,8 @@ TEST(TraceCollector, RunsDiffer)
     CollectionConfig config;
     const TraceCollector collector(config);
     const auto site = web::amazonSignature(3);
-    const auto a = collector.collectOneOrDie(site, 0);
-    const auto b = collector.collectOneOrDie(site, 1);
+    const auto a = collector.collectOne(kLoop, site, 0).valueOrDie();
+    const auto b = collector.collectOne(kLoop, site, 1).valueOrDie();
     double diff = 0.0;
     for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
         diff += std::abs(a.counts[i] - b.counts[i]);
@@ -63,7 +66,9 @@ TEST(TraceCollector, LabelsFollowSiteIds)
     CollectionConfig config;
     const TraceCollector collector(config);
     const web::SiteCatalog catalog(4, 7);
-    const auto set = collector.collectClosedWorldOrDie(catalog, 3);
+    const auto set =
+        collector.collectClosedWorldMulti(catalog, 3, kLoopOnly)
+            .valueOrDie()[0];
     ASSERT_EQ(set.size(), 12u);
     EXPECT_EQ(set.traces[0].label, 0);
     EXPECT_EQ(set.traces[11].label, 3);
@@ -75,7 +80,9 @@ TEST(TraceCollector, OpenWorldLabeledAsCatchAll)
     CollectionConfig config;
     const TraceCollector collector(config);
     const web::SiteCatalog catalog(4, 7);
-    const auto set = collector.collectOpenWorldOrDie(catalog, 5, 4);
+    const auto set =
+        collector.collectOpenWorldMulti(catalog, 5, 4, kLoopOnly)
+            .valueOrDie()[0];
     ASSERT_EQ(set.size(), 5u);
     for (const auto &trace : set.traces)
         EXPECT_EQ(trace.label, 4);
@@ -108,35 +115,33 @@ TEST(TraceCollector, NoiseCountermeasureChangesTraces)
     CollectionConfig noisy = plain;
     noisy.spuriousInterruptNoise = true;
     const auto site = web::amazonSignature(1);
-    const auto a = TraceCollector(plain).collectOneOrDie(site, 0);
-    const auto b = TraceCollector(noisy).collectOneOrDie(site, 0);
+    const auto a =
+        TraceCollector(plain).collectOne(kLoop, site, 0).valueOrDie();
+    const auto b =
+        TraceCollector(noisy).collectOne(kLoop, site, 0).valueOrDie();
     // Under injected interrupts the attacker completes fewer iterations.
     EXPECT_LT(stats::mean(b.counts), stats::mean(a.counts));
 }
 
 TEST(TraceCollector, CacheSweepSlowsOnlySweepAttacker)
 {
-    CollectionConfig loop_cfg;
-    loop_cfg.attacker = attack::AttackerKind::LoopCounting;
-    CollectionConfig loop_noise = loop_cfg;
-    loop_noise.cacheSweepNoise = true;
-
-    CollectionConfig sweep_cfg;
-    sweep_cfg.attacker = attack::AttackerKind::SweepCounting;
-    CollectionConfig sweep_noise = sweep_cfg;
-    sweep_noise.cacheSweepNoise = true;
+    CollectionConfig plain;
+    CollectionConfig noisy = plain;
+    noisy.cacheSweepNoise = true;
 
     const auto site = web::nytimesSignature(0);
-    const double loop_drop =
-        stats::mean(TraceCollector(loop_cfg).collectOneOrDie(site, 0).counts) /
-        std::max(1.0, stats::mean(TraceCollector(loop_noise)
-                                      .collectOneOrDie(site, 0)
-                                      .counts));
-    const double sweep_drop =
-        stats::mean(TraceCollector(sweep_cfg).collectOneOrDie(site, 0).counts) /
-        std::max(1.0, stats::mean(TraceCollector(sweep_noise)
-                                      .collectOneOrDie(site, 0)
-                                      .counts));
+    const auto slowdown = [&](attack::AttackerKind kind) {
+        return stats::mean(TraceCollector(plain)
+                               .collectOne(kind, site, 0)
+                               .valueOrDie()
+                               .counts) /
+               std::max(1.0, stats::mean(TraceCollector(noisy)
+                                             .collectOne(kind, site, 0)
+                                             .valueOrDie()
+                                             .counts));
+    };
+    const double loop_drop = slowdown(kLoop);
+    const double sweep_drop = slowdown(attack::AttackerKind::SweepCounting);
     // The sweeping attacker's iterations slow under full-LLC occupancy
     // (prefetch-amortized misses on every victim-touched line); the
     // loop attacker barely notices.
@@ -257,19 +262,14 @@ TEST(PresetsDeath, RejectsUnevaluatedCombinations)
 
 TEST(Presets, Table2ConditionsToggleDefenses)
 {
-    const auto none = presets::table2Condition(
-        "none", attack::AttackerKind::LoopCounting);
+    const auto none = presets::table2Condition("none");
     EXPECT_FALSE(none.spuriousInterruptNoise);
     EXPECT_FALSE(none.cacheSweepNoise);
-    const auto irq = presets::table2Condition(
-        "interrupt", attack::AttackerKind::SweepCounting);
+    const auto irq = presets::table2Condition("interrupt");
     EXPECT_TRUE(irq.spuriousInterruptNoise);
-    EXPECT_EQ(irq.attacker, attack::AttackerKind::SweepCounting);
-    const auto cache = presets::table2Condition(
-        "cache-sweep", attack::AttackerKind::LoopCounting);
+    const auto cache = presets::table2Condition("cache-sweep");
     EXPECT_TRUE(cache.cacheSweepNoise);
-    const auto bg = presets::table2Condition(
-        "background", attack::AttackerKind::LoopCounting);
+    const auto bg = presets::table2Condition("background");
     EXPECT_TRUE(bg.backgroundApps);
 }
 
@@ -359,13 +359,12 @@ TEST(TimelineInputs, OneDifferentInputSeparatesConfigs)
     for (const CollectionConfig &other : {background, tick, variability})
         EXPECT_FALSE(TimelineInputs::of(other) == TimelineInputs::of(base));
 
-    // What only the browser runtime, the timer or the attacker reads
-    // keeps a config in the group.
+    // What only the browser runtime, the timer or the faults read keeps
+    // a config in the group.
     CollectionConfig runtime = base;
     runtime.browser.runtimeNoiseSigma = 0.5;
     runtime.browser.timer = timers::TimerSpec::quantized(kMsec);
     runtime.period = 100 * kMsec;
-    runtime.attacker = attack::AttackerKind::SweepCounting;
     runtime.faults.dropInterruptProb = 0.1;
     EXPECT_TRUE(TimelineInputs::of(runtime) == TimelineInputs::of(base));
 }
@@ -380,7 +379,8 @@ TEST(Pipeline, EndToEndBeatsChanceClearly)
     pipeline.featureLen = 192;
     pipeline.eval.folds = 4;
     pipeline.factory = ml::knnFactory(3); // Fast and adequate here.
-    const auto result = runFingerprintingOrDie(config, pipeline);
+    const auto result =
+        runFingerprintingShared(config, kLoopOnly, pipeline).valueOrDie()[0];
     EXPECT_GT(result.closedWorld.top1Mean, 0.6); // Chance is 0.2.
     EXPECT_FALSE(result.hasOpenWorld);
 }
@@ -396,7 +396,8 @@ TEST(Pipeline, OpenWorldProducesMetrics)
     pipeline.featureLen = 192;
     pipeline.eval.folds = 4;
     pipeline.factory = ml::knnFactory(3);
-    const auto result = runFingerprintingOrDie(config, pipeline);
+    const auto result =
+        runFingerprintingShared(config, kLoopOnly, pipeline).valueOrDie()[0];
     ASSERT_TRUE(result.hasOpenWorld);
     EXPECT_GT(result.openWorld.openWorld.combinedAccuracy, 0.5);
     EXPECT_GT(result.openWorld.openWorld.sensitiveAccuracy, 0.0);

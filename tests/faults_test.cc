@@ -210,8 +210,8 @@ TEST(FaultCollection, SameSeedReproducesBitIdenticalTraces)
     // shared mutable state.
     const core::TraceCollector c1(config), c2(config);
     const auto site = web::amazonSignature(1);
-    const auto a = c1.collectOne(site, 3);
-    const auto b = c2.collectOne(site, 3);
+    const auto a = c1.collectOne(attack::AttackerKind::LoopCounting, site, 3);
+    const auto b = c2.collectOne(attack::AttackerKind::LoopCounting, site, 3);
     ASSERT_TRUE(a.isOk());
     ASSERT_TRUE(b.isOk());
     ASSERT_EQ(a.value().counts.size(), b.value().counts.size());
@@ -229,8 +229,8 @@ TEST(FaultCollection, DifferentFaultSeedsProduceDifferentTraces)
     config.faults.seed = 32;
     const core::TraceCollector c2(config);
     const auto site = web::amazonSignature(1);
-    const auto a = c1.collectOne(site, 3);
-    const auto b = c2.collectOne(site, 3);
+    const auto a = c1.collectOne(attack::AttackerKind::LoopCounting, site, 3);
+    const auto b = c2.collectOne(attack::AttackerKind::LoopCounting, site, 3);
     ASSERT_TRUE(a.isOk());
     ASSERT_TRUE(b.isOk());
     bool differs = a.value().counts.size() != b.value().counts.size();
@@ -253,14 +253,18 @@ TEST(FaultCollection, TruncationDropsAreAccounted)
 
     const core::TraceCollector collector(config);
     const web::SiteCatalog catalog(3, 7);
-    core::CollectionStats stats;
-    const auto set = collector.collectClosedWorld(catalog, 6, &stats);
-    ASSERT_TRUE(set.isOk());
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
+    std::vector<core::CollectionStats> per_attacker;
+    const auto sets =
+        collector.collectClosedWorldMulti(catalog, 6, loop, &per_attacker);
+    ASSERT_TRUE(sets.isOk());
+    ASSERT_EQ(per_attacker.size(), 1u);
+    const core::CollectionStats &stats = per_attacker[0];
     EXPECT_EQ(stats.attempted, 18u);
     EXPECT_EQ(stats.collected + stats.dropped, stats.attempted);
     EXPECT_GT(stats.dropped, 0u);
-    EXPECT_EQ(set.value().size(), stats.collected);
-    for (const auto &trace : set.value().traces)
+    EXPECT_EQ(sets.value()[0].size(), stats.collected);
+    for (const auto &trace : sets.value()[0].traces)
         EXPECT_GE(trace.counts.size(),
                   core::TraceCollector::kMinViablePeriods);
 }
@@ -277,8 +281,15 @@ TEST(FaultIntegration, PipelineDegradesGracefullyUnderFaults)
     pipeline.featureLen = 128;
     pipeline.eval.folds = 4;
     pipeline.factory = ml::knnFactory(3);
+    const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
+    const auto run = [&] {
+        return core::runFingerprintingShared(config, loop, pipeline)
+            .map([](std::vector<core::FingerprintResult> results) {
+                return std::move(results[0]);
+            });
+    };
 
-    const auto clean = core::runFingerprinting(config, pipeline);
+    const auto clean = run();
     ASSERT_TRUE(clean.isOk());
     EXPECT_EQ(clean.value().droppedTraces, 0u);
 
@@ -290,7 +301,7 @@ TEST(FaultIntegration, PipelineDegradesGracefullyUnderFaults)
     config.faults.truncateKeepMax = 0.005;
     config.faults.seed = 17;
 
-    const auto faulted = core::runFingerprinting(config, pipeline);
+    const auto faulted = run();
     ASSERT_TRUE(faulted.isOk());
     const auto &result = faulted.value();
     EXPECT_GT(result.droppedTraces, 0u);
@@ -303,7 +314,7 @@ TEST(FaultIntegration, PipelineDegradesGracefullyUnderFaults)
               clean.value().closedWorld.top1Mean + 0.2);
 
     // Bit-reproducible for a fixed seed.
-    const auto again = core::runFingerprinting(config, pipeline);
+    const auto again = run();
     ASSERT_TRUE(again.isOk());
     EXPECT_DOUBLE_EQ(again.value().closedWorld.top1Mean,
                      result.closedWorld.top1Mean);

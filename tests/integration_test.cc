@@ -33,9 +33,13 @@ smallPipeline()
 
 double
 accuracyOf(const core::CollectionConfig &config,
+           attack::AttackerKind attacker = attack::AttackerKind::LoopCounting,
            core::PipelineConfig pipeline = smallPipeline())
 {
-    return core::runFingerprintingOrDie(config, pipeline).closedWorld.top1Mean;
+    const attack::AttackerKind attackers[] = {attacker};
+    return core::runFingerprintingShared(config, attackers, pipeline)
+        .valueOrDie()[0]
+        .closedWorld.top1Mean;
 }
 
 TEST(Integration, LoopAttackBeatsChanceByWideMargin)
@@ -49,12 +53,11 @@ TEST(Integration, SweepAttackAlsoWorksButWorse)
 {
     // Table 2's controlled comparison: same machine, same sites; the
     // sweep-counting attacker's coarse counter loses accuracy.
-    core::CollectionConfig loop;
-    loop.seed = 12;
-    core::CollectionConfig sweep = loop;
-    sweep.attacker = attack::AttackerKind::SweepCounting;
-    const double loop_acc = accuracyOf(loop);
-    const double sweep_acc = accuracyOf(sweep);
+    core::CollectionConfig config;
+    config.seed = 12;
+    const double loop_acc = accuracyOf(config);
+    const double sweep_acc =
+        accuracyOf(config, attack::AttackerKind::SweepCounting);
     EXPECT_GT(sweep_acc, 0.4); // Still a working attack...
     EXPECT_GE(loop_acc, sweep_acc); // ...but not better than loop-counting.
 }
@@ -142,11 +145,16 @@ TEST(Integration, TracesReproducibleAcrossProcessRestarts)
     core::CollectionConfig config;
     config.seed = 424242;
     const core::TraceCollector collector(config);
-    const auto trace =
-        collector.collectOneOrDie(web::nytimesSignature(0), 0);
+    const auto trace = collector
+                           .collectOne(attack::AttackerKind::LoopCounting,
+                                       web::nytimesSignature(0), 0)
+                           .valueOrDie();
     ASSERT_GT(trace.size(), 2900u);
     // Self-consistency rather than brittle exact values: re-collect.
-    const auto again = collector.collectOneOrDie(web::nytimesSignature(0), 0);
+    const auto again = collector
+                           .collectOne(attack::AttackerKind::LoopCounting,
+                                       web::nytimesSignature(0), 0)
+                           .valueOrDie();
     ASSERT_EQ(trace.counts.size(), again.counts.size());
     for (std::size_t i = 0; i < trace.counts.size(); i += 97)
         EXPECT_DOUBLE_EQ(trace.counts[i], again.counts[i]);

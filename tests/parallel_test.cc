@@ -37,6 +37,9 @@ class ScopedThreads
     ~ScopedThreads() { setGlobalThreads(0); }
 };
 
+constexpr attack::AttackerKind kLoopOnly[] = {
+    attack::AttackerKind::LoopCounting};
+
 core::CollectionConfig
 smallConfig()
 {
@@ -53,9 +56,13 @@ collectWithThreads(const core::CollectionConfig &config, int threads,
     ScopedThreads scoped(threads);
     const core::TraceCollector collector(config);
     const web::SiteCatalog catalog(4, 7);
-    auto set = collector.collectClosedWorld(catalog, 3, stats);
-    EXPECT_TRUE(set.isOk());
-    return std::move(set.value());
+    std::vector<core::CollectionStats> per_attacker;
+    auto sets =
+        collector.collectClosedWorldMulti(catalog, 3, kLoopOnly, &per_attacker);
+    EXPECT_TRUE(sets.isOk());
+    if (stats != nullptr)
+        *stats = per_attacker[0];
+    return std::move(sets.value()[0]);
 }
 
 void
@@ -92,12 +99,14 @@ TEST(ParallelCollection, OpenWorldBitIdenticalAcrossThreadCounts)
     {
         ScopedThreads scoped(1);
         const core::TraceCollector collector(config);
-        serial = collector.collectOpenWorld(catalog, 10, 4).valueOrDie();
+        serial = collector.collectOpenWorldMulti(catalog, 10, 4, kLoopOnly)
+                     .valueOrDie()[0];
     }
     {
         ScopedThreads scoped(8);
         const core::TraceCollector collector(config);
-        parallel = collector.collectOpenWorld(catalog, 10, 4).valueOrDie();
+        parallel = collector.collectOpenWorldMulti(catalog, 10, 4, kLoopOnly)
+                       .valueOrDie()[0];
     }
     expectBitIdentical(serial, parallel);
 }
@@ -126,9 +135,8 @@ TEST(ParallelCollection, FaultAccountingUnchangedAcrossThreadCounts)
 TEST(SharedCollection, MultiAttackerMatchesSeparateSingleRuns)
 {
     // The shared-timeline path must be an optimization, not a semantic
-    // change: each attacker's set from one collectClosedWorldMulti() is
-    // bit-identical to a separate collectClosedWorld() whose config
-    // differs only in `attacker`.
+    // change: each attacker's set from one two-attacker
+    // collectClosedWorldMulti() is bit-identical to a one-attacker call.
     const auto base = smallConfig();
     const web::SiteCatalog catalog(4, 7);
     const attack::AttackerKind kinds[] = {
@@ -145,17 +153,18 @@ TEST(SharedCollection, MultiAttackerMatchesSeparateSingleRuns)
     ASSERT_EQ(shared_stats.size(), 2u);
 
     for (std::size_t a = 0; a < 2; ++a) {
-        auto config = base;
-        config.attacker = kinds[a];
-        core::CollectionStats single_stats;
-        const core::TraceCollector collector(config);
+        std::vector<core::CollectionStats> single_stats;
+        const core::TraceCollector collector(base);
         const auto single =
-            collector.collectClosedWorld(catalog, 3, &single_stats)
+            collector
+                .collectClosedWorldMulti(catalog, 3, std::span(&kinds[a], 1),
+                                         &single_stats)
                 .valueOrDie();
-        expectBitIdentical(shared[a], single);
-        EXPECT_EQ(shared_stats[a].attempted, single_stats.attempted);
-        EXPECT_EQ(shared_stats[a].collected, single_stats.collected);
-        EXPECT_EQ(shared_stats[a].dropped, single_stats.dropped);
+        ASSERT_EQ(single.size(), 1u);
+        expectBitIdentical(shared[a], single[0]);
+        EXPECT_EQ(shared_stats[a].attempted, single_stats[0].attempted);
+        EXPECT_EQ(shared_stats[a].collected, single_stats[0].collected);
+        EXPECT_EQ(shared_stats[a].dropped, single_stats[0].dropped);
     }
 }
 
@@ -174,8 +183,8 @@ TEST(SharedCollection, SharedPipelineMatchesSingleRunsAcrossThreads)
 
     const auto run_shared = [&](int threads) {
         ScopedThreads scoped(threads);
-        return core::runFingerprintingSharedOrDie(collection, kinds,
-                                                  pipeline);
+        return core::runFingerprintingShared(collection, kinds, pipeline)
+            .valueOrDie();
     };
     const auto serial = run_shared(1);
     const auto parallel = run_shared(8);
@@ -183,10 +192,10 @@ TEST(SharedCollection, SharedPipelineMatchesSingleRunsAcrossThreads)
     ASSERT_EQ(parallel.size(), 2u);
 
     for (std::size_t a = 0; a < 2; ++a) {
-        auto single_cfg = collection;
-        single_cfg.attacker = kinds[a];
         const auto single =
-            core::runFingerprintingOrDie(single_cfg, pipeline);
+            core::runFingerprintingShared(collection,
+                                          std::span(&kinds[a], 1), pipeline)
+                .valueOrDie()[0];
         EXPECT_EQ(serial[a].closedWorld.top1Mean,
                   single.closedWorld.top1Mean);
         EXPECT_EQ(serial[a].closedWorld.topKMean,
@@ -253,7 +262,8 @@ TEST(ParallelPipeline, EndToEndMetricsMatchAcrossThreadCounts)
 
     const auto run = [&](int threads) {
         ScopedThreads scoped(threads);
-        return core::runFingerprintingOrDie(collection, pipeline);
+        return core::runFingerprintingShared(collection, kLoopOnly, pipeline)
+            .valueOrDie()[0];
     };
     const auto serial = run(1);
     const auto parallel = run(2);
@@ -317,8 +327,8 @@ TEST(ParallelPipeline, StageCpuSumsToProcessCpu)
             << process_cpu << " s";
     };
     check("one config", [&] {
-        return core::runFingerprintingSharedOrDie(collection, kinds,
-                                                  pipeline);
+        return core::runFingerprintingShared(collection, kinds, pipeline)
+            .valueOrDie();
     });
     check("timeline group", [&] {
         std::vector<core::FingerprintResult> flat;
@@ -378,6 +388,28 @@ expectSameEval(const ml::EvalResult &a, const ml::EvalResult &b)
     EXPECT_EQ(a.openWorld.combinedAccuracy, b.openWorld.combinedAccuracy);
 }
 
+/** Every stage row of @p a equals @p b's, timing fields aside. */
+void
+expectSameStages(const std::vector<core::StageReport> &a,
+                 const std::vector<core::StageReport> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(b[i].name);
+        EXPECT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].phase, b[i].phase);
+        EXPECT_EQ(a[i].fingerprint, b[i].fingerprint);
+        EXPECT_EQ(a[i].cache, b[i].cache);
+        EXPECT_EQ(a[i].items, b[i].items);
+        EXPECT_EQ(a[i].dropped, b[i].dropped);
+        EXPECT_EQ(a[i].sim.eventsSimulated, b[i].sim.eventsSimulated);
+        EXPECT_EQ(a[i].sim.interruptsSynthesized,
+                  b[i].sim.interruptsSynthesized);
+        EXPECT_EQ(a[i].sim.allocations, b[i].sim.allocations);
+        EXPECT_EQ(a[i].sim.bytesSorted, b[i].sim.bytesSorted);
+    }
+}
+
 TEST(GroupedCollection, GroupRunMatchesOneCallPerConfigAcrossThreads)
 {
     const auto configs = groupConfigs();
@@ -395,8 +427,10 @@ TEST(GroupedCollection, GroupRunMatchesOneCallPerConfigAcrossThreads)
                 .valueOrDie();
         ASSERT_EQ(grouped.size(), configs.size());
         for (std::size_t c = 0; c < configs.size(); ++c) {
-            const auto single = core::runFingerprintingSharedOrDie(
-                configs[c], kBothAttackers, pipeline);
+            const auto single =
+                core::runFingerprintingShared(configs[c], kBothAttackers,
+                                              pipeline)
+                    .valueOrDie();
             ASSERT_EQ(grouped[c].size(), 2u);
             for (std::size_t a = 0; a < 2; ++a) {
                 expectSameEval(grouped[c][a].closedWorld,
@@ -406,6 +440,11 @@ TEST(GroupedCollection, GroupRunMatchesOneCallPerConfigAcrossThreads)
                           single[a].collectedTraces);
                 EXPECT_EQ(grouped[c][a].droppedTraces,
                           single[a].droppedTraces);
+                // A config alone in its group runs exactly the stages of
+                // its own call, so artifacts embedding the stage table
+                // do not change when experiments batch their configs.
+                if (c == 4)
+                    expectSameStages(grouped[c][a].stages, single[a].stages);
             }
         }
         if (first.empty()) {
@@ -499,8 +538,9 @@ TEST(GroupedCollection, LaterMembersReportNoCollectWork)
     sim::PerfCounters one_per_group;
     for (const std::size_t c : {0u, 2u, 4u})
         one_per_group +=
-            collect_row(core::runFingerprintingSharedOrDie(
-                            configs[c], kBothAttackers, pipeline)[0])
+            collect_row(core::runFingerprintingShared(configs[c],
+                                                      kBothAttackers, pipeline)
+                            .valueOrDie()[0])
                 .sim;
     EXPECT_EQ(leaders.interruptsSynthesized,
               one_per_group.interruptsSynthesized);

@@ -54,13 +54,18 @@ using AttackCase = std::tuple<int /*attacker*/, int /*timer*/,
 class AttackProperties : public ::testing::TestWithParam<AttackCase>
 {
   protected:
+    attack::AttackerKind
+    attacker() const
+    {
+        return std::get<0>(GetParam()) == 0
+                   ? attack::AttackerKind::LoopCounting
+                   : attack::AttackerKind::SweepCounting;
+    }
+
     core::CollectionConfig
     makeConfig() const
     {
         core::CollectionConfig config;
-        config.attacker =
-            std::get<0>(GetParam()) == 0 ? attack::AttackerKind::LoopCounting
-                                         : attack::AttackerKind::SweepCounting;
         config.timerOverride =
             timerSpecs()[static_cast<std::size_t>(std::get<1>(GetParam()))];
         config.machine = machineConfigs()[static_cast<std::size_t>(
@@ -78,7 +83,7 @@ TEST_P(AttackProperties, TraceIsSaneAndDeterministic)
     const auto config = makeConfig();
     const core::TraceCollector collector(config);
     const auto site = web::amazonSignature(1);
-    const auto trace = collector.collectOneOrDie(site, 0);
+    const auto trace = collector.collectOne(attacker(), site, 0).valueOrDie();
 
     // Non-empty, all counts >= 1 (do-while semantics), wall times cover
     // the run without exceeding it.
@@ -92,7 +97,7 @@ TEST_P(AttackProperties, TraceIsSaneAndDeterministic)
     EXPECT_LE(wall_total, config.browser.traceDuration + 100 * kMsec);
 
     // Bit-identical on re-collection.
-    const auto again = collector.collectOneOrDie(site, 0);
+    const auto again = collector.collectOne(attacker(), site, 0).valueOrDie();
     ASSERT_EQ(trace.counts.size(), again.counts.size());
     for (std::size_t i = 0; i < trace.counts.size(); ++i)
         EXPECT_DOUBLE_EQ(trace.counts[i], again.counts[i]);
@@ -102,7 +107,9 @@ TEST_P(AttackProperties, PeriodsRespectTimerSemantics)
 {
     const auto config = makeConfig();
     const core::TraceCollector collector(config);
-    const auto trace = collector.collectOneOrDie(web::nytimesSignature(0), 1);
+    const auto trace =
+        collector.collectOne(attacker(), web::nytimesSignature(0), 1)
+            .valueOrDie();
     const TimeNs period = config.effectivePeriod();
     const auto spec = config.effectiveTimer();
 

@@ -42,7 +42,8 @@ sweepCounters()
     const CollectionConfig config = pinnedConfig();
     const TraceCollector collector(config);
     const web::SiteCatalog catalog(kSites, kCatalogSeed);
-    const attack::AttackerKind attackers[] = {config.attacker};
+    const attack::AttackerKind attackers[] = {
+        attack::AttackerKind::LoopCounting};
     sim::PerfCounters perf;
     std::vector<CollectionStats> stats;
     const auto sets = collector.collectClosedWorldMulti(
@@ -120,7 +121,8 @@ TEST(SimPerfCounters, JournalReplayedCellsReportZero)
 
     const CollectionConfig config = pinnedConfig();
     const web::SiteCatalog catalog(kSites, kCatalogSeed);
-    const attack::AttackerKind attackers[] = {config.attacker};
+    const attack::AttackerKind attackers[] = {
+        attack::AttackerKind::LoopCounting};
     const std::uint64_t fp = collectionFingerprint(
         config, kCatalogSeed, kSites, 0, attackers);
     auto opened = StageCache::open(dir, config.faults);
