@@ -178,35 +178,71 @@ BENCHMARK(BM_GapDetectionAndAttribution);
 
 /**
  * Old-vs-new dense-kernel comparison: matmulReference is the naive
- * i-j-k triple loop every layer used before the blocked kernels landed;
- * the optimized pairs below quantify the rewrite on a conv-sized GEMM
- * (32x48 * 48x83) and a classifier-head GEMV (20x1024 * 1024x1).
+ * i-j-k triple loop every layer used before the blocked kernels landed.
+ * The GEMM rows run the products the CNN-LSTM trains on at the default
+ * CnnLstmParams (2 channels x 128 steps, 32 filters, kernel 8, stride
+ * 3, batch 16); the Args are (m, k, n) of C(m x n) = A(m x k) * B(k x n):
+ *   - conv1 forward: W(32x16) * patches(16x656);
+ *   - conv2 forward: W(32x256) * patches(256x16);
+ *   - LSTM input projection: Wx(128x32) * x(32x16).
+ * The GEMV pair is a classifier-head shape (20x1024 * 1024x1). Only the
+ * public ml:: entry points are timed, so the same rows build against
+ * any revision of the kernel layer.
  */
+void
+trainingGemmShapes(benchmark::internal::Benchmark *bench)
+{
+    bench->ArgNames({"m", "k", "n"})
+        ->Args({32, 16, 656})
+        ->Args({32, 256, 16})
+        ->Args({128, 32, 16});
+}
+
 void
 BM_MatmulNaiveReference(benchmark::State &state)
 {
     Rng rng(7);
-    ml::Matrix a(32, 48), b(48, 83);
+    ml::Matrix a(static_cast<std::size_t>(state.range(0)),
+                 static_cast<std::size_t>(state.range(1)));
+    ml::Matrix b(a.cols(), static_cast<std::size_t>(state.range(2)));
     a.randomize(rng, 1.0);
     b.randomize(rng, 1.0);
     for (auto _ : state)
         benchmark::DoNotOptimize(ml::matmulReference(a, b));
     state.SetLabel("naive i-j-k loop (pre-rewrite kernel)");
 }
-BENCHMARK(BM_MatmulNaiveReference);
+BENCHMARK(BM_MatmulNaiveReference)->Apply(trainingGemmShapes);
 
 void
 BM_MatmulOptimized(benchmark::State &state)
 {
     Rng rng(7);
-    ml::Matrix a(32, 48), b(48, 83);
+    ml::Matrix a(static_cast<std::size_t>(state.range(0)),
+                 static_cast<std::size_t>(state.range(1)));
+    ml::Matrix b(a.cols(), static_cast<std::size_t>(state.range(2)));
+    ml::Matrix bias(a.rows(), 1);
     a.randomize(rng, 1.0);
     b.randomize(rng, 1.0);
+    bias.randomize(rng, 1.0);
     for (auto _ : state)
-        benchmark::DoNotOptimize(ml::matmul(a, b));
-    state.SetLabel("blocked k-unrolled kernel (same shape)");
+        benchmark::DoNotOptimize(ml::matmulBias(a, b, bias));
+    state.SetLabel("blocked GEMM with fused bias (the layers' call)");
 }
-BENCHMARK(BM_MatmulOptimized);
+BENCHMARK(BM_MatmulOptimized)->Apply(trainingGemmShapes);
+
+void
+BM_MatmulTransAConv2InputGrad(benchmark::State &state)
+{
+    // conv2's input gradient: dPatches(256x16) = W(32x256)^T * dOut(32x16),
+    // A read column-wise with stride 256.
+    Rng rng(7);
+    ml::Matrix w(32, 256), dout(32, 16);
+    w.randomize(rng, 1.0);
+    dout.randomize(rng, 1.0);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ml::matmulTransA(w, dout));
+}
+BENCHMARK(BM_MatmulTransAConv2InputGrad);
 
 void
 BM_GemvNaiveReference(benchmark::State &state)

@@ -20,8 +20,9 @@
 #               rerun it and require a bit-identical artifact; then force an
 #               IO-crash under `--isolate --keep-going` and require
 #               exit 1 with a complete suite manifest (crashed + ok).
-#   simd      — the DESIGN.md §10 determinism gate: the kernel test
-#               binary under BF_SIMD=scalar and avx2; two table1
+#   simd      — the DESIGN.md §10 determinism gate: the kernel and
+#               ML test binaries (the latter pins a trained model's
+#               bits) under BF_SIMD=scalar and avx2; two table1
 #               smokes (one per BF_SIMD) whose artifacts must be
 #               bit-identical; a BF_SIMD=sse2 smoke that must warn it
 #               ignores the value and still match the avx2 artifact;
@@ -274,16 +275,21 @@ for stage in "${stages[@]}"; do
         ;;
       simd)
         builddir="$repo/build"
-        echo "== [simd] build bigfish + test_kernel"
+        echo "== [simd] build bigfish + test_kernel + test_ml"
         cmake -B "$builddir" -S "$repo" > /dev/null
-        cmake --build "$builddir" --target bigfish test_kernel -j "$jobs"
+        cmake --build "$builddir" --target bigfish test_kernel test_ml \
+            -j "$jobs"
         sdir="$(mktemp -d)"
         tmpdirs+=("$sdir")
         for isa in scalar avx2; do
-            echo "== [simd] kernel tests under BF_SIMD=$isa"
-            BF_SIMD="$isa" "$builddir/tests/test_kernel" \
-                > "$sdir/kernel-$isa.log" ||
-                { tail -n 40 "$sdir/kernel-$isa.log"; exit 1; }
+            # test_ml carries CnnLstm.TrainedWeightsDigestIsPinned: the
+            # bench-shape classifier's trained bits under each ISA.
+            for t in kernel ml; do
+                echo "== [simd] $t tests under BF_SIMD=$isa"
+                BF_SIMD="$isa" "$builddir/tests/test_$t" \
+                    > "$sdir/$t-$isa.log" ||
+                    { tail -n 40 "$sdir/$t-$isa.log"; exit 1; }
+            done
         done
         echo "== [simd] BF_SIMD artifact bit-identity (table1 --smoke)"
         for isa in scalar avx2; do

@@ -6,9 +6,11 @@
  * two LSTM gate fusions, where the AVX2 spelling measured several times
  * faster than the scalar loop. Their two implementations are
  * bit-identical by construction — see the determinism contract in
- * kernels.hh and DESIGN.md §10. axpy, gemmRowPanel and adamStep are
- * scalar only: their AVX2 spellings measured at par with (or slower
- * than) the -march=native scalar loops. The rules this file lives by:
+ * kernels.hh and DESIGN.md §10. axpy, gemm and adamStep are scalar
+ * only, plain C++ that -march=native vectorizes: adamStep's AVX2
+ * spelling measured at par, and gemm's 4x16 register tile compiles to
+ * vector code with no intrinsics, so it has no second spelling to keep
+ * bit-identical. The rules this file lives by:
  *
  *  - Reductions hold a fixed 8-lane virtual accumulator. AVX2 keeps it
  *    in one __m256; the scalar path keeps float acc[8]. Both funnel
@@ -16,7 +18,7 @@
  *    n%8 tail serially afterwards.
  *  - Elementwise math uses one fixed expression tree per element, only
  *    IEEE-exact operations (+ - * / sqrt min max), and never a fused
- *    multiply-add: no FMA intrinsics appear below, and this TU builds
+ *    multiply-add: no FMA intrinsics appear below, and bf_ml builds
  *    with -ffp-contract=off so the compiler cannot introduce one.
  *  - exp/sigmoid/tanh are Cephes-derived polynomials whose scalar
  *    spelling performs exactly the operations the AVX2 path performs
@@ -26,6 +28,7 @@
 
 #include "ml/kernels.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -186,18 +189,98 @@ scalarDotTile4x2(float *c, const float *a, const float *b,
     }
 }
 
-/** y[j] += (a0*x0[j] + a1*x1[j]) + (a2*x2[j] + a3*x3[j]): the
- *  k-unrolled inner update of gemmRowPanel. */
-void
-axpy4(float *y, const float *x0, const float *x1, const float *x2,
-      const float *x3, float a0, float a1, float a2, float a3,
-      std::size_t n)
+// --- GEMM micro-kernel ---
+
+/** The k block: a B panel of kBlockK rows stays cache-resident. */
+constexpr std::size_t kBlockK = 240;
+
+/** Columns of one register tile (one 512-bit or two 256-bit vectors). */
+constexpr std::size_t kTileCols = 16;
+
+/**
+ * MR rows of one k block, as MR x kTileCols register tiles: C rows
+ * [0, MR) x columns [0, cols) of @p c (row stride @p ldc), cols a
+ * multiple of kTileCols, accumulate A rows [0, MR) of @p a against the
+ * same B columns of @p b (row stride @p ldb) over the first @p kb k's.
+ * Each tile stays in acc for the whole k block and each B load serves
+ * all MR rows. Per element the operations are fixed whatever the
+ * tiling: y + ((a0*x0 + a1*x1) + (a2*x2 + a3*x3)) per 4-k group, then
+ * y + a*x per remaining k.
+ *
+ * noipa: GCC otherwise clones this function for the padded-tail call
+ * (ldb = ldc = kTileCols) and vectorizes the clone across k instead of
+ * across columns, which made every n % 16 tail several times slower.
+ */
+template <std::size_t MR>
+__attribute__((noipa)) void
+gemmTiles(float *__restrict c, std::size_t ldc, const float *__restrict a,
+          std::size_t rowStride, std::size_t colStride,
+          const float *__restrict b, std::size_t ldb, std::size_t kb,
+          std::size_t cols)
 {
-    for (std::size_t j = 0; j < n; ++j) {
-        const float t01 = a0 * x0[j] + a1 * x1[j];
-        const float t23 = a2 * x2[j] + a3 * x3[j];
-        y[j] = y[j] + (t01 + t23);
+    for (std::size_t j0 = 0; j0 < cols; j0 += kTileCols) {
+        float acc[MR][kTileCols];
+        for (std::size_t r = 0; r < MR; ++r)
+            for (std::size_t j = 0; j < kTileCols; ++j)
+                acc[r][j] = c[r * ldc + j0 + j];
+        std::size_t kk = 0;
+        for (; kk + 4 <= kb; kk += 4) {
+            const float *__restrict x0 = b + kk * ldb + j0;
+            const float *__restrict x1 = x0 + ldb;
+            const float *__restrict x2 = x1 + ldb;
+            const float *__restrict x3 = x2 + ldb;
+            for (std::size_t r = 0; r < MR; ++r) {
+                const float *ar = a + r * rowStride + kk * colStride;
+                const float a0 = ar[0];
+                const float a1 = ar[colStride];
+                const float a2 = ar[2 * colStride];
+                const float a3 = ar[3 * colStride];
+                for (std::size_t j = 0; j < kTileCols; ++j) {
+                    const float t01 = a0 * x0[j] + a1 * x1[j];
+                    const float t23 = a2 * x2[j] + a3 * x3[j];
+                    acc[r][j] = acc[r][j] + (t01 + t23);
+                }
+            }
+        }
+        for (; kk < kb; ++kk) {
+            const float *__restrict x = b + kk * ldb + j0;
+            for (std::size_t r = 0; r < MR; ++r) {
+                const float ak = a[r * rowStride + kk * colStride];
+                for (std::size_t j = 0; j < kTileCols; ++j)
+                    acc[r][j] = acc[r][j] + ak * x[j];
+            }
+        }
+        for (std::size_t r = 0; r < MR; ++r)
+            for (std::size_t j = 0; j < kTileCols; ++j)
+                c[r * ldc + j0 + j] = acc[r][j];
     }
+}
+
+/**
+ * MR rows of one k block: full tiles read B and C in place; the last
+ * n % kTileCols columns run one more tile over @p bTail (those B
+ * columns, zero-padded to kTileCols) and a padded copy of the C tail.
+ * Padding lanes never mix into real ones, so they cost time, not bits.
+ */
+template <std::size_t MR>
+void
+gemmRows(float *c, const float *a, std::size_t rowStride,
+         std::size_t colStride, const float *b, const float *bTail,
+         std::size_t kb, std::size_t n)
+{
+    const std::size_t full = n - n % kTileCols;
+    gemmTiles<MR>(c, n, a, rowStride, colStride, b, n, kb, full);
+    if (full == n)
+        return;
+    float cTail[MR][kTileCols] = {};
+    for (std::size_t r = 0; r < MR; ++r)
+        for (std::size_t j = full; j < n; ++j)
+            cTail[r][j - full] = c[r * n + j];
+    gemmTiles<MR>(&cTail[0][0], kTileCols, a, rowStride, colStride, bTail,
+                  kTileCols, kb, kTileCols);
+    for (std::size_t r = 0; r < MR; ++r)
+        for (std::size_t j = full; j < n; ++j)
+            c[r * n + j] = cTail[r][j - full];
 }
 
 void
@@ -500,22 +583,42 @@ axpy(float *y, const float *x, float a, std::size_t n)
         y[j] = y[j] + a * x[j];
 }
 
-// flatten: the per-4-k axpy4 bodies inline into the panel loop — at the
-// small n the training gemms run (batch-width panels), the ten-argument
-// call per k-group otherwise costs as much as the vector work itself.
-__attribute__((flatten)) void
-gemmRowPanel(float *y, const float *a, std::size_t astride,
-             const float *b, std::size_t k0, std::size_t k1, std::size_t n)
+void
+gemm(float *c, const float *a, std::size_t rowStride,
+     std::size_t colStride, const float *b, std::size_t rows,
+     std::size_t k, std::size_t n)
 {
-    std::size_t kk = k0;
-    for (; kk + 4 <= k1; kk += 4) {
-        const float *b0 = b + kk * n;
-        axpy4(y, b0, b0 + n, b0 + 2 * n, b0 + 3 * n, a[kk * astride],
-              a[(kk + 1) * astride], a[(kk + 2) * astride],
-              a[(kk + 3) * astride], n);
+    const std::size_t full = n - n % kTileCols;
+    float bTail[kBlockK * kTileCols];
+    for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
+        const std::size_t kb = std::min(k - k0, kBlockK);
+        const float *ak = a + k0 * colStride;
+        const float *bk = b + k0 * n;
+        if (full < n)
+            for (std::size_t kk = 0; kk < kb; ++kk)
+                for (std::size_t j = 0; j < kTileCols; ++j)
+                    bTail[kk * kTileCols + j] =
+                        full + j < n ? bk[kk * n + full + j] : 0.0f;
+        std::size_t i = 0;
+        for (; i + 4 <= rows; i += 4)
+            gemmRows<4>(c + i * n, ak + i * rowStride, rowStride,
+                        colStride, bk, bTail, kb, n);
+        float *ci = c + i * n;
+        const float *ai = ak + i * rowStride;
+        switch (rows - i) {
+          case 3:
+            gemmRows<3>(ci, ai, rowStride, colStride, bk, bTail, kb, n);
+            break;
+          case 2:
+            gemmRows<2>(ci, ai, rowStride, colStride, bk, bTail, kb, n);
+            break;
+          case 1:
+            gemmRows<1>(ci, ai, rowStride, colStride, bk, bTail, kb, n);
+            break;
+          default:
+            break;
+        }
     }
-    for (; kk < k1; ++kk)
-        axpy(y, b + kk * n, a[kk * astride], n);
 }
 
 // The scalar transcendentals are deliberately Tag-independent: the

@@ -6,10 +6,10 @@
  * primitives, LSTM gate math, the Adam update — lives here. A kernel
  * has an AVX2 spelling, dispatched at runtime behind bf::simd::Tag
  * (base/simd.hh), only where it beats the scalar loop: dot, dotTile4x2
- * and the two LSTM gate fusions. axpy, gemmRowPanel and adamStep are
- * scalar only. The callers (ml/matrix.cc, lstm, network) keep their
- * loop *structure* and delegate the arithmetic, so blocking decisions
- * stay where they were.
+ * and the two LSTM gate fusions. axpy, gemm and adamStep are scalar
+ * only: plain C++ that -march=native vectorizes. gemm owns its own k
+ * blocking and register tiling; the other callers (ml/matrix.cc, lstm,
+ * network) keep their loop *structure* and delegate the arithmetic.
  *
  * Determinism contract (DESIGN.md §10), load-bearing for cache
  * fingerprints and `--resume` replay:
@@ -21,10 +21,11 @@
  *    added serially afterwards. The scalar path emulates exactly the
  *    lanes AVX2 holds in one register, so both Tags return the same
  *    bits.
- *  - Elementwise kernels evaluate one fixed expression tree per
- *    element using IEEE-exact operations only (+ - * / sqrt); no
- *    fused multiply-add anywhere (this file's TU builds with
- *    -ffp-contract=off so the compiler cannot introduce one).
+ *  - Elementwise kernels, gemm included, evaluate one fixed
+ *    expression tree per element using IEEE-exact operations only
+ *    (+ - * / sqrt); no fused multiply-add anywhere (all of bf_ml
+ *    builds with -ffp-contract=off so the compiler cannot introduce
+ *    one).
  *  - The LSTM gates' sigmoid/tanh are polynomial approximations
  *    (Cephes-derived expf/tanhf, ~2 ulp) evaluated in the same
  *    operation order on both paths — std::exp/std::tanh vary by libm
@@ -59,15 +60,20 @@ void dotTile4x2(float *c, const float *a, const float *b, std::size_t i0,
 void axpy(float *y, const float *x, float a, std::size_t n);
 
 /**
- * One output row of the k-blocked row-major GEMM:
- *   y[j] += sum over kk in [k0,k1) of a[kk*astride] * b[kk*n + j]
- * evaluated four k's at a time as y[j] += (a0*x0[j] + a1*x1[j]) +
- * (a2*x2[j] + a3*x3[j]), then one axpy per remaining k. @p astride is
- * 1 for row-major A, the row stride of A for the A^T walk.
+ * The row-major GEMM C(rows x n) += A * B over a shared dimension k:
+ *   c[i*n + j] += sum over kk of a[i*rowStride + kk*colStride] * b[kk*n + j]
+ * A row-major A has (rowStride, colStride) = (k, 1); the A^T walk reads
+ * a row-major A column-wise with (1, row length of A). k runs in blocks
+ * of 240, in order; within a block each element is evaluated four k's
+ * at a time as y + ((a0*x0 + a1*x1) + (a2*x2 + a3*x3)), then y + a*x
+ * per remaining k, never with a fused multiply-add. The work runs as
+ * 4x16 register tiles (C held in registers for the whole block, each B
+ * vector loaded once per four rows) with narrower row tiles and padded
+ * column tiles on the tails; the tiling changes no bit of any element.
  */
-void gemmRowPanel(float *y, const float *a, std::size_t astride,
-                  const float *b, std::size_t k0, std::size_t k1,
-                  std::size_t n);
+void gemm(float *c, const float *a, std::size_t rowStride,
+          std::size_t colStride, const float *b, std::size_t rows,
+          std::size_t k, std::size_t n);
 
 // --- Activations (polynomial, bit-identical across Tags) ---------------
 

@@ -80,24 +80,17 @@ Matrix::sum() const
 
 namespace {
 
-/**
- * Kernel tuning constant: KC blocks the inner (k) dimension so the
- * active B panel stays cache-resident across output rows.
- */
-constexpr std::size_t kBlockK = 240;
-
 // All floating-point arithmetic below delegates to the kernel layer
-// (ml/kernels.hh); this file keeps only the blocking structure. Every
-// GEMM runs on the calling thread: training parallelism lives one level
-// up, in the per-fold tasks. kernels::dot's fixed 8-lane accumulation
-// makes every reduction independent of the dispatch ISA.
+// (ml/kernels.hh); this file keeps only the choice of kernel per shape.
+// Every GEMM runs on the calling thread: training parallelism lives one
+// level up, in the per-fold tasks. kernels::dot's fixed 8-lane
+// accumulation makes every reduction independent of the dispatch ISA,
+// and kernels::gemm's fixed per-element expression tree makes its
+// blocking and register tiling choose the speed, never the bits.
 
 /**
- * C += A * B for row-major operands with @p rows output rows, k-blocked
- * i-k-j order with an optional fused row-bias initialization. The k
- * loop is unrolled four wide so each load/store of a C element
- * amortizes four FMAs — the axpy-per-k form is store-bandwidth-bound,
- * not FLOP-bound.
+ * C += A * B for row-major operands with @p rows output rows, with an
+ * optional fused row-bias initialization.
  */
 void
 gemmAccRows(float *__restrict c, const float *__restrict a,
@@ -112,13 +105,7 @@ gemmAccRows(float *__restrict c, const float *__restrict a,
                 crow[j] = bi;
         }
     }
-    for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
-        const std::size_t k1 = std::min(k, k0 + kBlockK);
-        // One kernel call per output row: the panel runs the
-        // four-k / one-k axpy sequence inside the kernel layer.
-        for (std::size_t i = 0; i < rows; ++i)
-            kernels::gemmRowPanel(c + i * n, a + i * k, 1, b, k0, k1, n);
-    }
+    kernels::gemm(c, a, k, 1, b, rows, k, n);
 }
 
 /**
@@ -160,27 +147,6 @@ gemmTransBAccRows(float *__restrict c, const float *__restrict a,
         float *__restrict crow = c + i * n;
         for (std::size_t j = 0; j < n; ++j)
             crow[j] += kernels::dot(arow, b + j * k, k);
-    }
-}
-
-/**
- * C += A^T * B where C has a_cols rows; k unrolled as above.
- *
- * The n == 1 case (dX = W^T * dOut with a single column, the other
- * common backward shape) is dispatched by accumulateMatmulTransA to
- * gemmTransAVec below instead: running it here would touch A with
- * stride a_cols per element.
- */
-void
-gemmTransAAccRows(float *__restrict c, const float *__restrict a,
-                  const float *__restrict b, std::size_t a_rows,
-                  std::size_t a_cols, std::size_t n)
-{
-    for (std::size_t k0 = 0; k0 < a_rows; k0 += kBlockK) {
-        const std::size_t k1 = std::min(a_rows, k0 + kBlockK);
-        // Column i of A walked with stride a_cols; one panel per row.
-        for (std::size_t i = 0; i < a_cols; ++i)
-            kernels::gemmRowPanel(c + i * n, a + i, a_cols, b, k0, k1, n);
     }
 }
 
@@ -260,12 +226,17 @@ accumulateMatmulTransA(Matrix &c, const Matrix &a, const Matrix &b)
             "accumulateMatmulTransA dimension mismatch");
     panicIf(c.rows() != a.cols() || c.cols() != b.cols(),
             "accumulateMatmulTransA output shape mismatch");
+    // A single column (dX = W^T * dOut, the other common backward
+    // shape) runs as contiguous axpys: the GEMM would walk A^T's rows,
+    // the columns of A, with stride a.cols() per element.
     if (b.cols() == 1) {
         gemmTransAVec(c.data(), a.data(), b.data(), a.rows(), a.cols());
         return;
     }
-    gemmTransAAccRows(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                      b.cols());
+    // Row i of A^T is column i of A: stride 1 between rows, a.cols()
+    // between k's.
+    kernels::gemm(c.data(), a.data(), 1, a.cols(), b.data(), a.cols(),
+                  a.rows(), b.cols());
 }
 
 void

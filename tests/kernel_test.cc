@@ -10,8 +10,13 @@
  * bitwise-identical output under BF_SIMD=scalar and avx2 (swept
  * in-process via simd::setActive), across odd/prime lengths that
  * exercise every tail lane. Unsupported ISAs are skipped, never failed.
+ *
+ * GemmMicroKernel holds the register-tiled GEMM to the bits of the
+ * one-row panel it replaced, kept here as the oracle, on every row,
+ * column and k tail, through each public entry point that reaches it.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -587,6 +592,133 @@ TEST(CrossIsa, MatmulBitIdenticalAcrossTags)
         for (std::size_t i = 0; i < got.size(); ++i)
             ASSERT_EQ(got.data()[i], want.data()[i])
                 << "element " << i << " tag=" << simd::name(tag);
+    }
+}
+
+// --- GEMM micro-kernel against the row panel it replaced ---------------
+
+/**
+ * The one-row GEMM panel the register micro-kernel replaced, kept as
+ * the bit oracle: y[j] += sum over kk in [k0, k1) of a[kk * astride] *
+ * b[kk * n + j], four k's at a time as y + ((a0*x0 + a1*x1) +
+ * (a2*x2 + a3*x3)), then y + a*x per remaining k. This file builds with
+ * -ffp-contract=off (tests/CMakeLists.txt), so the compiler performs
+ * exactly these operations, none fused.
+ */
+void
+rowPanelOracle(float *y, const float *a, std::size_t astride,
+               const float *b, std::size_t k0, std::size_t k1,
+               std::size_t n)
+{
+    std::size_t kk = k0;
+    for (; kk + 4 <= k1; kk += 4) {
+        const float *x0 = b + kk * n;
+        const float *x1 = x0 + n;
+        const float *x2 = x1 + n;
+        const float *x3 = x2 + n;
+        const float a0 = a[kk * astride];
+        const float a1 = a[(kk + 1) * astride];
+        const float a2 = a[(kk + 2) * astride];
+        const float a3 = a[(kk + 3) * astride];
+        for (std::size_t j = 0; j < n; ++j) {
+            const float t01 = a0 * x0[j] + a1 * x1[j];
+            const float t23 = a2 * x2[j] + a3 * x3[j];
+            y[j] = y[j] + (t01 + t23);
+        }
+    }
+    for (; kk < k1; ++kk) {
+        const float ak = a[kk * astride];
+        const float *x = b + kk * n;
+        for (std::size_t j = 0; j < n; ++j)
+            y[j] = y[j] + ak * x[j];
+    }
+}
+
+/**
+ * C += A * B through the row panel, k-blocked by 240 like kernels::gemm,
+ * with A(i, kk) read at a[i * rowStride + kk * colStride].
+ */
+void
+gemmOracle(Matrix &c, const float *a, std::size_t rowStride,
+           std::size_t colStride, const Matrix &b)
+{
+    constexpr std::size_t kBlockK = 240;
+    const std::size_t k = b.rows();
+    const std::size_t n = b.cols();
+    for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
+        const std::size_t k1 = std::min(k, k0 + kBlockK);
+        for (std::size_t i = 0; i < c.rows(); ++i)
+            rowPanelOracle(c.data() + i * n, a + i * rowStride, colStride,
+                           b.data(), k0, k1, n);
+    }
+}
+
+void
+expectSameBits(const Matrix &got, const Matrix &want, const char *what,
+               std::size_t rows, std::size_t k, std::size_t n,
+               simd::Tag tag)
+{
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << what << " " << rows << "x" << k << "x" << n
+        << " differs from the row panel under " << simd::name(tag);
+}
+
+TEST(GemmMicroKernel, BitIdenticalToRowPanel)
+{
+    // Every row tail (rows % 4), every column tail (n % 16, including
+    // n < 16; n = 1 takes the gemv paths instead), and k on both sides
+    // of the 240-wide k block and of the 4-k unroll.
+    const std::size_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 9, 13};
+    const std::size_t kCols[] = {2, 3, 4, 5, 8, 9, 13, 16, 17, 29, 32, 35};
+    const std::size_t kDepths[] = {1, 2, 3, 4, 5, 8, 31, 239, 240, 241, 481};
+    TagGuard guard;
+    Rng rng(120);
+    for (const std::size_t rows : kRows) {
+        for (const std::size_t n : kCols) {
+            for (const std::size_t k : kDepths) {
+                const Matrix a = randomMatrix(rows, k, rng);
+                const Matrix at = transposed(a);
+                const Matrix b = randomMatrix(k, n, rng);
+                const Matrix bias = randomMatrix(rows, 1, rng);
+                const Matrix init = randomMatrix(rows, n, rng);
+
+                Matrix wantMul(rows, n);
+                gemmOracle(wantMul, a.data(), k, 1, b);
+                Matrix wantBias(rows, n);
+                for (std::size_t i = 0; i < rows; ++i)
+                    for (std::size_t j = 0; j < n; ++j)
+                        wantBias(i, j) = bias(i, 0);
+                gemmOracle(wantBias, a.data(), k, 1, b);
+                // A^T walked column-wise: stride `rows` between k's.
+                Matrix wantTransA(rows, n);
+                gemmOracle(wantTransA, at.data(), 1, rows, b);
+                Matrix wantAcc = init;
+                gemmOracle(wantAcc, a.data(), k, 1, b);
+
+                for (const simd::Tag tag : supportedTags()) {
+                    simd::setActive(tag);
+                    expectSameBits(matmul(a, b), wantMul, "matmul", rows,
+                                   k, n, tag);
+                    expectSameBits(matmulBias(a, b, bias), wantBias,
+                                   "matmulBias", rows, k, n, tag);
+                    expectSameBits(matmulTransA(at, b), wantTransA,
+                                   "matmulTransA", rows, k, n, tag);
+                    // Only short-k, wide products take the GEMM path
+                    // (B^T materialized); the rest run as dots.
+                    if (k > 1 && k <= 32 && n >= 16) {
+                        Matrix got = init;
+                        accumulateMatmulTransB(got, a, transposed(b));
+                        expectSameBits(got, wantAcc,
+                                       "accumulateMatmulTransB", rows, k,
+                                       n, tag);
+                    }
+                }
+            }
+        }
     }
 }
 

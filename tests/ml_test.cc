@@ -15,7 +15,9 @@
 #include <set>
 
 #include <sstream>
+#include <string>
 
+#include "base/hash.hh"
 #include "ml/classifier.hh"
 #include "ml/conv.hh"
 #include "ml/dataset.hh"
@@ -528,6 +530,32 @@ TEST(CnnLstm, ScoresAreDistribution)
         sum += s;
     }
     EXPECT_NEAR(sum, 1.0, 1e-6);
+}
+
+TEST(CnnLstm, TrainedWeightsDigestIsPinned)
+{
+    // The pipeline's bench classifier (2 channels x 128 steps, batch
+    // 16) trained on 20 samples, so every epoch ends in a 4-sample
+    // minibatch. The digests pin every bit of the trained weights and
+    // of single-sample scores: a GEMM rewrite that reorders a sum or
+    // lets the compiler fuse a multiply-add into an FMA moves them.
+    const Dataset train = syntheticDataset(4, 5, 256, 60);
+    const Dataset val = syntheticDataset(4, 2, 256, 61);
+    CnnLstmParams params = CnnLstmParams::traceDefaults();
+    params.maxEpochs = 3;
+    CnnLstmClassifier model(4, 256, params, 62);
+    model.fit(train, val);
+    ASSERT_EQ(model.history().size(), 3u);
+
+    EXPECT_EQ(hex16(fnv64(encodeWeights(model.network()))),
+              "eb5b1b3f1fd5dd2a");
+    std::string scoreBytes;
+    for (std::size_t i = 0; i < val.size(); i += 3) {
+        const std::vector<double> s = model.predictScores(val.features[i]);
+        scoreBytes.append(reinterpret_cast<const char *>(s.data()),
+                          s.size() * sizeof(double));
+    }
+    EXPECT_EQ(hex16(fnv64(scoreBytes)), "ab781be5a55a1a6b");
 }
 
 TEST(SoftmaxRegression, LearnsLinearProblem)
