@@ -61,9 +61,9 @@ main(int argc, char **argv)
     web::applyBrowserRuntime(timeline, config.browser, browser_rng);
 
     auto timer = config.effectiveTimer().make(559);
-    const auto long_trace = attack::collectTraceOrDie(
+    const auto long_trace = attack::collectTrace(
         loop[0], config.attackerParams, config.machine, timeline,
-        *timer, config.effectivePeriod(), 560);
+        *timer, config.effectivePeriod(), 560).valueOrDie();
 
     // ---- Segment and classify. ----------------------------------------
     const auto onsets = attack::detectNavigations(long_trace);

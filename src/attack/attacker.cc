@@ -83,21 +83,6 @@ collectTrace(AttackerKind kind, const AttackerParams &params,
     return trace;
 }
 
-Trace
-collectTraceOrDie(AttackerKind kind, const AttackerParams &params,
-                  const sim::MachineConfig &machine,
-                  const sim::RunTimeline &timeline,
-                  timers::TimerModel &timer, TimeNs period,
-                  std::uint64_t noise_seed)
-{
-    return collectTrace(kind, params, machine, timeline, timer, period,
-                        noise_seed)
-        // This *is* the OrDie wrapper's implementation; callers opted
-        // into abort-on-error by picking the ...OrDie entry point.
-        // bigfish-lint: allow(ordie-outside-binary)
-        .valueOrDie();
-}
-
 Result<Trace>
 collectGapTrace(const sim::RunTimeline &timeline, TimeNs period,
                 TimeNs poll_cost_ns, TimeNs threshold)
@@ -147,16 +132,6 @@ collectGapTrace(const sim::RunTimeline &timeline, TimeNs period,
         i = j;
     }
     return trace;
-}
-
-Trace
-collectGapTraceOrDie(const sim::RunTimeline &timeline, TimeNs period,
-                     TimeNs poll_cost_ns, TimeNs threshold)
-{
-    return collectGapTrace(timeline, period, poll_cost_ns, threshold)
-        // OrDie wrapper implementation: abort-on-error is the contract.
-        // bigfish-lint: allow(ordie-outside-binary)
-        .valueOrDie();
 }
 
 } // namespace bigfish::attack

@@ -97,13 +97,6 @@ struct AttackerParams
                            timers::TimerModel &timer, TimeNs period,
                            std::uint64_t noise_seed = 0);
 
-/** collectTrace() that fatal()s on failure (binary boundaries only). */
-Trace collectTraceOrDie(AttackerKind kind, const AttackerParams &params,
-                        const sim::MachineConfig &machine,
-                        const sim::RunTimeline &timeline,
-                        timers::TimerModel &timer, TimeNs period,
-                        std::uint64_t noise_seed = 0);
-
 /**
  * The per-activity-step iteration cost vector an attacker kind uses on a
  * given timeline (exposed for tests and the micro benchmarks).
@@ -136,11 +129,6 @@ std::vector<double> iterationCosts(AttackerKind kind,
 [[nodiscard]] Result<Trace> collectGapTrace(const sim::RunTimeline &timeline,
                               TimeNs period, TimeNs poll_cost_ns = 30,
                               TimeNs threshold = 100);
-
-/** collectGapTrace() that fatal()s on failure (binary boundaries only). */
-Trace collectGapTraceOrDie(const sim::RunTimeline &timeline, TimeNs period,
-                           TimeNs poll_cost_ns = 30,
-                           TimeNs threshold = 100);
 
 } // namespace bigfish::attack
 

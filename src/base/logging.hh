@@ -7,15 +7,15 @@
  *            arguments); exits with status 1. Library code paths must not
  *            call this for runtime data errors — they return Status /
  *            Result<T> (base/status.hh, base/result.hh) and leave
- *            termination to the ...OrDie() wrappers at binary boundaries.
+ *            termination to Result::valueOrDie() at binary boundaries.
  * panic()  — the condition indicates a bug in this library itself; aborts
  *            so a core dump / debugger can capture the state.
  * warn()   — non-fatal diagnostics, gated by the BF_LOG_LEVEL environment
  *            variable: "silent" (or "none"/"0") suppresses warnings,
  *            anything else (including unset) keeps them on.
  * warnOnce() — like warn() but each key prints at most once per process,
- *            so lenient parsing of a 5000-row corrupt file cannot emit
- *            5000 lines.
+ *            so a dropped trace in every cell of a sweep cannot emit
+ *            one line per cell.
  */
 
 #ifndef BF_BASE_LOGGING_HH

@@ -4,13 +4,13 @@
  *
  * The library treats malformed data and perturbed signals as *expected
  * operating conditions* — the paper's attack works because of noise, and
- * a production deployment sees corrupt trace files, truncated model
+ * a production deployment sees corrupt cache entries, truncated model
  * checkpoints and degraded collection runs as a matter of course. Entry
  * points that can fail on runtime data therefore return Status (or
  * Result<T>, see base/result.hh) instead of calling fatal().
  *
  * fatal()/panic() remain for what they were always meant for: CLI
- * misuse at the binary level (via the ...OrDie() wrappers) and internal
+ * misuse at the binary level (via Result::valueOrDie()) and internal
  * invariant violations.
  */
 

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <iterator>
 
-#include "base/atomic_file.hh"
 #include "base/bytes.hh"
-#include "base/logging.hh"
 
 namespace bigfish::ml {
 
@@ -85,68 +81,6 @@ decodeWeights(std::string_view bytes, Sequential &net)
     if (!in.done())
         return parseError("bigfish-weights stream has trailing bytes");
     return Status::ok();
-}
-
-Status
-saveWeights(std::ostream &out, Sequential &net)
-{
-    out << encodeWeights(net);
-    if (!out)
-        return ioError("weight stream write failed");
-    return Status::ok();
-}
-
-Status
-saveWeights(const std::string &path, Sequential &net)
-{
-    // Commit atomically (tmp+fsync+rename): a crash mid-save must never
-    // leave a torn checkpoint where a good one used to be.
-    return atomicWriteFile(path, encodeWeights(net));
-}
-
-void
-saveWeightsOrDie(const std::string &path, Sequential &net)
-{
-    const Status status = saveWeights(path, net);
-    fatalIf(!status.isOk(), status.toString());
-}
-
-void
-saveWeightsOrDie(std::ostream &out, Sequential &net)
-{
-    const Status status = saveWeights(out, net);
-    fatalIf(!status.isOk(), status.toString());
-}
-
-Status
-loadWeights(std::istream &in, Sequential &net)
-{
-    const std::string bytes{std::istreambuf_iterator<char>(in),
-                            std::istreambuf_iterator<char>()};
-    return decodeWeights(bytes, net);
-}
-
-Status
-loadWeights(const std::string &path, Sequential &net)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return ioError("cannot open " + path + " for reading");
-    return loadWeights(in, net);
-}
-
-void
-loadWeightsOrDie(const std::string &path, Sequential &net)
-{
-    const Status status = loadWeights(path, net);
-    fatalIf(!status.isOk(), status.toString());
-}
-
-void
-loadWeightsOrDie(std::istream &in, Sequential &net)
-{
-    const Status status = loadWeights(in, net);
-    fatalIf(!status.isOk(), status.toString());
 }
 
 } // namespace bigfish::ml

@@ -6,12 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "attack/attacker.hh"
 #include "attack/segmentation.hh"
 #include "attack/trace.hh"
-#include "attack/trace_io.hh"
 #include "sim/synthesizer.hh"
 #include "stats/descriptive.hh"
 #include "timers/timer.hh"
@@ -115,10 +112,12 @@ TEST(Attackers, LoopCountsAreOrdersOfMagnitudeLarger)
     const auto timeline = exampleTimeline(3);
     AttackerParams params;
     timers::PreciseTimer t1, t2;
-    const Trace loop = collectTraceOrDie(AttackerKind::LoopCounting, params,
-                                    machine, timeline, t1, 5 * kMsec);
-    const Trace sweep = collectTraceOrDie(AttackerKind::SweepCounting, params,
-                                     machine, timeline, t2, 5 * kMsec);
+    const Trace loop = collectTrace(AttackerKind::LoopCounting, params,
+                                    machine, timeline, t1, 5 * kMsec)
+                           .valueOrDie();
+    const Trace sweep = collectTrace(AttackerKind::SweepCounting, params,
+                                     machine, timeline, t2, 5 * kMsec)
+                            .valueOrDie();
     EXPECT_NEAR(loop.maxCount(), 27000.0, 3000.0);
     // ~32 sweeps per idle period; the max over a trace rides the
     // memory-noise tail, so allow a wider band than for the loop.
@@ -132,8 +131,9 @@ TEST(Attackers, TraceLengthMatchesDurationOverPeriod)
     const auto timeline = exampleTimeline(4, 10 * kSec);
     AttackerParams params;
     timers::PreciseTimer timer;
-    const Trace trace = collectTraceOrDie(AttackerKind::LoopCounting, params,
-                                     machine, timeline, timer, 5 * kMsec);
+    const Trace trace = collectTrace(AttackerKind::LoopCounting, params,
+                                     machine, timeline, timer, 5 * kMsec)
+                            .valueOrDie();
     EXPECT_NEAR(static_cast<double>(trace.size()), 2000.0, 20.0);
     EXPECT_EQ(trace.counts.size(), trace.wallTimes.size());
     EXPECT_EQ(trace.attacker, "loop-counting");
@@ -147,8 +147,9 @@ TEST(Attackers, BusyPhasesDepressCounts)
     const auto timeline = exampleTimeline(5, 10 * kSec);
     AttackerParams params;
     timers::PreciseTimer timer;
-    const Trace trace = collectTraceOrDie(AttackerKind::LoopCounting, params,
-                                     machine, timeline, timer, 5 * kMsec);
+    const Trace trace = collectTrace(AttackerKind::LoopCounting, params,
+                                     machine, timeline, timer, 5 * kMsec)
+                            .valueOrDie();
     ASSERT_GT(trace.size(), 1800u);
     double busy = 0.0, quiet = 0.0;
     int busy_n = 0, quiet_n = 0;
@@ -176,11 +177,13 @@ TEST(Attackers, LoopAndSweepTracesCorrelate)
         const auto timeline = exampleTimeline(100 + run, 10 * kSec);
         timers::PreciseTimer t1, t2;
         const Trace loop =
-            collectTraceOrDie(AttackerKind::LoopCounting, params, machine,
-                         timeline, t1, 5 * kMsec);
+            collectTrace(AttackerKind::LoopCounting, params, machine,
+                         timeline, t1, 5 * kMsec)
+                .valueOrDie();
         const Trace sweep =
-            collectTraceOrDie(AttackerKind::SweepCounting, params, machine,
-                         timeline, t2, 5 * kMsec);
+            collectTrace(AttackerKind::SweepCounting, params, machine,
+                         timeline, t2, 5 * kMsec)
+                .valueOrDie();
         loop_runs.push_back(
             stats::downsample(loop.normalized(), 100));
         sweep_runs.push_back(
@@ -197,8 +200,9 @@ TEST(Attackers, WallTimesMatchPeriodUnderPreciseTimer)
     const auto timeline = exampleTimeline(6);
     AttackerParams params;
     timers::PreciseTimer timer;
-    const Trace trace = collectTraceOrDie(AttackerKind::LoopCounting, params,
-                                     machine, timeline, timer, 5 * kMsec);
+    const Trace trace = collectTrace(AttackerKind::LoopCounting, params,
+                                     machine, timeline, timer, 5 * kMsec)
+                            .valueOrDie();
     for (std::size_t i = 0; i + 1 < trace.wallTimes.size(); ++i) {
         EXPECT_GE(trace.wallTimes[i], 5 * kMsec);
         // A handler can overshoot the period end by at most one handler
@@ -287,9 +291,10 @@ TEST(Segmentation, EndToEndOnRealSessionTrace)
     const auto timeline = synth.synthesize(activity, synth_rng);
     timers::PreciseTimer timer;
     AttackerParams params;
-    const auto trace = collectTraceOrDie(
+    const auto trace = collectTrace(
         AttackerKind::LoopCounting, params,
-        sim::MachineConfig::linuxDesktop(), timeline, timer, 5 * kMsec);
+        sim::MachineConfig::linuxDesktop(), timeline, timer, 5 * kMsec)
+        .valueOrDie();
 
     const auto onsets = detectNavigations(trace);
     const auto truths = session.navigationTimes();
@@ -318,7 +323,7 @@ TEST(GapTrace, ChargesStolenTimePerPeriod)
         // In the second 5 ms period:
         {6 * kMsec, 200 * kUsec, sim::InterruptKind::SoftirqNetRx},
     };
-    const Trace trace = collectGapTraceOrDie(timeline, 5 * kMsec);
+    const Trace trace = collectGapTrace(timeline, 5 * kMsec).valueOrDie();
     ASSERT_EQ(trace.size(), 4u);
     EXPECT_DOUBLE_EQ(trace.counts[0], 150.0 * kUsec);
     EXPECT_DOUBLE_EQ(trace.counts[1], 200.0 * kUsec);
@@ -336,7 +341,7 @@ TEST(GapTrace, SplitsSpanAcrossPeriodBoundary)
     // 2 ms handler straddling the 5 ms boundary: 1 ms in each period.
     timeline.stolen = {
         {4 * kMsec, 2 * kMsec, sim::InterruptKind::Preemption}};
-    const Trace trace = collectGapTraceOrDie(timeline, 5 * kMsec);
+    const Trace trace = collectGapTrace(timeline, 5 * kMsec).valueOrDie();
     ASSERT_EQ(trace.size(), 2u);
     EXPECT_DOUBLE_EQ(trace.counts[0], 1.0 * kMsec);
     EXPECT_DOUBLE_EQ(trace.counts[1], 1.0 * kMsec);
@@ -351,7 +356,8 @@ TEST(GapTrace, ThresholdFiltersTinyGaps)
     timeline.occupancy = {0.0};
     timeline.stolen = {{kMsec, 40, sim::InterruptKind::TimerTick}};
     // 40 ns + 30 ns poll = 70 ns < 100 ns threshold: invisible.
-    const Trace trace = collectGapTraceOrDie(timeline, 5 * kMsec, 30, 100);
+    const Trace trace =
+        collectGapTrace(timeline, 5 * kMsec, 30, 100).valueOrDie();
     EXPECT_DOUBLE_EQ(trace.counts[0], 0.0);
 }
 
@@ -363,115 +369,13 @@ TEST(GapTrace, CorrelatesWithLoopTrace)
     const auto timeline = exampleTimeline(77, 10 * kSec);
     AttackerParams params;
     timers::PreciseTimer timer;
-    const Trace loop = collectTraceOrDie(AttackerKind::LoopCounting, params,
-                                    machine, timeline, timer, 5 * kMsec);
-    const Trace gaps = collectGapTraceOrDie(timeline, 5 * kMsec);
+    const Trace loop = collectTrace(AttackerKind::LoopCounting, params,
+                                    machine, timeline, timer, 5 * kMsec)
+                           .valueOrDie();
+    const Trace gaps = collectGapTrace(timeline, 5 * kMsec).valueOrDie();
     const auto loop_ds = stats::downsample(loop.normalized(), 200);
     const auto gap_ds = stats::downsample(gaps.counts, 200);
     EXPECT_LT(stats::pearson(loop_ds, gap_ds), -0.5);
-}
-
-TEST(TraceIo, RoundTripsExactly)
-{
-    TraceSet set;
-    Trace a;
-    a.siteId = 3;
-    a.label = 3;
-    a.period = 5 * kMsec;
-    a.attacker = "loop-counting";
-    a.counts = {27013, 26500.5, 21000};
-    set.add(a);
-    Trace b;
-    b.siteId = 7;
-    b.label = 99;
-    b.period = 100 * kMsec;
-    b.attacker = "sweep-counting";
-    b.counts = {31, 28, 12, 30};
-    set.add(b);
-
-    std::stringstream stream;
-    ASSERT_TRUE(writeTraces(stream, set).isOk());
-    const TraceSet loaded = readTracesOrDie(stream);
-    ASSERT_EQ(loaded.size(), 2u);
-    EXPECT_EQ(loaded.traces[0].siteId, 3);
-    EXPECT_EQ(loaded.traces[0].label, 3);
-    EXPECT_EQ(loaded.traces[0].period, 5 * kMsec);
-    EXPECT_EQ(loaded.traces[0].attacker, "loop-counting");
-    EXPECT_EQ(loaded.traces[0].counts, a.counts);
-    EXPECT_EQ(loaded.traces[1].counts, b.counts);
-    EXPECT_EQ(loaded.traces[1].label, 99);
-}
-
-TEST(TraceIo, RoundTripsRealCollectedTraces)
-{
-    const auto machine = sim::MachineConfig::linuxDesktop();
-    const auto timeline = exampleTimeline(42, 3 * kSec);
-    AttackerParams params;
-    timers::PreciseTimer timer;
-    TraceSet set;
-    set.add(collectTraceOrDie(AttackerKind::LoopCounting, params, machine,
-                         timeline, timer, 5 * kMsec));
-    std::stringstream stream;
-    ASSERT_TRUE(writeTraces(stream, set).isOk());
-    const TraceSet loaded = readTracesOrDie(stream);
-    ASSERT_EQ(loaded.traces[0].counts.size(), set.traces[0].counts.size());
-    for (std::size_t i = 0; i < set.traces[0].counts.size(); ++i)
-        EXPECT_DOUBLE_EQ(loaded.traces[0].counts[i],
-                         set.traces[0].counts[i]);
-}
-
-TEST(TraceIo, SkipsCommentsAndBlankLines)
-{
-    std::stringstream stream;
-    stream << "# bigfish-traces v1\n"
-           << "# a comment\n"
-           << "\n"
-           << "1,1,5000000,loop-counting,10,20,30\n";
-    const TraceSet loaded = readTracesOrDie(stream);
-    ASSERT_EQ(loaded.size(), 1u);
-    EXPECT_EQ(loaded.traces[0].counts.size(), 3u);
-}
-
-TEST(TraceIoErrors, RejectsWrongHeaderNamingWhatWasFound)
-{
-    std::stringstream stream;
-    stream << "not a trace file\n";
-    const auto result = readTraces(stream);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), ErrorCode::ParseError);
-    EXPECT_NE(result.status().message().find("bigfish-traces"),
-              std::string::npos);
-    EXPECT_NE(result.status().message().find("not a trace file"),
-              std::string::npos);
-}
-
-TEST(TraceIoErrors, RejectsRowWithoutCounts)
-{
-    std::stringstream stream;
-    stream << "# bigfish-traces v1\n"
-           << "1,1,5000000,loop-counting\n";
-    const auto result = readTraces(stream);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_NE(result.status().message().find("line 2"), std::string::npos);
-}
-
-TEST(TraceIoErrors, RejectsGarbageNumbers)
-{
-    std::stringstream stream;
-    stream << "# bigfish-traces v1\n"
-           << "x,1,5000000,loop-counting,10\n";
-    const auto result = readTraces(stream);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_NE(result.status().message().find("malformed"),
-              std::string::npos);
-}
-
-TEST(TraceIoErrors, ReadTracesOrDieStillAbortsOnBadInput)
-{
-    std::stringstream stream;
-    stream << "not a trace file\n";
-    EXPECT_EXIT(readTracesOrDie(stream), ::testing::ExitedWithCode(1),
-                "bigfish-traces");
 }
 
 TEST(Attackers, KindNames)

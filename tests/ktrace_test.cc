@@ -7,10 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "ktrace/attribution.hh"
-#include "ktrace/dump.hh"
 #include "ktrace/gap_detector.hh"
 #include "ktrace/tracer.hh"
 #include "sim/synthesizer.hh"
@@ -197,58 +194,6 @@ TEST(Attribution, GapLengthsForKindSelects)
     // The NET_RX hard IRQ raises a softirq that runs right after it, so
     // the observed gap covers both handlers (plus one poll).
     EXPECT_GT(net_lengths[0], 4.0 * kUsec);
-}
-
-TEST(Dump, RecordsWindowAndFormat)
-{
-    const auto timeline = makeTimeline({
-        {kMsec, 2 * kUsec, sim::InterruptKind::TimerTick},
-        {5 * kMsec, 3 * kUsec, sim::InterruptKind::ReschedIpi},
-        {50 * kMsec, 2 * kUsec, sim::InterruptKind::NetworkRx},
-    });
-    const auto records = KernelTracer().record(timeline);
-    std::ostringstream out;
-    DumpOptions options;
-    options.windowStart = 0;
-    options.windowEnd = 10 * kMsec;
-    dumpRecords(out, records, options);
-    const std::string text = out.str();
-    EXPECT_NE(text.find("timer_tick"), std::string::npos);
-    EXPECT_NE(text.find("resched_ipi"), std::string::npos);
-    // The 50 ms record is outside the window.
-    EXPECT_EQ(text.find("net_rx_irq"), std::string::npos);
-    EXPECT_NE(text.find("+1.000000ms"), std::string::npos);
-}
-
-TEST(Dump, RowCapIsEnforced)
-{
-    std::vector<sim::StolenInterval> stolen;
-    for (int i = 0; i < 50; ++i)
-        stolen.push_back({(i + 1) * 100 * kUsec, kUsec,
-                          sim::InterruptKind::TimerTick});
-    const auto timeline = makeTimeline(std::move(stolen));
-    std::ostringstream out;
-    DumpOptions options;
-    options.windowEnd = 100 * kMsec;
-    options.maxRows = 10;
-    dumpRecords(out, KernelTracer().record(timeline), options);
-    EXPECT_NE(out.str().find("row cap"), std::string::npos);
-}
-
-TEST(Dump, AttributedGapsShowCausesAndResidue)
-{
-    const auto timeline = makeTimeline({
-        {kMsec, 2 * kUsec, sim::InterruptKind::TimerTick},
-        {kMsec + 2 * kUsec, 3 * kUsec, sim::InterruptKind::IrqWork},
-        {5 * kMsec, 2 * kUsec, sim::InterruptKind::UntraceableStall},
-    });
-    const auto attributed = attributeGaps(
-        GapDetector().detect(timeline), KernelTracer().record(timeline));
-    std::ostringstream out;
-    dumpAttributedGaps(out, attributed);
-    const std::string text = out.str();
-    EXPECT_NE(text.find("timer_tick + irq_work"), std::string::npos);
-    EXPECT_NE(text.find("??"), std::string::npos);
 }
 
 TEST(Attribution, PaperHeadlineOver99PercentOnRealWorkload)

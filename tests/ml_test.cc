@@ -13,9 +13,8 @@
 #include <cstring>
 #include <limits>
 #include <set>
-
-#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "base/hash.hh"
 #include "ml/classifier.hh"
@@ -624,8 +623,7 @@ TEST(Serialize, WeightsRoundTrip)
     probe.randomize(rng, 1.0);
     const Matrix before = net.forward(probe, 1, false);
 
-    std::stringstream stream;
-    ASSERT_TRUE(saveWeights(stream, net).isOk());
+    const std::string bytes = encodeWeights(net);
 
     // A differently initialized clone must reproduce the original's
     // outputs once the weights are loaded.
@@ -634,7 +632,7 @@ TEST(Serialize, WeightsRoundTrip)
     clone.add(std::make_unique<Dense>(6, 5, rng2));
     clone.add(std::make_unique<ReLU>());
     clone.add(std::make_unique<Dense>(5, 3, rng2));
-    ASSERT_TRUE(loadWeights(stream, clone).isOk());
+    ASSERT_TRUE(decodeWeights(bytes, clone).isOk());
     const Matrix after = clone.forward(probe, 1, false);
     ASSERT_EQ(after.size(), before.size());
     for (std::size_t i = 0; i < before.size(); ++i)
@@ -651,10 +649,9 @@ TEST(Serialize, CnnLstmRoundTripPreservesPredictions)
     CnnLstmClassifier model(3, 64, params, 31);
     model.fit(train, train);
 
-    std::stringstream stream;
-    ASSERT_TRUE(saveWeights(stream, model.network()).isOk());
+    const std::string bytes = encodeWeights(model.network());
     CnnLstmClassifier clone(3, 64, params, 777);
-    ASSERT_TRUE(loadWeights(stream, clone.network()).isOk());
+    ASSERT_TRUE(decodeWeights(bytes, clone.network()).isOk());
 
     for (std::size_t i = 0; i < train.size(); i += 5) {
         const auto a = model.predictScores(train.features[i]);
@@ -712,12 +709,11 @@ TEST(SerializeErrors, RejectsWrongArchitecture)
     Rng rng(22);
     Sequential net;
     net.add(std::make_unique<Dense>(4, 4, rng));
-    std::stringstream stream;
-    ASSERT_TRUE(saveWeights(stream, net).isOk());
+    const std::string bytes = encodeWeights(net);
 
     Sequential other;
     other.add(std::make_unique<Dense>(4, 5, rng)); // Different shape.
-    const Status status = loadWeights(stream, other);
+    const Status status = decodeWeights(bytes, other);
     ASSERT_FALSE(status.isOk());
     EXPECT_EQ(status.code(), ErrorCode::ShapeMismatch);
     EXPECT_NE(status.message().find("shape mismatch"), std::string::npos);
@@ -726,12 +722,10 @@ TEST(SerializeErrors, RejectsWrongArchitecture)
 
 TEST(SerializeErrors, RejectsWrongHeaderNamingWhatWasFound)
 {
-    std::stringstream stream;
-    stream << "junk\n";
     Rng rng(23);
     Sequential net;
     net.add(std::make_unique<Dense>(2, 2, rng));
-    const Status status = loadWeights(stream, net);
+    const Status status = decodeWeights("junk\n", net);
     ASSERT_FALSE(status.isOk());
     EXPECT_EQ(status.code(), ErrorCode::ParseError);
     EXPECT_NE(status.message().find("bigfish-weights"), std::string::npos);
@@ -754,9 +748,9 @@ TEST(SerializeErrors, TruncatedAtEveryByteIsAParseError)
     const std::string bytes = encodeWeights(net);
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
         SCOPED_TRACE("truncated at byte " + std::to_string(cut));
-        std::stringstream stream(bytes.substr(0, cut));
         Sequential dest = smallDense(26);
-        const Status status = loadWeights(stream, dest);
+        const Status status =
+            decodeWeights(std::string_view(bytes).substr(0, cut), dest);
         ASSERT_FALSE(status.isOk());
         EXPECT_EQ(status.code(), ErrorCode::ParseError);
     }
@@ -783,28 +777,13 @@ TEST(SerializeErrors, VersionOneTextStreamIsAParseError)
     // The retired text format: header, tensor count, "rows cols v..."
     // per tensor. Such weights (and v1 model cache entries) no longer
     // load; the error names the format it expected.
-    std::stringstream stream("# bigfish-weights v1\n2\n2 3 0.1 0.2 0.3 "
-                             "0.4 0.5 0.6\n2 1 0.1 0.2\n");
+    const std::string_view text = "# bigfish-weights v1\n2\n2 3 0.1 0.2 "
+                                  "0.3 0.4 0.5 0.6\n2 1 0.1 0.2\n";
     Sequential net = smallDense(29);
-    const Status status = loadWeights(stream, net);
+    const Status status = decodeWeights(text, net);
     ASSERT_FALSE(status.isOk());
     EXPECT_EQ(status.code(), ErrorCode::ParseError);
     EXPECT_NE(status.message().find("bigfish-weights"), std::string::npos);
-}
-
-TEST(SerializeErrors, LoadWeightsOrDieStillAbortsOnBadInput)
-{
-    std::stringstream stream;
-    stream << "junk\n";
-    Rng rng(24);
-    Sequential net;
-    net.add(std::make_unique<Dense>(2, 2, rng));
-    // Earlier tests in this binary have started the pool's threads; a
-    // forked child of a threaded process can crash before it reaches
-    // the code under test, so the child re-executes the binary instead.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(loadWeightsOrDie(stream, net),
-                ::testing::ExitedWithCode(1), "bigfish-weights");
 }
 
 TEST(OpenWorldEval, ReportsSplitMetrics)

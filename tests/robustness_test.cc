@@ -1,15 +1,9 @@
 /**
  * @file
- * Corrupted-input robustness tests for the persistence layers.
+ * Corrupted-input robustness tests for the stage cache, the one
+ * persistence layer.
  *
- * Part 1 (trace files): builds a corpus of ~50 mutated trace files
- * (torn writes, bit flips, wrong headers, NaN counts, out-of-range ids,
- * garbage rows) and checks the error contract: the strict reader
- * reports a Status instead of terminating, and the lenient reader never
- * fails on content while keeping its repair accounting exactly
- * consistent.
- *
- * Part 2 (collected cells in the stage cache): pins the `--resume`
+ * Part 1 (collected cells in the stage cache): pins the `--resume`
  * bit-identity contract — a "cell" entry truncated at ANY byte offset
  * (a torn write) misses cleanly and the resumed collection produces
  * bit-identical traces and artifacts to an uninterrupted run; a
@@ -19,7 +13,7 @@
  * journal these tests first pinned, so the tier-1 record reads across
  * the change.
  *
- * Part 3 (fold models in the stage cache): a rerun whose fold scores
+ * Part 2 (fold models in the stage cache): a rerun whose fold scores
  * were deleted replays every trained model from its "model" entry and
  * reproduces the cold run's results.
  */
@@ -27,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -36,262 +29,11 @@
 #include <utility>
 #include <vector>
 
-#include "attack/trace_io.hh"
 #include "base/rng.hh"
 #include "core/collector.hh"
 #include "core/pipeline.hh"
 #include "core/stage_cache.hh"
 #include "ml/classifier.hh"
-
-namespace bigfish::attack {
-namespace {
-
-TraceSet
-exampleSet()
-{
-    TraceSet set;
-    Rng rng(99);
-    for (int t = 0; t < 6; ++t) {
-        Trace trace;
-        trace.siteId = t % 3;
-        trace.label = t % 3;
-        trace.period = 5'000'000;
-        trace.attacker = "loop-counting";
-        for (int i = 0; i < 40; ++i)
-            trace.counts.push_back(
-                20000.0 + static_cast<double>(rng.uniformInt(0, 4999)));
-        set.add(trace);
-    }
-    return set;
-}
-
-std::string
-baseText()
-{
-    std::stringstream out;
-    EXPECT_TRUE(writeTraces(out, exampleSet()).isOk());
-    return out.str();
-}
-
-/** ~50 deterministic corruptions of one valid trace file. */
-std::vector<std::string>
-mutatedCorpus()
-{
-    const std::string base = baseText();
-    std::vector<std::string> files;
-    Rng rng(4242);
-
-    // Torn writes: the file cut at an arbitrary byte.
-    for (int i = 0; i < 14; ++i) {
-        const auto len = static_cast<std::size_t>(rng.uniformInt(
-            1, static_cast<std::int64_t>(base.size()) - 1));
-        files.push_back(base.substr(0, len));
-    }
-
-    // Disk corruption: one flipped bit somewhere in the file.
-    for (int i = 0; i < 14; ++i) {
-        std::string s = base;
-        const auto pos = static_cast<std::size_t>(rng.uniformInt(
-            0, static_cast<std::int64_t>(s.size()) - 1));
-        s[pos] = static_cast<char>(s[pos] ^
-                                   (1u << rng.uniformInt(0, 7)));
-        files.push_back(s);
-    }
-
-    // Wrong or missing headers.
-    files.push_back("");
-    files.push_back("\n");
-    files.push_back("junk\n1,1,5000000,loop,10,20\n");
-    files.push_back("# bigfish-traces v2\n1,1,5000000,loop,10,20\n");
-    files.push_back("# bigfish-weights v1\n1 1 0.5\n");
-    files.push_back(base.substr(base.find('\n') + 1)); // Header removed.
-
-    // Non-finite counts.
-    files.push_back(base + "1,1,5000000,loop,nan,20\n");
-    files.push_back(base + "1,1,5000000,loop,inf\n");
-    files.push_back(base + "2,2,5000000,loop,-inf,3\n");
-    files.push_back(base + "0,0,5000000,loop,1,nan(0x7)\n");
-    files.push_back(base + "1,1,5000000,loop,10,infinity\n");
-    files.push_back(base + "1,1,5000000,loop,-nan\n");
-
-    // Out-of-range ids and periods.
-    files.push_back(base + "20000001,1,5000000,loop,10\n");
-    files.push_back(base + "-5,1,5000000,loop,10\n");
-    files.push_back(base + "1,20000001,5000000,loop,10\n");
-    files.push_back(base + "1,1,-5,loop,10\n");
-    files.push_back(base + "1,1,0,loop,10\n");
-
-    // Short and garbage rows.
-    files.push_back(base + "1,1\n");
-    files.push_back(base + "1,1,5000000,loop\n");
-    files.push_back(base + "x,y,z\n");
-    files.push_back(base + "1,1,zzz,loop,10\n");
-    files.push_back(base + ",,,,\n");
-    files.push_back(base + "1,1,5000000,loop,12,abc\n");
-
-    return files;
-}
-
-void
-expectConsistentStats(const TraceRepairStats &stats,
-                      const TraceSet &traces)
-{
-    EXPECT_EQ(stats.rowsKept + stats.rowsDropped, stats.rowsTotal);
-    EXPECT_EQ(traces.size(), stats.rowsKept);
-    EXPECT_EQ(stats.shortRows + stats.badNumberRows + stats.overlongRows +
-                  stats.outOfRangeRows + stats.nonFiniteRows,
-              stats.rowsDropped);
-}
-
-TEST(RobustCorpus, FiftyMutatedFilesNeverAbort)
-{
-    const auto files = mutatedCorpus();
-    ASSERT_GE(files.size(), 50u);
-    const std::string dir = ::testing::TempDir();
-    int idx = 0;
-    for (const std::string &content : files) {
-        const std::string path =
-            dir + "/bf_corrupt_" + std::to_string(idx++) + ".csv";
-        {
-            std::ofstream out(path);
-            ASSERT_TRUE(out.good());
-            out << content;
-        }
-
-        // Strict read: failing is fine, terminating is not; errors must
-        // carry a message.
-        const auto strict = loadTraces(path);
-        if (!strict.isOk()) {
-            EXPECT_FALSE(strict.status().message().empty())
-                << "corpus file " << idx;
-        }
-
-        // Lenient read: cannot fail on content, and the repair
-        // accounting must add up exactly.
-        const auto lenient = loadTracesLenient(path);
-        ASSERT_TRUE(lenient.isOk()) << "corpus file " << idx;
-        expectConsistentStats(lenient.value().stats,
-                              lenient.value().traces);
-
-        // A strict success must agree with the lenient reader.
-        if (strict.isOk()) {
-            EXPECT_EQ(strict.value().size(),
-                      lenient.value().traces.size())
-                << "corpus file " << idx;
-        }
-    }
-}
-
-TEST(RobustCorpus, LenientAccountingIsExact)
-{
-    std::stringstream in;
-    in << "# bigfish-traces v1\n"
-       << "0,0,5000000,loop,10,20,30\n"          // kept
-       << "# a comment\n"                        // ignored
-       << "1,1,5000000,loop,11,21,31\n"          // kept
-       << "2,2\n"                                // short
-       << "x,3,5000000,loop,12\n"                // bad number
-       << "3,3,5000000,loop,nan\n"               // non-finite
-       << "20000001,4,5000000,loop,13\n"         // out-of-range
-       << "\n"                                   // ignored
-       << "4,4,5000000,loop,14,24\n";            // kept
-    const LenientTraces result = readTracesLenient(in);
-    EXPECT_TRUE(result.stats.headerOk);
-    EXPECT_EQ(result.stats.rowsTotal, 7u);
-    EXPECT_EQ(result.stats.rowsKept, 3u);
-    EXPECT_EQ(result.stats.rowsDropped, 4u);
-    EXPECT_EQ(result.stats.shortRows, 1u);
-    EXPECT_EQ(result.stats.badNumberRows, 1u);
-    EXPECT_EQ(result.stats.nonFiniteRows, 1u);
-    EXPECT_EQ(result.stats.outOfRangeRows, 1u);
-    EXPECT_EQ(result.stats.overlongRows, 0u);
-    EXPECT_EQ(result.traces.size(), 3u);
-    EXPECT_EQ(result.traces.traces[2].counts.size(), 2u);
-    expectConsistentStats(result.stats, result.traces);
-    EXPECT_NE(result.stats.summary().find("kept 3/7"),
-              std::string::npos);
-}
-
-TEST(RobustCorpus, OverlongRowIsRejectedNotStored)
-{
-    std::string row = "1,1,5000000,loop";
-    row.reserve(2 * kMaxCountsPerRow + 32);
-    for (std::size_t i = 0; i <= kMaxCountsPerRow; ++i)
-        row += ",1";
-    std::stringstream strict_in;
-    strict_in << "# bigfish-traces v1\n" << row << "\n";
-    const auto strict = readTraces(strict_in);
-    ASSERT_FALSE(strict.isOk());
-    EXPECT_EQ(strict.status().code(), ErrorCode::OutOfRange);
-
-    std::stringstream lenient_in;
-    lenient_in << "# bigfish-traces v1\n"
-               << row << "\n"
-               << "1,1,5000000,loop,10\n";
-    const LenientTraces result = readTracesLenient(lenient_in);
-    EXPECT_EQ(result.stats.overlongRows, 1u);
-    EXPECT_EQ(result.traces.size(), 1u);
-    expectConsistentStats(result.stats, result.traces);
-}
-
-TEST(RobustCorpus, LenientParsesHeaderlessData)
-{
-    std::stringstream in;
-    in << "1,1,5000000,loop,10,20\n"
-       << "2,2,5000000,loop,11,21\n";
-    const LenientTraces result = readTracesLenient(in);
-    EXPECT_FALSE(result.stats.headerOk);
-    EXPECT_EQ(result.stats.headerFound, "1,1,5000000,loop,10,20");
-    EXPECT_EQ(result.traces.size(), 2u);
-    expectConsistentStats(result.stats, result.traces);
-}
-
-TEST(RobustCorpus, VersionMismatchNamesFoundHeader)
-{
-    std::stringstream in;
-    in << "# bigfish-traces v2\n1,1,5000000,loop,10\n";
-    const auto result = readTraces(in);
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), ErrorCode::ParseError);
-    EXPECT_NE(result.status().message().find("unsupported"),
-              std::string::npos);
-    EXPECT_NE(result.status().message().find("# bigfish-traces v2"),
-              std::string::npos);
-}
-
-TEST(RobustCorpus, MissingFileIsAnIoError)
-{
-    const auto strict = loadTraces("/nonexistent/bigfish/traces.csv");
-    ASSERT_FALSE(strict.isOk());
-    EXPECT_EQ(strict.status().code(), ErrorCode::IoError);
-    const auto lenient =
-        loadTracesLenient("/nonexistent/bigfish/traces.csv");
-    ASSERT_FALSE(lenient.isOk());
-    EXPECT_EQ(lenient.status().code(), ErrorCode::IoError);
-}
-
-TEST(RobustCorpus, DiskRoundTripPreservesTraces)
-{
-    const TraceSet set = exampleSet();
-    const std::string path = ::testing::TempDir() + "/bf_roundtrip.csv";
-    ASSERT_TRUE(saveTraces(path, set).isOk());
-    const auto loaded = loadTraces(path);
-    ASSERT_TRUE(loaded.isOk());
-    ASSERT_EQ(loaded.value().size(), set.size());
-    for (std::size_t t = 0; t < set.size(); ++t) {
-        const Trace &a = set.traces[t];
-        const Trace &b = loaded.value().traces[t];
-        EXPECT_EQ(a.siteId, b.siteId);
-        EXPECT_EQ(a.label, b.label);
-        EXPECT_EQ(a.period, b.period);
-        ASSERT_EQ(a.counts.size(), b.counts.size());
-        for (std::size_t i = 0; i < a.counts.size(); ++i)
-            EXPECT_DOUBLE_EQ(a.counts[i], b.counts[i]);
-    }
-}
-
-} // namespace
-} // namespace bigfish::attack
 
 namespace bigfish::core {
 namespace {

@@ -603,12 +603,14 @@ TEST(KernelSim, AttackerTracesFromBothModelsLookAlike)
 
     bigfish::attack::AttackerParams params;
     timers::PreciseTimer timer_a, timer_b;
-    const auto trace_kernel = bigfish::attack::collectTraceOrDie(
+    const auto trace_kernel = bigfish::attack::collectTrace(
         bigfish::attack::AttackerKind::LoopCounting, params, config,
-        kernel.run(site_activity_a, r1), timer_a, 5 * kMsec);
-    const auto trace_synth = bigfish::attack::collectTraceOrDie(
+        kernel.run(site_activity_a, r1), timer_a, 5 * kMsec)
+        .valueOrDie();
+    const auto trace_synth = bigfish::attack::collectTrace(
         bigfish::attack::AttackerKind::LoopCounting, params, config,
-        synth.synthesize(site_activity_b, r2), timer_b, 5 * kMsec);
+        synth.synthesize(site_activity_b, r2), timer_b, 5 * kMsec)
+        .valueOrDie();
 
     EXPECT_NEAR(trace_kernel.maxCount(), trace_synth.maxCount(),
                 trace_synth.maxCount() * 0.05);
