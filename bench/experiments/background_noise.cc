@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "core/presets.hh"
 #include "experiments.hh"
 
 namespace bigfish::bench {
@@ -23,13 +24,11 @@ run(const core::RunContext &ctx)
     auto artifact = core::makeArtifact(ctx);
     const auto pipeline = core::pipelineForScale(scale);
 
-    core::CollectionConfig quiet = core::collectionForScale(scale);
-    quiet.machine = sim::MachineConfig::linuxDesktop();
-    quiet.browser = web::BrowserProfile::chrome();
-    core::CollectionConfig background = quiet;
-    background.backgroundApps = true;
-
-    const core::CollectionConfig configs[] = {background, quiet};
+    const core::CollectionConfig configs[] = {
+        core::collectionForScale(
+            scale, core::presets::table2Condition("background")),
+        core::collectionForScale(scale,
+                                 core::presets::table2Condition("none"))};
     const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
     auto results = core::runFingerprintingShared(configs, loop, pipeline);
     if (!results.isOk())

@@ -89,7 +89,7 @@ registerFig4Correlation(core::ExperimentRegistry &registry)
     d.paperReference =
         "Figure 4 (averaged normalized traces; r = 0.87/0.79/0.94)";
     d.schema = core::commonScaleSchema();
-    d.schema.addInt("runs", "", 0, 0, 100000,
+    d.schema.addInt("runs", 0, 0, 100000,
                     "averaging runs (0 = auto: 100 at paper scale, "
                     "else 30)");
     d.expected = {

@@ -98,7 +98,7 @@ registerFig5InterruptTime(core::ExperimentRegistry &registry)
     d.title = "time spent in interrupt handlers per 100 ms interval";
     d.paperReference = "Figure 5 (softirq vs resched-IPI profiles)";
     d.schema = core::commonScaleSchema();
-    d.schema.addInt("runs", "", 0, 0, 100000,
+    d.schema.addInt("runs", 0, 0, 100000,
                     "averaging runs (0 = auto: 100 at paper scale, "
                     "else 25)");
     d.smokeOverrides = {{"runs", "4"}};

@@ -104,7 +104,7 @@ registerFig6GapDistributions(core::ExperimentRegistry &registry)
     d.title = "gap lengths per interrupt type";
     d.paperReference = "Figure 6 (50 loads over 10 sites; gaps > 1.5 us)";
     d.schema = core::commonScaleSchema();
-    d.schema.addInt("loads", "", 50, 1, 1000000,
+    d.schema.addInt("loads", 50, 1, 1000000,
                     "page loads to aggregate gaps over");
     d.expected = {
         {"min_gap_us", 1.5},

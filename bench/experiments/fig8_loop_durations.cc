@@ -105,7 +105,7 @@ registerFig8LoopDurations(core::ExperimentRegistry &registry)
         "Figure 8 (quantized ~100 ms; jittered ~4.8-5.2 ms; randomized "
         "0-100 ms)";
     d.schema = core::commonScaleSchema();
-    d.schema.addInt("runs", "", 3, 1, 10000,
+    d.schema.addInt("runs", 3, 1, 10000,
                     "traces per timer variant");
     d.expected = {
         {"quantized_median_ms", 100.0},

@@ -76,7 +76,7 @@ registerGapAttribution(core::ExperimentRegistry &registry)
     d.title = "share of execution gaps caused by interrupts";
     d.paperReference = "Section 5.2 (>99% of gaps >100 ns)";
     d.schema = core::commonScaleSchema();
-    d.schema.addInt("runs", "", 0, 0, 100000,
+    d.schema.addInt("runs", 0, 0, 100000,
                     "runs per site (0 = auto: 100 at paper scale, "
                     "else 25)");
     d.expected = {

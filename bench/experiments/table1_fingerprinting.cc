@@ -11,9 +11,12 @@
  * Windows trails Linux/macOS.
  */
 
+#include <cctype>
 #include <cstdio>
+#include <iterator>
 
 #include "base/table.hh"
+#include "core/presets.hh"
 #include "experiments.hh"
 #include "stats/ttest.hh"
 
@@ -21,36 +24,29 @@ namespace bigfish::bench {
 
 namespace {
 
-/** One browser x OS cell; the paper's numbers live in the descriptor. */
+/**
+ * One browser x OS cell, named as its metrics spell it; the paper's
+ * numbers live in the descriptor, the configuration in
+ * core::presets::table1Row (which takes the names in lower case).
+ */
 struct Cell
 {
     const char *browser;
     const char *os;
-    web::BrowserProfile profile;
-    sim::MachineConfig machine;
 };
 
-std::vector<Cell>
-cells()
+constexpr Cell kCells[] = {
+    {"Chrome", "Linux"},  {"Chrome", "Windows"},  {"Chrome", "macOS"},
+    {"Firefox", "Linux"}, {"Firefox", "Windows"}, {"Firefox", "macOS"},
+    {"Safari", "macOS"},  {"Tor", "Linux"},
+};
+
+std::string
+lowercase(std::string s)
 {
-    return {
-        {"Chrome", "Linux", web::BrowserProfile::chrome(),
-         sim::MachineConfig::linuxDesktop()},
-        {"Chrome", "Windows", web::BrowserProfile::chrome(),
-         sim::MachineConfig::windowsWorkstation()},
-        {"Chrome", "macOS", web::BrowserProfile::chrome(),
-         sim::MachineConfig::macbook()},
-        {"Firefox", "Linux", web::BrowserProfile::firefox(),
-         sim::MachineConfig::linuxDesktop()},
-        {"Firefox", "Windows", web::BrowserProfile::firefox(),
-         sim::MachineConfig::windowsWorkstation()},
-        {"Firefox", "macOS", web::BrowserProfile::firefox(),
-         sim::MachineConfig::macbook()},
-        {"Safari", "macOS", web::BrowserProfile::safari(),
-         sim::MachineConfig::macbook()},
-        {"Tor", "Linux", web::BrowserProfile::torBrowser(),
-         sim::MachineConfig::linuxDesktop()},
-    };
+    for (char &c : s)
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return s;
 }
 
 Result<core::RunArtifact>
@@ -72,14 +68,11 @@ run(const core::RunContext &ctx)
                 "comb paper", "comb meas", "cache comb paper",
                 "cache comb meas"});
 
-    const std::vector<Cell> table_cells = cells();
     std::vector<core::CollectionConfig> configs;
-    for (const auto &cell : table_cells) {
-        core::CollectionConfig cfg = core::collectionForScale(scale);
-        cfg.machine = cell.machine;
-        cfg.browser = cell.profile;
-        configs.push_back(cfg);
-    }
+    for (const Cell &cell : kCells)
+        configs.push_back(core::collectionForScale(
+            scale, core::presets::table1Row(lowercase(cell.browser),
+                                            lowercase(cell.os))));
     auto pipeline = core::pipelineForScale(scale);
     pipeline.openWorldExtra = scale.openWorldExtra;
 
@@ -94,8 +87,8 @@ run(const core::RunContext &ctx)
     if (!shared.isOk())
         return shared.status();
 
-    for (std::size_t c = 0; c < table_cells.size(); ++c) {
-        const Cell &cell = table_cells[c];
+    for (std::size_t c = 0; c < std::size(kCells); ++c) {
+        const Cell &cell = kCells[c];
         const auto &results = shared.value()[c];
         const auto &loop_result = results[0];
         const auto &sweep_result = results[1];

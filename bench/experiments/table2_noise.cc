@@ -17,6 +17,7 @@
 #include <cstdio>
 
 #include "base/table.hh"
+#include "core/presets.hh"
 #include "experiments.hh"
 
 namespace bigfish::bench {
@@ -30,29 +31,25 @@ run(const core::RunContext &ctx)
     auto artifact = core::makeArtifact(ctx);
     const auto pipeline = core::pipelineForScale(scale);
 
-    core::CollectionConfig base = core::collectionForScale(scale);
-    base.machine = sim::MachineConfig::linuxDesktop();
-    base.browser = web::BrowserProfile::chrome();
-
     const char *attackers[] = {"loop-counting", "sweep-counting"};
     const attack::AttackerKind kinds[] = {
         attack::AttackerKind::LoopCounting,
         attack::AttackerKind::SweepCounting};
 
-    core::CollectionConfig cache_noise = base;
-    cache_noise.cacheSweepNoise = true;
-    core::CollectionConfig irq_noise = base;
-    irq_noise.spuriousInterruptNoise = true;
     const struct
     {
         const char *name;
         const char *slug;
+        const char *preset; ///< core::presets::table2Condition noise.
     } variants[] = {
-        {"no noise", "none"},
-        {"cache-sweep noise", "cache_noise"},
-        {"interrupt noise", "irq_noise"},
+        {"no noise", "none", "none"},
+        {"cache-sweep noise", "cache_noise", "cache-sweep"},
+        {"interrupt noise", "irq_noise", "interrupt"},
     };
-    const core::CollectionConfig configs[] = {base, cache_noise, irq_noise};
+    std::vector<core::CollectionConfig> configs;
+    for (const auto &variant : variants)
+        configs.push_back(core::collectionForScale(
+            scale, core::presets::table2Condition(variant.preset)));
 
     // Loop- and sweep-counting attack the same victim under each noise
     // condition: shared-timeline collection runs the expensive synthesis

@@ -13,8 +13,10 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
 #include "base/table.hh"
+#include "core/presets.hh"
 #include "experiments.hh"
 
 namespace bigfish::bench {
@@ -28,29 +30,13 @@ run(const core::RunContext &ctx)
     auto artifact = core::makeArtifact(ctx);
     const auto pipeline = core::pipelineForScale(scale);
 
-    core::CollectionConfig config = core::collectionForScale(scale);
-    config.machine = sim::MachineConfig::linuxDesktop();
-    config.browser = web::BrowserProfile::nativePython();
-
-    struct Step
-    {
-        const char *name;
-        void (*apply)(core::CollectionConfig &);
-    };
-    const Step steps[] = {
-        {"default", [](core::CollectionConfig &) {}},
-        {"+ disable frequency scaling",
-         [](core::CollectionConfig &c) {
-             c.machine.frequencyScaling = false;
-         }},
-        {"+ pin to separate cores",
-         [](core::CollectionConfig &c) { c.machine.pinnedCores = true; }},
-        {"+ remove IRQ interrupts",
-         [](core::CollectionConfig &c) {
-             c.machine.routing = sim::IrqRoutingPolicy::PinnedAway;
-         }},
-        {"+ run in separate VMs",
-         [](core::CollectionConfig &c) { c.machine.vmIsolation = true; }},
+    // Mechanisms accumulate: level s is core::presets::table3Isolation(s).
+    const char *steps[] = {
+        "default",
+        "+ disable frequency scaling",
+        "+ pin to separate cores",
+        "+ remove IRQ interrupts",
+        "+ run in separate VMs",
     };
 
     const auto expected = [&ctx](const std::string &metric) {
@@ -59,13 +45,11 @@ run(const core::RunContext &ctx)
     };
     Table table({"isolation mechanism", "top-1 paper", "top-1 meas",
                  "top-5 paper", "top-5 meas"});
-    // Mechanisms accumulate; each step changes the machine, so each
-    // config collects on its own.
+    // Each step changes the machine, so each config collects on its own.
     std::vector<core::CollectionConfig> configs;
-    for (const auto &step : steps) {
-        step.apply(config);
-        configs.push_back(config);
-    }
+    for (int level = 0; level < static_cast<int>(std::size(steps)); ++level)
+        configs.push_back(core::collectionForScale(
+            scale, core::presets::table3Isolation(level)));
     const attack::AttackerKind loop[] = {attack::AttackerKind::LoopCounting};
     auto results = core::runFingerprintingShared(configs, loop, pipeline);
     if (!results.isOk())
@@ -74,12 +58,12 @@ run(const core::RunContext &ctx)
         const core::FingerprintResult &result = results.value()[s][0];
         const std::string label = "isolation_step" + std::to_string(s);
         artifact.addResult(label, result);
-        table.addRow({steps[s].name, expected(label + "_top1"),
+        table.addRow({steps[s], expected(label + "_top1"),
                       formatPercentPm(result.closedWorld.top1Mean,
                                       result.closedWorld.top1Std),
                       expected(label + "_top5"),
                       formatPercent(result.closedWorld.topKMean)});
-        std::printf("finished: %s\n", steps[s].name);
+        std::printf("finished: %s\n", steps[s]);
     }
 
     std::printf("\n%s", table.render().c_str());

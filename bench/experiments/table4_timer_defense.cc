@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "base/table.hh"
+#include "core/presets.hh"
 #include "experiments.hh"
 
 namespace bigfish::bench {
@@ -27,20 +28,17 @@ run(const core::RunContext &ctx)
     auto artifact = core::makeArtifact(ctx);
     const auto pipeline = core::pipelineForScale(scale);
 
+    /** A core::presets::table4Timer row and its timer resolution A. */
     struct RowSpec
     {
         const char *timer;
         const char *a_ms;
         int period_ms;
-        timers::TimerSpec spec;
     };
     const RowSpec rows[] = {
-        {"jittered", "0.1", 5, timers::TimerSpec::jittered(100 * kUsec)},
-        {"quantized", "100", 5,
-         timers::TimerSpec::quantized(100 * kMsec)},
-        {"randomized", "1", 5, timers::TimerSpec::randomizedDefense()},
-        {"randomized", "1", 100, timers::TimerSpec::randomizedDefense()},
-        {"randomized", "1", 500, timers::TimerSpec::randomizedDefense()},
+        {"jittered", "0.1", 5},   {"quantized", "100", 5},
+        {"randomized", "1", 5},   {"randomized", "1", 100},
+        {"randomized", "1", 500},
     };
 
     const auto expected = [&ctx](const std::string &metric) {
@@ -51,13 +49,9 @@ run(const core::RunContext &ctx)
     // timer and period, so one call synthesizes each victim timeline once
     // for all five rows.
     std::vector<core::CollectionConfig> configs;
-    for (const auto &row : rows) {
-        core::CollectionConfig config = core::collectionForScale(scale);
-        config.browser = web::BrowserProfile::nativePython();
-        config.timerOverride = row.spec;
-        config.period = row.period_ms * kMsec;
-        configs.push_back(config);
-    }
+    for (const auto &row : rows)
+        configs.push_back(core::collectionForScale(
+            scale, core::presets::table4Timer(row.timer, row.period_ms)));
     const attack::AttackerKind kinds[] = {attack::AttackerKind::LoopCounting};
     auto results = core::runFingerprintingShared(configs, kinds, pipeline);
     if (!results.isOk())

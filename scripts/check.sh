@@ -202,13 +202,23 @@ for stage in "${stages[@]}"; do
         echo "== [cli-smoke] $count artifact(s) for $listed experiment(s)"
         [ "$count" -eq "$listed" ]
         echo "== [cli-smoke] usage and validation exit codes"
-        # Strict env validation (satellite invariant): a garbage BF_*
-        # value must fail naming the variable, not be silently eaten.
-        if BF_SITES=abc "$builddir/bigfish" run fig7_timer_outputs \
-            > /dev/null 2> "$smokedir/err.log"; then
-            echo "BF_SITES=abc unexpectedly accepted" >&2; exit 1
+        # Strict validation: a garbage value is a usage error naming its
+        # source, never silently eaten or partially parsed.
+        rc=0
+        "$builddir/bigfish" run fig7_timer_outputs --sites=abc \
+            > /dev/null 2> "$smokedir/err.log" || rc=$?
+        if [ "$rc" -ne 2 ]; then
+            echo "--sites=abc exited $rc, expected 2" >&2; exit 1
         fi
-        grep -q "environment variable BF_SITES" "$smokedir/err.log"
+        grep -q "flag --sites" "$smokedir/err.log"
+        # Spec files are JSON only: a TOML file fails and is named.
+        printf 'sites = 5\n' > "$smokedir/run.toml"
+        if "$builddir/bigfish" run fig7_timer_outputs \
+            --spec="$smokedir/run.toml" > /dev/null 2> "$smokedir/err.log"
+        then
+            echo "a TOML spec file was unexpectedly accepted" >&2; exit 1
+        fi
+        grep -qF "$smokedir/run.toml" "$smokedir/err.log"
         if "$builddir/bigfish" run no_such_experiment > /dev/null 2>&1
         then
             echo "unknown experiment unexpectedly accepted" >&2; exit 1

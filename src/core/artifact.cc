@@ -13,19 +13,6 @@ namespace bigfish::core {
 namespace {
 
 std::string
-quoteString(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    out.push_back('"');
-    return out;
-}
-
-std::string
 formatDouble(const char *fmt, double v)
 {
     char buf[64];
@@ -155,14 +142,14 @@ RunArtifact::toJson() const
     std::string out = "{\n";
     out += "  \"schemaVersion\": " +
            std::to_string(spec::kArtifactSchemaVersion) + ",\n";
-    out += "  \"experiment\": " + quoteString(experiment_) + ",\n";
+    out += "  \"experiment\": " + spec::quoteJsonString(experiment_) + ",\n";
     out += "  \"threads\": " + std::to_string(threads_) + ",\n";
     out += "  \"spec\": " + spec_.paramsJson("  ") + ",\n";
     out += "  \"seed_provenance\": {\"masterSeed\": " +
            std::to_string(provenance_.masterSeed) +
            ", \"catalogSeed\": " + std::to_string(provenance_.catalogSeed) +
-           ", \"derivation\": " + quoteString(provenance_.derivation) +
-           "},\n";
+           ", \"derivation\": " +
+           spec::quoteJsonString(provenance_.derivation) + "},\n";
     out += "  \"expected\": {";
     bool first = true;
     for (const ExpectedValue &e : expected_) {
@@ -170,7 +157,7 @@ RunArtifact::toJson() const
             continue;
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    " + quoteString(e.name) + ": " +
+        out += "    " + spec::quoteJsonString(e.name) + ": " +
                formatDouble("%.6f", e.value);
     }
     out += first ? "},\n" : "\n  },\n";
@@ -210,11 +197,12 @@ RunArtifact::toJson() const
                 : 0.0;
         out += first_stage ? "\n" : ",\n";
         first_stage = false;
-        out += "    {\"name\": " + quoteString(s.name) +
-               ", \"phase\": " + quoteString(s.phase) +
-               ", \"fingerprint\": " + quoteString(hex16(s.fingerprint)) +
+        out += "    {\"name\": " + spec::quoteJsonString(s.name) +
+               ", \"phase\": " + spec::quoteJsonString(s.phase) +
+               ", \"fingerprint\": " +
+               spec::quoteJsonString(hex16(s.fingerprint)) +
                ", \"cache\": " +
-               quoteString(stageCacheStateName(s.cache)) +
+               spec::quoteJsonString(stageCacheStateName(s.cache)) +
                ", \"cpuSeconds\": " + formatDouble("%.3f", s.cpuSeconds) +
                ", \"wallSeconds\": " + formatDouble("%.3f", s.wallSeconds) +
                ", \"items\": " + std::to_string(s.items) +
@@ -236,7 +224,7 @@ RunArtifact::toJson() const
     for (const auto &[name, value] : metrics_) {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    " + quoteString(name) + ": " +
+        out += "    " + spec::quoteJsonString(name) + ": " +
                formatDouble("%.6f", value);
     }
     out += first ? "}\n" : "\n  }\n";

@@ -51,33 +51,28 @@ spec::ParamSchema
 commonScaleSchema()
 {
     spec::ParamSchema schema;
-    schema
-        .addInt("sites", "BF_SITES", 20, 2, 1000000,
-                "closed-world sites (paper 100)")
-        .addInt("traces", "BF_TRACES", 20, 1, 1000000,
-                "traces per site (paper 100)")
-        .addInt("open", "BF_OPEN", 60, 0, 10000000,
+    schema.addInt("sites", 20, 2, 1000000, "closed-world sites (paper 100)")
+        .addInt("traces", 20, 1, 1000000, "traces per site (paper 100)")
+        .addInt("open", 60, 0, 10000000,
                 "open-world one-off traces (paper 5000)")
-        .addInt("features", "BF_FEATURES", 256, 8, 1000000,
-                "classifier input length")
-        .addInt("folds", "BF_FOLDS", 5, 2, 1000,
-                "cross-validation folds (paper 10)")
-        .addInt("topk", "BF_TOPK", 5, 1, 1000,
+        .addInt("features", 256, 8, 1000000, "classifier input length")
+        .addInt("folds", 5, 2, 1000, "cross-validation folds (paper 10)")
+        .addInt("topk", 5, 1, 1000,
                 "k for the top-k accuracy metric (eval-only knob)")
-        .addInt("seed", "BF_SEED", 2022, 0,
-                std::numeric_limits<long long>::max(), "master seed")
-        .addBool("paper-model", "", false,
+        .addInt("seed", 2022, 0, std::numeric_limits<long long>::max(),
+                "master seed")
+        .addBool("paper-model", false,
                  "use the paper's exact CNN-LSTM hyperparameters")
-        .addInt("threads", "", 0, 0, 4096,
+        .addInt("threads", 0, 0, 4096,
                 "worker threads (0 = BF_THREADS, else hardware)")
-        .addString("cache-dir", "BF_CACHE_DIR", "",
+        .addString("cache-dir", "",
                    "stage cache directory: collected cells, featurized "
                    "data, fold models and fold scores; rerunning with the "
                    "same directory resumes or replays (\"\" disables)")
         .addFlagAlias("resume", "cache-dir")
-        .addInt("io-crash-after", "BF_IO_CRASH_AFTER", 0, 0, 1000000000,
+        .addInt("io-crash-after", 0, 0, 1000000000,
                 "fault injection: crash after N stored collection cells")
-        .addInt("io-torn-bytes", "BF_IO_TORN_BYTES", 0, 0, 1000000000,
+        .addInt("io-torn-bytes", 0, 0, 1000000000,
                 "fault injection: torn bytes of the crashed cell entry");
     return schema;
 }
@@ -151,13 +146,12 @@ pipelineForScale(const ExperimentScale &scale)
 }
 
 CollectionConfig
-collectionForScale(const ExperimentScale &scale)
+collectionForScale(const ExperimentScale &scale, CollectionConfig base)
 {
-    CollectionConfig config;
-    config.seed = scale.seed;
-    config.faults.ioCrashAfterRecords = scale.ioCrashAfterRecords;
-    config.faults.ioTornWriteBytes = scale.ioTornWriteBytes;
-    return config;
+    base.seed = scale.seed;
+    base.faults.ioCrashAfterRecords = scale.ioCrashAfterRecords;
+    base.faults.ioTornWriteBytes = scale.ioTornWriteBytes;
+    return base;
 }
 
 RunArtifact

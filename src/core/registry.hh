@@ -139,13 +139,13 @@ std::vector<std::pair<std::string, std::string>> fullScaleOverrides();
 PipelineConfig pipelineForScale(const ExperimentScale &scale);
 
 /**
- * Builds the baseline CollectionConfig for the scale: master seed plus
- * the IO-layer fault knobs (sim/faults.hh) wired through so cached
+ * @p base (an experiment's machine/browser/defense configuration, e.g.
+ * a core::presets row) with the scale's master seed and IO-layer fault
+ * knobs (sim/faults.hh) laid over it, so cached
  * (`--cache-dir`/`--resume`) runs can be crash-tested from the CLI.
- * Experiments overlay their own machine/browser/defense configuration
- * on top.
  */
-CollectionConfig collectionForScale(const ExperimentScale &scale);
+CollectionConfig collectionForScale(const ExperimentScale &scale,
+                                    CollectionConfig base = {});
 
 /** The classifier factory the scale selects (two-channel CNN-LSTM). */
 ml::ClassifierFactory classifierForScale(const ExperimentScale &scale);

@@ -14,27 +14,11 @@
 
 #include "base/atomic_file.hh"
 #include "base/logging.hh"
+#include "spec/spec.hh"
 
 namespace bigfish::core {
 
 namespace {
-
-std::string
-quoteString(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out.push_back(c);
-    }
-    out.push_back('"');
-    return out;
-}
 
 std::string
 formatSeconds(double v)
@@ -149,7 +133,7 @@ SuiteManifest::toJson() const
     for (const ExperimentOutcome &o : outcomes) {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    {\"name\": " + quoteString(o.name) +
+        out += "    {\"name\": " + spec::quoteJsonString(o.name) +
                ", \"state\": \"" + runStateName(o.state) +
                "\", \"attempts\": " + std::to_string(o.attempts) +
                ", \"exitCode\": " + std::to_string(o.exitCode) +
@@ -157,8 +141,8 @@ SuiteManifest::toJson() const
                ", \"traces\": {\"collected\": " +
                std::to_string(o.collectedTraces) +
                ", \"dropped\": " + std::to_string(o.droppedTraces) +
-               "}, \"artifact\": " + quoteString(o.artifactPath) +
-               ", \"message\": " + quoteString(o.message) + "}";
+               "}, \"artifact\": " + spec::quoteJsonString(o.artifactPath) +
+               ", \"message\": " + spec::quoteJsonString(o.message) + "}";
     }
     out += first ? "]\n" : "\n  ]\n";
     out += "}\n";

@@ -105,17 +105,4 @@ crossValidate(const ClassifierFactory &factory, const Dataset &data,
     return aggregateFolds(folds, config.topK);
 }
 
-EvalResult
-evaluateOpenWorld(const ClassifierFactory &factory, const Dataset &data,
-                  Label nonSensitiveLabel, const EvalConfig &config)
-{
-    fatalIf(data.size() == 0, "cannot evaluate an empty dataset");
-    const auto splits = kFoldSplits(data.size(), config.folds,
-                                    config.valFraction, config.seed);
-    const auto folds =
-        runFolds(factory, data, splits,
-                 config.seed + kOpenWorldFoldSeedBase);
-    return aggregateFoldsOpenWorld(folds, nonSensitiveLabel, config.topK);
-}
-
 } // namespace bigfish::ml

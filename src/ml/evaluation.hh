@@ -15,10 +15,10 @@
  * trainFoldClassifier() (one model per fold), scoreFold() (raw scores,
  * truths and predictions on the fold's test split) and
  * aggregateFolds() / aggregateFoldsOpenWorld() (fold outputs → an
- * EvalResult). crossValidate() and evaluateOpenWorld() remain as the
- * one-call composition for direct library use; both paths produce
- * bit-identical results because fold seeds and aggregation order are
- * fixed by the same constants.
+ * EvalResult). crossValidate() remains as the closed-world one-call
+ * composition for direct library use; both paths produce bit-identical
+ * results because fold seeds and aggregation order are fixed by the
+ * same constants.
  */
 
 #ifndef BF_ML_EVALUATION_HH
@@ -48,7 +48,7 @@ struct EvalResult
     /** Per-fold top-K accuracies. */
     std::vector<double> foldTopK;
 
-    /** Open-world metrics (valid when evaluateOpenWorld was used). */
+    /** Open-world metrics (valid after aggregateFoldsOpenWorld). */
     stats::OpenWorldMetrics openWorld;
     double openWorldSensitiveStd = 0.0;
     double openWorldCombinedStd = 0.0;
@@ -108,14 +108,6 @@ EvalResult aggregateFoldsOpenWorld(const std::vector<FoldScores> &folds,
  */
 EvalResult crossValidate(const ClassifierFactory &factory,
                          const Dataset &data, const EvalConfig &config);
-
-/**
- * Open-world variant: @p nonSensitiveLabel marks the catch-all class;
- * sensitive/non-sensitive/combined accuracies are averaged over folds.
- */
-EvalResult evaluateOpenWorld(const ClassifierFactory &factory,
-                             const Dataset &data, Label nonSensitiveLabel,
-                             const EvalConfig &config);
 
 } // namespace bigfish::ml
 

@@ -12,19 +12,6 @@ namespace bigfish::spec {
 namespace {
 
 std::string
-quoteString(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    out.push_back('"');
-    return out;
-}
-
-std::string
 trim(const std::string &s)
 {
     std::size_t b = 0, e = s.size();
@@ -58,17 +45,6 @@ parseValue(const ParamDef &def, const std::string &raw,
                 std::to_string(def.maxValue) + "]");
         return Value::ofInt(v);
       }
-      case ValueType::Double: {
-        if (text.empty())
-            return parseError(source + ": empty value (expected number)");
-        errno = 0;
-        char *end = nullptr;
-        const double v = std::strtod(text.c_str(), &end);
-        if (errno == ERANGE || end == text.c_str() || *end != '\0')
-            return parseError(source + ": invalid number \"" + text +
-                              "\"");
-        return Value::ofDouble(v);
-      }
       case ValueType::Bool: {
         if (text == "true" || text == "1")
             return Value::ofBool(true);
@@ -83,16 +59,13 @@ parseValue(const ParamDef &def, const std::string &raw,
     panic("unhandled ValueType in parseValue");
 }
 
-} // namespace
-
+/** Stable name of a value type ("int", "bool", "string"). */
 const char *
 valueTypeName(ValueType type)
 {
     switch (type) {
       case ValueType::Int:
         return "int";
-      case ValueType::Double:
-        return "double";
       case ValueType::Bool:
         return "bool";
       case ValueType::String:
@@ -101,21 +74,37 @@ valueTypeName(ValueType type)
     return "unknown";
 }
 
+} // namespace
+
+std::string
+quoteJsonString(const std::string &s)
+{
+    std::string out = "\"";
+    for (const char c : s) {
+        const auto byte = static_cast<unsigned char>(c);
+        if (c == '"' || c == '\\') {
+            out.push_back('\\');
+            out.push_back(c);
+        } else if (c == '\n') {
+            out += "\\n";
+        } else if (byte < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
+            out += buf;
+        } else {
+            out.push_back(c);
+        }
+    }
+    out.push_back('"');
+    return out;
+}
+
 Value
 Value::ofInt(long long v)
 {
     Value value;
     value.type_ = ValueType::Int;
     value.int_ = v;
-    return value;
-}
-
-Value
-Value::ofDouble(double v)
-{
-    Value value;
-    value.type_ = ValueType::Double;
-    value.double_ = v;
     return value;
 }
 
@@ -144,14 +133,6 @@ Value::asInt() const
     return int_;
 }
 
-double
-Value::asDouble() const
-{
-    panicIf(type_ != ValueType::Double,
-            "Value::asDouble on a non-double value");
-    return double_;
-}
-
 bool
 Value::asBool() const
 {
@@ -173,15 +154,10 @@ Value::render() const
     switch (type_) {
       case ValueType::Int:
         return std::to_string(int_);
-      case ValueType::Double: {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", double_);
-        return buf;
-      }
       case ValueType::Bool:
         return bool_ ? "true" : "false";
       case ValueType::String:
-        return quoteString(string_);
+        return quoteJsonString(string_);
     }
     return "";
 }
@@ -194,8 +170,6 @@ operator==(const Value &a, const Value &b)
     switch (a.type_) {
       case ValueType::Int:
         return a.int_ == b.int_;
-      case ValueType::Double:
-        return a.double_ == b.double_;
       case ValueType::Bool:
         return a.bool_ == b.bool_;
       case ValueType::String:
@@ -215,15 +189,14 @@ ParamSchema::add(ParamDef def)
 }
 
 ParamSchema &
-ParamSchema::addInt(std::string name, std::string env,
-                    long long default_value, long long min_value,
-                    long long max_value, std::string help)
+ParamSchema::addInt(std::string name, long long default_value,
+                    long long min_value, long long max_value,
+                    std::string help)
 {
     panicIf(default_value < min_value || default_value > max_value,
             "default of parameter '" + name + "' outside its range");
     ParamDef def;
     def.name = std::move(name);
-    def.env = std::move(env);
     def.type = ValueType::Int;
     def.defaultValue = Value::ofInt(default_value);
     def.minValue = min_value;
@@ -233,25 +206,10 @@ ParamSchema::addInt(std::string name, std::string env,
 }
 
 ParamSchema &
-ParamSchema::addDouble(std::string name, std::string env,
-                       double default_value, std::string help)
+ParamSchema::addBool(std::string name, bool default_value, std::string help)
 {
     ParamDef def;
     def.name = std::move(name);
-    def.env = std::move(env);
-    def.type = ValueType::Double;
-    def.defaultValue = Value::ofDouble(default_value);
-    def.help = std::move(help);
-    return add(std::move(def));
-}
-
-ParamSchema &
-ParamSchema::addBool(std::string name, std::string env, bool default_value,
-                     std::string help)
-{
-    ParamDef def;
-    def.name = std::move(name);
-    def.env = std::move(env);
     def.type = ValueType::Bool;
     def.defaultValue = Value::ofBool(default_value);
     def.help = std::move(help);
@@ -259,12 +217,11 @@ ParamSchema::addBool(std::string name, std::string env, bool default_value,
 }
 
 ParamSchema &
-ParamSchema::addString(std::string name, std::string env,
-                       std::string default_value, std::string help)
+ParamSchema::addString(std::string name, std::string default_value,
+                       std::string help)
 {
     ParamDef def;
     def.name = std::move(name);
-    def.env = std::move(env);
     def.type = ValueType::String;
     def.defaultValue = Value::ofString(std::move(default_value));
     def.help = std::move(help);
@@ -310,12 +267,6 @@ RunSpec::RunSpec(std::string experiment, std::map<std::string, Value> values)
 {
 }
 
-bool
-RunSpec::has(const std::string &name) const
-{
-    return values_.count(name) > 0;
-}
-
 const Value &
 RunSpec::get(const std::string &name) const
 {
@@ -329,12 +280,6 @@ long long
 RunSpec::getInt(const std::string &name) const
 {
     return get(name).asInt();
-}
-
-double
-RunSpec::getDouble(const std::string &name) const
-{
-    return get(name).asDouble();
 }
 
 bool
@@ -357,30 +302,11 @@ RunSpec::paramsJson(const std::string &indent) const
     for (const auto &[name, value] : values_) {
         out += first ? "\n" : ",\n";
         first = false;
-        out += indent + "  " + quoteString(name) + ": " + value.render();
+        out += indent + "  " + quoteJsonString(name) + ": " + value.render();
     }
     if (!first)
         out += "\n" + indent;
     out += "}";
-    return out;
-}
-
-std::string
-RunSpec::toJson() const
-{
-    std::string out = "{\n";
-    out += "  \"experiment\": " + quoteString(experiment_) + ",\n";
-    out += "  \"spec\": " + paramsJson("  ") + "\n";
-    out += "}\n";
-    return out;
-}
-
-std::string
-RunSpec::toToml() const
-{
-    std::string out = "experiment = " + quoteString(experiment_) + "\n";
-    for (const auto &[name, value] : values_)
-        out += name + " = " + value.render() + "\n";
     return out;
 }
 
@@ -398,24 +324,7 @@ resolveSpec(const std::string &experiment, const ParamSchema &schema,
     for (const ParamDef &def : schema.params())
         values[def.name] = def.defaultValue;
 
-    // Layer 2: environment variables (strict: garbage is an error that
-    // names the variable, never silently ignored or partially parsed).
-    if (sources.env) {
-        for (const ParamDef &def : schema.params()) {
-            if (def.env.empty())
-                continue;
-            const auto raw = sources.env(def.env);
-            if (!raw.has_value())
-                continue;
-            auto value = parseValue(def, *raw,
-                                    "environment variable " + def.env);
-            if (!value.isOk())
-                return value.status();
-            values[def.name] = std::move(value).value();
-        }
-    }
-
-    // Layer 3: presets (--smoke / --full scale macros).
+    // Layer 2: presets (--smoke / --full scale macros).
     for (const auto &[name, raw] : sources.presets) {
         const ParamDef *def = schema.find(name);
         if (def == nullptr)
@@ -427,7 +336,7 @@ resolveSpec(const std::string &experiment, const ParamSchema &schema,
         values[def->name] = std::move(value).value();
     }
 
-    // Layer 4: the spec file (strict: unknown keys are rejected).
+    // Layer 3: the spec file (strict: unknown keys are rejected).
     if (!sources.specText.empty()) {
         auto file = parseSpecText(sources.specText, sources.specName);
         if (!file.isOk())
@@ -454,7 +363,7 @@ resolveSpec(const std::string &experiment, const ParamSchema &schema,
         }
     }
 
-    // Layer 5: command-line flags (strongest; unknown flags rejected).
+    // Layer 4: command-line flags (strongest; unknown flags rejected).
     // A parameter's two spellings must agree: which one wins is not
     // something a user should have to know.
     std::map<std::string, std::pair<std::string, std::string>> by_alias;
@@ -497,10 +406,7 @@ helpText(const ParamSchema &schema)
         out += left + def.help;
         if (!def.flagAlias.empty())
             out += "; also --" + def.flagAlias;
-        out += " (default " + def.defaultValue.render();
-        if (!def.env.empty())
-            out += ", env " + def.env;
-        out += ")\n";
+        out += " (default " + def.defaultValue.render() + ")\n";
     }
     return out;
 }

@@ -3,31 +3,27 @@
  * The run-spec layer: declarative experiment parameters.
  *
  * Every experiment declares its parameters once as a ParamSchema (name,
- * type, default, legal range, env variable, help text). A RunSpec is a
+ * type, default, legal range, help text). A RunSpec is a
  * *fully-resolved* assignment of a value to every declared parameter,
  * produced by layering sources in a fixed order:
  *
- *   defaults -> environment -> presets (--smoke / --full) ->
- *   spec file (TOML or JSON) -> command-line flags
+ *   defaults -> presets (--smoke / --full) -> JSON spec file ->
+ *   command-line flags
  *
- * Resolution is strict: a malformed value fails with a Status naming
- * the offending source (e.g. `environment variable BF_SITES: invalid
+ * Nothing else sets a parameter: a run is exactly what its flags and
+ * spec file say. Resolution is strict: a malformed value fails with a
+ * Status naming the offending source (e.g. `flag --sites: invalid
  * integer "abc"`), and a spec-file key that is not a declared parameter
- * is rejected rather than ignored. The resolved spec serializes to
- * JSON/TOML and parses back losslessly, so any run can be replayed
- * bit-for-bit from the spec embedded in its emitted report.
- *
- * This module never touches the process environment itself (bigfish-lint
- * bans getenv outside sanctioned files): callers inject an EnvLookup.
+ * is rejected rather than ignored. The resolved spec serializes to JSON
+ * and parses back losslessly, so any run can be replayed bit-for-bit
+ * from the spec embedded in its emitted report.
  */
 
 #ifndef BF_SPEC_SPEC_HH
 #define BF_SPEC_SPEC_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,13 +54,9 @@ inline constexpr long long kArtifactSchemaVersion = 3;
 enum class ValueType
 {
     Int,
-    Double,
     Bool,
     String,
 };
-
-/** Stable name of a value type ("int", "double", "bool", "string"). */
-const char *valueTypeName(ValueType type);
 
 /** One typed parameter value. */
 class Value
@@ -73,34 +65,22 @@ class Value
     Value() = default;
 
     static Value ofInt(long long v);
-    static Value ofDouble(double v);
     static Value ofBool(bool v);
     static Value ofString(std::string v);
 
-    ValueType type() const { return type_; }
-
     /** Typed accessors; panic on a type mismatch (schema bug). */
     long long asInt() const;
-    double asDouble() const;
     bool asBool() const;
     const std::string &asString() const;
 
-    /**
-     * The value as a TOML/JSON literal: `42`, `0.5`, `true`,
-     * `"quoted"`. Doubles render with enough digits to round-trip.
-     */
+    /** The value as a JSON literal: `42`, `true`, `"quoted"`. */
     std::string render() const;
 
     friend bool operator==(const Value &a, const Value &b);
-    friend bool operator!=(const Value &a, const Value &b)
-    {
-        return !(a == b);
-    }
 
   private:
     ValueType type_ = ValueType::Int;
     long long int_ = 0;
-    double double_ = 0.0;
     bool bool_ = false;
     std::string string_;
 };
@@ -109,7 +89,6 @@ class Value
 struct ParamDef
 {
     std::string name; ///< Key in spec files; the flag is "--<name>".
-    std::string env;  ///< Environment variable ("" = no env override).
     /** Second command-line spelling "--<flagAlias>" ("" = none). */
     std::string flagAlias;
     ValueType type = ValueType::Int;
@@ -124,20 +103,18 @@ struct ParamDef
 class ParamSchema
 {
   public:
-    ParamSchema &addInt(std::string name, std::string env,
-                        long long default_value, long long min_value,
-                        long long max_value, std::string help);
-    ParamSchema &addDouble(std::string name, std::string env,
-                           double default_value, std::string help);
-    ParamSchema &addBool(std::string name, std::string env,
-                         bool default_value, std::string help);
-    ParamSchema &addString(std::string name, std::string env,
-                           std::string default_value, std::string help);
+    ParamSchema &addInt(std::string name, long long default_value,
+                        long long min_value, long long max_value,
+                        std::string help);
+    ParamSchema &addBool(std::string name, bool default_value,
+                         std::string help);
+    ParamSchema &addString(std::string name, std::string default_value,
+                           std::string help);
 
     /**
      * Makes "--<alias>" a second command-line spelling of the declared
-     * parameter @p target. Flags only: spec files and the environment
-     * know the parameter by its name alone.
+     * parameter @p target. Flags only: spec files know the parameter
+     * by its name alone.
      */
     ParamSchema &addFlagAlias(std::string alias, const std::string &target);
 
@@ -167,15 +144,11 @@ class RunSpec
     RunSpec(std::string experiment, std::map<std::string, Value> values);
 
     const std::string &experiment() const { return experiment_; }
-    const std::map<std::string, Value> &params() const { return values_; }
-
-    bool has(const std::string &name) const;
 
     /** The value of @p name; panics when absent (resolution bug). */
     const Value &get(const std::string &name) const;
 
     long long getInt(const std::string &name) const;
-    double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;
     const std::string &getString(const std::string &name) const;
 
@@ -186,26 +159,20 @@ class RunSpec
      */
     std::string paramsJson(const std::string &indent) const;
 
-    /** `{"experiment": "...", "spec": {...}}` — the replayable form. */
-    std::string toJson() const;
-
-    /** TOML form: `experiment = "..."` plus one `key = value` line. */
-    std::string toToml() const;
-
     friend bool operator==(const RunSpec &a, const RunSpec &b);
-    friend bool operator!=(const RunSpec &a, const RunSpec &b)
-    {
-        return !(a == b);
-    }
 
   private:
     std::string experiment_;
     std::map<std::string, Value> values_;
 };
 
-/** Looks a variable up in the (injected) environment. */
-using EnvLookup =
-    std::function<std::optional<std::string>(const std::string &)>;
+/**
+ * @p s as a JSON string literal: `"` and `\` are backslash-escaped,
+ * a newline is written `\n` and every other byte below 0x20 `\u00XX`,
+ * so the literal is valid JSON whatever @p s holds.
+ * parseSpecText() decodes every escape this writes.
+ */
+std::string quoteJsonString(const std::string &s);
 
 /**
  * An unresolved spec file: optional experiment name plus raw key/value
@@ -218,12 +185,12 @@ struct SpecFile
 };
 
 /**
- * Parses TOML (flat `key = value` lines) or JSON spec text; the format
- * is auto-detected (JSON starts with '{'). JSON accepts either a flat
- * parameter object or a full emitted run artifact — when a "spec"
- * sub-object is present, parameters come from it (and "experiment" from
- * the top level), so `bigfish run --spec=<artifact.json>` replays a
- * recorded run directly. @p source_name labels errors ("run.toml").
+ * Parses JSON spec text: one JSON object, either a flat parameter
+ * object or a full emitted run artifact — when a "spec" sub-object is
+ * present, parameters come from it (and "experiment" from the top
+ * level), so `bigfish run --spec=<artifact.json>` replays a recorded
+ * run directly. Any other text is a ParseError. @p source_name labels
+ * errors ("run.json").
  */
 [[nodiscard]] Result<SpecFile> parseSpecText(const std::string &text,
                                              const std::string &source_name);
@@ -231,8 +198,6 @@ struct SpecFile
 /** The layered value sources resolveSpec() applies, weakest first. */
 struct SpecSources
 {
-    /** Environment lookup; null disables env overrides. */
-    EnvLookup env;
     /** Preset (--smoke/--full) overrides, as (name, raw value). */
     std::vector<std::pair<std::string, std::string>> presets;
     /** Spec-file text ("" = none) and its name for error messages. */

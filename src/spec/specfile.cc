@@ -1,110 +1,22 @@
 /**
  * @file
- * Spec-file parsing: a flat TOML subset and a small JSON reader.
+ * Spec-file parsing: a small JSON reader.
  *
- * Both formats produce the same SpecFile (raw key/value entries plus an
- * optional experiment name); type coercion against the schema happens in
+ * A spec file is one JSON object, flat or a whole emitted artifact; it
+ * parses to a SpecFile (raw key/value entries plus an optional
+ * experiment name). Type coercion against the schema happens in
  * resolveSpec(), which is also where unknown keys are rejected.
  */
 
 #include "spec/spec.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 
 namespace bigfish::spec {
 
 namespace {
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-/** Strips a trailing # comment that is not inside a string literal. */
-std::string
-stripComment(const std::string &line)
-{
-    bool in_string = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        if (line[i] == '"')
-            in_string = !in_string;
-        else if (line[i] == '#' && !in_string)
-            return line.substr(0, i);
-    }
-    return line;
-}
-
-/** Unquotes a `"..."` literal (minimal \" and \\ escapes). */
-Result<std::string>
-unquote(const std::string &text, const std::string &where)
-{
-    if (text.size() < 2 || text.front() != '"' || text.back() != '"')
-        return parseError(where + ": unterminated string " + text);
-    std::string out;
-    for (std::size_t i = 1; i + 1 < text.size(); ++i) {
-        if (text[i] == '\\' && i + 2 < text.size()) {
-            ++i;
-            if (text[i] != '"' && text[i] != '\\')
-                return parseError(where + ": unsupported escape \"\\" +
-                                  std::string(1, text[i]) + "\"");
-        }
-        out.push_back(text[i]);
-    }
-    return out;
-}
-
-Result<SpecFile>
-parseToml(const std::string &text, const std::string &source_name)
-{
-    SpecFile file;
-    std::size_t start = 0;
-    int lineno = 0;
-    while (start <= text.size()) {
-        std::size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string raw = text.substr(start, end - start);
-        start = end + 1;
-        ++lineno;
-
-        const std::string line = trim(stripComment(raw));
-        if (line.empty())
-            continue;
-        const std::string where =
-            source_name + " line " + std::to_string(lineno);
-
-        if (line.front() == '[')
-            return parseError(where + ": sections are not supported in "
-                                      "run specs (flat key = value only)");
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos)
-            return parseError(where + ": expected 'key = value'");
-        const std::string key = trim(line.substr(0, eq));
-        std::string value = trim(line.substr(eq + 1));
-        if (key.empty())
-            return parseError(where + ": empty key");
-        if (!value.empty() && value.front() == '"') {
-            auto unquoted = unquote(value, where);
-            if (!unquoted.isOk())
-                return unquoted.status();
-            value = std::move(unquoted).value();
-        }
-        if (key == "experiment")
-            file.experiment = value;
-        else
-            file.entries.emplace_back(key, value);
-    }
-    return file;
-}
-
-// --- Minimal JSON reader ------------------------------------------------
 
 struct JsonReader
 {
@@ -146,13 +58,40 @@ struct JsonReader
         std::string out;
         ++pos;
         while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\' && pos + 1 < text.size()) {
-                ++pos;
-                if (text[pos] != '"' && text[pos] != '\\')
-                    return parseError(where() + ": unsupported escape");
+            if (text[pos] != '\\') {
+                out.push_back(text[pos++]);
+                continue;
             }
-            out.push_back(text[pos]);
-            ++pos;
+            if (++pos >= text.size())
+                break;
+            switch (const char c = text[pos++]) {
+              case '"':
+              case '\\':
+                out.push_back(c);
+                break;
+              case 'n':
+                out.push_back('\n');
+                break;
+              case 'u': {
+                // Four hex digits of an ASCII code point: the escapes
+                // quoteJsonString() writes for other control bytes.
+                const std::string hex = text.substr(pos, 4);
+                const bool all_hex =
+                    hex.size() == 4 &&
+                    std::all_of(hex.begin(), hex.end(), [](char h) {
+                        return std::isxdigit(static_cast<unsigned char>(h));
+                    });
+                const unsigned long code =
+                    all_hex ? std::strtoul(hex.c_str(), nullptr, 16) : 0x80;
+                if (code >= 0x80)
+                    return parseError(where() + ": unsupported escape");
+                out.push_back(static_cast<char>(code));
+                pos += 4;
+                break;
+              }
+              default:
+                return parseError(where() + ": unsupported escape");
+            }
         }
         if (pos >= text.size())
             return parseError(where() + ": unterminated string");
@@ -264,8 +203,10 @@ struct JsonReader
     }
 };
 
+} // namespace
+
 Result<SpecFile>
-parseJson(const std::string &text, const std::string &source_name)
+parseSpecText(const std::string &text, const std::string &source_name)
 {
     JsonReader reader{text, source_name};
     if (!reader.eat('{'))
@@ -355,19 +296,6 @@ parseJson(const std::string &text, const std::string &source_name)
         return parseError(reader.where() +
                           ": trailing content after JSON object");
     return file;
-}
-
-} // namespace
-
-Result<SpecFile>
-parseSpecText(const std::string &text, const std::string &source_name)
-{
-    const std::string trimmed = trim(text);
-    if (trimmed.empty())
-        return parseError(source_name + ": empty spec");
-    if (trimmed.front() == '{')
-        return parseJson(trimmed, source_name);
-    return parseToml(text, source_name);
 }
 
 } // namespace bigfish::spec

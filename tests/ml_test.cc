@@ -788,11 +788,19 @@ TEST(SerializeErrors, VersionOneTextStreamIsAParseError)
 
 TEST(OpenWorldEval, ReportsSplitMetrics)
 {
-    // Classes 0..2 sensitive, class 3 non-sensitive.
+    // Classes 0..2 sensitive, class 3 non-sensitive, evaluated with the
+    // fold primitives the pipeline's open-world stages compose.
     Dataset data = syntheticDataset(4, 25, 64, 15);
-    EvalConfig config;
-    config.folds = 5;
-    const auto result = evaluateOpenWorld(knnFactory(1), data, 3, config);
+    const EvalConfig config;
+    std::vector<FoldScores> folds;
+    for (const FoldSplit &split :
+         kFoldSplits(data.size(), 5, config.valFraction, config.seed)) {
+        const auto model = trainFoldClassifier(
+            knnFactory(1), data, split,
+            config.seed + kOpenWorldFoldSeedBase + folds.size());
+        folds.push_back(scoreFold(*model, data, split.test));
+    }
+    const auto result = aggregateFoldsOpenWorld(folds, 3, config.topK);
     EXPECT_GT(result.openWorld.sensitiveAccuracy, 0.9);
     EXPECT_GT(result.openWorld.nonSensitiveAccuracy, 0.9);
     EXPECT_GT(result.openWorld.combinedAccuracy, 0.9);

@@ -94,7 +94,7 @@ TEST(Registry, DescriptorsAreWellFormed)
         EXPECT_FALSE(d.paperReference.empty()) << name;
         EXPECT_TRUE(static_cast<bool>(d.run)) << name;
         // The common scale vocabulary must be declared everywhere so
-        // BF_SITES / --seed etc. mean the same thing in every run.
+        // --sites / --seed etc. mean the same thing in every run.
         for (const char *param :
              {"sites", "traces", "open", "features", "folds", "seed",
               "paper-model", "threads"})

@@ -2,7 +2,7 @@
  * @file
  * Tests for the run-spec layer (src/spec): typed parameter resolution
  * across the layered sources, strict error reporting that names the
- * offending source, spec-file parsing (TOML and JSON, including the
+ * offending source, JSON spec-file parsing (including the
  * emitted-artifact replay form), and lossless serialization
  * round-trips.
  */
@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 namespace bigfish::spec {
 namespace {
 
@@ -20,25 +18,11 @@ ParamSchema
 testSchema()
 {
     ParamSchema schema;
-    schema.addInt("sites", "BF_SITES", 20, 2, 1000, "closed-world sites")
-        .addInt("seed", "BF_SEED", 2022, 0, 1000000, "master seed")
-        .addDouble("rate", "", 0.5, "sampling rate")
-        .addBool("paper-model", "", false, "paper hyperparameters")
-        .addString("label", "", "default", "free-form label");
+    schema.addInt("sites", 20, 2, 1000, "closed-world sites")
+        .addInt("seed", 2022, 0, 1000000, "master seed")
+        .addBool("paper-model", false, "paper hyperparameters")
+        .addString("label", "default", "free-form label");
     return schema;
-}
-
-/** An EnvLookup over a fixed map (no process environment involved). */
-EnvLookup
-fakeEnv(std::map<std::string, std::string> vars)
-{
-    return [vars = std::move(vars)](
-               const std::string &name) -> std::optional<std::string> {
-        const auto it = vars.find(name);
-        if (it == vars.end())
-            return std::nullopt;
-        return it->second;
-    };
 }
 
 TEST(SpecResolve, DefaultsWhenNoSources)
@@ -49,42 +33,30 @@ TEST(SpecResolve, DefaultsWhenNoSources)
     EXPECT_EQ(spec.experiment(), "exp");
     EXPECT_EQ(spec.getInt("sites"), 20);
     EXPECT_EQ(spec.getInt("seed"), 2022);
-    EXPECT_DOUBLE_EQ(spec.getDouble("rate"), 0.5);
     EXPECT_FALSE(spec.getBool("paper-model"));
     EXPECT_EQ(spec.getString("label"), "default");
 }
 
-TEST(SpecResolve, EnvironmentOverridesDefaults)
+TEST(SpecResolve, GarbageFlagNamesTheFlag)
 {
     SpecSources sources;
-    sources.env = fakeEnv({{"BF_SITES", "50"}, {"BF_SEED", "7"}});
-    const auto resolved = resolveSpec("exp", testSchema(), sources);
-    ASSERT_TRUE(resolved.isOk());
-    EXPECT_EQ(resolved.value().getInt("sites"), 50);
-    EXPECT_EQ(resolved.value().getInt("seed"), 7);
-}
-
-TEST(SpecResolve, GarbageEnvironmentNamesTheVariable)
-{
-    SpecSources sources;
-    sources.env = fakeEnv({{"BF_SITES", "abc"}});
+    sources.flags = {{"sites", "abc"}};
     const auto resolved = resolveSpec("exp", testSchema(), sources);
     ASSERT_FALSE(resolved.isOk());
     EXPECT_EQ(resolved.status().code(), ErrorCode::ParseError);
-    EXPECT_NE(resolved.status().message().find(
-                  "environment variable BF_SITES"),
+    EXPECT_NE(resolved.status().message().find("flag --sites"),
               std::string::npos)
         << resolved.status().message();
 }
 
-TEST(SpecResolve, PartiallyNumericEnvironmentIsAnError)
+TEST(SpecResolve, PartiallyNumericFlagIsAnError)
 {
-    // The old atol()-based parser silently read "12abc" as 12.
+    // An atol()-style parser would silently read "12abc" as 12.
     SpecSources sources;
-    sources.env = fakeEnv({{"BF_SITES", "12abc"}});
+    sources.flags = {{"sites", "12abc"}};
     const auto resolved = resolveSpec("exp", testSchema(), sources);
     ASSERT_FALSE(resolved.isOk());
-    EXPECT_NE(resolved.status().message().find("BF_SITES"),
+    EXPECT_NE(resolved.status().message().find("flag --sites"),
               std::string::npos);
 }
 
@@ -101,19 +73,19 @@ TEST(SpecResolve, OutOfRangeNamesSourceAndRange)
               std::string::npos);
 }
 
-TEST(SpecResolve, LayerPrecedenceFlagsBeatSpecBeatPresetBeatEnv)
+TEST(SpecResolve, LayerPrecedenceFlagsBeatSpecBeatPresetBeatDefault)
 {
     SpecSources sources;
-    sources.env = fakeEnv({{"BF_SITES", "30"}, {"BF_SEED", "1"}});
-    sources.presets = {{"sites", "40"}};
-    sources.specText = "sites = 50\nrate = 0.25\n";
-    sources.specName = "test.toml";
+    sources.presets = {{"sites", "40"}, {"seed", "1"}, {"label", "preset"}};
+    sources.specText = "{\"sites\": 50, \"seed\": 7}";
+    sources.specName = "test.json";
     sources.flags = {{"sites", "60"}};
     const auto resolved = resolveSpec("exp", testSchema(), sources);
     ASSERT_TRUE(resolved.isOk());
-    EXPECT_EQ(resolved.value().getInt("sites"), 60);  // flag wins
-    EXPECT_EQ(resolved.value().getInt("seed"), 1);    // env survives
-    EXPECT_DOUBLE_EQ(resolved.value().getDouble("rate"), 0.25);
+    EXPECT_EQ(resolved.value().getInt("sites"), 60);          // flag wins
+    EXPECT_EQ(resolved.value().getInt("seed"), 7);            // spec
+    EXPECT_EQ(resolved.value().getString("label"), "preset"); // preset
+    EXPECT_FALSE(resolved.value().getBool("paper-model"));    // default
 }
 
 TEST(SpecResolve, UnknownFlagRejected)
@@ -136,7 +108,8 @@ TEST(SpecResolve, FlagAliasSetsItsTargetAndMustAgreeWithIt)
     auto resolved = resolveSpec("exp", schema, sources);
     ASSERT_TRUE(resolved.isOk()) << resolved.status().message();
     EXPECT_EQ(resolved.value().getString("label"), "x");
-    EXPECT_FALSE(resolved.value().has("tag"));
+    EXPECT_EQ(resolved.value().paramsJson("").find("\"tag\""),
+              std::string::npos);
 
     // Both spellings with one value are fine; with two they are an
     // error, whichever comes first.
@@ -152,16 +125,16 @@ TEST(SpecResolve, FlagAliasSetsItsTargetAndMustAgreeWithIt)
 
     // The alias is a flag spelling only, not a spec-file key.
     sources.flags.clear();
-    sources.specText = "tag = \"x\"\n";
-    sources.specName = "test.toml";
+    sources.specText = "{\"tag\": \"x\"}";
+    sources.specName = "test.json";
     EXPECT_FALSE(resolveSpec("exp", schema, sources).isOk());
 }
 
 TEST(SpecResolve, UnknownSpecFileKeyRejected)
 {
     SpecSources sources;
-    sources.specText = "bogus = 1\n";
-    sources.specName = "test.toml";
+    sources.specText = "{\"bogus\": 1}";
+    sources.specName = "test.json";
     const auto resolved = resolveSpec("exp", testSchema(), sources);
     ASSERT_FALSE(resolved.isOk());
     EXPECT_NE(resolved.status().message().find("unknown key \"bogus\""),
@@ -171,8 +144,8 @@ TEST(SpecResolve, UnknownSpecFileKeyRejected)
 TEST(SpecResolve, SpecFileExperimentMismatchRejected)
 {
     SpecSources sources;
-    sources.specText = "experiment = \"other\"\nsites = 5\n";
-    sources.specName = "test.toml";
+    sources.specText = "{\"experiment\": \"other\", \"sites\": 5}";
+    sources.specName = "test.json";
     const auto resolved = resolveSpec("exp", testSchema(), sources);
     ASSERT_FALSE(resolved.isOk());
     EXPECT_NE(resolved.status().message().find("other"),
@@ -191,29 +164,6 @@ TEST(SpecResolve, BoolSpellings)
     SpecSources bad;
     bad.flags = {{"paper-model", "yes"}};
     EXPECT_FALSE(resolveSpec("exp", testSchema(), bad).isOk());
-}
-
-TEST(SpecFileParse, TomlCommentsQuotesAndWhitespace)
-{
-    const auto parsed = parseSpecText("# a run spec\n"
-                                      "experiment = \"exp\"\n"
-                                      "sites = 50   # inline comment\n"
-                                      "label = \"with # not a comment\"\n"
-                                      "\n",
-                                      "test.toml");
-    ASSERT_TRUE(parsed.isOk());
-    EXPECT_EQ(parsed.value().experiment, "exp");
-    ASSERT_EQ(parsed.value().entries.size(), 2u);
-    EXPECT_EQ(parsed.value().entries[0].first, "sites");
-    EXPECT_EQ(parsed.value().entries[0].second, "50");
-    EXPECT_EQ(parsed.value().entries[1].second, "with # not a comment");
-}
-
-TEST(SpecFileParse, TomlSectionsRejected)
-{
-    const auto parsed = parseSpecText("[scale]\nsites = 5\n", "t.toml");
-    ASSERT_FALSE(parsed.isOk());
-    EXPECT_EQ(parsed.status().code(), ErrorCode::ParseError);
 }
 
 TEST(SpecFileParse, FlatJsonObject)
@@ -301,47 +251,51 @@ TEST(SpecFileParse, MalformedJsonRejected)
     EXPECT_FALSE(parseSpecText("{\"sites\": 5", "t.json").isOk());
     EXPECT_FALSE(parseSpecText("{} trailing", "t.json").isOk());
     EXPECT_FALSE(parseSpecText("", "t.json").isOk());
+    // Spec files are JSON only; other text fails naming the file.
+    const auto toml = parseSpecText("sites = 5\n", "t.toml");
+    ASSERT_FALSE(toml.isOk());
+    EXPECT_EQ(toml.status().code(), ErrorCode::ParseError);
+    EXPECT_NE(toml.status().message().find("t.toml"), std::string::npos)
+        << toml.status().message();
 }
 
 TEST(SpecRoundTrip, JsonSerializeReparseResolveEquality)
 {
-    SpecSources sources;
-    sources.flags = {{"sites", "123"},
-                     {"rate", "0.125"},
-                     {"paper-model", "true"},
-                     {"label", "quoted \"inner\" text"}};
-    const auto original = resolveSpec("exp", testSchema(), sources);
-    ASSERT_TRUE(original.isOk());
+    // Every byte below 0x20 must come out as valid JSON and read back.
+    std::string control_bytes = "dir\nwith\ttab\rand";
+    for (char c = 0; c < 0x20; ++c)
+        control_bytes.push_back(c);
+    for (const std::string &label :
+         {std::string("quoted \"inner\" text \\ slash"), control_bytes}) {
+        SpecSources sources;
+        sources.flags = {
+            {"sites", "123"}, {"paper-model", "true"}, {"label", label}};
+        const auto original = resolveSpec("exp", testSchema(), sources);
+        ASSERT_TRUE(original.isOk());
 
-    SpecSources replay;
-    replay.specText = original.value().toJson();
-    replay.specName = "emitted.json";
-    const auto reparsed = resolveSpec("exp", testSchema(), replay);
-    ASSERT_TRUE(reparsed.isOk());
-    EXPECT_EQ(original.value(), reparsed.value());
+        // The replayable form a run artifact embeds.
+        const std::string json = "{\"experiment\": \"exp\", \"spec\": " +
+                                 original.value().paramsJson("  ") + "}";
+        const std::string literal = quoteJsonString(label);
+        for (const char c : literal)
+            EXPECT_GE(static_cast<unsigned char>(c), 0x20) << literal;
+        EXPECT_NE(json.find(literal), std::string::npos);
+
+        SpecSources replay;
+        replay.specText = json;
+        replay.specName = "emitted.json";
+        const auto reparsed = resolveSpec("exp", testSchema(), replay);
+        ASSERT_TRUE(reparsed.isOk()) << reparsed.status().message();
+        EXPECT_EQ(original.value(), reparsed.value());
+        EXPECT_EQ(reparsed.value().getString("label"), label);
+    }
 }
 
-TEST(SpecRoundTrip, TomlSerializeReparseResolveEquality)
-{
-    SpecSources sources;
-    sources.flags = {{"seed", "999"}, {"rate", "0.333333333333333"}};
-    const auto original = resolveSpec("exp", testSchema(), sources);
-    ASSERT_TRUE(original.isOk());
-
-    SpecSources replay;
-    replay.specText = original.value().toToml();
-    replay.specName = "emitted.toml";
-    const auto reparsed = resolveSpec("exp", testSchema(), replay);
-    ASSERT_TRUE(reparsed.isOk());
-    EXPECT_EQ(original.value(), reparsed.value());
-}
-
-TEST(SpecHelp, MentionsEveryParameterAndEnv)
+TEST(SpecHelp, MentionsEveryParameter)
 {
     const std::string help = helpText(testSchema());
-    for (const char *needle :
-         {"--sites=<int>", "BF_SITES", "--rate=<double>",
-          "--paper-model=<bool>", "--label=<string>", "default 20"})
+    for (const char *needle : {"--sites=<int>", "--paper-model=<bool>",
+                               "--label=<string>", "default 20"})
         EXPECT_NE(help.find(needle), std::string::npos) << needle;
 }
 

@@ -7,12 +7,12 @@
  *   bigfish run <experiment...> [flags]  run one or more experiments
  *   bigfish run --all [--smoke|--full]   run the whole suite
  *
- * Run flags: --smoke / --full scale presets, --spec=FILE (TOML or JSON;
- * an emitted artifact JSON replays bit-for-bit), --json=PATH (single
+ * Run flags: --smoke / --full scale presets, --spec=FILE (a JSON spec;
+ * an emitted artifact replays bit-for-bit), --json=PATH (single
  * experiment), --json-dir=DIR (one artifact per experiment), plus any
  * --<param>=<value> the experiment's schema declares. Parameter
- * resolution order: defaults -> BF_* environment -> preset -> spec file
- * -> flags; malformed values fail with the offending source named.
+ * resolution order: defaults -> preset -> spec file -> flags; malformed
+ * values fail with the offending source named.
  *
  * Resilience flags (core/supervisor.hh): --cache-dir=DIR (also spelled
  * --resume=DIR) stores every collected cell and stage output in DIR, so
@@ -34,7 +34,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -66,16 +65,6 @@ handleInterrupt(int sig)
     std::signal(sig, SIG_DFL);
 }
 
-/** The process environment, injected into the (env-blind) spec layer. */
-std::optional<std::string>
-envLookup(const std::string &name)
-{
-    const char *value = std::getenv(name.c_str());
-    if (value == nullptr)
-        return std::nullopt;
-    return std::string(value);
-}
-
 int
 usageError(const std::string &message)
 {
@@ -103,9 +92,8 @@ printUsage()
         "run flags:\n"
         "  --smoke            tiny scale for CI smoke runs\n"
         "  --full             the paper's scale (100x100, 10 folds)\n"
-        "  --spec=FILE        TOML/JSON run spec; an emitted artifact\n"
-        "                     JSON replays the recorded run "
-        "bit-for-bit\n"
+        "  --spec=FILE        JSON run spec; an emitted artifact\n"
+        "                     replays the recorded run bit-for-bit\n"
         "  --json=PATH        write the run artifact (one experiment "
         "only)\n"
         "  --json-dir=DIR     write DIR/<experiment>.json per "
@@ -142,8 +130,8 @@ printUsage()
         "  --manifest=PATH    suite manifest JSON (default:\n"
         "                     <json-dir>/suite-manifest.json)\n"
         "\n"
-        "Parameter resolution: defaults -> BF_* env -> preset -> spec "
-        "file -> flags.\n"
+        "Parameter resolution: defaults -> preset -> spec file -> "
+        "flags.\n"
         "Exit status: 0 success, 1 a run failed, 2 usage error, 130 "
         "interrupted.\n");
 }
@@ -393,7 +381,6 @@ cmdRun(const core::ExperimentRegistry &registry,
             continue;
 
         spec::SpecSources sources;
-        sources.env = envLookup;
         if (options.smoke) {
             sources.presets = core::smokeScaleOverrides();
             sources.presets.insert(sources.presets.end(),
