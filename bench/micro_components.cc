@@ -7,6 +7,11 @@
 
 #include <benchmark/benchmark.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -17,6 +22,7 @@
 #include "ktrace/attribution.hh"
 #include "ml/classifier.hh"
 #include "ml/conv.hh"
+#include "ml/layer.hh"
 #include "ml/kernels.hh"
 #include "ml/lstm.hh"
 #include "ml/matrix.hh"
@@ -179,11 +185,13 @@ BENCHMARK(BM_GapDetectionAndAttribution);
 /**
  * Old-vs-new dense-kernel comparison: matmulReference is the naive
  * i-j-k triple loop every layer used before the blocked kernels landed.
- * The GEMM rows run the products the CNN-LSTM trains on at the default
- * CnnLstmParams (2 channels x 128 steps, 32 filters, kernel 8, stride
- * 3, batch 16); the Args are (m, k, n) of C(m x n) = A(m x k) * B(k x n):
- *   - conv1 forward: W(32x16) * patches(16x656);
- *   - conv2 forward: W(32x256) * patches(256x16);
+ * The GEMM rows run the products the CNN-LSTM trains in every pipeline
+ * fold: traceDefaults() (2 channels, 32 filters, kernel 8, stride 3,
+ * pool 4, batch 16) over 512 features, i.e. 2 channels x 256 steps, so
+ * conv1 emits 83 steps per sample and conv2 5 (from 20 pooled steps).
+ * The Args are (m, k, n) of C(m x n) = A(m x k) * B(k x n):
+ *   - conv1 forward: W(32x16) * patches(16x1328);
+ *   - conv2 forward: W(32x256) * patches(256x80);
  *   - LSTM input projection: Wx(128x32) * x(32x16).
  * The GEMV pair is a classifier-head shape (20x1024 * 1024x1). Only the
  * public ml:: entry points are timed, so the same rows build against
@@ -193,8 +201,8 @@ void
 trainingGemmShapes(benchmark::internal::Benchmark *bench)
 {
     bench->ArgNames({"m", "k", "n"})
-        ->Args({32, 16, 656})
-        ->Args({32, 256, 16})
+        ->Args({32, 16, 1328})
+        ->Args({32, 256, 80})
         ->Args({128, 32, 16});
 }
 
@@ -233,16 +241,34 @@ BENCHMARK(BM_MatmulOptimized)->Apply(trainingGemmShapes);
 void
 BM_MatmulTransAConv2InputGrad(benchmark::State &state)
 {
-    // conv2's input gradient: dPatches(256x16) = W(32x256)^T * dOut(32x16),
+    // conv2's input gradient: dPatches(256x80) = W(32x256)^T * dOut(32x80),
     // A read column-wise with stride 256.
     Rng rng(7);
-    ml::Matrix w(32, 256), dout(32, 16);
+    ml::Matrix w(32, 256), dout(32, 80);
     w.randomize(rng, 1.0);
     dout.randomize(rng, 1.0);
     for (auto _ : state)
         benchmark::DoNotOptimize(ml::matmulTransA(w, dout));
 }
 BENCHMARK(BM_MatmulTransAConv2InputGrad);
+
+void
+BM_MatmulTransBConv2WeightGrad(benchmark::State &state)
+{
+    // conv2's weight gradient: dW(32x256) += dOut(32x80) *
+    // patches(256x80)^T. k = 80 is past the short-k transpose, so this
+    // runs the dotTile4x2 path.
+    Rng rng(7);
+    ml::Matrix dout(32, 80), patches(256, 80), gw(32, 256);
+    dout.randomize(rng, 1.0);
+    patches.randomize(rng, 1.0);
+    for (auto _ : state) {
+        ml::accumulateMatmulTransB(gw, dout, patches);
+        benchmark::DoNotOptimize(gw.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_MatmulTransBConv2WeightGrad);
 
 void
 BM_GemvNaiveReference(benchmark::State &state)
@@ -294,32 +320,161 @@ BM_LstmForward(benchmark::State &state)
 BENCHMARK(BM_LstmForward);
 
 /**
- * One training epoch of the bench-default CNN-LSTM over 32 samples.
- * Training runs 16-sample batches; the registered name is kept so
- * recorded rows stay comparable.
+ * The conv front end's non-GEMM passes at conv1's real output, 32
+ * filters x 1328 columns (16 samples x 83 steps). A layer owns the
+ * matrix it is handed, as in Sequential, so each iteration hands it a
+ * fresh copy built outside the timed region (manual time) and times
+ * only the layer call, the release of what it returns included.
+ */
+constexpr std::size_t kBatch = 16;
+constexpr std::size_t kConv1Steps = 83;
+
+#if defined(__GLIBC__)
+/**
+ * glibc serves blocks over 128 KB as fresh mmaps and trims the heap top
+ * eagerly, so a loop that allocates and frees one 170 KB matrix per
+ * iteration page-faults on every iteration. A training process does
+ * not: its buffers recycle from the heap (background_noise 15 x 15 x
+ * 10 at --threads=1 takes ~12,300 minor faults in its whole run). The
+ * layer rows pin that steady state so they time the passes, not the
+ * faults.
+ */
+[[maybe_unused]] const bool kSteadyHeap = [] {
+    mallopt(M_MMAP_THRESHOLD, 64 << 20);
+    mallopt(M_TRIM_THRESHOLD, 256 << 20);
+    return true;
+}();
+#endif
+
+ml::Matrix
+conv1Output(Rng &rng)
+{
+    ml::Matrix m(32, kBatch * kConv1Steps);
+    m.randomize(rng, 1.0);
+    return m;
+}
+
+/** Times @p call on a copy of @p arg per iteration (manual time). */
+template <typename Call>
+void
+timeLayerPass(benchmark::State &state, const ml::Matrix &arg, Call call)
+{
+    for (auto _ : state) {
+        ml::Matrix owned = arg;
+        const auto begin = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(call(std::move(owned)).data());
+        benchmark::ClobberMemory();
+        const auto end = std::chrono::steady_clock::now();
+        state.SetIterationTime(
+            std::chrono::duration<double>(end - begin).count());
+    }
+}
+
+void
+BM_Conv1ForwardBatch(benchmark::State &state)
+{
+    Rng rng(20);
+    ml::Conv1D conv(2, 32, 8, 3, rng);
+    ml::Matrix input(2, kBatch * 256);
+    input.randomize(rng, 1.0);
+    timeLayerPass(state, input, [&](ml::Matrix in) {
+        return conv.forward(std::move(in), kBatch, true);
+    });
+}
+BENCHMARK(BM_Conv1ForwardBatch)->UseManualTime();
+
+void
+BM_Conv1BackwardBatch(benchmark::State &state)
+{
+    // The first layer: parameter gradients only, no input gradient.
+    Rng rng(21);
+    ml::Conv1D conv(2, 32, 8, 3, rng);
+    ml::Matrix input(2, kBatch * 256);
+    input.randomize(rng, 1.0);
+    conv.forward(std::move(input), kBatch, true);
+    timeLayerPass(state, conv1Output(rng), [&](ml::Matrix g) {
+        return conv.backward(std::move(g), kBatch, false);
+    });
+}
+BENCHMARK(BM_Conv1BackwardBatch)->UseManualTime();
+
+void
+BM_ReLUForwardBatch(benchmark::State &state)
+{
+    Rng rng(22);
+    ml::ReLU relu;
+    timeLayerPass(state, conv1Output(rng), [&](ml::Matrix in) {
+        return relu.forward(std::move(in), kBatch, true);
+    });
+}
+BENCHMARK(BM_ReLUForwardBatch)->UseManualTime();
+
+void
+BM_ReLUBackwardBatch(benchmark::State &state)
+{
+    Rng rng(23);
+    ml::ReLU relu;
+    relu.forward(conv1Output(rng), kBatch, true);
+    timeLayerPass(state, conv1Output(rng), [&](ml::Matrix g) {
+        return relu.backward(std::move(g), kBatch, true);
+    });
+}
+BENCHMARK(BM_ReLUBackwardBatch)->UseManualTime();
+
+void
+BM_MaxPoolForwardBatch(benchmark::State &state)
+{
+    Rng rng(24);
+    ml::MaxPool1D pool(4);
+    timeLayerPass(state, conv1Output(rng), [&](ml::Matrix in) {
+        return pool.forward(std::move(in), kBatch, true);
+    });
+}
+BENCHMARK(BM_MaxPoolForwardBatch)->UseManualTime();
+
+void
+BM_MaxPoolBackwardBatch(benchmark::State &state)
+{
+    Rng rng(25);
+    ml::MaxPool1D pool(4);
+    pool.forward(conv1Output(rng), kBatch, true);
+    ml::Matrix grad(32, kBatch * (kConv1Steps / 4));
+    grad.randomize(rng, 1.0);
+    timeLayerPass(state, grad, [&](ml::Matrix g) {
+        return pool.backward(std::move(g), kBatch, true);
+    });
+}
+BENCHMARK(BM_MaxPoolBackwardBatch)->UseManualTime();
+
+/**
+ * One training epoch of the pipeline's CNN-LSTM (traceDefaults() over
+ * 512 features, 2 channels x 256 steps) on 32 samples, i.e. two
+ * 16-sample batches, plus the validation pass and one score. The
+ * registered name is kept so recorded rows stay comparable.
  */
 void
 BM_CnnLstmTrainEpochPerSample(benchmark::State &state)
 {
+    constexpr std::size_t kFeatures = 512;
     Rng rng(6);
     ml::Dataset train;
     for (int c = 0; c < 4; ++c) {
         for (int i = 0; i < 8; ++i) {
-            std::vector<double> x(256);
+            std::vector<double> x(kFeatures);
             for (auto &v : x)
                 v = rng.normal(0, 1);
             train.add(std::move(x), c);
         }
     }
-    ml::CnnLstmParams params;
+    ml::CnnLstmParams params = ml::CnnLstmParams::traceDefaults();
     params.maxEpochs = 1;
     params.patience = 1;
     for (auto _ : state) {
-        ml::CnnLstmClassifier model(4, 256, params, 7);
+        ml::CnnLstmClassifier model(4, kFeatures, params, 7);
         model.fit(train, train);
         benchmark::DoNotOptimize(model.predictScores(train.features[0]));
     }
-    state.SetLabel("one batched epoch over 32 samples");
+    state.SetLabel("one batched epoch over 32 samples, 2x256 inputs");
 }
 BENCHMARK(BM_CnnLstmTrainEpochPerSample);
 

@@ -24,8 +24,12 @@
 #               ML test binaries (the latter pins a trained model's
 #               bits) under BF_SIMD=scalar and avx2; two table1
 #               smokes (one per BF_SIMD) whose artifacts must be
-#               bit-identical; a BF_SIMD=sse2 smoke that must warn it
-#               ignores the value and still match the avx2 artifact;
+#               bit-identical; two background_noise runs at the
+#               pipeline's 256 features (table1 --smoke's 32 leave
+#               conv2 one window), one per BF_SIMD, whose artifacts
+#               must be bit-identical; a BF_SIMD=sse2 smoke that must
+#               warn it ignores the value and still match the avx2
+#               artifact;
 #               and a cache-reuse smoke — two runs with --cache-dir
 #               where the second must hit the stage cache and replay a
 #               bit-identical artifact.
@@ -310,6 +314,20 @@ for stage in "${stages[@]}"; do
         if ! diff <(grep -v 'Seconds' "$sdir/t1-scalar.json") \
                   <(grep -v 'Seconds' "$sdir/t1-avx2.json"); then
             echo "BF_SIMD=avx2 artifact differs from scalar" >&2
+            exit 1
+        fi
+        echo "== [simd] BF_SIMD artifact bit-identity (background_noise, 256 features)"
+        # The trained shape: 2 channels x 256 steps, so conv1, both
+        # pools and conv2 run their full-width paths.
+        for isa in scalar avx2; do
+            BF_SIMD="$isa" "$builddir/bigfish" run background_noise \
+                --sites=4 --traces=4 --folds=2 --features=256 \
+                --threads=2 --json="$sdir/bg-$isa.json" > /dev/null
+        done
+        if ! diff <(grep -v 'Seconds' "$sdir/bg-scalar.json") \
+                  <(grep -v 'Seconds' "$sdir/bg-avx2.json"); then
+            echo "BF_SIMD=avx2 background_noise artifact differs" \
+                 "from scalar" >&2
             exit 1
         fi
         echo "== [simd] artifacts bit-identical across BF_SIMD values"

@@ -9,6 +9,10 @@
  * a performance property only — the kernels are correct (and
  * bit-identical) for any alignment, so nothing outside Matrix needs to
  * care that this allocator exists.
+ *
+ * The allocator also default-initializes elements it constructs
+ * without a value, so a resize leaves new trivially constructible
+ * elements unwritten (see construct()).
  */
 
 #ifndef BF_BASE_ALIGNED_HH
@@ -50,6 +54,21 @@ struct AlignedAllocator
     void deallocate(T *p, std::size_t) noexcept
     {
         ::operator delete(p, std::align_val_t(Align));
+    }
+
+    /**
+     * Default-initializes instead of value-initializing, so growing a
+     * float buffer leaves the new elements unwritten rather than
+     * zeroing them: a buffer its owner overwrites in full (a GEMM
+     * output seeded with the bias, a pooled map) skips one pass over
+     * memory. Owners that need zeros ask for them explicitly.
+     * Construction from a value falls back to std::allocator_traits'
+     * placement new.
+     */
+    template <typename U>
+    void construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
     }
 
     friend bool operator==(const AlignedAllocator &,

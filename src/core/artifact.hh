@@ -100,7 +100,6 @@ class RunArtifact
 
     double wallSeconds() const { return wallSeconds_; }
     int threads() const { return threads_; }
-    const SeedProvenance &seedProvenance() const { return provenance_; }
     const std::vector<ExpectedValue> &expected() const { return expected_; }
 
     /** The accumulated per-stage table (label-prefixed stage names). */

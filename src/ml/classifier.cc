@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "base/bytes.hh"
 #include "base/hash.hh"
@@ -213,7 +214,7 @@ CnnLstmClassifier::fit(const Dataset &train, const Dataset &validation)
             const double batch_loss =
                 SoftmaxCrossEntropy::lossAndGradientBatch(logits,
                                                           batch_labels, grad);
-            net_.backward(grad, batch);
+            net_.backward(std::move(grad), batch);
             // A NaN in the loss or gradients would poison the weights
             // permanently; skip the batch and keep training.
             const bool stepped =

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/logging.hh"
+#include "ml/kernels.hh"
 
 namespace bigfish::ml {
 
@@ -64,7 +65,7 @@ Conv1D::packPatches(const Matrix &in, std::size_t samples,
 }
 
 Matrix
-Conv1D::forward(const Matrix &in, std::size_t samples, bool)
+Conv1D::forward(Matrix in, std::size_t samples, bool)
 {
     panicIf(in.rows() != inChannels_, "Conv1D channel mismatch");
     panicIf(samples == 0 || in.cols() == 0 || in.cols() % samples != 0,
@@ -80,8 +81,7 @@ Conv1D::forward(const Matrix &in, std::size_t samples, bool)
 }
 
 Matrix
-Conv1D::backward(const Matrix &grad_out, std::size_t samples,
-                 bool inputGrad)
+Conv1D::backward(Matrix grad_out, std::size_t samples, bool inputGrad)
 {
     const std::size_t all_in_t = inCols_;
     const std::size_t out_cols = grad_out.cols();
@@ -92,19 +92,10 @@ Conv1D::backward(const Matrix &grad_out, std::size_t samples,
     const std::size_t in_t = all_in_t / samples;
     const std::size_t out_t = out_cols / samples;
 
-    // dW += dOut * patches^T, db += row-sums of dOut — both GEMM-shaped.
+    // dW += dOut * patches^T, db += row-sums of dOut.
     accumulateMatmulTransB(gw_, grad_out, patches_);
-    {
-        const float *__restrict g = grad_out.data();
-        float *__restrict gb = gb_.data();
-        for (std::size_t o = 0; o < outChannels_; ++o) {
-            float acc = 0.0f;
-            const float *__restrict grow = g + o * out_cols;
-            for (std::size_t t = 0; t < out_cols; ++t)
-                acc += grow[t];
-            gb[o] += acc;
-        }
-    }
+    kernels::addRowSums(gb_.data(), grad_out.data(), outChannels_,
+                        out_cols);
 
     if (!inputGrad)
         return Matrix();

@@ -25,9 +25,8 @@ class Conv1D : public Layer
     Conv1D(std::size_t in_channels, std::size_t out_channels,
            std::size_t kernel, std::size_t stride, Rng &rng);
 
-    Matrix forward(const Matrix &in, std::size_t samples,
-                   bool train) override;
-    Matrix backward(const Matrix &grad_out, std::size_t samples,
+    Matrix forward(Matrix in, std::size_t samples, bool train) override;
+    Matrix backward(Matrix grad_out, std::size_t samples,
                     bool inputGrad) override;
     std::vector<Matrix *> params() override { return {&w_, &b_}; }
     std::vector<Matrix *> grads() override { return {&gw_, &gb_}; }

@@ -2,12 +2,12 @@
  * @file
  * The two ISA paths behind ml/kernels.hh: AVX2 or portable scalar.
  *
- * Four kernels dispatch on bf::simd::active(): dot, dotTile4x2 and the
- * two LSTM gate fusions, where the AVX2 spelling measured several times
- * faster than the scalar loop. Their two implementations are
- * bit-identical by construction — see the determinism contract in
- * kernels.hh and DESIGN.md §10. axpy, gemm and adamStep are scalar
- * only, plain C++ that -march=native vectorizes: adamStep's AVX2
+ * Five kernels dispatch on bf::simd::active(): dot, dotTile4x2, the
+ * two LSTM gate fusions and maxPool, where the AVX2 spelling measured
+ * several times faster than the scalar loop. Their two implementations
+ * are bit-identical by construction — see the determinism contract in
+ * kernels.hh and DESIGN.md §10. axpy, gemm, addRowSums and adamStep are
+ * scalar only, plain C++ that -march=native vectorizes: adamStep's AVX2
  * spelling measured at par, and gemm's 4x16 register tile compiles to
  * vector code with no intrinsics, so it has no second spelling to keep
  * bit-identical. The rules this file lives by:
@@ -352,6 +352,29 @@ scalarAdam(float *p, const float *g, float *m, float *v, std::size_t n,
     }
 }
 
+// Windows [first, outLen) of maxPool, one at a time.
+void
+scalarMaxPool(const float *x, std::size_t len, std::size_t pool,
+              std::size_t first, std::size_t outLen, std::uint32_t base,
+              float *out, std::uint32_t *argmax)
+{
+    for (std::size_t t = first; t < outLen; ++t) {
+        const std::size_t lo = t * pool;
+        const std::size_t hi = std::min(lo + pool, len);
+        float best = x[lo];
+        std::size_t bestIdx = lo;
+        // Select form compiles to cmov; a taken/not-taken branch here
+        // is data-dependent and mispredicts.
+        for (std::size_t k = lo + 1; k < hi; ++k) {
+            const float v = x[k];
+            bestIdx = v > best ? k : bestIdx;
+            best = v > best ? v : best;
+        }
+        out[t] = best;
+        argmax[t] = base + static_cast<std::uint32_t>(bestIdx);
+    }
+}
+
 #if defined(BF_SIMD_X86)
 
 // A function-level target attribute keeps the TU's baseline flags
@@ -547,6 +570,81 @@ avx2LstmBackward(const float *zi, const float *zf, const float *zg,
                        n - s);
 }
 
+// Eight pool-4 windows per step: four loads cover windows t..t+7, a
+// 4x4 transpose inside each 128-bit half turns them into e0..e3 (the
+// k-th element of every window, windows in lane order 0 2 4 6 1 3 5
+// 7), and the scalar scan's compares run lane-wise in the same order.
+// Returns the first window left for the scalar scan.
+BF_K_AVX2 std::size_t
+avx2MaxPool4(const float *x, std::size_t outLen, std::uint32_t base,
+             float *out, std::uint32_t *argmax)
+{
+    const __m256i toWindowOrder = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    const __m256i windowStart =
+        _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
+    std::size_t t = 0;
+    for (; t + 8 <= outLen; t += 8) {
+        const float *w = x + 4 * t;
+        const __m256 a0 = _mm256_loadu_ps(w);
+        const __m256 a1 = _mm256_loadu_ps(w + 8);
+        const __m256 a2 = _mm256_loadu_ps(w + 16);
+        const __m256 a3 = _mm256_loadu_ps(w + 24);
+        const __m256 lo01 = _mm256_unpacklo_ps(a0, a1);
+        const __m256 hi01 = _mm256_unpackhi_ps(a0, a1);
+        const __m256 lo23 = _mm256_unpacklo_ps(a2, a3);
+        const __m256 hi23 = _mm256_unpackhi_ps(a2, a3);
+        const __m256 e[4] = {
+            _mm256_shuffle_ps(lo01, lo23, _MM_SHUFFLE(1, 0, 1, 0)),
+            _mm256_shuffle_ps(lo01, lo23, _MM_SHUFFLE(3, 2, 3, 2)),
+            _mm256_shuffle_ps(hi01, hi23, _MM_SHUFFLE(1, 0, 1, 0)),
+            _mm256_shuffle_ps(hi01, hi23, _MM_SHUFFLE(3, 2, 3, 2))};
+        __m256 best = e[0];
+        __m256i bestK = _mm256_setzero_si256();
+        for (int k = 1; k < 4; ++k) {
+            // v > best, false when either is NaN: the scalar compare.
+            const __m256 gt = _mm256_cmp_ps(e[k], best, _CMP_GT_OQ);
+            best = _mm256_blendv_ps(best, e[k], gt);
+            bestK = _mm256_blendv_epi8(bestK, _mm256_set1_epi32(k),
+                                       _mm256_castps_si256(gt));
+        }
+        best = _mm256_permutevar8x32_ps(best, toWindowOrder);
+        bestK = _mm256_permutevar8x32_epi32(bestK, toWindowOrder);
+        const __m256i idx = _mm256_add_epi32(
+            _mm256_add_epi32(bestK, windowStart),
+            _mm256_set1_epi32(static_cast<int>(
+                base + static_cast<std::uint32_t>(4 * t))));
+        _mm256_storeu_ps(out + t, best);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(argmax + t), idx);
+    }
+    // Four more windows, if left, the same way in one 128-bit half,
+    // where the transpose already yields windows in order.
+    if (t + 4 <= outLen) {
+        const float *w = x + 4 * t;
+        __m128 a0 = _mm_loadu_ps(w);
+        __m128 a1 = _mm_loadu_ps(w + 4);
+        __m128 a2 = _mm_loadu_ps(w + 8);
+        __m128 a3 = _mm_loadu_ps(w + 12);
+        _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
+        const __m128 e[4] = {a0, a1, a2, a3};
+        __m128 best = e[0];
+        __m128i bestK = _mm_setzero_si128();
+        for (int k = 1; k < 4; ++k) {
+            const __m128 gt = _mm_cmpgt_ps(e[k], best);
+            best = _mm_blendv_ps(best, e[k], gt);
+            bestK = _mm_blendv_epi8(bestK, _mm_set1_epi32(k),
+                                    _mm_castps_si128(gt));
+        }
+        const __m128i idx = _mm_add_epi32(
+            _mm_add_epi32(bestK, _mm_setr_epi32(0, 4, 8, 12)),
+            _mm_set1_epi32(static_cast<int>(
+                base + static_cast<std::uint32_t>(4 * t))));
+        _mm_storeu_ps(out + t, best);
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(argmax + t), idx);
+        t += 4;
+    }
+    return t;
+}
+
 #endif // BF_SIMD_X86
 
 } // namespace
@@ -581,6 +679,44 @@ axpy(float *y, const float *x, float a, std::size_t n)
 {
     for (std::size_t j = 0; j < n; ++j)
         y[j] = y[j] + a * x[j];
+}
+
+void
+maxPool(const float *x, std::size_t len, std::size_t pool,
+        std::size_t outLen, std::uint32_t base, float *out,
+        std::uint32_t *argmax)
+{
+    std::size_t first = 0;
+#if defined(BF_SIMD_X86)
+    // outLen full windows fit in len whenever len >= pool, so the
+    // vector loads never read past the row.
+    if (simd::active() == simd::Tag::Avx2 && pool == 4 && len >= pool)
+        first = avx2MaxPool4(x, outLen, base, out, argmax);
+#endif
+    scalarMaxPool(x, len, pool, first, outLen, base, out, argmax);
+}
+
+void
+addRowSums(float *acc, const float *m, std::size_t rows, std::size_t cols)
+{
+    constexpr std::size_t kRows = 8;
+    std::size_t r = 0;
+    for (; r + kRows <= rows; r += kRows) {
+        const float *block = m + r * cols;
+        float sum[kRows] = {};
+        for (std::size_t t = 0; t < cols; ++t)
+            for (std::size_t l = 0; l < kRows; ++l)
+                sum[l] += block[l * cols + t];
+        for (std::size_t l = 0; l < kRows; ++l)
+            acc[r + l] += sum[l];
+    }
+    for (; r < rows; ++r) {
+        const float *row = m + r * cols;
+        float sum = 0.0f;
+        for (std::size_t t = 0; t < cols; ++t)
+            sum += row[t];
+        acc[r] += sum;
+    }
 }
 
 void

@@ -3,13 +3,15 @@
  * The vectorized kernel layer behind the ML hot loops.
  *
  * Every floating-point inner loop that dominates training — GEMM
- * primitives, LSTM gate math, the Adam update — lives here. A kernel
+ * primitives, LSTM gate math, max pooling, bias sums, the Adam update —
+ * lives here. A kernel
  * has an AVX2 spelling, dispatched at runtime behind bf::simd::Tag
- * (base/simd.hh), only where it beats the scalar loop: dot, dotTile4x2
- * and the two LSTM gate fusions. axpy, gemm and adamStep are scalar
- * only: plain C++ that -march=native vectorizes. gemm owns its own k
- * blocking and register tiling; the other callers (ml/matrix.cc, lstm,
- * network) keep their loop *structure* and delegate the arithmetic.
+ * (base/simd.hh), only where it beats the scalar loop: dot, dotTile4x2,
+ * the two LSTM gate fusions and maxPool. axpy, gemm, addRowSums and
+ * adamStep are scalar only: plain C++ that -march=native vectorizes.
+ * gemm owns its own k blocking and register tiling; the other callers
+ * (ml/matrix.cc, layer, conv, lstm, network) keep their loop
+ * *structure* and delegate the arithmetic.
  *
  * Determinism contract (DESIGN.md §10), load-bearing for cache
  * fingerprints and `--resume` replay:
@@ -36,6 +38,7 @@
 #define BF_ML_KERNELS_HH
 
 #include <cstddef>
+#include <cstdint>
 
 namespace bigfish::ml::kernels {
 
@@ -74,6 +77,32 @@ void axpy(float *y, const float *x, float a, std::size_t n);
 void gemm(float *c, const float *a, std::size_t rowStride,
           std::size_t colStride, const float *b, std::size_t rows,
           std::size_t k, std::size_t n);
+
+// --- Layer passes --------------------------------------------------------
+
+/**
+ * Non-overlapping max pooling of one sample's row @p x of length
+ * @p len into @p outLen windows: window t covers
+ * x[t*pool, min((t+1)*pool, len)) and writes its maximum to out[t] and
+ * the winning column plus @p base to argmax[t]. Each window scans left
+ * to right with a strict `>`, so ties keep the first index and a NaN
+ * never displaces the running maximum. The AVX2 path runs pool = 4
+ * eight windows per step with the same compares in the same order;
+ * every other pool size, and the tail windows, run the scalar scan.
+ */
+void maxPool(const float *x, std::size_t len, std::size_t pool,
+             std::size_t outLen, std::uint32_t base, float *out,
+             std::uint32_t *argmax);
+
+/**
+ * acc[r] += (sum of row r of the row-major (rows x cols) @p m), each
+ * row summed left to right from 0.0f: the bias gradient of a layer.
+ * Eight rows run interleaved so their add chains overlap instead of
+ * waiting on one add's latency at a time; the order within a row, and
+ * so every sum, is that of one plain loop per row.
+ */
+void addRowSums(float *acc, const float *m, std::size_t rows,
+                std::size_t cols);
 
 // --- Activations (polynomial, bit-identical across Tags) ---------------
 

@@ -1,6 +1,7 @@
 #include "ml/lstm.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "base/logging.hh"
 #include "ml/kernels.hh"
@@ -29,14 +30,16 @@ Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, Rng &rng)
 }
 
 Matrix
-Lstm::forward(const Matrix &in, std::size_t samples, bool)
+Lstm::forward(Matrix in, std::size_t samples, bool)
 {
     panicIf(in.rows() != input_, "Lstm input feature mismatch");
     panicIf(samples == 0 || in.cols() % samples != 0,
             "Lstm batch column count mismatch");
-    inSeq_ = in;
+    // BPTT's weight gradients read the input again; keep the owned
+    // matrix instead of a copy.
+    inSeq_ = std::move(in);
     samples_ = samples;
-    const std::size_t steps = in.cols() / samples;
+    const std::size_t steps = inSeq_.cols() / samples;
     gates_.resize(steps);
     cells_.resize(steps);
     hiddens_.resize(steps);
@@ -44,9 +47,9 @@ Lstm::forward(const Matrix &in, std::size_t samples, bool)
     // Input-side pre-activations for the whole batch and every step in
     // one fused GEMM; the sequential loop only pays one (4H x H)x(H x B)
     // recurrent product per step instead of B matrix-vector products.
-    const Matrix zx = matmulBias(wx_, in, b_);
+    const Matrix zx = matmulBias(wx_, inSeq_, b_);
     const float *__restrict zxd = zx.data();
-    const std::size_t zx_cols = in.cols();
+    const std::size_t zx_cols = inSeq_.cols();
 
     Matrix h(hidden_, samples);
     Matrix c(hidden_, samples);
@@ -80,7 +83,7 @@ Lstm::forward(const Matrix &in, std::size_t samples, bool)
 }
 
 Matrix
-Lstm::backward(const Matrix &grad_out, std::size_t samples, bool)
+Lstm::backward(Matrix grad_out, std::size_t samples, bool)
 {
     panicIf(samples != samples_, "Lstm backward sample mismatch");
     const std::size_t steps = inSeq_.cols() / samples;
@@ -100,8 +103,8 @@ Lstm::backward(const Matrix &grad_out, std::size_t samples, bool)
                 hprev(k, s * steps + t) = hp(k, s);
     }
 
-    Matrix dh = grad_out;         // dLoss/dh_t, accumulated backwards.
-    Matrix dc(hidden_, samples);  // dLoss/dc_t carried across steps.
+    Matrix dh = std::move(grad_out); // dLoss/dh_t, accumulated backwards.
+    Matrix dc(hidden_, samples);     // dLoss/dc_t carried across steps.
     Matrix dz(4 * hidden_, samples);
 
     for (std::size_t ti = steps; ti-- > 0;) {
@@ -139,18 +142,8 @@ Lstm::backward(const Matrix &grad_out, std::size_t samples, bool)
     //   dX   = Wx^T * dZ.
     accumulateMatmulTransB(gwx_, dzAll, inSeq_);
     accumulateMatmulTransB(gwh_, dzAll, hprev);
-    {
-        const float *__restrict dzc = dzAll.data();
-        float *__restrict gbd = gb_.data();
-        const std::size_t cols = samples * steps;
-        for (std::size_t r = 0; r < 4 * hidden_; ++r) {
-            float acc = 0.0f;
-            const float *__restrict row = dzc + r * cols;
-            for (std::size_t t = 0; t < cols; ++t)
-                acc += row[t];
-            gbd[r] += acc;
-        }
-    }
+    kernels::addRowSums(gb_.data(), dzAll.data(), 4 * hidden_,
+                        samples * steps);
     return matmulTransA(wx_, dzAll);
 }
 

@@ -29,15 +29,12 @@ class Lstm : public Layer
      */
     Lstm(std::size_t input_size, std::size_t hidden_size, Rng &rng);
 
-    Matrix forward(const Matrix &in, std::size_t samples,
-                   bool train) override;
-    Matrix backward(const Matrix &grad_out, std::size_t samples,
+    Matrix forward(Matrix in, std::size_t samples, bool train) override;
+    Matrix backward(Matrix grad_out, std::size_t samples,
                     bool inputGrad) override;
     std::vector<Matrix *> params() override { return {&wx_, &wh_, &b_}; }
     std::vector<Matrix *> grads() override { return {&gwx_, &gwh_, &gb_}; }
     std::string name() const override { return "lstm"; }
-
-    std::size_t hiddenSize() const { return hidden_; }
 
   private:
     std::size_t input_, hidden_;

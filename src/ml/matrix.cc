@@ -13,6 +13,14 @@ Matrix::Matrix(std::size_t rows, std::size_t cols)
 {
 }
 
+Matrix
+Matrix::uninitialized(std::size_t rows, std::size_t cols)
+{
+    Matrix m;
+    m.resize(rows, cols);
+    return m;
+}
+
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<float> data)
     : rows_(rows), cols_(cols), data_(data.begin(), data.end())
 {
@@ -185,7 +193,9 @@ matmulBias(const Matrix &a, const Matrix &b, const Matrix &bias)
             "matmulBias bias must be (rows x 1)");
     if (b.cols() == 1)
         return gemvBias(a, b, bias);
-    Matrix c(a.rows(), b.cols());
+    // gemmAccRows seeds every element with its row's bias before the
+    // product accumulates, so a zero fill would be a wasted pass.
+    Matrix c = Matrix::uninitialized(a.rows(), b.cols());
     gemmAccRows(c.data(), a.data(), b.data(), a.rows(), a.cols(), b.cols(),
                 bias.data());
     return c;
@@ -270,7 +280,7 @@ gemv(const Matrix &a, const Matrix &x)
 {
     panicIf(x.cols() != 1, "gemv expects a column vector");
     panicIf(a.cols() != x.rows(), "gemv dimension mismatch");
-    Matrix y(a.rows(), 1);
+    Matrix y = Matrix::uninitialized(a.rows(), 1);
     const float *__restrict ad = a.data();
     const float *__restrict xd = x.data();
     float *__restrict yd = y.data();
@@ -287,7 +297,7 @@ gemvBias(const Matrix &a, const Matrix &x, const Matrix &b)
     panicIf(a.cols() != x.rows(), "gemvBias dimension mismatch");
     panicIf(b.rows() != a.rows() || b.cols() != 1,
             "gemvBias bias must be (rows x 1)");
-    Matrix y(a.rows(), 1);
+    Matrix y = Matrix::uninitialized(a.rows(), 1);
     const float *__restrict ad = a.data();
     const float *__restrict xd = x.data();
     const float *__restrict bd = b.data();

@@ -38,6 +38,14 @@ class Matrix
     /** A zero-initialized rows x cols matrix. */
     Matrix(std::size_t rows, std::size_t cols);
 
+    /**
+     * A rows x cols matrix whose elements are left unwritten, for an
+     * output its producer overwrites in full (matmulBias seeds every
+     * element with the bias; a pooled map writes every cell). Reading
+     * an element before writing it is undefined.
+     */
+    static Matrix uninitialized(std::size_t rows, std::size_t cols);
+
     /** Builds from explicit data (size must equal rows*cols). */
     Matrix(std::size_t rows, std::size_t cols, std::vector<float> data);
 

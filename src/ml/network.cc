@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <utility>
 
 #include "base/logging.hh"
 #include "ml/kernels.hh"
@@ -17,20 +18,19 @@ Sequential::add(std::unique_ptr<Layer> layer)
 }
 
 Matrix
-Sequential::forward(const Matrix &in, std::size_t samples, bool train)
+Sequential::forward(Matrix in, std::size_t samples, bool train)
 {
-    Matrix x = in;
     for (auto &layer : layers_)
-        x = layer->forward(x, samples, train);
-    return x;
+        in = layer->forward(std::move(in), samples, train);
+    return in;
 }
 
 void
-Sequential::backward(const Matrix &grad_out, std::size_t samples)
+Sequential::backward(Matrix grad_out, std::size_t samples)
 {
-    Matrix g = grad_out;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-        g = (*it)->backward(g, samples, std::next(it) != layers_.rend());
+        grad_out = (*it)->backward(std::move(grad_out), samples,
+                                   std::next(it) != layers_.rend());
 }
 
 std::vector<Matrix *>

@@ -25,16 +25,17 @@ class Sequential
 
     /**
      * Runs all layers forward on a column-concatenated minibatch of
-     * @p samples samples (see layer.hh for the layout).
+     * @p samples samples (see layer.hh for the layout). Each layer's
+     * output is moved into the next layer, which owns it (layer.hh).
      */
-    Matrix forward(const Matrix &in, std::size_t samples, bool train);
+    Matrix forward(Matrix in, std::size_t samples, bool train);
 
     /**
      * Backpropagates through the most recent forward(), accumulating
      * every parameter gradient. The first layer is told that nothing
      * reads its input gradient, so none is returned.
      */
-    void backward(const Matrix &grad_out, std::size_t samples);
+    void backward(Matrix grad_out, std::size_t samples);
 
     /** All trainable parameter tensors. */
     std::vector<Matrix *> params();

@@ -1,7 +1,6 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "base/logging.hh"
@@ -30,7 +29,7 @@ ExecutionEngine::runPeriod(timers::TimerModel &timer, TimeNs period,
     if (atEnd())
         return false;
 
-    const TimeNs t_begin_real = static_cast<TimeNs>(std::llround(now_));
+    const TimeNs t_begin_real = roundNs(now_);
     const TimeNs t_begin_obs = timer.observe(t_begin_real);
     const TimeNs target = t_begin_obs + period;
     std::int64_t counter = 0;
@@ -39,24 +38,20 @@ ExecutionEngine::runPeriod(timers::TimerModel &timer, TimeNs period,
     const double infinity = std::numeric_limits<double>::infinity();
 
     while (true) {
-        const double cost = iterCostNs_[timeline_.stepAt(
-            static_cast<TimeNs>(now_))];
+        seekStep(static_cast<TimeNs>(now_));
+        const double cost = iterCostNs_[step_];
         const double next_arrival =
             stolenIdx_ < stolen.size()
                 ? static_cast<double>(stolen[stolenIdx_].arrival)
                 : infinity;
         const double seg_end =
-            std::min({next_arrival,
-                      static_cast<double>(timeline_.stepEnd(
-                          static_cast<TimeNs>(now_))),
-                      durationF_});
+            std::min({next_arrival, stepEndF_, durationF_});
 
         if (counter == 0) {
             // do-while semantics: the first iteration always executes.
             now_ = stepOneIteration(now_, cost);
             ++counter;
-            if (timer.observe(static_cast<TimeNs>(
-                    std::llround(now_))) >= target ||
+            if (timer.observe(roundNs(now_)) >= target ||
                 now_ >= durationF_) {
                 break;
             }
@@ -68,8 +63,8 @@ ExecutionEngine::runPeriod(timers::TimerModel &timer, TimeNs period,
                 ? static_cast<std::int64_t>((seg_end - now_) / cost)
                 : 0;
         if (n_max > 0) {
-            const TimeNs t_bulk = static_cast<TimeNs>(
-                std::llround(now_ + static_cast<double>(n_max) * cost));
+            const TimeNs t_bulk =
+                roundNs(now_ + static_cast<double>(n_max) * cost);
             if (timer.observe(t_bulk) < target) {
                 // The whole uninterrupted stretch fits inside the
                 // period.
@@ -83,8 +78,7 @@ ExecutionEngine::runPeriod(timers::TimerModel &timer, TimeNs period,
                 while (lo < hi) {
                     const std::int64_t mid = lo + (hi - lo) / 2;
                     const TimeNs t_mid =
-                        static_cast<TimeNs>(std::llround(
-                            now_ + static_cast<double>(mid) * cost));
+                        roundNs(now_ + static_cast<double>(mid) * cost);
                     if (timer.observe(t_mid) >= target)
                         hi = mid;
                     else
@@ -103,8 +97,7 @@ ExecutionEngine::runPeriod(timers::TimerModel &timer, TimeNs period,
         // are coarse relative to a single iteration).
         now_ = stepOneIteration(now_, cost);
         ++counter;
-        if (timer.observe(static_cast<TimeNs>(std::llround(now_))) >=
-                target ||
+        if (timer.observe(roundNs(now_)) >= target ||
             now_ >= durationF_) {
             break;
         }
@@ -112,8 +105,7 @@ ExecutionEngine::runPeriod(timers::TimerModel &timer, TimeNs period,
 
     result.iterations = counter;
     result.startReal = t_begin_real;
-    result.wallTime =
-        static_cast<TimeNs>(std::llround(now_)) - t_begin_real;
+    result.wallTime = roundNs(now_) - t_begin_real;
     return true;
 }
 
@@ -122,6 +114,23 @@ ExecutionEngine::restart()
 {
     now_ = 0.0;
     stolenIdx_ = 0;
+    stepBegin_ = stepLimit_ = 0;
+}
+
+void
+ExecutionEngine::seekStep(TimeNs t)
+{
+    if (t >= stepBegin_ && t < stepLimit_)
+        return;
+    step_ = timeline_.stepAt(t);
+    const TimeNs interval = timeline_.activityInterval;
+    const bool last = step_ + 1 >= timeline_.iterCostFactor.size();
+    // stepAt() clamps to 0 below zero and to the last step beyond it.
+    stepBegin_ = step_ == 0 ? std::numeric_limits<TimeNs>::min()
+                            : static_cast<TimeNs>(step_) * interval;
+    stepLimit_ = last ? std::numeric_limits<TimeNs>::max()
+                      : (static_cast<TimeNs>(step_) + 1) * interval;
+    stepEndF_ = static_cast<double>(timeline_.stepEnd(t));
 }
 
 double

@@ -31,6 +31,23 @@
 
 namespace bigfish::sim {
 
+/**
+ * std::llround without the libm call, for |x| < 2^63: truncate toward
+ * zero, then step one away from zero when the dropped fraction is at
+ * least one half. x - trunc(x) is exact for every such double, so
+ * halfway cases round away from zero as llround's do,
+ * 0.49999999999999994 rounds to 0 (floor(x + 0.5) would give 1), and
+ * values at or past 2^52, already integers, pass through unchanged.
+ */
+inline std::int64_t
+roundNs(double x)
+{
+    const auto whole = static_cast<std::int64_t>(x);
+    const double frac = x - static_cast<double>(whole);
+    return whole + static_cast<std::int64_t>(frac >= 0.5) -
+           static_cast<std::int64_t>(frac <= -0.5);
+}
+
 /** Result of one measurement period executed by the engine. */
 struct PeriodResult
 {
@@ -92,11 +109,24 @@ class ExecutionEngine
     /** Skips past stolen intervals that have already begun at @p t. */
     double skipStolen(double t);
 
+    /**
+     * Points the step cursor at RunTimeline::stepAt(@p t). Replay time
+     * only grows, so the cursor re-divides only when @p t leaves the
+     * cached step's span.
+     */
+    void seekStep(TimeNs t);
+
     const RunTimeline &timeline_;
     std::vector<double> iterCostNs_;
     double now_ = 0.0;
     double durationF_ = 0.0;
     std::size_t stolenIdx_ = 0;
+    /** The step cursor: stepAt(t) for t in [stepBegin_, stepLimit_). */
+    std::size_t step_ = 0;
+    TimeNs stepBegin_ = 0;
+    TimeNs stepLimit_ = 0;
+    /** timeline_.stepEnd() of the cursor's step, as a double. */
+    double stepEndF_ = 0.0;
 };
 
 } // namespace bigfish::sim

@@ -70,15 +70,6 @@ struct RunTimeline
         return iterCostFactor[stepAt(t)];
     }
 
-    /** Victim LLC occupancy in effect at real time @p t. */
-    double
-    occupancyAt(TimeNs t) const
-    {
-        if (occupancy.empty())
-            return 0.0;
-        return occupancy[std::min(stepAt(t), occupancy.size() - 1)];
-    }
-
     /** Real time at which the step containing @p t ends. */
     TimeNs
     stepEnd(TimeNs t) const

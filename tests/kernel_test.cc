@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <memory>
@@ -592,6 +593,93 @@ TEST(CrossIsa, MatmulBitIdenticalAcrossTags)
         for (std::size_t i = 0; i < got.size(); ++i)
             ASSERT_EQ(got.data()[i], want.data()[i])
                 << "element " << i << " tag=" << simd::name(tag);
+    }
+}
+
+/** Bit pattern of a float, so -0.0f, +0.0f and NaNs compare exactly. */
+std::uint32_t
+bitsOf(float x)
+{
+    std::uint32_t b;
+    std::memcpy(&b, &x, sizeof(b));
+    return b;
+}
+
+TEST(CrossIsa, MaxPoolMatchesFirstIndexScanUnderEveryTag)
+{
+    // Every Tag's maxPool against a test-local strict-> scan: values
+    // drawn from five levels (plus signed zeros and NaNs) so most
+    // windows hold ties, at every pool size the layer accepts and at
+    // lengths covering the 8-window vector body, its tail windows and
+    // a partial last window.
+    TagGuard guard;
+    Rng rng(111);
+    const float levels[] = {-1.0f, -0.0f, 0.0f, 0.5f, 2.0f};
+    for (const std::size_t pool : {1u, 2u, 3u, 4u, 5u}) {
+        for (const std::size_t len :
+             {1u, 3u, 4u, 7u, 31u, 32u, 33u, 35u, 64u, 83u, 257u}) {
+            std::vector<float> x(len + 3);
+            for (float &v : x)
+                v = levels[static_cast<std::size_t>(rng.uniformInt(0, 4))];
+            if (len > 9) {
+                x[0] = std::nanf("");
+                x[9] = std::nanf("");
+            }
+            const std::size_t outLen = std::max<std::size_t>(len / pool, 1);
+            const std::uint32_t base = 1000;
+            std::vector<float> want(outLen);
+            std::vector<std::uint32_t> wantIdx(outLen);
+            for (std::size_t t = 0; t < outLen; ++t) {
+                const std::size_t lo = t * pool;
+                const std::size_t hi = std::min(lo + pool, len);
+                std::size_t best = lo;
+                for (std::size_t k = lo + 1; k < hi; ++k)
+                    if (x[k] > x[best])
+                        best = k;
+                want[t] = x[best];
+                wantIdx[t] = base + static_cast<std::uint32_t>(best);
+            }
+            for (const simd::Tag tag : supportedTags()) {
+                simd::setActive(tag);
+                std::vector<float> out(outLen);
+                std::vector<std::uint32_t> idx(outLen);
+                kernels::maxPool(x.data(), len, pool, outLen, base,
+                                 out.data(), idx.data());
+                for (std::size_t t = 0; t < outLen; ++t) {
+                    EXPECT_EQ(bitsOf(out[t]), bitsOf(want[t]))
+                        << "pool " << pool << " len " << len << " window "
+                        << t << " tag " << simd::name(tag);
+                    EXPECT_EQ(idx[t], wantIdx[t])
+                        << "pool " << pool << " len " << len << " window "
+                        << t << " tag " << simd::name(tag);
+                }
+            }
+        }
+    }
+}
+
+TEST(Kernel, AddRowSumsMatchesOneLoopPerRow)
+{
+    // Row counts around the 8-row interleave and its tail, against one
+    // left-to-right loop per row: the sums must agree bit for bit.
+    Rng rng(112);
+    for (const std::size_t rows : {1u, 7u, 8u, 9u, 17u, 32u, 128u}) {
+        for (const std::size_t cols : {1u, 5u, 80u, 1328u}) {
+            const Matrix m = randomMatrix(rows, cols, rng);
+            const std::vector<float> start = randomVec(rows, rng);
+            std::vector<float> want = start;
+            for (std::size_t r = 0; r < rows; ++r) {
+                float sum = 0.0f;
+                for (std::size_t t = 0; t < cols; ++t)
+                    sum += m(r, t);
+                want[r] += sum;
+            }
+            std::vector<float> got = start;
+            kernels::addRowSums(got.data(), m.data(), rows, cols);
+            for (std::size_t r = 0; r < rows; ++r)
+                EXPECT_EQ(bitsOf(got[r]), bitsOf(want[r]))
+                    << rows << "x" << cols << " row " << r;
+        }
     }
 }
 

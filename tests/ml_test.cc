@@ -533,11 +533,14 @@ TEST(CnnLstm, ScoresAreDistribution)
 
 TEST(CnnLstm, TrainedWeightsDigestIsPinned)
 {
-    // The pipeline's bench classifier (2 channels x 128 steps, batch
-    // 16) trained on 20 samples, so every epoch ends in a 4-sample
-    // minibatch. The digests pin every bit of the trained weights and
-    // of single-sample scores: a GEMM rewrite that reorders a sum or
-    // lets the compiler fuse a multiply-add into an FMA moves them.
+    // The bench classifier's hyperparameters (traceDefaults: 2
+    // channels, batch 16) on a half-length input, 2 channels x 128
+    // steps; the pipeline's 256 features per channel are pinned by
+    // TrainedWeightsDigestIsPinnedAtBenchShape. Trained on 20 samples,
+    // so every epoch ends in a 4-sample minibatch. The digests pin
+    // every bit of the trained weights and of single-sample scores: a
+    // GEMM rewrite that reorders a sum or lets the compiler fuse a
+    // multiply-add into an FMA moves them.
     const Dataset train = syntheticDataset(4, 5, 256, 60);
     const Dataset val = syntheticDataset(4, 2, 256, 61);
     CnnLstmParams params = CnnLstmParams::traceDefaults();
@@ -555,6 +558,34 @@ TEST(CnnLstm, TrainedWeightsDigestIsPinned)
                           s.size() * sizeof(double));
     }
     EXPECT_EQ(hex16(fnv64(scoreBytes)), "ab781be5a55a1a6b");
+}
+
+TEST(CnnLstm, TrainedWeightsDigestIsPinnedAtBenchShape)
+{
+    // The shape every pipeline fold trains: 512 features = 2 channels x
+    // 256 steps, so conv1 emits 83 steps per sample (1328 columns per
+    // 16-sample batch), conv2 sees 20 pooled steps and emits 5, and
+    // conv2's weight gradient has k = 80. Which index wins a tie among
+    // rectified zeros does not reach these digests (ReLU masks the
+    // gradient routed there); CrossIsa.MaxPoolMatchesFirstIndexScan-
+    // UnderEveryTag pins it.
+    const Dataset train = syntheticDataset(4, 5, 512, 63);
+    const Dataset val = syntheticDataset(4, 2, 512, 64);
+    CnnLstmParams params = CnnLstmParams::traceDefaults();
+    params.maxEpochs = 3;
+    CnnLstmClassifier model(4, 512, params, 65);
+    model.fit(train, val);
+    ASSERT_EQ(model.history().size(), 3u);
+
+    EXPECT_EQ(hex16(fnv64(encodeWeights(model.network()))),
+              "5bbd5b1591b09b63");
+    std::string scoreBytes;
+    for (std::size_t i = 0; i < val.size(); i += 3) {
+        const std::vector<double> s = model.predictScores(val.features[i]);
+        scoreBytes.append(reinterpret_cast<const char *>(s.data()),
+                          s.size() * sizeof(double));
+    }
+    EXPECT_EQ(hex16(fnv64(scoreBytes)), "a253e1fa936404a7");
 }
 
 TEST(SoftmaxRegression, LearnsLinearProblem)

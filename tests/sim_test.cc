@@ -657,11 +657,13 @@ TEST(RunTimeline, StepLookupAndEnds)
 
 /**
  * Brute-force reference: simulates the attacker loop one iteration at a
- * time (no closed-form shortcuts). Used to validate ExecutionEngine.
+ * time (no closed-form shortcuts), each iteration costing
+ * @p step_costs of the activity step it starts in. Used to validate
+ * ExecutionEngine.
  */
 std::vector<std::int64_t>
 referenceAttacker(const RunTimeline &timeline, timers::TimerModel &timer,
-                  TimeNs period, double iter_cost)
+                  TimeNs period, const std::vector<double> &step_costs)
 {
     std::vector<std::int64_t> counts;
     double t = 0.0;
@@ -682,7 +684,8 @@ referenceAttacker(const RunTimeline &timeline, timers::TimerModel &timer,
         std::int64_t counter = 0;
         while (true) {
             // One iteration, charging mid-iteration interrupts.
-            double rem = iter_cost;
+            double rem =
+                step_costs[timeline.stepAt(static_cast<TimeNs>(t))];
             while (idx < stolen.size() &&
                    static_cast<double>(stolen[idx].arrival) <= t + rem) {
                 rem -= std::max(
@@ -727,17 +730,20 @@ handTimeline()
     return timeline;
 }
 
-class EngineVsReference : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(EngineVsReference, MatchesBruteForceExactly)
+/**
+ * Replays handTimeline() under timer kind @p timerKind (0 precise, 1
+ * quantized, 2 jittered, 3 randomized defense) with the engine and with
+ * referenceAttacker, at @p step_costs ns per iteration in each activity
+ * step, and expects the same count in every period.
+ */
+void
+expectEngineMatchesReference(int timerKind,
+                             const std::vector<double> &step_costs)
 {
     const RunTimeline timeline = handTimeline();
-    const double iter_cost = 185.0;
 
     timers::TimerSpec spec;
-    switch (GetParam()) {
+    switch (timerKind) {
       case 0:
         spec = timers::TimerSpec::precise();
         break;
@@ -756,20 +762,70 @@ TEST_P(EngineVsReference, MatchesBruteForceExactly)
     auto timer_engine = spec.make(1234);
     auto timer_ref = spec.make(1234);
 
-    ExecutionEngine engine(
-        timeline,
-        std::vector<double>(timeline.iterCostFactor.size(), iter_cost));
+    ExecutionEngine engine(timeline, step_costs);
     std::vector<std::int64_t> engine_counts;
     PeriodResult result;
     while (engine.runPeriod(*timer_engine, 5 * kMsec, result))
         engine_counts.push_back(result.iterations);
 
     const auto ref_counts =
-        referenceAttacker(timeline, *timer_ref, 5 * kMsec, iter_cost);
+        referenceAttacker(timeline, *timer_ref, 5 * kMsec, step_costs);
 
     ASSERT_EQ(engine_counts.size(), ref_counts.size());
     for (std::size_t i = 0; i < ref_counts.size(); ++i)
         EXPECT_EQ(engine_counts[i], ref_counts[i]) << "period " << i;
+}
+
+class EngineVsReference : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(EngineVsReference, MatchesBruteForceExactly)
+{
+    expectEngineMatchesReference(GetParam(), std::vector<double>(10, 185.0));
+}
+
+TEST_P(EngineVsReference, MatchesBruteForceAtHalfNanosecondCost)
+{
+    // A 185.5 ns iteration puts every other iteration boundary between
+    // interrupts on an exact x.5 ns, so the engine's roundNs meets
+    // std::llround's halfway case on every period.
+    expectEngineMatchesReference(GetParam(), std::vector<double>(10, 185.5));
+}
+
+TEST_P(EngineVsReference, MatchesBruteForceWithPerStepCosts)
+{
+    // A different cost in every 10 ms activity step: the engine must
+    // switch cost, and split its closed-form stretches, exactly at each
+    // step boundary its step cursor crosses. Multiples of 0.5 ns keep
+    // the reference's running sum exact.
+    expectEngineMatchesReference(
+        GetParam(), {185.0, 240.5, 150.0, 320.0, 185.5, 199.0, 260.0,
+                     170.5, 210.0, 230.0});
+}
+
+TEST_P(EngineVsReference, RoundNsMatchesLlroundAtEdges)
+{
+    // The engine's inline rounding against the libm call it replaced,
+    // on the cases a trunc-based or floor(x + 0.5) rounding gets wrong.
+    const double kTwo52 = 4503599627370496.0;
+    std::vector<double> edges = {
+        0.0,        -0.0,        0.5,           -0.5,
+        1.5,        -1.5,        2.5,           -2.5,
+        1e6 + 0.5,  -1e6 - 0.5,  0.49999999999999994,
+        -0.49999999999999994,    std::nextafter(0.5, 1.0),
+        std::nextafter(-0.5, -1.0),             kTwo52 - 0.5,
+        -(kTwo52 - 0.5),         kTwo52,        kTwo52 + 1.0,
+        -(kTwo52 + 1.0),         2.0 * kTwo52 + 2.0,
+        9.2e18,     -9.2e18};
+    Rng rng(static_cast<std::uint64_t>(GetParam()));
+    for (int i = 0; i < 1000; ++i) {
+        const double whole = std::floor(rng.uniform(-1e12, 1e12));
+        edges.push_back(whole + 0.5);
+        edges.push_back(rng.uniform(-1e9, 1e9));
+    }
+    for (const double x : edges)
+        EXPECT_EQ(roundNs(x), std::llround(x)) << std::hexfloat << x;
 }
 
 INSTANTIATE_TEST_SUITE_P(Timers, EngineVsReference,
