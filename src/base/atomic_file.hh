@@ -4,8 +4,8 @@
  *
  * Every durable artifact the suite produces — run artifact JSON, model
  * weights, stage-cache entries, the suite manifest — must never be
- * observable in a torn state. A kill -9 (or a simulated
- * FaultConfig::ioCrashAfterRecords crash) at any instant must leave
+ * observable in a torn state. A kill -9 (or the stage cache's simulated
+ * IoFaults::crashAfterRecords crash) at any instant must leave
  * either the previous complete file or the new complete file, never a
  * prefix. atomicWriteFile() provides that guarantee the classic POSIX
  * way: write the full content to `<path>.tmp`, fsync it, then rename(2)

@@ -77,13 +77,6 @@ RunArtifact::addPhaseSeconds(const std::string &phase, double cpuSeconds,
 }
 
 void
-RunArtifact::addTraceAccounting(std::size_t collected, std::size_t dropped)
-{
-    collectedTraces_ += collected;
-    droppedTraces_ += dropped;
-}
-
-void
 RunArtifact::setSeedProvenance(SeedProvenance provenance)
 {
     provenance_ = std::move(provenance);

@@ -90,9 +90,6 @@ class RunArtifact
     /** The first metric named @p name, when present. */
     std::optional<double> findMetric(const std::string &name) const;
 
-    /** Adds to the dropped/collected trace accounting directly. */
-    void addTraceAccounting(std::size_t collected, std::size_t dropped);
-
     /** Traces that made it into the evaluation (fault accounting). */
     std::size_t collectedTraces() const { return collectedTraces_; }
     /** Traces dropped as unusable (fault accounting). */

@@ -72,97 +72,49 @@ using GroupCellResult =
     std::pair<std::vector<CollectedCell>, sim::PerfCounters>;
 
 /**
- * Accounts one member's collected cells in serial order into one
- * TraceSet per attacker: drops are counted and kept traces are
- * relabeled to @p relabel when set, so the sets and stats are identical
- * at any thread count. Fails when an attacker kept no trace of a
- * non-empty @p world.
+ * Accounts every member's collected cells of one world in serial order
+ * into one TraceSet per attacker, stored in the members' @p world slot:
+ * drops are counted and kept traces are relabeled to @p relabel when
+ * set, so the sets and stats are identical at any thread count. Fails
+ * when an attacker kept no trace of a non-empty world.
  */
-Result<MemberCollection>
-accountCells(std::vector<GroupCellResult> &results, std::size_t member,
-             std::size_t attackers, const char *world,
-             std::optional<Label> relabel)
+Status
+accountWorld(std::span<GroupCellResult> results,
+             std::vector<MemberCollection> &members,
+             WorldCollection MemberCollection::*world, const char *name,
+             std::size_t attackers, std::optional<Label> relabel)
 {
-    MemberCollection out;
-    out.stats.resize(attackers);
-    out.sets.resize(attackers);
-    for (attack::TraceSet &set : out.sets)
-        set.traces.reserve(results.size());
-    for (auto &task : results) {
-        CollectedCell &cell = task.first[member];
-        for (std::size_t a = 0; a < attackers; ++a) {
-            ++out.stats[a].attempted;
-            if (!cell[a].isOk()) {
-                ++out.stats[a].dropped;
-                warnOnce("collector/dropped-trace",
-                         "dropping unusable trace(s); first: " +
-                             cell[a].status().toString());
-                continue;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        WorldCollection &out = members[m].*world;
+        out.stats.resize(attackers);
+        out.sets.resize(attackers);
+        for (attack::TraceSet &set : out.sets)
+            set.traces.reserve(results.size());
+        for (auto &task : results) {
+            CollectedCell &cell = task.first[m];
+            for (std::size_t a = 0; a < attackers; ++a) {
+                ++out.stats[a].attempted;
+                if (!cell[a].isOk()) {
+                    ++out.stats[a].dropped;
+                    warnOnce("collector/dropped-trace",
+                             "dropping unusable trace(s); first: " +
+                                 cell[a].status().toString());
+                    continue;
+                }
+                ++out.stats[a].collected;
+                if (relabel)
+                    cell[a].value().label = *relabel;
+                out.sets[a].add(std::move(cell[a].value()));
             }
-            ++out.stats[a].collected;
-            if (relabel)
-                cell[a].value().label = *relabel;
-            out.sets[a].add(std::move(cell[a].value()));
+        }
+        for (std::size_t a = 0; a < attackers; ++a) {
+            if (!results.empty() && out.sets[a].traces.empty())
+                return exhaustedError(
+                    std::string(name) + " collection dropped all " +
+                    std::to_string(out.stats[a].attempted) + " traces");
         }
     }
-    for (std::size_t a = 0; a < attackers; ++a) {
-        if (!results.empty() && out.sets[a].traces.empty())
-            return Status(exhaustedError(
-                std::string(world) + " collection dropped all " +
-                std::to_string(out.stats[a].attempted) + " traces"));
-    }
-    return out;
-}
-
-/**
- * Checks a group's preconditions, collects its @p cells tasks on the
- * pool (cell_of(idx) gives the task's cache key, site and run) and
- * accounts every member. @p perf sums the tasks' work in serial order,
- * so it is identical at any thread count.
- */
-template <typename CellOf>
-Result<std::vector<MemberCollection>>
-collectGroupWorld(std::span<const TraceCollector *const> members,
-                  std::size_t cells,
-                  std::span<const attack::AttackerKind> attackers,
-                  const char *world, std::optional<Label> relabel,
-                  sim::PerfCounters *perf, CellOf &&cell_of)
-{
-    if (attackers.empty())
-        return Status(
-            invalidArgumentError("need at least one attacker kind"));
-    if (members.empty())
-        return Status(invalidArgumentError("need at least one collector"));
-    for (const TraceCollector *member : members) {
-        if (!(member->timelineInputs() == members[0]->timelineInputs()))
-            return Status(invalidArgumentError(
-                "a collection group needs equal timeline inputs"));
-    }
-    // Every (site, run) cell derives its randomness from the config seed
-    // alone, so the cells are independent and collect in parallel; each
-    // result lands in its own pre-sized slot. The accounting below walks
-    // the slots in serial order, so the produced TraceSets, the
-    // dropped-trace stats and the summed perf counters are identical at
-    // any thread count.
-    auto results = parallelMap(cells, [&](std::size_t idx) {
-        sim::PerfCounters task_perf;
-        return GroupCellResult(
-            cell_of(idx, perf != nullptr ? &task_perf : nullptr),
-            task_perf);
-    });
-    if (perf != nullptr)
-        for (const GroupCellResult &task : results)
-            *perf += task.second;
-    std::vector<MemberCollection> out;
-    out.reserve(members.size());
-    for (std::size_t m = 0; m < members.size(); ++m) {
-        Result<MemberCollection> member =
-            accountCells(results, m, attackers.size(), world, relabel);
-        if (!member.isOk())
-            return Status(member.status());
-        out.push_back(std::move(member.value()));
-    }
-    return out;
+    return Status();
 }
 
 /** The base timeline of a (site, run) and the RNG stream the browser
@@ -477,40 +429,18 @@ TraceCollector::collectClosedWorldMulti(
     std::span<const attack::AttackerKind> attackers,
     std::vector<CollectionStats> *stats, sim::PerfCounters *perf) const
 {
-    const TraceCollector *const self[] = {this};
-    Result<std::vector<MemberCollection>> group = collectClosedWorldGroup(
-        self, catalog, traces_per_site, attackers, perf);
-    if (!group.isOk())
-        return Status(group.status());
-    if (stats != nullptr)
-        *stats = std::move(group.value()[0].stats);
-    return std::move(group.value()[0].sets);
-}
-
-Result<std::vector<MemberCollection>>
-TraceCollector::collectClosedWorldGroup(
-    std::span<const TraceCollector *const> members,
-    const web::SiteCatalog &catalog, int traces_per_site,
-    std::span<const attack::AttackerKind> attackers,
-    sim::PerfCounters *perf)
-{
     if (traces_per_site <= 0)
         return Status(
             invalidArgumentError("traces_per_site must be positive"));
-    const std::size_t cells =
-        static_cast<std::size_t>(catalog.size()) *
-        static_cast<std::size_t>(traces_per_site);
-    return collectGroupWorld(
-        members, cells, attackers, "closed-world", std::nullopt, perf,
-        [&](std::size_t idx, sim::PerfCounters *task_perf) {
-            const SiteId id = static_cast<SiteId>(
-                idx / static_cast<std::size_t>(traces_per_site));
-            const int run = static_cast<int>(
-                idx % static_cast<std::size_t>(traces_per_site));
-            return collectGroupCell(members, kClosedWorldCell, id,
-                                    catalog.site(id), run, attackers,
-                                    task_perf);
-        });
+    const TraceCollector *const self[] = {this};
+    Result<std::vector<MemberCollection>> group =
+        collectGroup(self, catalog, traces_per_site, 0, 0, attackers, perf);
+    if (!group.isOk())
+        return Status(group.status());
+    WorldCollection &closed = group.value()[0].closed;
+    if (stats != nullptr)
+        *stats = std::move(closed.stats);
+    return std::move(closed.sets);
 }
 
 Result<std::vector<attack::TraceSet>>
@@ -521,36 +451,85 @@ TraceCollector::collectOpenWorldMulti(
     std::vector<CollectionStats> *stats, sim::PerfCounters *perf) const
 {
     const TraceCollector *const self[] = {this};
-    Result<std::vector<MemberCollection>> group = collectOpenWorldGroup(
-        self, catalog, num_extra, non_sensitive_label, attackers, perf);
+    Result<std::vector<MemberCollection>> group =
+        collectGroup(self, catalog, 0, num_extra, non_sensitive_label,
+                     attackers, perf);
     if (!group.isOk())
         return Status(group.status());
+    WorldCollection &open = group.value()[0].open;
     if (stats != nullptr)
-        *stats = std::move(group.value()[0].stats);
-    return std::move(group.value()[0].sets);
+        *stats = std::move(open.stats);
+    return std::move(open.sets);
 }
 
 Result<std::vector<MemberCollection>>
-TraceCollector::collectOpenWorldGroup(
-    std::span<const TraceCollector *const> members,
-    const web::SiteCatalog &catalog, int num_extra,
-    Label non_sensitive_label,
-    std::span<const attack::AttackerKind> attackers,
-    sim::PerfCounters *perf)
+TraceCollector::collectGroup(std::span<const TraceCollector *const> members,
+                             const web::SiteCatalog &catalog,
+                             int traces_per_site, int num_extra,
+                             Label non_sensitive_label,
+                             std::span<const attack::AttackerKind> attackers,
+                             sim::PerfCounters *perf)
 {
-    // Each open-world trace visits a distinct one-off site (the paper's
-    // 5,000 unique non-sensitive pages). The cache keys open-world cells
-    // by extension index (not the one-off site id), which is stable
-    // across catalog id schemes.
-    return collectGroupWorld(
-        members, static_cast<std::size_t>(std::max(num_extra, 0)),
-        attackers, "open-world", non_sensitive_label, perf,
-        [&](std::size_t i, sim::PerfCounters *task_perf) {
-            return collectGroupCell(
-                members, kOpenWorldCell, static_cast<SiteId>(i),
-                catalog.openWorldSite(static_cast<int>(i)), 0, attackers,
-                task_perf);
+    if (attackers.empty())
+        return Status(
+            invalidArgumentError("need at least one attacker kind"));
+    if (members.empty())
+        return Status(invalidArgumentError("need at least one collector"));
+    for (const TraceCollector *member : members) {
+        if (!(member->timelineInputs() == members[0]->timelineInputs()))
+            return Status(invalidArgumentError(
+                "a collection group needs equal timeline inputs"));
+    }
+    const std::size_t per_site =
+        static_cast<std::size_t>(std::max(traces_per_site, 0));
+    const std::size_t closed_cells =
+        static_cast<std::size_t>(catalog.size()) * per_site;
+    const std::size_t open_cells =
+        static_cast<std::size_t>(std::max(num_extra, 0));
+
+    // Every cell derives its randomness from the config seed alone, so
+    // the cells are independent and collect in parallel; each result
+    // lands in its own pre-sized slot. The accounting below walks the
+    // slots in serial order, so the produced TraceSets, the
+    // dropped-trace stats and the summed perf counters are identical at
+    // any thread count. Each open-world cell visits a distinct one-off
+    // site (the paper's 5,000 unique non-sensitive pages), keyed by its
+    // extension index, which is stable across catalog id schemes.
+    auto results = parallelMap(
+        closed_cells + open_cells, [&](std::size_t idx) {
+            GroupCellResult task;
+            sim::PerfCounters *task_perf =
+                perf != nullptr ? &task.second : nullptr;
+            if (idx < closed_cells) {
+                const SiteId id = static_cast<SiteId>(idx / per_site);
+                task.first = collectGroupCell(
+                    members, kClosedWorldCell, id, catalog.site(id),
+                    static_cast<int>(idx % per_site), attackers, task_perf);
+            } else {
+                const int i = static_cast<int>(idx - closed_cells);
+                task.first = collectGroupCell(
+                    members, kOpenWorldCell, static_cast<SiteId>(i),
+                    catalog.openWorldSite(i), 0, attackers, task_perf);
+            }
+            return task;
         });
+    if (perf != nullptr)
+        for (const GroupCellResult &task : results)
+            *perf += task.second;
+
+    const std::span<GroupCellResult> cells(results);
+    std::vector<MemberCollection> out(members.size());
+    Status accounted =
+        accountWorld(cells.first(closed_cells), out,
+                     &MemberCollection::closed, "closed-world",
+                     attackers.size(), std::nullopt);
+    if (accounted.isOk())
+        accounted = accountWorld(cells.subspan(closed_cells), out,
+                                 &MemberCollection::open, "open-world",
+                                 attackers.size(), non_sensitive_label);
+    if (!accounted.isOk())
+        return accounted;
+    return out;
 }
 
 std::uint64_t
@@ -663,10 +642,6 @@ collectionFingerprint(const CollectionConfig &config,
     canon.add("realization.rateSigma", config.realization.rateSigma);
     canon.add("realization.runLoadSigma", config.realization.runLoadSigma);
 
-    // Signal faults change trace content, so they key the cells; the IO
-    // faults (ioCrashAfterRecords/ioTornWriteBytes/ioCorruptRecordProb)
-    // only perturb persistence and are deliberately left out — a resumed
-    // run with the crash fault removed must find its own progress.
     const sim::FaultConfig &f = config.faults;
     canon.add("faults.dropInterruptProb", f.dropInterruptProb);
     canon.add("faults.duplicateInterruptProb", f.duplicateInterruptProb);

@@ -24,8 +24,8 @@
  * The victim's base timeline (everything before applyBrowserRuntime)
  * depends only on TimelineInputs. Configs that agree on them — Chrome,
  * Firefox and Safari on one OS, or Table 4's timer variants — form a
- * group, and collectClosedWorldGroup()/collectOpenWorldGroup()
- * synthesize each (site, run) base once for the whole group.
+ * group, and collectGroup() synthesizes each (world, site, run) base
+ * once for the whole group, collecting both worlds in one pass.
  *
  * Error contract: per-trace collection returns Result<Trace>; a trace
  * degraded below usability (e.g. truncated to a handful of periods) is
@@ -141,11 +141,19 @@ struct CollectionStats
     std::size_t dropped = 0;   ///< Traces dropped as unusable.
 };
 
-/** One group member's collection: a TraceSet per attacker, with stats. */
-struct MemberCollection
+/** One world's collection: a TraceSet per attacker, with stats. */
+struct WorldCollection
 {
     std::vector<attack::TraceSet> sets;
     std::vector<CollectionStats> stats;
+};
+
+/** One group member's collection of both worlds. */
+struct MemberCollection
+{
+    WorldCollection closed;
+    /** The open-world extension (one-off sites, relabeled). */
+    WorldCollection open;
 };
 
 /** Collects traces for one configuration. */
@@ -235,31 +243,27 @@ class TraceCollector
                           sim::PerfCounters *perf = nullptr) const;
 
     /**
-     * Closed-world collection for several collectors whose configs have
-     * equal TimelineInputs (the call fails otherwise). Every (site, run)
-     * task synthesizes the base timeline once, and only when some
-     * member's cell is not in that member's cache. Each member that
-     * needs the cell finishes its own copy of the base (browser runtime,
-     * faults) and runs every attacker with its own timer and period, so
-     * its sets are bit-identical to its own collectClosedWorldMulti(),
-     * which is this call with one member. @p perf (optional) sums the
-     * whole group's work in serial cell order: a synthesis is counted
-     * once.
+     * Both worlds of several collectors whose configs have equal
+     * TimelineInputs (the call fails otherwise): @p traces_per_site
+     * closed-world traces of every catalog site, then @p num_extra
+     * open-world traces relabeled @p non_sensitive_label, all as cells
+     * of one parallel pass. A world with no cells comes back empty.
+     * Every (world, site, run) cell synthesizes the base timeline once,
+     * and only when some member's cell misses the attached cache.
+     * Each member that needs the cell finishes its own copy of the base
+     * (browser runtime, faults) and runs every attacker with its own
+     * timer and period, so its sets are bit-identical to its own
+     * collectClosedWorldMulti()/collectOpenWorldMulti(), which select
+     * one world of this call with one member. @p perf (optional) sums
+     * the whole group's work in serial cell order, closed world first:
+     * a synthesis is counted once.
      */
     [[nodiscard]] static Result<std::vector<MemberCollection>>
-    collectClosedWorldGroup(std::span<const TraceCollector *const> members,
-                            const web::SiteCatalog &catalog,
-                            int traces_per_site,
-                            std::span<const attack::AttackerKind> attackers,
-                            sim::PerfCounters *perf = nullptr);
-
-    /** Open-world counterpart of collectClosedWorldGroup(). */
-    [[nodiscard]] static Result<std::vector<MemberCollection>>
-    collectOpenWorldGroup(std::span<const TraceCollector *const> members,
-                          const web::SiteCatalog &catalog, int num_extra,
-                          Label non_sensitive_label,
-                          std::span<const attack::AttackerKind> attackers,
-                          sim::PerfCounters *perf = nullptr);
+    collectGroup(std::span<const TraceCollector *const> members,
+                 const web::SiteCatalog &catalog, int traces_per_site,
+                 int num_extra, Label non_sensitive_label,
+                 std::span<const attack::AttackerKind> attackers,
+                 sim::PerfCounters *perf = nullptr);
 
   private:
     /** Per-(site, run) fault-plan salt (independent of the trace RNG). */
@@ -298,7 +302,7 @@ class TraceCollector
 
     /**
      * Cell (world, site_key, run) of every member, each replayed from
-     * that member's cache or collected over one shared base timeline,
+     * its attached cache or collected over one shared base timeline,
      * which is synthesized only if some member needs it.
      */
     [[nodiscard]] static std::vector<std::vector<Result<attack::Trace>>>
@@ -325,10 +329,9 @@ class TraceCollector
 
 /**
  * Deterministic fingerprint of everything a collected trace's content
- * depends on: the full CollectionConfig (signal faults included, IO
- * faults excluded — they never alter content), the catalog geometry and
- * the attacker set. Two configurations hash equal iff their collected
- * cells are interchangeable.
+ * depends on: the full CollectionConfig (faults included), the catalog
+ * geometry and the attacker set. Two configurations hash equal iff
+ * their collected cells are interchangeable.
  */
 [[nodiscard]] std::uint64_t
 collectionFingerprint(const CollectionConfig &config,

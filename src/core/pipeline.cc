@@ -62,14 +62,6 @@ distinctLabels(const attack::TraceSet &traces)
     return static_cast<int>(labels.size());
 }
 
-/** Everything one config's collection produces, per attacker. */
-struct CollectOutput
-{
-    MemberCollection closed;
-    /** Empty when the run has no open world. */
-    MemberCollection openExtra;
-};
-
 /** The declared stage ids one attacker/world evaluation owns. */
 struct WorldStages
 {
@@ -95,60 +87,42 @@ featurizeCanon(const PipelineConfig &pipeline, attack::AttackerKind kind)
 
 /**
  * The Collect stage body of a timeline group: shared-timeline trace
- * collection for every member and attacker (TraceCollector's group
- * calls). With a stage cache, every finished (world, site, run) cell is
- * stored as a "cell" entry of its member's cache and replayed on the
- * next run, so the one cache makes a *partial* collection restartable
- * (`--resume`) and a *finished* one (and everything downstream)
- * skippable. @p perf receives the group's simulator work.
+ * collection of both worlds for every member and attacker
+ * (TraceCollector::collectGroup). With the run's stage cache, every
+ * finished (world, site, run) cell is stored as a "cell" entry under
+ * its member's key and replayed on the next run, so the one cache makes
+ * a *partial* collection restartable (`--resume`) and a *finished* one
+ * (and everything downstream) skippable. @p perf receives the group's
+ * simulator work.
  */
-Result<std::vector<CollectOutput>>
+Result<std::vector<MemberCollection>>
 collectStageBody(std::span<const TraceCollector *const> members,
                  std::span<const attack::AttackerKind> attackers,
                  const PipelineConfig &pipeline, Label non_sensitive,
-                 std::span<StageCache *const> caches,
-                 sim::PerfCounters *perf)
+                 const StageCache *cache, sim::PerfCounters *perf)
 {
     const web::SiteCatalog catalog(pipeline.numSites, pipeline.catalogSeed);
-    std::vector<std::size_t> hits_before;
-    for (const StageCache *cache : caches)
-        hits_before.push_back(cache ? cache->stats().hits : 0);
-
-    Result<std::vector<MemberCollection>> closed =
-        TraceCollector::collectClosedWorldGroup(
-            members, catalog, pipeline.tracesPerSite, attackers, perf);
-    if (!closed.isOk())
-        return Status(closed.status());
-    std::vector<CollectOutput> out(members.size());
-    for (std::size_t m = 0; m < members.size(); ++m)
-        out[m].closed = std::move(closed.value()[m]);
-    if (pipeline.openWorldExtra > 0) {
-        Result<std::vector<MemberCollection>> extra =
-            TraceCollector::collectOpenWorldGroup(
-                members, catalog, pipeline.openWorldExtra, non_sensitive,
-                attackers, perf);
-        if (!extra.isOk())
-            return Status(extra.status());
-        for (std::size_t m = 0; m < members.size(); ++m)
-            out[m].openExtra = std::move(extra.value()[m]);
-    }
-    for (std::size_t m = 0; m < members.size(); ++m) {
-        const StageCache *cache = caches[m];
-        if (cache != nullptr && cache->stats().hits > hits_before[m])
-            std::printf("resuming: replayed %zu collected cell(s) from %s\n",
-                        cache->stats().hits - hits_before[m],
-                        cache->dir().c_str());
-    }
-    return out;
+    const std::size_t hits_before = cache ? cache->stats().hits : 0;
+    Result<std::vector<MemberCollection>> collected =
+        TraceCollector::collectGroup(members, catalog, pipeline.tracesPerSite,
+                                     pipeline.openWorldExtra, non_sensitive,
+                                     attackers, perf);
+    if (!collected.isOk())
+        return collected;
+    if (cache != nullptr && cache->stats().hits > hits_before)
+        std::printf("resuming: replayed %zu collected cell(s) from %s\n",
+                    cache->stats().hits - hits_before, cache->dir().c_str());
+    return collected;
 }
 
 /**
  * The Featurize stage body for one attacker: degraded-collection
  * checks, then toDataset() for the closed world and (when enabled) the
- * merged open world, with trace accounting.
+ * open world's extra traces, appended to the closed-world rows, with
+ * trace accounting.
  */
 Result<FeaturizedEntry>
-featurizeStageBody(const CollectOutput &collected, std::size_t a,
+featurizeStageBody(const MemberCollection &collected, std::size_t a,
                    const PipelineConfig &pipeline)
 {
     const attack::TraceSet &closed = collected.closed.sets[a];
@@ -178,16 +152,20 @@ featurizeStageBody(const CollectOutput &collected, std::size_t a,
     if (entry.hasOpenWorld) {
         // The paper's open world: closed-world traces keep their site
         // labels ("sensitive"); one extra class holds all one-off
-        // "non-sensitive" traces.
-        const attack::TraceSet &extra = collected.openExtra.sets[a];
-        entry.droppedTraces += collected.openExtra.stats[a].dropped;
-        entry.collectedTraces += collected.openExtra.stats[a].collected;
-        attack::TraceSet open = closed;
-        open.traces.reserve(closed.size() + extra.traces.size());
-        for (const auto &trace : extra.traces)
-            open.add(trace);
-        entry.openWorld =
-            toDataset(open, pipeline.featureLen, pipeline.numSites + 1);
+        // "non-sensitive" traces. Traces featurize independently, so the
+        // closed-world rows are reused as they are.
+        const CollectionStats &extra_stats = collected.open.stats[a];
+        entry.droppedTraces += extra_stats.dropped;
+        entry.collectedTraces += extra_stats.collected;
+        ml::Dataset extra = toDataset(collected.open.sets[a],
+                                      pipeline.featureLen,
+                                      pipeline.numSites + 1);
+        entry.openWorld = entry.closedWorld;
+        for (std::size_t i = 0; i < extra.size(); ++i)
+            entry.openWorld.add(std::move(extra.features[i]),
+                                extra.labels[i]);
+        entry.openWorld.numClasses =
+            std::max(entry.openWorld.numClasses, extra.numClasses);
     }
     return entry;
 }
@@ -295,48 +273,34 @@ struct AttackerStages
     WorldStages open;
 };
 
-/** One config's declared stage graph and, once probed or collected,
- *  its featurized datasets. */
+/** One config's declared stages and, once probed or collected, its
+ *  featurized datasets. */
 struct ConfigRun
 {
     const CollectionConfig *collection = nullptr;
-    std::optional<StageCache> cache;
-    std::unique_ptr<StageGraph> graph;
     std::uint64_t collectionFp = 0;
     std::size_t collectId = 0;
     std::vector<std::size_t> featIds;
     std::vector<AttackerStages> stages;
     std::vector<FeaturizedEntry> featurized;
-
-    StageCache *cachePtr() { return cache ? &*cache : nullptr; }
 };
 
 const StageCodec<FeaturizedEntry> kFeaturizedCodec{
     "featurized", &encodeFeaturized, &decodeFeaturized};
 
 /**
- * Opens @p run's stage cache and declares its whole graph up front:
- * every stage's fingerprint is a pure function of configuration
- * (cacheDir excluded — it affects where work happens, never what it
- * computes), so a warm run can probe the cache bottom-up before running
- * anything.
+ * Declares @p run's stages in @p graph: every stage's fingerprint is a
+ * pure function of configuration (cacheDir excluded — it affects where
+ * work happens, never what it computes), so a warm run can probe the
+ * cache bottom-up before running anything.
  */
-Status
-declareRun(ConfigRun &run, const CollectionConfig &collection,
+void
+declareRun(StageGraph &graph, ConfigRun &run,
+           const CollectionConfig &collection,
            std::span<const attack::AttackerKind> attackers,
            const PipelineConfig &pipeline)
 {
     run.collection = &collection;
-    if (!pipeline.cacheDir.empty()) {
-        Result<StageCache> opened =
-            StageCache::open(pipeline.cacheDir, collection.faults);
-        if (!opened.isOk())
-            return opened.status();
-        run.cache = std::move(opened.value());
-    }
-    run.graph = std::make_unique<StageGraph>(run.cachePtr());
-    StageGraph &graph = *run.graph;
-
     run.collectionFp = collectionFingerprint(
         collection, pipeline.catalogSeed, pipeline.numSites,
         pipeline.openWorldExtra, attackers);
@@ -403,7 +367,6 @@ declareRun(ConfigRun &run, const CollectionConfig &collection,
             run.stages[a].open =
                 declare_world("open", ml::kOpenWorldFoldSeedBase);
     }
-    return Status();
 }
 
 /**
@@ -411,17 +374,18 @@ declareRun(ConfigRun &run, const CollectionConfig &collection,
  * anything (all-or-nothing — a partial hit still has to pay the shared
  * collection, so it is treated as a miss). On a full hit the cached
  * datasets replay bit-identically, the Collect stage never runs, and
- * this returns true.
+ * this returns true. Without a cache directory it returns false.
  */
 bool
-probeFeaturized(ConfigRun &run, std::size_t attackers)
+probeFeaturized(StageGraph &graph, ConfigRun &run, std::size_t attackers,
+                const PipelineConfig &pipeline)
 {
-    if (!run.cache)
+    if (pipeline.cacheDir.empty())
         return false;
     run.featurized.reserve(attackers);
     for (const std::size_t id : run.featIds) {
         std::optional<FeaturizedEntry> entry =
-            run.graph->fromCache(id, kFeaturizedCodec);
+            graph.fromCache(id, kFeaturizedCodec);
         if (!entry)
             break;
         run.featurized.push_back(std::move(*entry));
@@ -431,11 +395,11 @@ probeFeaturized(ConfigRun &run, std::size_t attackers)
                     "skipping collection and featurization\n",
                     run.featurized.size(),
                     run.featurized.size() == 1 ? "y" : "ies",
-                    run.cache->dir().c_str());
+                    pipeline.cacheDir.c_str());
         return true;
     }
     std::printf("stage cache: featurized miss in %s; collecting\n",
-                run.cache->dir().c_str());
+                pipeline.cacheDir.c_str());
     run.featurized.clear();
     return false;
 }
@@ -448,40 +412,37 @@ probeFeaturized(ConfigRun &run, std::size_t attackers)
  * with zero cost, so summing rows counts the shared work once.
  */
 Status
-collectGroup(std::span<ConfigRun *const> members,
-             std::span<const attack::AttackerKind> attackers,
-             const PipelineConfig &pipeline, Label non_sensitive)
+collectAndFeaturize(StageGraph &graph, StageCache *cache,
+                    std::span<ConfigRun *const> members,
+                    std::span<const attack::AttackerKind> attackers,
+                    const PipelineConfig &pipeline, Label non_sensitive)
 {
     std::vector<TraceCollector> collectors;
     collectors.reserve(members.size());
-    std::vector<StageCache *> caches;
     for (ConfigRun *run : members) {
         collectors.emplace_back(*run->collection);
-        collectors.back().setCache(run->cachePtr(), run->collectionFp);
-        caches.push_back(run->cachePtr());
+        collectors.back().setCache(cache, run->collectionFp);
     }
     std::vector<const TraceCollector *> group;
     for (const TraceCollector &collector : collectors)
         group.push_back(&collector);
 
-    ConfigRun &leader = *members[0];
+    const std::size_t leader = members[0]->collectId;
     sim::PerfCounters perf;
-    Result<std::vector<CollectOutput>> collected =
-        leader.graph->run<std::vector<CollectOutput>>(
-            leader.collectId, nullptr,
-            [&]() -> Result<std::vector<CollectOutput>> {
+    Result<std::vector<MemberCollection>> collected =
+        graph.run<std::vector<MemberCollection>>(
+            leader, nullptr, [&]() -> Result<std::vector<MemberCollection>> {
                 return collectStageBody(group, attackers, pipeline,
-                                        non_sensitive, caches, &perf);
+                                        non_sensitive, cache, &perf);
             });
     if (!collected.isOk())
         return collected.status();
 
     for (std::size_t m = 0; m < members.size(); ++m) {
         ConfigRun &run = *members[m];
-        StageGraph &graph = *run.graph;
         // Featurize consumes this member's traces; they are freed as
         // soon as its datasets exist.
-        const CollectOutput traces = std::move(collected.value()[m]);
+        const MemberCollection traces = std::move(collected.value()[m]);
         std::size_t total_collected = 0, total_dropped = 0;
         for (std::size_t a = 0; a < attackers.size(); ++a) {
             // Featurization stores before the folds evaluate: a run
@@ -506,9 +467,8 @@ collectGroup(std::span<ConfigRun *const> members,
         if (m == 0)
             graph.setSimCounters(run.collectId, perf);
         else
-            graph.setCacheState(
-                run.collectId,
-                leader.graph->reports()[leader.collectId].cache);
+            graph.setCacheState(run.collectId,
+                                graph.reports()[leader].cache);
     }
     return Status();
 }
@@ -520,10 +480,10 @@ collectGroup(std::span<ConfigRun *const> members,
  * everything else is owned by exactly one attacker.
  */
 Result<std::vector<FingerprintResult>>
-evaluateRun(ConfigRun &run, std::span<const attack::AttackerKind> attackers,
+evaluateRun(StageGraph &graph, const ConfigRun &run,
+            std::span<const attack::AttackerKind> attackers,
             const PipelineConfig &pipeline, Label non_sensitive)
 {
-    StageGraph &graph = *run.graph;
     const bool has_open = pipeline.openWorldExtra > 0;
     for (std::size_t a = 0; a < attackers.size(); ++a)
         graph.setCounts(
@@ -594,20 +554,28 @@ runFingerprintingShared(std::span<const CollectionConfig> collections,
             invalidArgumentError("need at least one attacker kind"));
     if (pipeline.numSites < 2)
         return Status(invalidArgumentError("need at least two sites"));
+    if (pipeline.tracesPerSite < 1)
+        return Status(
+            invalidArgumentError("traces_per_site must be positive"));
     if (pipeline.eval.folds < 2)
         return Status(
             invalidArgumentError("cross-validation needs >= 2 folds"));
     const Label non_sensitive = pipeline.numSites;
 
-    std::vector<std::unique_ptr<ConfigRun>> runs;
-    runs.reserve(collections.size());
-    for (const CollectionConfig &collection : collections) {
-        runs.push_back(std::make_unique<ConfigRun>());
-        const Status declared =
-            declareRun(*runs.back(), collection, attackers, pipeline);
-        if (!declared.isOk())
-            return declared;
+    // One cache and one graph for the whole run: every config's stages
+    // are declared before any stage runs.
+    std::unique_ptr<StageCache> cache;
+    if (!pipeline.cacheDir.empty()) {
+        Result<StageCache> opened =
+            StageCache::open(pipeline.cacheDir, pipeline.ioFaults);
+        if (!opened.isOk())
+            return Status(opened.status());
+        cache = std::make_unique<StageCache>(std::move(opened.value()));
     }
+    StageGraph graph(cache.get());
+    std::vector<ConfigRun> runs(collections.size());
+    for (std::size_t c = 0; c < collections.size(); ++c)
+        declareRun(graph, runs[c], collections[c], attackers, pipeline);
 
     // Group configs by equal TimelineInputs, in first-appearance order:
     // one Collect per group synthesizes each base timeline once.
@@ -628,22 +596,24 @@ runFingerprintingShared(std::span<const CollectionConfig> collections,
     for (const std::vector<std::size_t> &group : groups) {
         std::vector<ConfigRun *> collecting;
         for (const std::size_t c : group)
-            if (!probeFeaturized(*runs[c], attackers.size()))
-                collecting.push_back(runs[c].get());
+            if (!probeFeaturized(graph, runs[c], attackers.size(), pipeline))
+                collecting.push_back(&runs[c]);
         if (!collecting.empty()) {
-            const Status collected = collectGroup(collecting, attackers,
-                                                  pipeline, non_sensitive);
+            const Status collected =
+                collectAndFeaturize(graph, cache.get(), collecting,
+                                    attackers, pipeline, non_sensitive);
             if (!collected.isOk())
                 return collected;
         }
         for (const std::size_t c : group) {
             Result<std::vector<FingerprintResult>> evaluated =
-                evaluateRun(*runs[c], attackers, pipeline, non_sensitive);
+                evaluateRun(graph, runs[c], attackers, pipeline,
+                            non_sensitive);
             if (!evaluated.isOk())
                 return Status(evaluated.status());
             results[c] = std::move(evaluated.value());
             // Scored: this config's datasets are no longer needed.
-            std::vector<FeaturizedEntry>().swap(runs[c]->featurized);
+            std::vector<FeaturizedEntry>().swap(runs[c].featurized);
         }
     }
     return results;

@@ -9,13 +9,13 @@
  * accuracy numbers for the closed-world and open-world settings, per
  * config and attacker.
  *
- * Internally the run is a declared stage graph (core/stage.hh):
- * Collect → Featurize per attacker → per world FoldSplit →
- * TrainFold×k → ScoreFold×k → Aggregate. Every stage is
- * content-addressed, so with a cacheDir any upstream prefix whose
- * fingerprints match a previous run replays from the stage cache
- * bit-identically, and the per-stage timing/cache table comes back in
- * FingerprintResult::stages.
+ * Internally the run is one declared stage graph (core/stage.hh) over
+ * at most one stage cache, holding every config's stages: Collect →
+ * Featurize per attacker → per world FoldSplit → TrainFold×k →
+ * ScoreFold×k → Aggregate. Every stage is content-addressed, so with a
+ * cacheDir any upstream prefix whose fingerprints match a previous run
+ * replays from the stage cache bit-identically, and the per-stage
+ * timing/cache table comes back in FingerprintResult::stages.
  *
  * Error contract: runFingerprintingShared() returns a Result.
  * Traces that come back unusable (fault-truncated, empty) are dropped
@@ -33,6 +33,7 @@
 #include "base/result.hh"
 #include "core/collector.hh"
 #include "core/stage.hh"
+#include "core/stage_cache.hh"
 #include "ml/classifier.hh"
 #include "ml/evaluation.hh"
 
@@ -70,6 +71,13 @@ struct PipelineConfig
      * featurization and (for eval-only knobs like topK) training too.
      */
     std::string cacheDir;
+    /**
+     * Injected IO faults of the stage cache (crash-recovery testing;
+     * none by default). They count the cells of the whole run, whose
+     * configs share one cache: a crash after N cells leaves N intact
+     * cell entries at one thread, and at most N at more.
+     */
+    IoFaults ioFaults;
 };
 
 /** The result of one full fingerprinting evaluation. */
@@ -118,10 +126,11 @@ struct FingerprintResult
  * double-count it.
  *
  * Configs with equal TimelineInputs (core/collector.hh) form a group
- * that runs one Collect: each (world, site, run) base timeline is
- * synthesized once for the whole group, and only when some member's
- * cell misses the cache. Every result is bit-identical to a separate
- * call for its config, and every per-config cache entry keeps its key.
+ * that runs one Collect (TraceCollector::collectGroup, both worlds in
+ * one pass): each (world, site, run) base timeline is synthesized once
+ * for the whole group, and only when some member's cell misses the
+ * cache. Every result is bit-identical to a separate call for its
+ * config, and every per-config cache entry keeps its key.
  * A group's Collect cost and simulator counters are reported in the
  * Collect row of its first member that collected; the other members'
  * Collect rows read zero.

@@ -142,6 +142,8 @@ pipelineForScale(const ExperimentScale &scale)
     pipeline.eval.topK = scale.topK;
     pipeline.factory = classifierForScale(scale);
     pipeline.cacheDir = scale.cacheDir;
+    pipeline.ioFaults.crashAfterRecords = scale.ioCrashAfterRecords;
+    pipeline.ioFaults.tornWriteBytes = scale.ioTornWriteBytes;
     return pipeline;
 }
 
@@ -149,8 +151,6 @@ CollectionConfig
 collectionForScale(const ExperimentScale &scale, CollectionConfig base)
 {
     base.seed = scale.seed;
-    base.faults.ioCrashAfterRecords = scale.ioCrashAfterRecords;
-    base.faults.ioTornWriteBytes = scale.ioTornWriteBytes;
     return base;
 }
 

@@ -98,8 +98,9 @@ class ExperimentRegistry
 
 /**
  * The common scale schema every experiment starts from: sites, traces,
- * open, features, folds, seed, paper-model, threads — with the same
- * defaults and BF_* environment variables the bench binaries honored.
+ * open, features, folds, topk, seed, paper-model, threads, the stage
+ * cache directory and the IO fault knobs, each with its default and
+ * range (set by flag or spec file).
  */
 spec::ParamSchema commonScaleSchema();
 
@@ -135,14 +136,16 @@ std::vector<std::pair<std::string, std::string>> smokeScaleOverrides();
 /** The --full preset: the paper's dimensions (100×100, 10 folds). */
 std::vector<std::pair<std::string, std::string>> fullScaleOverrides();
 
-/** Builds a PipelineConfig from the scale (closed world only). */
+/**
+ * Builds a PipelineConfig from the scale (closed world only), with the
+ * stage cache directory and its IO fault knobs, so cached
+ * (`--cache-dir`/`--resume`) runs can be crash-tested from the CLI.
+ */
 PipelineConfig pipelineForScale(const ExperimentScale &scale);
 
 /**
  * @p base (an experiment's machine/browser/defense configuration, e.g.
- * a core::presets row) with the scale's master seed and IO-layer fault
- * knobs (sim/faults.hh) laid over it, so cached
- * (`--cache-dir`/`--resume`) runs can be crash-tested from the CLI.
+ * a core::presets row) with the scale's master seed laid over it.
  */
 CollectionConfig collectionForScale(const ExperimentScale &scale,
                                     CollectionConfig base = {});

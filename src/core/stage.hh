@@ -258,8 +258,8 @@ class StageGraph
 
     /**
      * Records @p state as stage @p id's provenance without running it:
-     * its work ran inside another graph's stage (a Collect shared by a
-     * timeline group), so its cost stays zero.
+     * its work ran inside another stage (a Collect shared by a timeline
+     * group), so its cost stays zero.
      */
     void
     setCacheState(std::size_t id, StageCacheState state)
@@ -275,8 +275,6 @@ class StageGraph
     }
 
     const std::vector<StageReport> &reports() const { return reports_; }
-
-    StageCache *cache() const { return cache_; }
 
   private:
     /** Now() on the stage's CPU clock: thread-CPU for pool workers

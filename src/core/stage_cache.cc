@@ -82,7 +82,7 @@ readDataset(ByteReader &in, ml::Dataset &data)
 } // namespace
 
 Result<StageCache>
-StageCache::open(const std::string &dir, const sim::FaultConfig &faults)
+StageCache::open(const std::string &dir, const IoFaults &faults)
 {
     Status created = createDirectories(dir);
     if (!created.isOk())
@@ -169,37 +169,32 @@ StageCache::put(std::string_view kind, std::uint64_t key,
     std::string framed = frame(kind, key, payload);
     const std::string path = entryPath(kind, key);
 
-    // --- Injected IO faults (cells only; deterministic in faults.seed
-    // and the entry key, so they hit the same cells at any --threads).
-    if (kind == kCellKind && faults_.ioEnabled()) {
-        {
-            const std::lock_guard<std::mutex> lock(*mutex_);
-            if (faults_.ioCrashAfterRecords > 0 &&
-                cellsPut_ >=
-                    static_cast<std::size_t>(faults_.ioCrashAfterRecords)) {
-                // Simulated kill -9 mid-write: a torn prefix of the
-                // entry reaches its final path (as it would without the
-                // atomic rename), then the process dies unwound.
-                const std::size_t torn = std::min(
-                    framed.size(), static_cast<std::size_t>(
-                                       std::max(faults_.ioTornWriteBytes, 0)));
-                FILE *out = torn > 0 ? std::fopen(path.c_str(), "wb")
-                                     : nullptr;
-                if (out != nullptr) {
-                    std::fwrite(framed.data(), 1, torn, out);
-                    std::fclose(out);
-                }
-                panic("fault injection: simulated crash after " +
-                      std::to_string(cellsPut_) +
-                      " cell entries (stage cache " + dir_ + ")");
+    // --- Injected IO faults (cells only; deterministic in the entry
+    // key, so they hit the same cells at any --threads).
+    if (kind == kCellKind && faults_.crashAfterRecords > 0) {
+        const std::lock_guard<std::mutex> lock(*mutex_);
+        if (cellsPut_ >= static_cast<std::size_t>(faults_.crashAfterRecords)) {
+            // Simulated kill -9 mid-write: a torn prefix of the entry
+            // reaches its final path (as it would without the atomic
+            // rename), then the process dies unwound.
+            const std::size_t torn = std::min(
+                framed.size(),
+                static_cast<std::size_t>(std::max(faults_.tornWriteBytes, 0)));
+            FILE *out = torn > 0 ? std::fopen(path.c_str(), "wb") : nullptr;
+            if (out != nullptr) {
+                std::fwrite(framed.data(), 1, torn, out);
+                std::fclose(out);
             }
-            ++cellsPut_;
+            panic("fault injection: simulated crash after " +
+                  std::to_string(cellsPut_) + " cell entries (stage cache " +
+                  dir_ + ")");
         }
-        const std::uint64_t word =
-            mix64(mix64(faults_.seed ^ 0x8d1c'42a7'55e0'3b96ULL) ^
-                  mix64(key));
+        ++cellsPut_;
+    }
+    if (kind == kCellKind && faults_.corruptRecordProb > 0.0) {
+        const std::uint64_t word = mix64(0x8d1c'42a7'55e0'3b96ULL ^ mix64(key));
         const double uniform = static_cast<double>(word >> 11) * 0x1.0p-53;
-        if (uniform < faults_.ioCorruptRecordProb) {
+        if (uniform < faults_.corruptRecordProb) {
             // Flip one payload byte *after* the CRC was computed; the
             // lookup must detect and drop exactly this entry.
             const std::size_t header = framed.find('\n') + 1;

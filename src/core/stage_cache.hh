@@ -47,9 +47,33 @@
 #include "base/result.hh"
 #include "ml/dataset.hh"
 #include "ml/evaluation.hh"
-#include "sim/faults.hh"
 
 namespace bigfish::core {
+
+/**
+ * Injected IO faults, the crash-recovery harness (DESIGN.md §9). They
+ * act on put() of "cell" entries only: they perturb how a collected
+ * cell persists, never what it holds, so they belong to the cache and
+ * key nothing — a rerun without them finds the faulted run's cells.
+ * All zero (the default) injects nothing.
+ */
+struct IoFaults
+{
+    /**
+     * >0: hard-crash (abort, as if kill -9) after this many cell
+     * entries have been stored. The crash happens *mid-write* of the
+     * next cell entry, so resume code must cope with a torn entry.
+     */
+    int crashAfterRecords = 0;
+    /** Bytes of the in-flight cell entry that reach disk before the crash. */
+    int tornWriteBytes = 0;
+    /**
+     * Probability each stored cell entry is corrupted on disk (one
+     * payload byte flipped after the CRC was computed, chosen by the
+     * entry key alone, so the same cells are hit at any --threads).
+     */
+    double corruptRecordProb = 0.0;
+};
 
 /** Lookup/store accounting for one StageCache instance. */
 struct StageCacheStats
@@ -71,12 +95,10 @@ class StageCache
   public:
     /**
      * Opens the cache at @p dir, creating the directory as needed.
-     * @p faults supplies the IO-layer fault plan (sim/faults.hh), which
-     * acts on put() of "cell" entries only.
+     * @p faults acts on put() of "cell" entries only.
      */
     [[nodiscard]] static Result<StageCache>
-    open(const std::string &dir,
-         const sim::FaultConfig &faults = sim::FaultConfig::none());
+    open(const std::string &dir, const IoFaults &faults = {});
 
     /**
      * The cached payload for (@p kind, @p key), or nullopt on miss. A
@@ -115,13 +137,13 @@ class StageCache
                         std::uint64_t key, std::string &payload);
 
   private:
-    StageCache(std::string dir, const sim::FaultConfig &faults)
+    StageCache(std::string dir, const IoFaults &faults)
         : dir_(std::move(dir)), faults_(faults)
     {
     }
 
     std::string dir_;
-    sim::FaultConfig faults_;
+    IoFaults faults_;
     StageCacheStats stats_;
     /** Cells put by *this* instance (drives the crash fault). */
     std::size_t cellsPut_ = 0;

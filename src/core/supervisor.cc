@@ -211,6 +211,10 @@ Supervisor::runChildAttempt(const std::string &name,
         return outcome;
     }
     if (pid == 0) {
+        // Lead a process group of its own, so the deadline and
+        // interrupt signals reach everything the child starts (a shell
+        // child forks its commands instead of exec'ing them).
+        ::setpgid(0, 0);
         ::execvp(argv[0], argv.data());
         // Exec failure: report like a shell would and die without
         // running the parent's atexit machinery.
@@ -219,8 +223,12 @@ Supervisor::runChildAttempt(const std::string &name,
         ::_exit(127);
     }
 
-    // Deadline watchdog: poll the child, kill it when the deadline
-    // expires, and forward interrupts. This is supervisor wall-clock
+    // Set the group from both sides, so it exists before any kill
+    // below, whichever process runs first.
+    ::setpgid(pid, pid);
+
+    // Deadline watchdog: poll the child, kill its process group when
+    // the deadline expires, and forward interrupts to the group. This is supervisor wall-clock
     // code — explicitly allowlisted in tools/lint/bigfish-lint.toml;
     // deadlines are operational bounds, never values feeding results.
     using Clock = std::chrono::steady_clock;
@@ -266,7 +274,7 @@ Supervisor::runChildAttempt(const std::string &name,
         const double elapsed =
             std::chrono::duration<double>(Clock::now() - start).count();
         if (interrupted() && !sent_term) {
-            ::kill(pid, SIGTERM);
+            ::kill(-pid, SIGTERM);
             sent_term = true;
             term_at = Clock::now();
         }
@@ -274,11 +282,11 @@ Supervisor::runChildAttempt(const std::string &name,
             std::chrono::duration<double>(Clock::now() - term_at).count() >
                 2.0) {
             // The child ignored SIGTERM's grace period.
-            ::kill(pid, SIGKILL);
+            ::kill(-pid, SIGKILL);
         }
         if (!sent_term && options_.timeoutSeconds > 0.0 &&
             elapsed > options_.timeoutSeconds) {
-            ::kill(pid, SIGKILL);
+            ::kill(-pid, SIGKILL);
             // The next waitpid round reaps it; WTERMSIG==SIGKILL with
             // no SIGTERM sent and a deadline set decodes as Timeout.
         }

@@ -12,8 +12,8 @@
  *    jittered backoff — two runs of the same suite make the same retry
  *    decisions);
  *  - an optional per-experiment deadline. In `--isolate` mode the
- *    deadline is *enforced*: the child process is killed when it
- *    expires. In-process, C++ offers no safe preemption, so the
+ *    deadline is *enforced*: the child's process group (the child
+ *    and everything it started) is killed when it expires. In-process, C++ offers no safe preemption, so the
  *    deadline is only recorded post-hoc (documented in DESIGN.md §9);
  *  - optional subprocess isolation (`--isolate`): each experiment runs
  *    as its own `bigfish run <name>` child, so an abort or segfault is

@@ -210,25 +210,6 @@ matmulTransA(const Matrix &a, const Matrix &b)
     return c;
 }
 
-Matrix
-matmulTransB(const Matrix &a, const Matrix &b)
-{
-    panicIf(a.cols() != b.cols(), "matmulTransB dimension mismatch");
-    Matrix c(a.rows(), b.rows());
-    accumulateMatmulTransB(c, a, b);
-    return c;
-}
-
-void
-accumulateMatmul(Matrix &c, const Matrix &a, const Matrix &b)
-{
-    panicIf(a.cols() != b.rows(), "accumulateMatmul dimension mismatch");
-    panicIf(c.rows() != a.rows() || c.cols() != b.cols(),
-            "accumulateMatmul output shape mismatch");
-    gemmAccRows(c.data(), a.data(), b.data(), a.rows(), a.cols(), b.cols(),
-                nullptr);
-}
-
 void
 accumulateMatmulTransA(Matrix &c, const Matrix &a, const Matrix &b)
 {

@@ -109,12 +109,6 @@ Matrix matmulBias(const Matrix &a, const Matrix &b, const Matrix &bias);
 /** C = A^T * B. */
 Matrix matmulTransA(const Matrix &a, const Matrix &b);
 
-/** C = A * B^T. */
-Matrix matmulTransB(const Matrix &a, const Matrix &b);
-
-/** C += A * B (shapes must already agree). */
-void accumulateMatmul(Matrix &c, const Matrix &a, const Matrix &b);
-
 /** C += A^T * B. */
 void accumulateMatmulTransA(Matrix &c, const Matrix &a, const Matrix &b);
 

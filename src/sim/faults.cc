@@ -15,12 +15,6 @@ FaultConfig::enabled() const
            stallsPerSecond > 0.0 || truncateProb > 0.0;
 }
 
-bool
-FaultConfig::ioEnabled() const
-{
-    return ioCrashAfterRecords > 0 || ioCorruptRecordProb > 0.0;
-}
-
 FaultPlan::FaultPlan(const FaultConfig &config, std::uint64_t trace_salt)
     : config_(config)
 {

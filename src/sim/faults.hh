@@ -72,40 +72,14 @@ struct FaultConfig
     /** Largest fraction of periods a truncated trace keeps. */
     double truncateKeepMax = 1.0;
 
-    // --- IO-layer faults (stage-cache "cell" entries, §9).
-    // These drive the crash-recovery harness rather than the simulated
-    // signal: they corrupt or abort the *persistence* of collected
-    // cells (core/stage_cache.hh), never their content, so they are
-    // deliberately excluded from enabled().
-    /**
-     * >0: hard-crash (abort, as if kill -9) after this many collected
-     * cells have been stored. The crash happens *mid-write* of the next
-     * cell entry, so resume code must cope with a torn entry.
-     */
-    int ioCrashAfterRecords = 0;
-    /** Bytes of the in-flight cell entry that reach disk before the crash. */
-    int ioTornWriteBytes = 0;
-    /**
-     * Probability each stored cell entry is corrupted on disk (one
-     * payload byte flipped after the CRC was computed, chosen by
-     * faults.seed and the entry key), exercising the reader's CRC check.
-     */
-    double ioCorruptRecordProb = 0.0;
-
     /** Fault-stream seed, mixed with each trace's identity. */
     std::uint64_t seed = 0;
 
     /**
-     * True when any *signal* fault process is active (timeline, timer,
-     * stall or truncation faults). IO faults are queried separately via
-     * ioEnabled(): they never change trace content, only its
-     * persistence, so they must not force the slow fault path through
-     * the collection engine.
+     * True when any fault process is active (timeline, timer, stall or
+     * truncation faults).
      */
     bool enabled() const;
-
-    /** True when any IO-layer (cell-entry) fault is active. */
-    bool ioEnabled() const;
 
     /** The all-zeros plan (the default: no faults). */
     static FaultConfig none() { return {}; }

@@ -123,7 +123,9 @@ TEST(Kernel, MatmulTransBMatchesReference)
     for (const Shape &s : kShapes) {
         const Matrix a = randomMatrix(s.m, s.k, rng);
         const Matrix b = randomMatrix(s.n, s.k, rng);
-        expectNear(matmulTransB(a, b), matmulReference(a, transposed(b)));
+        Matrix got(s.m, s.n);
+        accumulateMatmulTransB(got, a, b);
+        expectNear(got, matmulReference(a, transposed(b)));
     }
 }
 
@@ -135,18 +137,19 @@ TEST(Kernel, AccumulateVariantsMatchReference)
         const Matrix b = randomMatrix(s.k, s.n, rng);
         const Matrix init = randomMatrix(s.m, s.n, rng);
 
-        Matrix got = init;
-        accumulateMatmul(got, a, b);
         Matrix want = matmulReference(a, b);
         want += init;
-        expectNear(got, want);
 
-        got = init;
+        Matrix got = init;
         accumulateMatmulTransA(got, transposed(a), b);
         expectNear(got, want);
 
         got = init;
         accumulateMatmulTransB(got, a, transposed(b));
+        expectNear(got, want);
+
+        got = matmul(a, b);
+        got += init;
         expectNear(got, want);
     }
 }

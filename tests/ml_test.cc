@@ -88,7 +88,8 @@ TEST(Matrix, TransposedMultipliesAgree)
     Matrix d(3, 5), e(2, 5);
     d.randomize(rng, 1.0);
     e.randomize(rng, 1.0);
-    const Matrix f = matmulTransB(d, e);
+    Matrix f(3, 2);
+    accumulateMatmulTransB(f, d, e);
     for (std::size_t i = 0; i < 3; ++i)
         for (std::size_t j = 0; j < 2; ++j) {
             float expect = 0.0f;

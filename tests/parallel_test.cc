@@ -465,15 +465,13 @@ TEST(GroupedCollection, GroupRunMatchesOneCallPerConfigAcrossThreads)
             std::vector<const core::TraceCollector *> members;
             for (const auto &collector : collectors)
                 members.push_back(&collector);
-            const auto closed = core::TraceCollector::collectClosedWorldGroup(
-                                    members, catalog, pipeline.tracesPerSite,
-                                    kBothAttackers)
-                                    .valueOrDie();
-            const auto open =
-                core::TraceCollector::collectOpenWorldGroup(
-                    members, catalog, pipeline.openWorldExtra,
-                    pipeline.numSites, kBothAttackers)
+            const auto collected =
+                core::TraceCollector::collectGroup(
+                    members, catalog, pipeline.tracesPerSite,
+                    pipeline.openWorldExtra, pipeline.numSites,
+                    kBothAttackers)
                     .valueOrDie();
+            ASSERT_EQ(collected.size(), members.size());
             for (std::size_t m = 0; m < members.size(); ++m) {
                 const auto own_closed =
                     collectors[m]
@@ -489,8 +487,10 @@ TEST(GroupedCollection, GroupRunMatchesOneCallPerConfigAcrossThreads)
                                                kBothAttackers)
                         .valueOrDie();
                 for (std::size_t a = 0; a < 2; ++a) {
-                    expectBitIdentical(closed[m].sets[a], own_closed[a]);
-                    expectBitIdentical(open[m].sets[a], own_open[a]);
+                    expectBitIdentical(collected[m].closed.sets[a],
+                                       own_closed[a]);
+                    expectBitIdentical(collected[m].open.sets[a],
+                                       own_open[a]);
                 }
             }
         }
@@ -499,8 +499,9 @@ TEST(GroupedCollection, GroupRunMatchesOneCallPerConfigAcrossThreads)
     // A group whose timeline inputs differ is refused.
     const core::TraceCollector chrome(configs[0]), tor(configs[4]);
     const core::TraceCollector *const mixed[] = {&chrome, &tor};
-    EXPECT_FALSE(core::TraceCollector::collectClosedWorldGroup(
-                     mixed, catalog, 1, kBothAttackers)
+    EXPECT_FALSE(core::TraceCollector::collectGroup(
+                     mixed, catalog, 1, 0, pipeline.numSites,
+                     kBothAttackers)
                      .isOk());
 }
 

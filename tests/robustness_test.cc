@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "base/rng.hh"
+#include "base/thread_pool.hh"
 #include "core/collector.hh"
 #include "core/pipeline.hh"
 #include "core/stage_cache.hh"
@@ -54,8 +55,7 @@ cacheDir(const std::string &leaf)
 
 /** Opens the cache at @p dir (a new instance stands for a new process). */
 StageCache
-openCache(const std::string &dir,
-          const sim::FaultConfig &faults = sim::FaultConfig::none())
+openCache(const std::string &dir, const IoFaults &faults = {})
 {
     auto opened = StageCache::open(dir, faults);
     EXPECT_TRUE(opened.isOk()) << opened.status().toString();
@@ -221,14 +221,6 @@ TEST(CheckpointJournal, FingerprintSeparatesTraceAffectingConfigs)
     EXPECT_NE(fp(base, two), reference);
     EXPECT_NE(collectionFingerprint(base, 8, 4, 8, one), reference);
     EXPECT_NE(collectionFingerprint(base, 7, 5, 8, one), reference);
-
-    // IO faults corrupt persistence, never trace content: a resumed
-    // run WITHOUT the crash fault must find the crashed run's cells.
-    CollectionConfig io_faults = base;
-    io_faults.faults.ioCrashAfterRecords = 3;
-    io_faults.faults.ioTornWriteBytes = 10;
-    io_faults.faults.ioCorruptRecordProb = 1.0;
-    EXPECT_EQ(fp(io_faults, one), reference);
 }
 
 TEST(CheckpointJournal, TruncationAtEveryByteOffsetRepairsAndResumes)
@@ -340,10 +332,8 @@ TEST(CheckpointJournal, MismatchedFingerprintOpensADifferentJournal)
 TEST(CheckpointJournal, IoCorruptFaultProducesRecordsTheRepairDrops)
 {
     const std::string dir = cacheDir("iofault");
-    sim::FaultConfig faults = sim::FaultConfig::none();
-    faults.ioCorruptRecordProb = 1.0;
-    faults.seed = 99;
-    ASSERT_TRUE(faults.ioEnabled());
+    IoFaults faults;
+    faults.corruptRecordProb = 1.0;
     {
         StageCache cache = openCache(dir, faults);
         for (int i = 0; i < 3; ++i)
@@ -362,9 +352,9 @@ TEST(CheckpointJournal, IoCorruptFaultProducesRecordsTheRepairDrops)
 TEST(CheckpointJournalDeathTest, CrashFaultAbortsAndLeavesRepairableTornPrefix)
 {
     const std::string dir = cacheDir("crash");
-    sim::FaultConfig faults = sim::FaultConfig::none();
-    faults.ioCrashAfterRecords = 1;
-    faults.ioTornWriteBytes = 20;
+    IoFaults faults;
+    faults.crashAfterRecords = 1;
+    faults.tornWriteBytes = 20;
 
     const auto crash = [&] {
         auto cache = StageCache::open(dir, faults);
@@ -557,6 +547,54 @@ TEST(StageCacheReplay, GroupMemberRecollectsFromOneBasePerCell)
             EXPECT_EQ(r.collectedTraces, k.collectedTraces);
         }
     }
+}
+
+TEST(CheckpointJournalDeathTest, CrashFaultCountsTheRunsCellsInOneCache)
+{
+    // Chrome and Firefox on one machine form one timeline group, and
+    // both members store their cells in the run's one stage cache. At
+    // one thread, a crash after one cell must leave exactly one intact
+    // cell entry plus the torn one, not one intact entry per member.
+    CollectionConfig chrome;
+    chrome.seed = 19;
+    chrome.browser.traceDuration = 2 * kSec;
+    CollectionConfig firefox = chrome;
+    firefox.browser = web::BrowserProfile::firefox();
+    firefox.browser.traceDuration = chrome.browser.traceDuration;
+    const std::vector<CollectionConfig> group = {chrome, firefox};
+
+    PipelineConfig pipeline;
+    pipeline.numSites = 3;
+    pipeline.tracesPerSite = 2;
+    pipeline.featureLen = 32;
+    pipeline.eval.folds = 2;
+    pipeline.factory = ml::knnFactory(3);
+    pipeline.cacheDir = cacheDir("group_crash");
+    pipeline.ioFaults.crashAfterRecords = 1;
+    pipeline.ioFaults.tornWriteBytes = 20;
+    const attack::AttackerKind kinds[] = {
+        attack::AttackerKind::LoopCounting};
+
+    // A one-thread pool has no workers, so the death test's fork is
+    // safe and the cells are stored in serial order.
+    setGlobalThreads(1);
+    EXPECT_DEATH((void)runFingerprintingShared(group, kinds, pipeline),
+                 "simulated crash");
+    setGlobalThreads(0);
+
+    std::size_t intact = 0, torn = 0;
+    for (const std::string &name : entryNames(pipeline.cacheDir, {"cell-"})) {
+        const std::string bytes = readAll(pipeline.cacheDir + "/" + name);
+        const std::uint64_t key =
+            std::stoull(name.substr(5, 16), nullptr, 16);
+        std::string payload;
+        if (StageCache::unframe(bytes, kCellKind, key, payload))
+            ++intact;
+        else if (bytes.size() == 20u)
+            ++torn;
+    }
+    EXPECT_EQ(intact, 1u) << "the crash fault counts every member's cells";
+    EXPECT_EQ(torn, 1u) << "the crashed cell leaves its torn prefix";
 }
 
 TEST(StageCacheReplay, ModelEntriesReplayWhenScoresAreDeleted)

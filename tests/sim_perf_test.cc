@@ -125,7 +125,7 @@ TEST(SimPerfCounters, JournalReplayedCellsReportZero)
         attack::AttackerKind::LoopCounting};
     const std::uint64_t fp = collectionFingerprint(
         config, kCatalogSeed, kSites, 0, attackers);
-    auto opened = StageCache::open(dir, config.faults);
+    auto opened = StageCache::open(dir);
     ASSERT_TRUE(opened.isOk()) << opened.status().message();
     StageCache &cache = opened.value();
     constexpr std::size_t kCells = kSites * kRuns;

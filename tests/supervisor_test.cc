@@ -17,6 +17,10 @@
 #include <string>
 #include <vector>
 
+#include <signal.h>
+#include <sys/types.h>
+#include <unistd.h>
+
 #include "base/atomic_file.hh"
 #include "base/retry.hh"
 #include "core/supervisor.hh"
@@ -432,17 +436,51 @@ TEST(SupervisorIsolate, CrashingChildIsContainedAndReported)
     EXPECT_NE(m.outcomes[0].message.find("signal"), std::string::npos);
 }
 
+/** True while @p pid names a process that has not exited (a zombie
+ *  awaiting its reaper counts as exited). */
+bool
+processRunning(pid_t pid)
+{
+    if (::kill(pid, 0) != 0)
+        return false;
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line))
+        return false;
+    // The state letter follows the parenthesized command name.
+    const std::size_t close = line.rfind(')');
+    return close == std::string::npos || close + 2 >= line.size() ||
+           line[close + 2] != 'Z';
+}
+
 TEST(SupervisorIsolate, HungChildIsKilledAtTheDeadline)
 {
+    // The child shell starts a grandchild and waits on it: the deadline
+    // must take down the whole tree, not only the shell.
+    const std::string dir = testDir("hung_child");
+    ASSERT_TRUE(createDirectories(dir).isOk());
+    const std::string pid_file = dir + "/grandchild.pid";
     SupervisorOptions options;
     options.isolate = true;
     options.timeoutSeconds = 0.3;
     const SuiteManifest m = Supervisor(options).run(
-        {"hung"}, mustNotRunInProcess, shellChild("sleep 30"));
+        {"hung"}, mustNotRunInProcess,
+        shellChild("sleep 30 & echo $! > " + pid_file + "; wait"));
     EXPECT_EQ(m.outcomes[0].state, RunState::Timeout);
     EXPECT_EQ(m.outcomes[0].exitCode, 128 + SIGKILL);
     EXPECT_LT(m.outcomes[0].wallSeconds, 10.0);
     EXPECT_EQ(m.exitCode(), 1);
+
+    std::ifstream in(pid_file);
+    pid_t grandchild = 0;
+    ASSERT_TRUE(static_cast<bool>(in >> grandchild))
+        << "the child never recorded its grandchild";
+    ASSERT_GT(grandchild, 0);
+    // SIGKILL lands asynchronously; allow the kernel a moment.
+    for (int i = 0; i < 200 && processRunning(grandchild); ++i)
+        ::usleep(10 * 1000);
+    EXPECT_FALSE(processRunning(grandchild))
+        << "the grandchild outlived its killed parent";
 }
 
 TEST(SupervisorIsolate, CrashedChildIsRetriedPerPolicy)
