@@ -270,6 +270,90 @@ BM_MatmulTransBConv2WeightGrad(benchmark::State &state)
 }
 BENCHMARK(BM_MatmulTransBConv2WeightGrad);
 
+/** The pipeline's minibatch and conv1's output steps per sample. */
+constexpr std::size_t kBatch = 16;
+constexpr std::size_t kConv1Steps = 83;
+
+/**
+ * A conv layer's output gradient as max-pool and ReLU backward leave
+ * it: (rows x samples*steps), and in each sample's pool windows (the
+ * first steps/pool of them; the rest of the steps feed no window) one
+ * column, drawn uniformly, holds a gradient with probability 1/2 (the
+ * ReLU mask). Every other entry is +0.
+ */
+ml::Matrix
+poolSparseGradient(std::size_t rows, std::size_t samples,
+                   std::size_t steps, std::size_t pool, Rng &rng)
+{
+    ml::Matrix g(rows, samples * steps);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t s = 0; s < samples; ++s)
+            for (std::size_t w = 0; w < steps / pool; ++w) {
+                const auto col = w * pool + static_cast<std::size_t>(
+                                                rng.uniformInt(0, 3));
+                if (rng.bernoulli(0.5))
+                    g(r, s * steps + col) =
+                        static_cast<float>(rng.normal(0.0, 1.0));
+            }
+    return g;
+}
+
+/**
+ * C += A * B^T for a pool-sparse A (poolSparseGradient) at a conv
+ * layer's weight-gradient shape, (channels x samples*steps) against
+ * (width x samples*steps): Arg 0 runs the dense accumulateMatmulTransB
+ * over B, Arg 1 runs kernels::dotRowsSparse over B^T (given, as
+ * Conv1D's training forward packs it). Both give the same bits.
+ */
+void
+weightGradPoolSparse(benchmark::State &state, std::size_t steps,
+                     std::size_t width)
+{
+    Rng rng(16);
+    const ml::Matrix dout = poolSparseGradient(32, kBatch, steps, 4, rng);
+    ml::Matrix patches(width, dout.cols());
+    patches.randomize(rng, 1.0);
+    ml::Matrix patchesT(patches.cols(), width);
+    for (std::size_t j = 0; j < width; ++j)
+        for (std::size_t t = 0; t < patches.cols(); ++t)
+            patchesT(t, j) = patches(j, t);
+    ml::Matrix gw(32, width);
+    const bool sparse = state.range(0) != 0;
+    for (auto _ : state) {
+        if (sparse)
+            ml::kernels::dotRowsSparse(gw.data(), dout.data(),
+                                       patchesT.data(), gw.rows(),
+                                       dout.cols(), width);
+        else
+            ml::accumulateMatmulTransB(gw, dout, patches);
+        benchmark::DoNotOptimize(gw.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(sparse ? "dotRowsSparse over B^T" : "dense dots");
+}
+
+void
+BM_MatmulTransBConv2WeightGradPoolSparse(benchmark::State &state)
+{
+    // conv2: 5 steps per sample (one pool window), 256-wide patches.
+    weightGradPoolSparse(state, 5, 256);
+}
+BENCHMARK(BM_MatmulTransBConv2WeightGradPoolSparse)
+    ->ArgName("sparse")
+    ->Arg(0)
+    ->Arg(1);
+
+void
+BM_MatmulTransBConv1WeightGradPoolSparse(benchmark::State &state)
+{
+    // conv1: 83 steps per sample (20 pool windows), 16-wide patches.
+    weightGradPoolSparse(state, kConv1Steps, 16);
+}
+BENCHMARK(BM_MatmulTransBConv1WeightGradPoolSparse)
+    ->ArgName("sparse")
+    ->Arg(0)
+    ->Arg(1);
+
 void
 BM_GemvNaiveReference(benchmark::State &state)
 {
@@ -326,8 +410,6 @@ BENCHMARK(BM_LstmForward);
  * fresh copy built outside the timed region (manual time) and times
  * only the layer call, the release of what it returns included.
  */
-constexpr std::size_t kBatch = 16;
-constexpr std::size_t kConv1Steps = 83;
 
 #if defined(__GLIBC__)
 /**

@@ -2,11 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "base/logging.hh"
 #include "ml/kernels.hh"
 
 namespace bigfish::ml {
+
+namespace {
+
+/**
+ * Narrowest patch (in_channels * kernel rows of B) whose weight
+ * gradient takes kernels::dotRowsSparse: each kept term updates one
+ * row that wide, so conv2's 256 pays for the zero scan and the
+ * transposed pack many times over, while conv1's 16 does not
+ * (DESIGN.md §10 has the micro rows).
+ */
+constexpr std::size_t kSparseGradMinWidth = 64;
+
+} // namespace
 
 Conv1D::Conv1D(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, Rng &rng)
@@ -34,46 +48,94 @@ Conv1D::packPatches(const Matrix &in, std::size_t samples,
 {
     const std::size_t all_t = in.cols();
     const std::size_t in_t = all_t / samples;
-    patches_.resize(inChannels_ * kernel_, samples * out_t);
+    const std::size_t cols = samples * out_t;
+    patches_.resize(inChannels_ * kernel_, cols);
     float *__restrict p = patches_.data();
     const float *__restrict x = in.data();
+    if (in_t >= kernel_) {
+        // One pass over all cols per patch row: element (c, k) of
+        // column j is input column windowStart_[j] + k of channel c,
+        // in range because (out_t-1)*stride + kernel - 1 < in_t.
+        const std::size_t *__restrict start = windowStart_.data();
+        for (std::size_t c = 0; c < inChannels_; ++c) {
+            for (std::size_t k = 0; k < kernel_; ++k) {
+                const float *__restrict xk = x + c * all_t + k;
+                float *__restrict prow = p + (c * kernel_ + k) * cols;
+                for (std::size_t j = 0; j < cols; ++j)
+                    prow[j] = xk[start[j]];
+            }
+        }
+        return;
+    }
+    // An input shorter than the kernel: one window per sample, each
+    // element clamped to the sample's last column.
     for (std::size_t c = 0; c < inChannels_; ++c) {
         const float *__restrict xrow = x + c * all_t;
         for (std::size_t k = 0; k < kernel_; ++k) {
-            float *__restrict prow =
-                p + (c * kernel_ + k) * samples * out_t;
+            float *__restrict prow = p + (c * kernel_ + k) * cols;
             for (std::size_t s = 0; s < samples; ++s) {
                 const float *__restrict xs = xrow + s * in_t;
                 float *__restrict ps = prow + s * out_t;
-                if (in_t >= kernel_) {
-                    // Non-degenerate: (out_t-1)*stride + kernel - 1 <
-                    // in_t by construction, so no clamp is needed and
-                    // the strided gather vectorizes.
-                    const float *__restrict xk = xs + k;
-                    for (std::size_t t = 0; t < out_t; ++t)
-                        ps[t] = xk[t * stride_];
-                } else {
-                    for (std::size_t t = 0; t < out_t; ++t) {
-                        const std::size_t src = std::min(
-                            t * stride_ + k, in_t - 1); // Clamp.
-                        ps[t] = xs[src];
-                    }
-                }
+                for (std::size_t t = 0; t < out_t; ++t)
+                    ps[t] = xs[std::min(t * stride_ + k, in_t - 1)];
             }
         }
     }
 }
 
+void
+Conv1D::packPatchesTransposed(const Matrix &in)
+{
+    const std::size_t all_t = in.cols();
+    const std::size_t width = inChannels_ * kernel_;
+    const std::size_t cols = windowStart_.size();
+    patchesT_.resize(cols, width);
+    float *__restrict pt = patchesT_.data();
+    const float *__restrict x = in.data();
+    const auto pack = [&](auto kernel) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            float *__restrict row = pt + j * width;
+            const float *__restrict xs = x + windowStart_[j];
+            for (std::size_t c = 0; c < inChannels_; ++c)
+                for (std::size_t k = 0; k < kernel; ++k)
+                    row[c * kernel + k] = xs[c * all_t + k];
+        }
+    };
+    // The paper's kernel width as a constant: each channel's run is then
+    // one vector move instead of a short loop of unknown length.
+    if (kernel_ == 8)
+        pack(std::integral_constant<std::size_t, 8>{});
+    else
+        pack(kernel_);
+}
+
 Matrix
-Conv1D::forward(Matrix in, std::size_t samples, bool)
+Conv1D::forward(Matrix in, std::size_t samples, bool train)
 {
     panicIf(in.rows() != inChannels_, "Conv1D channel mismatch");
     panicIf(samples == 0 || in.cols() == 0 || in.cols() % samples != 0,
             "Conv1D batch column count mismatch");
     inCols_ = in.cols();
     samples_ = samples;
-    const std::size_t out_t = outLength(in.cols() / samples);
+    const std::size_t in_t = in.cols() / samples;
+    const std::size_t out_t = outLength(in_t);
+    const std::size_t cols = samples * out_t;
+    const std::size_t width = inChannels_ * kernel_;
+    // Windows that fit the input start at s*in_t + t*stride; a shorter
+    // input clamps per element and has no window-start table.
+    const bool fits = in_t >= kernel_;
+    sparseGrad_ = train && fits && width >= kSparseGradMinWidth &&
+                  matmulTransBUsesDot(cols, width) &&
+                  kernels::allFinite(in.data(), in.size());
+    if (fits) {
+        windowStart_.resize(cols);
+        for (std::size_t s = 0; s < samples; ++s)
+            for (std::size_t t = 0; t < out_t; ++t)
+                windowStart_[s * out_t + t] = s * in_t + t * stride_;
+    }
     packPatches(in, samples, out_t);
+    if (sparseGrad_)
+        packPatchesTransposed(in);
     // out = W * patches + b: one fused GEMM instead of the naive
     // quadruple loop (and one GEMM for the whole minibatch when
     // samples > 1).
@@ -92,8 +154,15 @@ Conv1D::backward(Matrix grad_out, std::size_t samples, bool inputGrad)
     const std::size_t in_t = all_in_t / samples;
     const std::size_t out_t = out_cols / samples;
 
-    // dW += dOut * patches^T, db += row-sums of dOut.
-    accumulateMatmulTransB(gw_, grad_out, patches_);
+    // dW += dOut * patches^T, db += row-sums of dOut. Max-pool and
+    // ReLU backward leave most of dOut at zero; the row-sparse kernel
+    // skips those terms and gives the dense dots' bits (kernels.hh).
+    if (sparseGrad_)
+        kernels::dotRowsSparse(gw_.data(), grad_out.data(),
+                               patchesT_.data(), outChannels_, out_cols,
+                               patchesT_.cols());
+    else
+        accumulateMatmulTransB(gw_, grad_out, patches_);
     kernels::addRowSums(gb_.data(), grad_out.data(), outChannels_,
                         out_cols);
 

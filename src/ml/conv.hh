@@ -39,10 +39,18 @@ class Conv1D : public Layer
     /**
      * Rebuilds patches_ (the im2col buffer) from @p in, holding
      * @p samples column-concatenated samples; windows never cross a
-     * sample boundary.
+     * sample boundary. Windows that fit the input copy through
+     * windowStart_, one pass over all columns per patch row.
      */
     void packPatches(const Matrix &in, std::size_t samples,
                      std::size_t out_t);
+
+    /**
+     * Rebuilds patchesT_ from @p in: row j is patches_ column j, the
+     * window at windowStart_[j] copied one contiguous channel run at a
+     * time.
+     */
+    void packPatchesTransposed(const Matrix &in);
 
     std::size_t inChannels_, outChannels_, kernel_, stride_;
     /** Weights laid out (out_channels x in_channels*kernel). */
@@ -63,6 +71,26 @@ class Conv1D : public Layer
      * reallocation.
      */
     Matrix patches_;
+    /**
+     * patches_ transposed, packed by a training forward whose weight
+     * gradient takes kernels::dotRowsSparse (sparseGrad_); that kernel
+     * reads one window per row.
+     */
+    Matrix patchesT_;
+    /**
+     * Input column of each patch column's window (sample s, step t at
+     * s*in_t + t*stride), rebuilt by every forward whose windows fit
+     * the input.
+     */
+    std::vector<std::size_t> windowStart_;
+    /**
+     * Whether backward's weight gradient runs kernels::dotRowsSparse
+     * over patchesT_: set by a training forward when the layer is wide
+     * enough for it to win, accumulateMatmulTransB would use dot's
+     * contract at this shape, and the input was all finite (a skipped
+     * 0 * inf would have made a NaN).
+     */
+    bool sparseGrad_ = false;
 };
 
 } // namespace bigfish::ml

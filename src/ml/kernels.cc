@@ -6,11 +6,11 @@
  * two LSTM gate fusions and maxPool, where the AVX2 spelling measured
  * several times faster than the scalar loop. Their two implementations
  * are bit-identical by construction — see the determinism contract in
- * kernels.hh and DESIGN.md §10. axpy, gemm, addRowSums and adamStep are
- * scalar only, plain C++ that -march=native vectorizes: adamStep's AVX2
- * spelling measured at par, and gemm's 4x16 register tile compiles to
- * vector code with no intrinsics, so it has no second spelling to keep
- * bit-identical. The rules this file lives by:
+ * kernels.hh and DESIGN.md §10. dotRowsSparse, axpy, gemm, addRowSums,
+ * allFinite and adamStep are scalar only, plain C++ that -march=native
+ * vectorizes: adamStep's AVX2 spelling measured at par, and gemm's 4x16
+ * register tile compiles to vector code with no intrinsics, so it has
+ * no second spelling to keep bit-identical. The rules this file lives by:
  *
  *  - Reductions hold a fixed 8-lane virtual accumulator. AVX2 keeps it
  *    in one __m256; the scalar path keeps float acc[8]. Both funnel
@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "base/simd.hh"
 
@@ -675,6 +676,65 @@ dotTile4x2(float *c, const float *a, const float *b, std::size_t i0,
 }
 
 void
+dotRowsSparse(float *c, const float *a, const float *bt, std::size_t rows,
+              std::size_t k, std::size_t n)
+{
+    constexpr std::size_t kLanes = 8;
+    const std::size_t body = k - k % kLanes;
+    // n floats per lane, lanes 0..7 and then the tail at kLanes. A lane
+    // is written on its first term and added to after that, so only the
+    // lanes a row leaves untouched are zeroed before the combine.
+    std::vector<float> acc((kLanes + 1) * n);
+    std::vector<std::uint32_t> kept(k);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const float *ar = a + i * k;
+        // Branch-free compaction of the kept columns (NaN != 0 keeps
+        // NaNs), so the zeros cost no mispredicted branch.
+        std::size_t count = 0;
+        for (std::size_t t = 0; t < k; ++t) {
+            kept[count] = static_cast<std::uint32_t>(t);
+            count += ar[t] != 0.0f ? 1 : 0;
+        }
+        unsigned touched = 0;
+        for (std::size_t e = 0; e < count; ++e) {
+            const std::size_t t = kept[e];
+            const std::size_t lane = t < body ? t % kLanes : kLanes;
+            float *__restrict l = acc.data() + lane * n;
+            const float *__restrict x = bt + t * n;
+            const float av = ar[t];
+            if ((touched >> lane & 1u) != 0) {
+                for (std::size_t j = 0; j < n; ++j)
+                    l[j] = l[j] + av * x[j];
+            } else {
+                // The lane's +0 start plus its first term.
+                touched |= 1u << lane;
+                for (std::size_t j = 0; j < n; ++j)
+                    l[j] = 0.0f + av * x[j];
+            }
+        }
+        for (std::size_t lane = 0; lane <= kLanes; ++lane)
+            if ((touched >> lane & 1u) == 0)
+                std::fill_n(acc.data() + lane * n, n, 0.0f);
+        const float *__restrict l0 = acc.data();
+        const float *__restrict l1 = l0 + n;
+        const float *__restrict l2 = l1 + n;
+        const float *__restrict l3 = l2 + n;
+        const float *__restrict l4 = l3 + n;
+        const float *__restrict l5 = l4 + n;
+        const float *__restrict l6 = l5 + n;
+        const float *__restrict l7 = l6 + n;
+        const float *__restrict tail = l7 + n;
+        float *__restrict cr = c + i * n;
+        // The canonical combine tree, then the tail, then C: dot's
+        // order, one column per vector lane.
+        for (std::size_t j = 0; j < n; ++j)
+            cr[j] += (((l0[j] + l4[j]) + (l2[j] + l6[j])) +
+                      ((l1[j] + l5[j]) + (l3[j] + l7[j]))) +
+                     tail[j];
+    }
+}
+
+void
 axpy(float *y, const float *x, float a, std::size_t n)
 {
     for (std::size_t j = 0; j < n; ++j)
@@ -803,6 +863,18 @@ lstmGatesBackward(const float *zi, const float *zf, const float *zg,
 #endif
     scalarLstmBackward(zi, zf, zg, zo, c, cprev, dh, dc, dzi, dzf, dzg,
                        dzo, n);
+}
+
+bool
+allFinite(const float *x, std::size_t n)
+{
+    // An exponent of all ones (infinity or NaN) carries into bit 31
+    // when 1 is added at the exponent's lowest bit; any other exponent
+    // does not. OR-ing every sum needs no compare and no exit.
+    std::uint32_t carry = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        carry |= (floatBits(x[i]) & 0x7f800000u) + 0x00800000u;
+    return (carry & 0x80000000u) == 0;
 }
 
 void

@@ -7,8 +7,9 @@
  * lives here. A kernel
  * has an AVX2 spelling, dispatched at runtime behind bf::simd::Tag
  * (base/simd.hh), only where it beats the scalar loop: dot, dotTile4x2,
- * the two LSTM gate fusions and maxPool. axpy, gemm, addRowSums and
- * adamStep are scalar only: plain C++ that -march=native vectorizes.
+ * the two LSTM gate fusions and maxPool. dotRowsSparse, axpy, gemm,
+ * addRowSums, allFinite and adamStep are scalar only: plain C++ that
+ * -march=native vectorizes.
  * gemm owns its own k blocking and register tiling; the other callers
  * (ml/matrix.cc, layer, conv, lstm, network) keep their loop
  * *structure* and delegate the arithmetic.
@@ -56,6 +57,23 @@ float dot(const float *a, const float *b, std::size_t n);
  */
 void dotTile4x2(float *c, const float *a, const float *b, std::size_t i0,
                 std::size_t j0, std::size_t k, std::size_t n);
+
+/**
+ * C(rows x n) += A(rows x k) * B^T for a B(n x k) given transposed:
+ * @p bt is (k x n), its row t holding column t of B. Every term whose
+ * A entry is +0 or -0 is skipped; every other term is accumulated
+ * exactly like dot() of A's row and B's row: lane t % 8 in increasing
+ * t, the same combine tree, and the k % 8 tail summed from +0 and added
+ * after the tree. The result equals dot()'s bit for bit whenever every
+ * skipped term's B value is finite: a lane starts at +0 and can never
+ * become -0 (x + y is -0 only when both are), so adding the finite
+ * +-0 product of a skipped term leaves it unchanged. A non-finite B
+ * value under a zero of A would have made a NaN, so the caller must
+ * check B (DESIGN.md §10). Scalar only: the work per kept term is one
+ * n-wide row update, which -march=native vectorizes.
+ */
+void dotRowsSparse(float *c, const float *a, const float *bt,
+                   std::size_t rows, std::size_t k, std::size_t n);
 
 // --- Elementwise GEMM helpers ------------------------------------------
 
@@ -139,6 +157,13 @@ void lstmGatesBackward(const float *zi, const float *zf, const float *zg,
                        std::size_t n);
 
 // --- Optimizer ----------------------------------------------------------
+
+/**
+ * True when no element of @p x is an infinity or a NaN. Scans all
+ * @p n values with no early exit (an OR over the exponent bits), so
+ * the loop vectorizes.
+ */
+bool allFinite(const float *x, std::size_t n);
 
 /** The scalar hyperparameters one Adam step needs. */
 struct AdamConsts

@@ -239,7 +239,7 @@ accumulateMatmulTransB(Matrix &c, const Matrix &a, const Matrix &b)
             "accumulateMatmulTransB output shape mismatch");
     const std::size_t k = a.cols();
     const std::size_t n = b.rows();
-    if (k > 1 && k <= 32 && n >= 16) {
+    if (k > 1 && !matmulTransBUsesDot(k, n)) {
         // Short-k dots waste their accumulator setup; materialize B^T
         // (small: n*k floats) once and run the wide-row kernel instead.
         // The buffer belongs to this call, so concurrent fold tasks
@@ -254,6 +254,12 @@ accumulateMatmulTransB(Matrix &c, const Matrix &a, const Matrix &b)
         return;
     }
     gemmTransBAccRows(c.data(), a.data(), b.data(), a.rows(), k, n);
+}
+
+bool
+matmulTransBUsesDot(std::size_t k, std::size_t n)
+{
+    return k != 1 && (k == 0 || k > 32 || n < 16);
 }
 
 Matrix

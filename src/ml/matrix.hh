@@ -116,6 +116,14 @@ void accumulateMatmulTransA(Matrix &c, const Matrix &a, const Matrix &b);
 void accumulateMatmulTransB(Matrix &c, const Matrix &a, const Matrix &b);
 
 /**
+ * True when accumulateMatmulTransB, for a shared dimension @p k and
+ * @p n rows of B, accumulates every element under kernels::dot's
+ * contract (so kernels::dotRowsSparse gives the same bits). False for
+ * the rank-1 case k == 1 and for the short-k transposed GEMM.
+ */
+bool matmulTransBUsesDot(std::size_t k, std::size_t n);
+
+/**
  * Matrix-vector product y = A * x for a (n x 1) column @p x — the
  * recurrent-layer hot path, dispatched to a dot-product kernel instead
  * of the general GEMM.

@@ -125,11 +125,10 @@ SoftmaxCrossEntropy::lossAndGradientBatch(const Matrix &logits,
 bool
 allFinite(const std::vector<Matrix *> &tensors)
 {
+    bool finite = true;
     for (const Matrix *t : tensors)
-        for (std::size_t i = 0; i < t->size(); ++i)
-            if (!std::isfinite(t->data()[i]))
-                return false;
-    return true;
+        finite &= kernels::allFinite(t->data(), t->size());
+    return finite;
 }
 
 Adam::Adam(double lr, double beta1, double beta2, double eps)

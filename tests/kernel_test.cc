@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -683,6 +684,86 @@ TEST(Kernel, AddRowSumsMatchesOneLoopPerRow)
                 EXPECT_EQ(bitsOf(got[r]), bitsOf(want[r]))
                     << rows << "x" << cols << " row " << r;
         }
+    }
+}
+
+// --- Row-sparse dots against the dense dots ----------------------------
+
+TEST(RowSparseDots, BitIdenticalToDenseTransBUnderEveryTag)
+{
+    // kernels::dotRowsSparse over B^T against accumulateMatmulTransB
+    // over B, at shapes where the latter accumulates under dot's
+    // contract (k > 32): k with and without a k % 8 tail (conv2's 80,
+    // conv1's 1328), row counts off the 4-row tile, odd n. Each row of
+    // A gets its own zero fraction from 0 to 100 %, every zero drawn as
+    // +0 or -0, and C starts out holding values (signed zeros among
+    // them), since both accumulate.
+    const std::size_t kDepths[] = {33, 65, 71, 80, 1328};
+    const std::size_t kRows[] = {1, 3, 6, 32};
+    const std::size_t kCols[] = {1, 7, 17, 256};
+    const double kZeroShare[] = {0.0, 0.25, 0.5, 0.85, 0.97, 1.0};
+    TagGuard guard;
+    Rng rng(121);
+    for (const std::size_t k : kDepths) {
+        for (const std::size_t rows : kRows) {
+            for (const std::size_t n : kCols) {
+                Matrix a = randomMatrix(rows, k, rng);
+                for (std::size_t i = 0; i < rows; ++i) {
+                    const double share = kZeroShare[static_cast<std::size_t>(
+                        rng.uniformInt(0, std::size(kZeroShare) - 1))];
+                    for (std::size_t t = 0; t < k; ++t)
+                        if (rng.bernoulli(share))
+                            a(i, t) = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+                }
+                Matrix b = randomMatrix(n, k, rng);
+                Matrix init = randomMatrix(rows, n, rng);
+                for (std::size_t j = 0; j < init.size(); j += 3)
+                    init.data()[j] = j % 2 == 0 ? 0.0f : -0.0f;
+                b.data()[0] = -0.0f;
+                const Matrix bt = transposed(b);
+                ASSERT_TRUE(matmulTransBUsesDot(k, n));
+                for (const simd::Tag tag : supportedTags()) {
+                    simd::setActive(tag);
+                    Matrix want = init;
+                    accumulateMatmulTransB(want, a, b);
+                    Matrix got = init;
+                    kernels::dotRowsSparse(got.data(), a.data(), bt.data(),
+                                           rows, k, n);
+                    for (std::size_t e = 0; e < want.size(); ++e)
+                        ASSERT_EQ(bitsOf(got.data()[e]),
+                                  bitsOf(want.data()[e]))
+                            << rows << "x" << k << "x" << n << " element "
+                            << e << " under " << simd::name(tag);
+                }
+            }
+        }
+    }
+}
+
+TEST(Kernel, AllFiniteFindsEveryNonFiniteValue)
+{
+    // Every position of a vector-body-plus-tail length, against
+    // std::isfinite, for each non-finite kind and for the largest
+    // finite magnitudes around them.
+    const float kValues[] = {std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN(),
+                             -std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::max(),
+                             -std::numeric_limits<float>::max(),
+                             std::numeric_limits<float>::denorm_min(),
+                             -0.0f};
+    for (const std::size_t n : {0u, 1u, 7u, 16u, 37u}) {
+        for (const float v : kValues) {
+            for (std::size_t at = 0; at < n; ++at) {
+                std::vector<float> x(n, 1.5f);
+                x[at] = v;
+                EXPECT_EQ(kernels::allFinite(x.data(), n), std::isfinite(v))
+                    << "n " << n << " at " << at << " value " << v;
+            }
+        }
+        const std::vector<float> x(n, -2.5f);
+        EXPECT_TRUE(kernels::allFinite(x.data(), n));
     }
 }
 

@@ -716,6 +716,86 @@ TEST(Training, CnnLstmRecoversFromNanPoisonedSample)
         EXPECT_TRUE(std::isfinite(epoch.trainLoss));
 }
 
+TEST(Training, Conv2NonFiniteInputKeepsTheDenseWeightGradient)
+{
+    // The pipeline's shape: 2 channels x 256 steps, batches of 16, so
+    // conv1 emits 83 steps per sample, max-pool leaves 20, conv2 emits
+    // 5 and its weight gradient has k = 80, where Conv1D skips the
+    // zeros max-pool backward leaves in its output gradient. An
+    // infinite feature at step 230 reaches conv1 steps 75 and 76,
+    // pooled step 18 or 19, and so only conv2's last window, whose
+    // output no pool window reads: its gradient there is zero while the
+    // patch holds the infinity, and the dense dots turn that 0 * inf
+    // into NaN. Conv2 must give the dense bits on a finite batch and on
+    // the poisoned one alike.
+    constexpr std::size_t kSamples = 16, kSteps = 256, kFeature = 230;
+    Rng rng(66);
+    Conv1D conv1(2, 32, 8, 3, rng);
+    Conv1D conv2(32, 32, 8, 3, rng);
+    ReLU relu1, relu2;
+    MaxPool1D pool1(4), pool2(4);
+    for (const bool poisoned : {false, true}) {
+        SCOPED_TRACE(poisoned ? "poisoned batch" : "finite batch");
+        conv2.zeroGrads();
+        Matrix in(2, kSamples * kSteps);
+        in.randomize(rng, 1.0);
+        if (poisoned)
+            in(0, 7 * kSteps + kFeature) =
+                std::numeric_limits<float>::infinity();
+        Matrix x =
+            pool1.forward(relu1.forward(conv1.forward(in, kSamples, true),
+                                        kSamples, true),
+                          kSamples, true);
+        const Matrix conv2In = x;
+        const Matrix pooled = pool2.forward(
+            relu2.forward(conv2.forward(std::move(x), kSamples, true),
+                          kSamples, true),
+            kSamples, true);
+        Matrix grad(pooled.rows(), pooled.cols());
+        grad.randomize(rng, 1.0);
+        const Matrix dOut = relu2.backward(
+            pool2.backward(std::move(grad), kSamples, true), kSamples,
+            true);
+        conv2.backward(dOut, kSamples, true);
+
+        // The dense reference: im2col of conv2's input, then
+        // accumulateMatmulTransB, as Conv1D ran it before the sparse
+        // kernel.
+        const std::size_t inT = conv2In.cols() / kSamples;
+        const std::size_t outT = conv2.outLength(inT);
+        Matrix patches(32 * 8, kSamples * outT);
+        for (std::size_t c = 0; c < 32; ++c)
+            for (std::size_t k = 0; k < 8; ++k)
+                for (std::size_t s = 0; s < kSamples; ++s)
+                    for (std::size_t t = 0; t < outT; ++t)
+                        patches(c * 8 + k, s * outT + t) =
+                            conv2In(c, s * inT + t * 3 + k);
+        Matrix want(32, 32 * 8);
+        accumulateMatmulTransB(want, dOut, patches);
+        ASSERT_EQ(allFinite({&want}), !poisoned)
+            << "the poisoned batch must make the dense gradient NaN";
+        const Matrix &got = *conv2.grads()[0];
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0);
+    }
+
+    // Through training: the batch holding the poisoned sample has a
+    // NaN gradient on the dense path, so every epoch skips exactly
+    // that batch and the weights stay finite.
+    Dataset train = syntheticDataset(4, 5, 2 * kSteps, 67);
+    train.features[7][kFeature] = std::numeric_limits<double>::infinity();
+    CnnLstmParams params = CnnLstmParams::traceDefaults();
+    params.maxEpochs = 3;
+    params.patience = 3;
+    CnnLstmClassifier model(4, 2 * kSteps, params, 68);
+    model.fit(train, train);
+    ASSERT_EQ(model.history().size(), 3u);
+    EXPECT_EQ(model.skippedBatches(), 3u);
+    EXPECT_TRUE(allFinite(model.network().params()));
+}
+
 TEST(Training, AdamStepIfFiniteLeavesParamsUntouched)
 {
     Rng rng(13);

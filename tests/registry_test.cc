@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <regex>
 #include <set>
 #include <sstream>
 
@@ -67,11 +66,17 @@ TEST(Registry, MatchesDesignDocExperimentIndex)
     const std::string design = text.str();
 
     std::set<std::string> documented;
-    const std::regex pattern("bigfish run ([a-z0-9_]+)");
-    for (auto it = std::sregex_iterator(design.begin(), design.end(),
-                                        pattern);
-         it != std::sregex_iterator(); ++it)
-        documented.insert((*it)[1].str());
+    // Every "bigfish run <name>" with a non-empty [a-z0-9_]+ name.
+    const std::string prefix = "bigfish run ";
+    for (std::size_t pos = design.find(prefix); pos != std::string::npos;
+         pos = design.find(prefix, pos)) {
+        pos += prefix.size();
+        const std::size_t end = design.find_first_not_of(
+            "abcdefghijklmnopqrstuvwxyz0123456789_", pos);
+        const std::string name = design.substr(pos, end - pos);
+        if (!name.empty())
+            documented.insert(name);
+    }
 
     const auto names = registry().names();
     const std::set<std::string> registered(names.begin(), names.end());
