@@ -43,7 +43,7 @@
 #               replay each fold model and match the cold artifact).
 #   sim-perf  — the simulator perf-counter gate (DESIGN.md §13): the
 #               test_sim_perf determinism suite, then a table1 smoke
-#               whose --explain table and schemaVersion-3 artifact must
+#               whose --explain table and schemaVersion-4 artifact must
 #               carry the per-stage sim counters, with the counter
 #               values identical across --threads and BF_SIMD; then a
 #               background_noise run at the default 256 features (the
@@ -464,8 +464,8 @@ for stage in "${stages[@]}"; do
         # generic 'Seconds'-filtered artifact diffs elsewhere in this
         # script never see them; compare the counter values directly.
         # simEventsPerSec is a timing-derived rate and legitimately
-        # varies — only the four work counters must be deterministic.
-        counters='"sim(Events|Interrupts|Allocations|BytesSorted)": [0-9]*'
+        # varies — only the three work counters must be deterministic.
+        counters='"sim(Events|Interrupts|BytesSorted)": [0-9]*'
         for run in t1 t2s; do
             if ! diff \
                 <(grep -oE "$counters" "$pdir/t2.json") \

@@ -104,7 +104,7 @@ RunArtifact::explainText() const
     // no simulation (and cache replays) report zeros.
     Table table({"stage", "phase", "fingerprint", "cache", "cpu_s",
                  "wall_s", "items", "dropped", "sim_events", "sim_irqs",
-                 "sim_allocs", "sim_MB_sorted", "sim_events_per_s"});
+                 "sim_MB_sorted", "sim_events_per_s"});
     for (const StageReport &report : stages_) {
         const double events_per_s =
             report.cpuSeconds > 0.0
@@ -119,7 +119,6 @@ RunArtifact::explainText() const
                       std::to_string(report.dropped),
                       std::to_string(report.sim.eventsSimulated),
                       std::to_string(report.sim.interruptsSynthesized),
-                      std::to_string(report.sim.allocations),
                       formatDouble("%.1f",
                                    static_cast<double>(
                                        report.sim.bytesSorted) /
@@ -204,8 +203,6 @@ RunArtifact::toJson() const
                std::to_string(s.sim.eventsSimulated) +
                ", \"simInterrupts\": " +
                std::to_string(s.sim.interruptsSynthesized) +
-               ", \"simAllocations\": " +
-               std::to_string(s.sim.allocations) +
                ", \"simBytesSorted\": " +
                std::to_string(s.sim.bytesSorted) +
                ", \"simEventsPerSec\": " +

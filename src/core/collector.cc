@@ -275,7 +275,6 @@ TraceCollector::collectForAttacker(attack::AttackerKind attacker,
         // before truncation faults trim the record: the work happened.
         perf->eventsSimulated +=
             static_cast<long long>(trace.counts.size());
-        perf->allocations += 2; // counts + wallTimes materialization
     }
 
     if (plan.enabled()) {

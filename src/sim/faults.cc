@@ -68,15 +68,7 @@ FaultPlan::applyToTimeline(RunTimeline &timeline) const
         }
     }
 
-    normalizeTimeline(faulted);
-    // Clamp anything serialization pushed past the end of the run, the
-    // same way the synthesizer does for its own output.
-    while (!faulted.empty() &&
-           faulted.back().arrival >= timeline.duration)
-        faulted.pop_back();
-    if (!faulted.empty() && faulted.back().end() > timeline.duration)
-        faulted.back().duration =
-            timeline.duration - faulted.back().arrival;
+    normalizeTimeline(faulted, timeline.duration);
     timeline.stolen = std::move(faulted);
 }
 

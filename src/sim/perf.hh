@@ -7,10 +7,9 @@
  * per-stage table could only say *that* the Collect stage was slow,
  * never *why*. PerfCounters attributes the cycles: how many discrete
  * events the sim layer produced, how many of them were genuine
- * interrupts, how many logical buffer acquisitions the hot path made,
- * and how many bytes flowed through ordering operations (sorts and
- * merges). StageReports carry them into `--explain` and the
- * schemaVersion-3 artifact.
+ * interrupts, and how many bytes flowed through ordering operations
+ * (sorts and merges). StageReports carry them into `--explain` and the
+ * schemaVersion-4 artifact.
  *
  * Counter semantics are chosen to be *deterministic*: every field is a
  * pure function of the work content, never of the machine state, so
@@ -19,10 +18,6 @@
  *
  *  - eventsSimulated counts emitted stolen intervals, per-step activity
  *    updates and attacker measurement periods — not wall-clock samples.
- *  - allocations counts *logical* buffer acquisitions (a scratch arena
- *    acquire or a result-buffer materialization), not mallocs: the
- *    whole point of the arena is that repeated acquisitions stop being
- *    mallocs, while the logical count stays fixed.
  *  - bytesSorted counts each sort/merge once over the span it ordered.
  *  - Cells replayed from the stage cache report zero: counters
  *    measure work *performed*, exactly like cpuSeconds.
@@ -42,9 +37,6 @@ struct PerfCounters
     /** Subset of emitted intervals that are genuine interrupts
      *  (isInterrupt(kind); excludes preemptions and SMI stalls). */
     long long interruptsSynthesized = 0;
-    /** Logical buffer acquisitions on the hot path (arena acquires and
-     *  result-buffer materializations), not physical mallocs. */
-    long long allocations = 0;
     /** Bytes that flowed through an ordering operation, counted once
      *  per sort/merge over the span it ordered. */
     long long bytesSorted = 0;
@@ -54,7 +46,6 @@ struct PerfCounters
     {
         eventsSimulated += other.eventsSimulated;
         interruptsSynthesized += other.interruptsSynthesized;
-        allocations += other.allocations;
         bytesSorted += other.bytesSorted;
         return *this;
     }
@@ -64,7 +55,7 @@ struct PerfCounters
     empty() const
     {
         return eventsSimulated == 0 && interruptsSynthesized == 0 &&
-               allocations == 0 && bytesSorted == 0;
+               bytesSorted == 0;
     }
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "base/logging.hh"
-#include "sim/scratch.hh"
 
 namespace bigfish::sim {
 
@@ -129,12 +128,7 @@ InterruptSynthesizer::synthesize(const ActivityTimeline &activity,
     timeline.iterCostFactor.resize(activity.numIntervals(), 1.0);
     timeline.occupancy.resize(activity.numIntervals(), 0.0);
 
-    // Build the interval stream in the per-thread arena; it is copied
-    // into timeline.stolen exactly-sized at the end, so a warm thread
-    // never regrows a buffer here no matter how stormy the run is.
-    SimScratch &scratch = SimScratch::local();
-    std::vector<StolenInterval> &out = scratch.emit;
-    out.clear();
+    std::vector<StolenInterval> &out = timeline.stolen;
     const double route = movableRouteFraction();
     const double cores = static_cast<double>(config_.numCores);
 
@@ -319,26 +313,8 @@ InterruptSynthesizer::synthesize(const ActivityTimeline &activity,
         }
     }
 
-    normalizeTimeline(out, perf);
-    // Clamp anything pushed past the end of the run by serialization.
-    while (!out.empty() && out.back().arrival >= timeline.duration)
-        out.pop_back();
-    if (!out.empty() && out.back().end() > timeline.duration)
-        out.back().duration = timeline.duration - out.back().arrival;
-
-    // Materialize the result with one exact-size allocation (the arena
-    // buffer stays behind, capacity intact, for the next cell).
-    timeline.stolen.assign(out.begin(), out.end());
-    if (perf)
-        perf->allocations += 1;
+    normalizeTimeline(out, timeline.duration, perf);
     return timeline;
-}
-
-RunTimeline
-InterruptSynthesizer::synthesize(const ActivityTimeline &activity,
-                                 Rng &rng) const
-{
-    return synthesize(activity, rng, nullptr);
 }
 
 } // namespace bigfish::sim

@@ -47,23 +47,17 @@ class InterruptSynthesizer
     const MachineConfig &config() const { return config_; }
 
     /**
-     * Synthesizes the attacker-core schedule for one run.
-     *
-     * The timeline is built in the per-thread SimScratch arena and
-     * materialized into the result with a single exact-size copy, so a
-     * warm thread performs no growth reallocations on this path.
+     * Synthesizes the attacker-core schedule for one run, building the
+     * interval stream in place in the result.
      *
      * @param activity The victim's activity over the run.
      * @param rng Per-run randomness (fork one stream per trace).
      * @param perf When non-null, accumulates emitted events, synthesized
-     *             interrupts, logical allocations and sorted bytes.
-     * @return The materialized, normalized timeline.
+     *             interrupts and sorted bytes.
+     * @return The normalized timeline.
      */
     RunTimeline synthesize(const ActivityTimeline &activity, Rng &rng,
-                           PerfCounters *perf) const;
-
-    /** synthesize() without counter accounting. */
-    RunTimeline synthesize(const ActivityTimeline &activity, Rng &rng) const;
+                           PerfCounters *perf = nullptr) const;
 
   private:
     /** Fraction of movable IRQs routed to the attacker's core. */

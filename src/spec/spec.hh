@@ -44,11 +44,12 @@ namespace bigfish::spec {
  *       simInterrupts, simAllocations, simBytesSorted,
  *       simEventsPerSec; see sim/perf.hh), carried on the *Seconds
  *       line so cold/warm artifact diffs stay clean.
+ *  v4 — drops simAllocations from stage lines.
  * Spec replay (`--spec=<artifact.json>`) accepts any version up to
  * this one — parameters live under "spec" in every version — and
  * rejects newer artifacts with a clear version-mismatch error.
  */
-inline constexpr long long kArtifactSchemaVersion = 3;
+inline constexpr long long kArtifactSchemaVersion = 4;
 
 /** The type of one declared parameter. */
 enum class ValueType

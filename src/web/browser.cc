@@ -94,15 +94,7 @@ applyBrowserRuntime(sim::RunTimeline &timeline,
                               0.6));
             timeline.stolen.push_back(stall);
         }
-        sim::normalizeTimeline(timeline.stolen);
-        while (!timeline.stolen.empty() &&
-               timeline.stolen.back().arrival >= timeline.duration)
-            timeline.stolen.pop_back();
-        if (!timeline.stolen.empty() &&
-            timeline.stolen.back().end() > timeline.duration) {
-            timeline.stolen.back().duration =
-                timeline.duration - timeline.stolen.back().arrival;
-        }
+        sim::normalizeTimeline(timeline.stolen, timeline.duration);
     }
 }
 

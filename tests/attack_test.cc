@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "attack/attacker.hh"
 #include "attack/segmentation.hh"
 #include "attack/trace.hh"
+#include "ktrace/attribution.hh"
+#include "ktrace/gap_detector.hh"
+#include "ktrace/tracer.hh"
 #include "sim/synthesizer.hh"
 #include "stats/descriptive.hh"
 #include "timers/timer.hh"
@@ -376,6 +381,126 @@ TEST(GapTrace, CorrelatesWithLoopTrace)
     const auto loop_ds = stats::downsample(loop.normalized(), 200);
     const auto gap_ds = stats::downsample(gaps.counts, 200);
     EXPECT_LT(stats::pearson(loop_ds, gap_ds), -0.5);
+}
+
+/**
+ * Rebuilds every back-to-back chain of @p timeline (each member arriving
+ * at the previous one's end) with its members in reversed order and
+ * arrivals recomputed from the chain's start: the timeline another tie
+ * order in normalizeTimeline() would have produced.
+ */
+sim::RunTimeline
+reverseChains(const sim::RunTimeline &timeline)
+{
+    sim::RunTimeline reversed = timeline;
+    auto &stolen = reversed.stolen;
+    std::size_t begin = 0;
+    while (begin < stolen.size()) {
+        std::size_t end = begin + 1;
+        while (end < stolen.size() &&
+               stolen[end].arrival == stolen[end - 1].end())
+            ++end;
+        TimeNs at = stolen[begin].arrival;
+        std::reverse(stolen.begin() + static_cast<std::ptrdiff_t>(begin),
+                     stolen.begin() + static_cast<std::ptrdiff_t>(end));
+        for (std::size_t i = begin; i < end; ++i) {
+            stolen[i].arrival = at;
+            at = stolen[i].end();
+        }
+        begin = end;
+    }
+    return reversed;
+}
+
+/** Expects both traces to hold the same counts and wall times. */
+void
+expectSameTrace(const Trace &a, const Trace &b)
+{
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_EQ(a.wallTimes, b.wallTimes);
+}
+
+TEST(TieOrder, ReachesNoAttackerTraceOrGapAttribution)
+{
+    // Tied arrivals serialize into one back-to-back chain whose start
+    // and end do not depend on member order, and the engine charges a
+    // chain as one span. So the unstable sort in normalizeTimeline()
+    // may order ties any way it likes: this pins that no attacker count,
+    // wall time or gap attribution can tell the difference.
+    sim::MachineConfig isolated = sim::MachineConfig::linuxDesktop();
+    isolated.vmIsolation = true;
+    isolated.routing = sim::IrqRoutingPolicy::PinnedAway;
+    const sim::MachineConfig machines[] = {
+        sim::MachineConfig::linuxDesktop(),
+        sim::MachineConfig::windowsWorkstation(),
+        sim::MachineConfig::macbook(),
+        isolated,
+    };
+    const timers::TimerSpec timers[] = {
+        timers::TimerSpec::precise(),
+        timers::TimerSpec::quantized(100 * kUsec),
+        timers::TimerSpec::jittered(100 * kUsec),
+    };
+    const AttackerParams params;
+    std::uint64_t seed = 40;
+    for (const sim::MachineConfig &machine : machines) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        const auto activity = web::realizeWorkload(
+            web::amazonSignature(0), 2 * kSec, 1.0,
+            web::RealizationNoise{}, rng);
+        Rng synth_rng(seed + 1);
+        const sim::RunTimeline timeline =
+            sim::InterruptSynthesizer(machine).synthesize(activity,
+                                                          synth_rng);
+        const sim::RunTimeline reversed = reverseChains(timeline);
+        ++seed;
+
+        // The rebuild must actually move kinds, or the checks below
+        // would pass on two copies of one timeline.
+        ASSERT_EQ(reversed.stolen.size(), timeline.stolen.size());
+        std::size_t moved = 0;
+        for (std::size_t i = 0; i < timeline.stolen.size(); ++i)
+            moved += timeline.stolen[i].kind != reversed.stolen[i].kind;
+        EXPECT_GT(moved, 0u);
+
+        for (const AttackerKind kind :
+             {AttackerKind::LoopCounting, AttackerKind::SweepCounting}) {
+            for (const timers::TimerSpec &spec : timers) {
+                SCOPED_TRACE(attackerKindName(kind) + " " + spec.name());
+                const auto t1 = spec.make(seed);
+                const auto t2 = spec.make(seed);
+                const Trace a = collectTrace(kind, params, machine,
+                                             timeline, *t1, 5 * kMsec, 9)
+                                    .valueOrDie();
+                const Trace b = collectTrace(kind, params, machine,
+                                             reversed, *t2, 5 * kMsec, 9)
+                                    .valueOrDie();
+                expectSameTrace(a, b);
+            }
+        }
+        expectSameTrace(collectGapTrace(timeline, 5 * kMsec).valueOrDie(),
+                        collectGapTrace(reversed, 5 * kMsec).valueOrDie());
+
+        const ktrace::GapDetector detector;
+        const ktrace::KernelTracer tracer;
+        const auto gaps_a = ktrace::attributeGaps(detector.detect(timeline),
+                                                  tracer.record(timeline));
+        const auto gaps_b = ktrace::attributeGaps(detector.detect(reversed),
+                                                  tracer.record(reversed));
+        const ktrace::AttributionReport sum_a = ktrace::summarize(gaps_a);
+        const ktrace::AttributionReport sum_b = ktrace::summarize(gaps_b);
+        EXPECT_GT(sum_a.totalGaps, 0u);
+        EXPECT_EQ(sum_a.totalGaps, sum_b.totalGaps);
+        EXPECT_EQ(sum_a.attributedToInterrupt, sum_b.attributedToInterrupt);
+        EXPECT_EQ(sum_a.attributedToAny, sum_b.attributedToAny);
+        ASSERT_EQ(gaps_a.size(), gaps_b.size());
+        for (std::size_t g = 0; g < gaps_a.size(); ++g) {
+            EXPECT_EQ(gaps_a[g].gap.start, gaps_b[g].gap.start);
+            EXPECT_EQ(gaps_a[g].gap.length, gaps_b[g].gap.length);
+            EXPECT_EQ(gaps_a[g].kinds, gaps_b[g].kinds);
+        }
+    }
 }
 
 TEST(Attackers, KindNames)

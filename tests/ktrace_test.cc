@@ -29,7 +29,7 @@ makeTimeline(std::vector<sim::StolenInterval> stolen,
         static_cast<std::size_t>(duration / timeline.activityInterval);
     timeline.iterCostFactor.assign(steps, 1.0);
     timeline.occupancy.assign(steps, 0.0);
-    sim::normalizeTimeline(stolen);
+    sim::normalizeTimeline(stolen, duration);
     timeline.stolen = std::move(stolen);
     return timeline;
 }

@@ -405,7 +405,6 @@ expectSameStages(const std::vector<core::StageReport> &a,
         EXPECT_EQ(a[i].sim.eventsSimulated, b[i].sim.eventsSimulated);
         EXPECT_EQ(a[i].sim.interruptsSynthesized,
                   b[i].sim.interruptsSynthesized);
-        EXPECT_EQ(a[i].sim.allocations, b[i].sim.allocations);
         EXPECT_EQ(a[i].sim.bytesSorted, b[i].sim.bytesSorted);
     }
 }

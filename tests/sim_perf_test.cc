@@ -71,7 +71,6 @@ TEST(SimPerfCounters, PinnedSpecProducesExactCounts)
     const sim::PerfCounters perf = sweepCounters();
     EXPECT_EQ(perf.eventsSimulated, 240551);
     EXPECT_EQ(perf.interruptsSynthesized, 236982);
-    EXPECT_EQ(perf.allocations, 36);
     EXPECT_EQ(perf.bytesSorted, 5687880);
     EXPECT_FALSE(perf.empty());
 }
@@ -85,7 +84,6 @@ TEST(SimPerfCounters, CountsIdenticalAcrossThreadCounts)
         EXPECT_EQ(perf.eventsSimulated, base.eventsSimulated) << threads;
         EXPECT_EQ(perf.interruptsSynthesized, base.interruptsSynthesized)
             << threads;
-        EXPECT_EQ(perf.allocations, base.allocations) << threads;
         EXPECT_EQ(perf.bytesSorted, base.bytesSorted) << threads;
     }
     setGlobalThreads(0); // Back to the hardware default.
@@ -103,7 +101,6 @@ TEST(SimPerfCounters, CountsIdenticalAcrossSimdTags)
         const sim::PerfCounters perf = sweepCounters();
         EXPECT_EQ(perf.eventsSimulated, base.eventsSimulated);
         EXPECT_EQ(perf.interruptsSynthesized, base.interruptsSynthesized);
-        EXPECT_EQ(perf.allocations, base.allocations);
         EXPECT_EQ(perf.bytesSorted, base.bytesSorted);
     }
 }
@@ -157,7 +154,6 @@ TEST(SimPerfCounters, AccumulationArithmetic)
     sim::PerfCounters a;
     a.eventsSimulated = 10;
     a.interruptsSynthesized = 7;
-    a.allocations = 3;
     a.bytesSorted = 640;
     sim::PerfCounters b;
     b.eventsSimulated = 5;
@@ -165,7 +161,6 @@ TEST(SimPerfCounters, AccumulationArithmetic)
     const sim::PerfCounters sum = a + b;
     EXPECT_EQ(sum.eventsSimulated, 15);
     EXPECT_EQ(sum.interruptsSynthesized, 7);
-    EXPECT_EQ(sum.allocations, 3);
     EXPECT_EQ(sum.bytesSorted, 700);
     EXPECT_TRUE(sim::PerfCounters{}.empty());
     EXPECT_FALSE(sum.empty());

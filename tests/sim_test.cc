@@ -126,13 +126,30 @@ TEST(NormalizeTimeline, SortsAndSerializesOverlaps)
         {50, 100, InterruptKind::NetworkRx}, // Overlaps the first.
         {500, 10, InterruptKind::ReschedIpi},
     };
-    normalizeTimeline(stolen);
+    normalizeTimeline(stolen, kMsec);
     ASSERT_EQ(stolen.size(), 3u);
     EXPECT_EQ(stolen[0].arrival, 50);
     EXPECT_EQ(stolen[1].arrival, 150); // Queued behind the first handler.
     EXPECT_EQ(stolen[2].arrival, 500);
     for (std::size_t i = 1; i < stolen.size(); ++i)
         EXPECT_GE(stolen[i].arrival, stolen[i - 1].end());
+}
+
+TEST(NormalizeTimeline, ClipsSerializedHandlersToTheRunEnd)
+{
+    // Serialization queues the second handler to 950..1050: it straddles
+    // the 1000 ns run end and is cut there; the third, queued to 1050,
+    // starts after the run and is dropped.
+    std::vector<StolenInterval> stolen = {
+        {900, 50, InterruptKind::TimerTick},
+        {920, 100, InterruptKind::NetworkRx},
+        {930, 40, InterruptKind::ReschedIpi},
+    };
+    normalizeTimeline(stolen, 1000);
+    ASSERT_EQ(stolen.size(), 2u);
+    EXPECT_EQ(stolen[1].arrival, 950);
+    EXPECT_EQ(stolen[1].duration, 50);
+    EXPECT_EQ(stolen[1].end(), 1000);
 }
 
 /** Field-wise equality; StolenInterval deliberately has no operator==. */
@@ -149,6 +166,10 @@ sameIntervals(const std::vector<StolenInterval> &a,
     }
     return true;
 }
+
+/** A run end past every interval tieHeavyStream() draws (up to 600
+ *  groups), so normalization never clips those streams. */
+constexpr TimeNs kTieStreamEnd = 10 * kSec;
 
 /** A stream where most arrivals collide: every tick lands piggybacked
  *  softirq/IRQ-work entries at exactly the same nanosecond, the
@@ -191,9 +212,9 @@ TEST(NormalizeTimeline, TieHeavyStreamsNormalizeDeterministically)
     for (const std::size_t groups : {8u, 600u}) {
         const auto original = tieHeavyStream(groups, 6, 2022);
         auto first = original;
-        normalizeTimeline(first);
+        normalizeTimeline(first, kTieStreamEnd);
         auto second = original;
-        normalizeTimeline(second);
+        normalizeTimeline(second, kTieStreamEnd);
         EXPECT_TRUE(sameIntervals(first, second)) << groups << " groups";
         ASSERT_EQ(first.size(), original.size());
         TimeNs busy = 0;
@@ -216,8 +237,8 @@ TEST(NormalizeTimeline, TiedTailEntriesStayBehindTiedPrefixEntries)
     // The short-tail merge path must be *stable*: entries appended
     // after an already-normalized prefix (browser stalls, injected
     // faults) that tie with a prefix arrival go after the prefix
-    // entry, matching the std::inplace_merge contract the arena-backed
-    // merge replaced.
+    // entry, matching the std::inplace_merge contract the explicit
+    // tail merge replaced.
     std::vector<StolenInterval> stolen;
     for (int i = 0; i < 40; ++i) {
         StolenInterval s;
@@ -233,7 +254,7 @@ TEST(NormalizeTimeline, TiedTailEntriesStayBehindTiedPrefixEntries)
         s.kind = InterruptKind::NetworkRx; // Marks "appended tail".
         stolen.push_back(s);
     }
-    normalizeTimeline(stolen);
+    normalizeTimeline(stolen, kMsec);
     ASSERT_EQ(stolen.size(), 50u);
     // Wherever a tail entry landed, the prefix entry it tied with must
     // be directly before it (serialization preserves vector order).
@@ -253,12 +274,11 @@ TEST(NormalizeTimeline, CounterOverloadIsBitIdenticalToPlainCall)
     for (const std::size_t groups : {8u, 600u}) {
         auto plain = tieHeavyStream(groups, 6, 7);
         auto counted = plain;
-        normalizeTimeline(plain);
+        normalizeTimeline(plain, kTieStreamEnd);
         PerfCounters perf;
-        normalizeTimeline(counted, &perf);
+        normalizeTimeline(counted, kTieStreamEnd, &perf);
         EXPECT_TRUE(sameIntervals(plain, counted)) << groups << " groups";
         EXPECT_GT(perf.bytesSorted, 0);
-        EXPECT_GT(perf.allocations, 0);
     }
 }
 
@@ -725,7 +745,7 @@ handTimeline()
         s.kind = InterruptKind::TimerTick;
         stolen.push_back(s);
     }
-    normalizeTimeline(stolen);
+    normalizeTimeline(stolen, timeline.duration);
     timeline.stolen = std::move(stolen);
     return timeline;
 }

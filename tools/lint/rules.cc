@@ -409,8 +409,8 @@ ruleAllocatingAlgorithm(const std::string &relPath, const LexedFile &file,
             emit(out, file, relPath, toks[i].line, "allocating-algorithm",
                  "'std::" + toks[i + 2].text + "' allocates a hidden "
                  "temporary buffer per call; in simulator hot paths use "
-                 "an arena-backed explicit merge (sim/scratch.hh) or a "
-                 "plain std::sort instead");
+                 "an explicit merge into a local buffer, or a plain "
+                 "std::sort instead");
         }
     }
 }

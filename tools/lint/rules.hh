@@ -19,8 +19,8 @@
  *                         stable_partition: each allocates a hidden
  *                         temporary buffer per call, the cold-run cost
  *                         class the simulator hot path eliminated
- *                         (DESIGN.md §13); use the SimScratch arena
- *                         merge or a plain std::sort.
+ *                         (DESIGN.md §13); use an explicit merge
+ *                         into a local buffer, or a plain std::sort.
  *  parallel-float-accum — no `x += ...` reductions onto captured
  *                         variables inside parallelFor/parallelMap
  *                         bodies; accumulate into pre-sized slots or
