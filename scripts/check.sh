@@ -16,10 +16,11 @@
 #   cli-smoke — `bigfish run --all --smoke`: every registered experiment
 #               end-to-end at tiny scale, plus CLI exit-code/usage
 #               checks (strict env validation, unknown-flag rejection).
-#   resume-smoke — kill -9 a `--resume` run (stage cache) mid-collection,
-#               rerun it and require a bit-identical artifact; then force an
-#               IO-crash under `--isolate --keep-going` and require
-#               exit 1 with a complete suite manifest (crashed + ok).
+#   resume-smoke — kill -9 a `--cache-dir` run mid-collection, rerun it
+#               and require a bit-identical artifact; then force an
+#               IO-crash in a two-experiment `--keep-going` run and
+#               require exit 1 with a complete suite manifest (crashed
+#               + ok).
 #   simd      — the DESIGN.md §10 determinism gate: the kernel and
 #               ML test binaries (the latter pins a trained model's
 #               bits) under BF_SIMD=scalar and avx2; two table1
@@ -223,6 +224,15 @@ for stage in "${stages[@]}"; do
             echo "a TOML spec file was unexpectedly accepted" >&2; exit 1
         fi
         grep -qF "$smokedir/run.toml" "$smokedir/err.log"
+        # Retired run flags are unknown flags, not silently ignored.
+        for retired in --isolate --manifest=m.json --resume=ckpt; do
+            rc=0
+            "$builddir/bigfish" run fig7_timer_outputs "$retired" \
+                > /dev/null 2>&1 || rc=$?
+            if [ "$rc" -ne 2 ]; then
+                echo "$retired exited $rc, expected 2" >&2; exit 1
+            fi
+        done
         if "$builddir/bigfish" run no_such_experiment > /dev/null 2>&1
         then
             echo "unknown experiment unexpectedly accepted" >&2; exit 1
@@ -240,12 +250,12 @@ for stage in "${stages[@]}"; do
         echo "== [resume-smoke] reference run (no cache)"
         "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
             --json="$rdir/ref.json" > /dev/null
-        echo "== [resume-smoke] kill -9 mid-collection, then --resume"
+        echo "== [resume-smoke] kill -9 mid-collection, then rerun"
         # Background the binary DIRECTLY (no compound command): $! must
         # be the bigfish pid itself, or the kill orphans the child and
         # it races the resumed run.
         "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
-            --resume="$rdir/ckpt" --json="$rdir/out.json" \
+            --cache-dir="$rdir/ckpt" --json="$rdir/out.json" \
             > "$rdir/first.log" 2>&1 &
         pid=$!
         # Kill as soon as at least one collected cell has been committed.
@@ -258,24 +268,24 @@ for stage in "${stages[@]}"; do
         kill -9 "$pid" 2>/dev/null || true
         wait "$pid" 2>/dev/null || true
         "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
-            --resume="$rdir/ckpt" --json="$rdir/out.json" \
+            --cache-dir="$rdir/ckpt" --json="$rdir/out.json" \
             > "$rdir/resume.log"
         if ! grep -q 'resuming:' "$rdir/resume.log"; then
             echo "== [resume-smoke] note: first run finished before the" \
                  "kill landed (resume path not exercised this time)"
         fi
         # Timings differ run to run and the config echo names the cache
-        # dir (--resume sets it); every result line must be identical.
+        # dir (--cache-dir sets it); every result line must be identical.
         if ! diff <(grep -v -e 'Seconds' -e '"cache-dir"' "$rdir/ref.json") \
                   <(grep -v -e 'Seconds' -e '"cache-dir"' "$rdir/out.json"); then
             echo "resumed artifact differs from reference" >&2
             exit 1
         fi
         echo "== [resume-smoke] resumed artifact is bit-identical"
-        echo "== [resume-smoke] forced IO crash under --isolate --keep-going"
+        echo "== [resume-smoke] forced IO crash under --keep-going"
         rc=0
         "$builddir/bigfish" run table1_fingerprinting fig3_traces --smoke \
-            --threads=2 --isolate --keep-going --resume="$rdir/crash-ckpt" \
+            --threads=2 --keep-going --cache-dir="$rdir/crash-ckpt" \
             --io-crash-after=1 --json-dir="$rdir/crash" \
             > "$rdir/crash.log" 2>&1 || rc=$?
         manifest="$rdir/crash/suite-manifest.json"

@@ -22,7 +22,7 @@
  * horizontal combine tree the AVX2 path uses (hsum8 below IS that
  * tree) — and no path uses fused multiply-add, so changing Tag (or the
  * host CPU) can never change a trained weight, a cache fingerprint, or
- * a `--resume` replay.
+ * a `--cache-dir` replay.
  */
 
 #ifndef BF_BASE_SIMD_HH

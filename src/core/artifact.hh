@@ -2,8 +2,7 @@
  * @file
  * RunArtifact: the structured result of one experiment run.
  *
- * This generalizes the old bench `BenchReport` into a value type any
- * caller can inspect: headline metrics (in insertion order), per-phase
+ * A value type any caller can inspect: headline metrics (in insertion order), per-phase
  * CPU and wall-clock buckets (collect/featurize/train/eval — reported
  * separately because fold-level wall sums exceed the true wall time
  * under parallel folds or timeshared cores), the fully-resolved
@@ -111,7 +110,7 @@ class RunArtifact
 
     /**
      * The artifact as JSON. Metrics print with six decimals and phases
-     * with three — the old bench report's formats — and the resolved
+     * with three, and the resolved
      * spec is embedded under "spec" (the replayable part).
      */
     std::string toJson() const;

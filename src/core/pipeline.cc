@@ -90,9 +90,9 @@ featurizeCanon(const PipelineConfig &pipeline, attack::AttackerKind kind)
  * collection of both worlds for every member and attacker
  * (TraceCollector::collectGroup). With the run's stage cache, every
  * finished (world, site, run) cell is stored as a "cell" entry under
- * its member's key and replayed on the next run, so the one cache makes
- * a *partial* collection restartable (`--resume`) and a *finished* one
- * (and everything downstream) skippable. @p perf receives the group's
+ * its member's key and replayed on the next run, so the one cache
+ * (`--cache-dir`) makes a *partial* collection restartable and a
+ * *finished* one (and everything downstream) skippable. @p perf receives the group's
  * simulator work.
  */
 Result<std::vector<MemberCollection>>

@@ -96,8 +96,7 @@ struct FingerprintResult
     /**
      * The per-stage execution table: one StageReport per stage this
      * result's attacker owns (name, phase, fingerprint, cache
-     * provenance, CPU/wall seconds, item/drop accounting). This
-     * replaces the former ad-hoc per-phase *Seconds fields; phase
+     * provenance, CPU/wall seconds, item/drop accounting). Phase
      * rollups are reduced from it by RunArtifact. In shared runs the
      * Collect stage appears only in the first attacker's table, so
      * summing per-attacker tables counts the shared collection once.

@@ -69,6 +69,8 @@ commonScaleSchema()
                    "stage cache directory: collected cells, featurized "
                    "data, fold models and fold scores; rerunning with the "
                    "same directory resumes or replays (\"\" disables)")
+        // Only bench/harness/trace.cc still spells it --resume; the
+        // bigfish CLI rejects that spelling.
         .addFlagAlias("resume", "cache-dir")
         .addInt("io-crash-after", 0, 0, 1000000000,
                 "fault injection: crash after N stored collection cells")

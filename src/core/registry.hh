@@ -7,8 +7,8 @@
  * same registry instead of per-experiment main()s.
  *
  * Experiments live in bench/experiments/ as thin registration TUs; this
- * header also carries the shared scale plumbing (the old bench_common
- * knobs: sites/traces/open/features/folds/seed/paper-model/threads) so
+ * header also carries the shared scale plumbing
+ * (sites/traces/open/features/folds/seed/paper-model/threads) so
  * every experiment declares the same core vocabulary.
  */
 
@@ -94,7 +94,7 @@ class ExperimentRegistry
     std::map<std::string, ExperimentDescriptor> experiments_;
 };
 
-// --- Shared scale vocabulary (the old bench_common knobs) ---------------
+// --- Shared scale vocabulary ---------------------------------------------
 
 /**
  * The common scale schema every experiment starts from: sites, traces,
@@ -139,7 +139,7 @@ std::vector<std::pair<std::string, std::string>> fullScaleOverrides();
 /**
  * Builds a PipelineConfig from the scale (closed world only), with the
  * stage cache directory and its IO fault knobs, so cached
- * (`--cache-dir`/`--resume`) runs can be crash-tested from the CLI.
+ * (`--cache-dir`) runs can be crash-tested from the CLI.
  */
 PipelineConfig pipelineForScale(const ExperimentScale &scale);
 

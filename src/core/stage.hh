@@ -22,8 +22,8 @@
  *     bit-identically on the next run with the same fingerprint;
  *     stages without a codec (cheap or inherently local ones) simply
  *     recompute. The Collect body stores each collected cell in the
- *     same cache, so `--cache-dir` (alias `--resume`) both resumes a
- *     killed collection and replays a finished one.
+ *     same cache, so `--cache-dir` both resumes a killed collection
+ *     and replays a finished one.
  *
  *  3. Framework-collected observability. Every execution records
  *     wall/CPU seconds, cache provenance (hit, miss, stored, ...) and

@@ -1,7 +1,7 @@
 /**
  * @file
- * StageCache: the content-addressed store behind `--cache-dir` (and its
- * `--resume` spelling) — the pipeline's one persistence layer.
+ * StageCache: the content-addressed store behind `--cache-dir` — the
+ * pipeline's one persistence layer.
  *
  * The stage graph (core/stage.hh) makes every pipeline phase a pure
  * function of its configuration and its upstream outputs, so any

@@ -20,38 +20,6 @@ namespace bigfish::core {
 
 namespace {
 
-std::string
-formatSeconds(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-/**
- * Sleeps ~@p seconds in short slices, returning early (false) when the
- * interrupt flag fires — a Ctrl-C during a backoff delay must not hang
- * the suite for the rest of the delay.
- */
-bool
-interruptibleSleep(double seconds,
-                   const volatile std::sig_atomic_t *interrupted)
-{
-    double remaining = seconds;
-    while (remaining > 0.0) {
-        if (interrupted != nullptr && *interrupted != 0)
-            return false;
-        const double slice = remaining < 0.05 ? remaining : 0.05;
-        timespec ts;
-        ts.tv_sec = static_cast<time_t>(slice);
-        ts.tv_nsec =
-            static_cast<long>((slice - static_cast<double>(ts.tv_sec)) * 1e9);
-        ::nanosleep(&ts, nullptr);
-        remaining -= slice;
-    }
-    return interrupted == nullptr || *interrupted == 0;
-}
-
 /** Reads a whole file; empty optional-equivalent "" when unreadable. */
 std::string
 readFileOrEmpty(const std::string &path)
@@ -133,11 +101,13 @@ SuiteManifest::toJson() const
     for (const ExperimentOutcome &o : outcomes) {
         out += first ? "\n" : ",\n";
         first = false;
+        char wall[32];
+        std::snprintf(wall, sizeof(wall), "%.3f", o.wallSeconds);
         out += "    {\"name\": " + spec::quoteJsonString(o.name) +
                ", \"state\": \"" + runStateName(o.state) +
                "\", \"attempts\": " + std::to_string(o.attempts) +
                ", \"exitCode\": " + std::to_string(o.exitCode) +
-               ", \"wallSeconds\": " + formatSeconds(o.wallSeconds) +
+               ", \"wallSeconds\": " + wall +
                ", \"traces\": {\"collected\": " +
                std::to_string(o.collectedTraces) +
                ", \"dropped\": " + std::to_string(o.droppedTraces) +
@@ -193,7 +163,7 @@ Supervisor::runChildAttempt(const std::string &name,
     outcome.name = name;
     if (plan.argv.empty()) {
         outcome.state = RunState::Failed;
-        outcome.message = "isolate mode: empty child command";
+        outcome.message = "empty child command";
         return outcome;
     }
 
@@ -228,9 +198,10 @@ Supervisor::runChildAttempt(const std::string &name,
     ::setpgid(pid, pid);
 
     // Deadline watchdog: poll the child, kill its process group when
-    // the deadline expires, and forward interrupts to the group. This is supervisor wall-clock
-    // code — explicitly allowlisted in tools/lint/bigfish-lint.toml;
-    // deadlines are operational bounds, never values feeding results.
+    // the deadline expires, and forward interrupts to the group. This
+    // is supervisor wall-clock code — explicitly allowlisted in
+    // tools/lint/bigfish-lint.toml; deadlines are operational bounds,
+    // never values feeding results.
     using Clock = std::chrono::steady_clock;
     const Clock::time_point start = Clock::now();
     bool sent_term = false;
@@ -296,103 +267,46 @@ Supervisor::runChildAttempt(const std::string &name,
 }
 
 ExperimentOutcome
-Supervisor::runOne(const std::string &name, const InProcessRun &in_process,
+Supervisor::runOne(const std::string &name,
                    const ChildCommand &child_command) const
 {
-    ExperimentOutcome outcome;
-    outcome.name = name;
-
-    ChildPlan plan;
-    if (options_.isolate)
-        plan = child_command(name);
-
+    const ChildPlan plan = child_command(name);
     using Clock = std::chrono::steady_clock;
-    const Clock::time_point suite_start = Clock::now();
-    const std::uint64_t salt = retrySalt(name);
+    const Clock::time_point start = Clock::now();
 
+    ExperimentOutcome outcome;
     for (int attempt = 1;; ++attempt) {
+        outcome = runChildAttempt(name, plan);
         outcome.attempts = attempt;
-        if (options_.isolate) {
-            ExperimentOutcome tried = runChildAttempt(name, plan);
-            tried.attempts = attempt;
-            tried.artifactPath = plan.artifactPath;
-            outcome = tried;
-            if (outcome.state == RunState::Ok) {
-                if (!plan.artifactPath.empty() &&
-                    !parseTraceAccounting(
-                        readFileOrEmpty(plan.artifactPath),
-                        &outcome.collectedTraces, &outcome.droppedTraces))
-                    warnOnce("supervisor/artifact-accounting",
-                             "cannot read trace accounting from " +
-                                 plan.artifactPath);
-            }
-        } else {
-            outcome.message.clear();
-            outcome.exitCode = 0;
-            const Status run = in_process(name, outcome);
-            if (run.isOk()) {
-                outcome.state = RunState::Ok;
-            } else {
-                outcome.state = RunState::Failed;
-                outcome.message = run.toString();
-                outcome.exitCode = 1;
-                // Retry decisions key off the structured error class.
-                if (!options_.retry.shouldRetry(run, attempt)) {
-                    break;
-                }
-                outcome.wallSeconds = std::chrono::duration<double>(
-                                          Clock::now() - suite_start)
-                                          .count();
-                if (!interruptibleSleep(
-                        options_.retry.delaySeconds(attempt, salt),
-                        options_.interrupted))
-                    break;
-                continue;
-            }
-        }
-
+        outcome.artifactPath = plan.artifactPath;
         if (outcome.state == RunState::Ok) {
             if (attempt > 1)
                 outcome.state = RunState::Retried;
+            if (!plan.artifactPath.empty() &&
+                !parseTraceAccounting(readFileOrEmpty(plan.artifactPath),
+                                      &outcome.collectedTraces,
+                                      &outcome.droppedTraces))
+                warnOnce("supervisor/artifact-accounting",
+                         "cannot read trace accounting from " +
+                             plan.artifactPath);
             break;
         }
-
-        // Isolated children: crashes, timeouts and plain failures (exit
-        // 1) are transient from the suite's point of view — the retry
-        // plus a persistent --resume cache makes forward progress
-        // even through a deterministic mid-collection crash. Usage
-        // errors (exit 2) and exec failures (127) are permanent.
-        const bool retryable_state = outcome.state == RunState::Crashed ||
-                                     outcome.state == RunState::Timeout ||
-                                     (outcome.state == RunState::Failed &&
-                                      outcome.exitCode == 1);
-        if (!options_.isolate || !retryable_state ||
-            attempt >= options_.retry.maxAttempts || interrupted())
-            break;
-        if (!interruptibleSleep(options_.retry.delaySeconds(attempt, salt),
-                                options_.interrupted))
+        // Crashes, timeouts and plain failures (exit 1) are worth
+        // another attempt; usage errors (exit 2) and exec failures
+        // (127) are permanent.
+        const bool retryable = outcome.state == RunState::Crashed ||
+                               outcome.state == RunState::Timeout ||
+                               outcome.exitCode == 1;
+        if (!retryable || attempt >= options_.maxAttempts || interrupted())
             break;
     }
-
     outcome.wallSeconds =
-        std::chrono::duration<double>(Clock::now() - suite_start).count();
-    if (!options_.isolate && options_.timeoutSeconds > 0.0 &&
-        outcome.wallSeconds > options_.timeoutSeconds &&
-        (outcome.state == RunState::Ok ||
-         outcome.state == RunState::Retried)) {
-        // In-process mode cannot preempt a running experiment; record
-        // the deadline miss without failing the completed work.
-        outcome.message = "deadline of " +
-                          formatSeconds(options_.timeoutSeconds) +
-                          "s exceeded (completed anyway; --isolate "
-                          "enforces deadlines)";
-    }
+        std::chrono::duration<double>(Clock::now() - start).count();
     return outcome;
 }
 
 SuiteManifest
 Supervisor::run(const std::vector<std::string> &names,
-                const InProcessRun &in_process,
                 const ChildCommand &child_command) const
 {
     SuiteManifest manifest;
@@ -422,8 +336,7 @@ Supervisor::run(const std::vector<std::string> &names,
             continue;
         }
 
-        ExperimentOutcome outcome =
-            runOne(name, in_process, child_command);
+        ExperimentOutcome outcome = runOne(name, child_command);
         if (interrupted())
             manifest.interrupted = true;
         const bool failed = outcome.state != RunState::Ok &&

@@ -1,34 +1,33 @@
 /**
  * @file
- * Supervisor: resilient orchestration of a suite of experiments.
+ * Supervisor: crash-isolated orchestration of a suite of experiments.
  *
  * `bigfish run --all` at paper scale is a multi-hour batch job — the
  * same shape as the paper's five-machine collection campaigns — and a
  * single hung or crashed experiment must not take the suite (and every
- * completed artifact) down with it. The supervisor runs each registered
- * experiment under:
+ * completed artifact) down with it. The supervisor runs each experiment
+ * as its own `bigfish run <name>` child process, so an abort or
+ * segfault is contained and reported as `crashed`, under:
  *
- *  - a deterministic base::RetryPolicy for transient failures (seeded
- *    jittered backoff — two runs of the same suite make the same retry
- *    decisions);
- *  - an optional per-experiment deadline. In `--isolate` mode the
- *    deadline is *enforced*: the child's process group (the child
- *    and everything it started) is killed when it expires. In-process, C++ offers no safe preemption, so the
- *    deadline is only recorded post-hoc (documented in DESIGN.md §9);
- *  - optional subprocess isolation (`--isolate`): each experiment runs
- *    as its own `bigfish run <name>` child, so an abort or segfault is
- *    contained and reported as `crashed` instead of killing `--all`;
+ *  - an optional per-experiment deadline, enforced by killing the
+ *    child's process group (the child and everything it started);
+ *  - a retry budget: a child that crashed, timed out or exited 1 is
+ *    rerun at once, up to `maxAttempts` in all. With a `--cache-dir`,
+ *    each attempt resumes from the stage cache, so a retry makes
+ *    forward progress even through a deterministic mid-collection
+ *    crash;
  *  - `--keep-going`: later experiments still run after a failure.
  *
  * After every experiment the suite manifest is rewritten atomically
  * (base/atomic_file.hh), so a Ctrl-C or crash mid-suite still leaves a
  * complete, parseable record of everything that finished — including
- * per-experiment dropped-trace accounting, so degraded runs are visible
- * without re-reading every artifact.
+ * per-experiment dropped-trace accounting, read from each child's
+ * artifact, so degraded runs are visible without re-reading every
+ * artifact.
  *
- * The supervisor is callback-driven (InProcessRun / ChildCommand) so it
- * can be unit-tested with synthetic experiments and `/bin/sh` children;
- * tools/bigfish wires in the registry and its own executable.
+ * The supervisor is callback-driven (ChildCommand) so it can be
+ * unit-tested with `/bin/sh` children; tools/bigfish wires in its own
+ * executable.
  */
 
 #ifndef BF_CORE_SUPERVISOR_HH
@@ -40,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "base/retry.hh"
 #include "base/status.hh"
 
 namespace bigfish::core {
@@ -50,8 +48,8 @@ enum class RunState
 {
     Ok,      ///< Succeeded on the first attempt.
     Retried, ///< Succeeded after at least one retry.
-    Failed,  ///< Exhausted its attempts with a recoverable failure.
-    Timeout, ///< Deadline expired (enforced under --isolate).
+    Failed,  ///< Exhausted its attempts, or failed permanently.
+    Timeout, ///< Deadline expired; the child's group was killed.
     Crashed, ///< Child died of a signal (abort, segfault, kill).
     Skipped, ///< Never started (earlier failure, or interrupted).
 };
@@ -66,7 +64,7 @@ struct ExperimentOutcome
     RunState state = RunState::Skipped;
     /** Attempts actually started (0 when skipped). */
     int attempts = 0;
-    /** Child exit code (isolate mode; 128+signal for signal deaths). */
+    /** Child exit code (128+signal for signal deaths). */
     int exitCode = 0;
     /** Wall-clock seconds across all attempts. */
     double wallSeconds = 0.0;
@@ -99,18 +97,9 @@ struct SuiteManifest
 };
 
 /**
- * Runs one experiment in-process. On success, fills the outcome's
- * trace accounting and artifact path. A Status error is a recoverable
- * failure (retried per policy); an abort is a crash the supervisor can
- * only contain in isolate mode.
- */
-using InProcessRun =
-    std::function<Status(const std::string &name, ExperimentOutcome &out)>;
-
-/**
  * The argv (argv[0] = executable path) that runs one experiment as an
  * isolated child, plus the artifact path the child will write ("" when
- * none). Only consulted in isolate mode.
+ * none).
  */
 struct ChildPlan
 {
@@ -123,12 +112,10 @@ struct SupervisorOptions
 {
     /** Run remaining experiments after a failure. */
     bool keepGoing = false;
-    /** Run each experiment as an isolated subprocess. */
-    bool isolate = false;
     /** Per-experiment deadline in seconds (0 = none). */
     double timeoutSeconds = 0.0;
-    /** Retry schedule for transient failures. */
-    RetryPolicy retry;
+    /** Attempts per experiment, the first included (1 = no retry). */
+    int maxAttempts = 1;
     /** Manifest path, rewritten atomically after every experiment
      *  ("" keeps the manifest in memory only). */
     std::string manifestPath;
@@ -148,19 +135,16 @@ class Supervisor
     explicit Supervisor(SupervisorOptions options);
 
     /**
-     * Runs @p names in order. @p in_process executes one experiment in
-     * this process; @p child_command (isolate mode) describes the
-     * equivalent child invocation. The returned manifest holds one
-     * outcome per name, in order.
+     * Runs @p names in order, each as the child @p child_command
+     * describes. The returned manifest holds one outcome per name, in
+     * order.
      */
     SuiteManifest run(const std::vector<std::string> &names,
-                      const InProcessRun &in_process,
                       const ChildCommand &child_command) const;
 
   private:
     /** One experiment through its attempt/retry loop. */
     ExperimentOutcome runOne(const std::string &name,
-                             const InProcessRun &in_process,
                              const ChildCommand &child_command) const;
 
     /** One isolated child attempt; returns the outcome state. */

@@ -15,7 +15,7 @@
  * *structure* and delegate the arithmetic.
  *
  * Determinism contract (DESIGN.md §10), load-bearing for cache
- * fingerprints and `--resume` replay:
+ * fingerprints and `--cache-dir` replay:
  *
  *  - Reductions (dot, dotTile4x2) accumulate into a fixed 8-lane
  *    virtual accumulator: lane l sums a[i+l]*b[i+l] for i = 0, 8, 16…,

@@ -404,8 +404,6 @@ helpText(const ParamSchema &schema)
         if (left.size() < 26)
             left.resize(26, ' ');
         out += left + def.help;
-        if (!def.flagAlias.empty())
-            out += "; also --" + def.flagAlias;
         out += " (default " + def.defaultValue.render() + ")\n";
     }
     return out;

@@ -3,10 +3,11 @@
  * Corrupted-input robustness tests for the stage cache, the one
  * persistence layer.
  *
- * Part 1 (collected cells in the stage cache): pins the `--resume`
- * bit-identity contract — a "cell" entry truncated at ANY byte offset
- * (a torn write) misses cleanly and the resumed collection produces
- * bit-identical traces and artifacts to an uninterrupted run; a
+ * Part 1 (collected cells in the stage cache): pins the resume
+ * bit-identity contract of `--cache-dir` — a "cell" entry truncated at
+ * ANY byte offset (a torn write) misses cleanly and the resumed
+ * collection produces bit-identical traces and artifacts to an
+ * uninterrupted run; a
  * corrupted cell is dropped without losing its neighbors; IO fault
  * injection (crash-after-N, torn write, entry corruption) exercises
  * the same paths deterministically. The suites keep the names of the

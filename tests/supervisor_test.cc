@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the resilience layer: base/atomic_file, base/retry, and the
- * core suite supervisor (manifest accounting, keep-going and skip
- * semantics, deterministic retries, subprocess isolation via /bin/sh
- * children, interrupt handling).
+ * Tests for the resilience layer: base/atomic_file and the core suite
+ * supervisor (manifest accounting, keep-going and skip semantics,
+ * retries, deadlines and crash containment, interrupt handling), driven
+ * with real /bin/sh children.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,7 +21,6 @@
 #include <unistd.h>
 
 #include "base/atomic_file.hh"
-#include "base/retry.hh"
 #include "core/supervisor.hh"
 
 namespace bigfish::core {
@@ -100,66 +98,6 @@ TEST(AtomicFile, WriteIntoMissingDirectoryReturnsIoErrorNamingPath)
 }
 
 // ---------------------------------------------------------------------
-// base/retry
-// ---------------------------------------------------------------------
-
-TEST(RetryPolicy, RetriesOnlyTransientErrorsWithinBudget)
-{
-    RetryPolicy policy;
-    policy.maxAttempts = 3;
-    EXPECT_TRUE(policy.shouldRetry(ioError("disk hiccup"), 1));
-    EXPECT_TRUE(policy.shouldRetry(exhaustedError("degraded round"), 2));
-    EXPECT_FALSE(policy.shouldRetry(ioError("disk hiccup"), 3));
-    EXPECT_FALSE(policy.shouldRetry(invalidArgumentError("bad flag"), 1));
-    EXPECT_FALSE(policy.shouldRetry(parseError("bad spec"), 1));
-    EXPECT_FALSE(policy.shouldRetry(Status::ok(), 1));
-    EXPECT_FALSE(RetryPolicy::none().shouldRetry(ioError("x"), 1));
-}
-
-TEST(RetryPolicy, DelaysAreDeterministicJitteredAndClamped)
-{
-    RetryPolicy policy;
-    policy.maxAttempts = 10;
-    policy.baseDelaySeconds = 1.0;
-    policy.backoffMultiplier = 2.0;
-    policy.maxDelaySeconds = 4.0;
-    policy.jitterFraction = 0.25;
-    policy.seed = 42;
-
-    const std::uint64_t salt = retrySalt("table1_fingerprinting");
-    for (int attempt = 1; attempt <= 6; ++attempt) {
-        const double a = policy.delaySeconds(attempt, salt);
-        const double b = policy.delaySeconds(attempt, salt);
-        EXPECT_EQ(a, b) << "same inputs must give the same delay";
-        const double nominal =
-            std::min(policy.maxDelaySeconds, 1.0 * (1 << (attempt - 1)));
-        EXPECT_GE(a, nominal * 0.75 - 1e-12);
-        EXPECT_LE(a, nominal * 1.25 + 1e-12);
-    }
-
-    // Different salts decorrelate the jitter streams.
-    std::set<double> delays;
-    for (int i = 0; i < 8; ++i)
-        delays.insert(policy.delaySeconds(
-            1, retrySalt("experiment_" + std::to_string(i))));
-    EXPECT_GT(delays.size(), 1u);
-
-    // Zero jitter means the schedule is exactly the backoff curve.
-    policy.jitterFraction = 0.0;
-    EXPECT_EQ(policy.delaySeconds(1, salt), 1.0);
-    EXPECT_EQ(policy.delaySeconds(2, salt), 2.0);
-    EXPECT_EQ(policy.delaySeconds(3, salt), 4.0);
-    EXPECT_EQ(policy.delaySeconds(4, salt), 4.0); // Clamped.
-}
-
-TEST(RetryPolicy, SaltIsAStableHash)
-{
-    EXPECT_EQ(retrySalt("abc"), retrySalt("abc"));
-    EXPECT_NE(retrySalt("abc"), retrySalt("abd"));
-    EXPECT_NE(retrySalt(""), retrySalt("a"));
-}
-
-// ---------------------------------------------------------------------
 // SuiteManifest
 // ---------------------------------------------------------------------
 
@@ -232,42 +170,60 @@ TEST(SuiteManifest, ParseTraceAccountingRoundTrips)
 }
 
 // ---------------------------------------------------------------------
-// Supervisor — in-process mode
+// Supervisor (real /bin/sh children)
 // ---------------------------------------------------------------------
 
-/** A retry policy with effectively-zero sleeps, for fast tests. */
-RetryPolicy
-fastRetry(int max_attempts)
+/** Every experiment runs @p script under /bin/sh. */
+ChildCommand
+shellChild(const std::string &script)
 {
-    RetryPolicy policy;
-    policy.maxAttempts = max_attempts;
-    policy.baseDelaySeconds = 0.001;
-    policy.maxDelaySeconds = 0.001;
-    policy.jitterFraction = 0.0;
-    return policy;
+    return [script](const std::string &) {
+        ChildPlan plan;
+        plan.argv = {"/bin/sh", "-c", script};
+        return plan;
+    };
 }
 
-ChildPlan
-noChild(const std::string &)
+/**
+ * A suite under @p dir whose experiment "<name>" records that it ran
+ * (dir/ran_<name>) and exits 1 when it is @p failing, else 0.
+ */
+ChildCommand
+recordingChild(const std::string &dir, const std::string &failing)
 {
-    return ChildPlan{};
+    return [dir, failing](const std::string &name) {
+        return shellChild("touch " + dir + "/ran_" + name + "; exit " +
+                          (name == failing ? "1" : "0"))(name);
+    };
+}
+
+/** The names in @p candidates whose recordingChild marker exists. */
+std::vector<std::string>
+ranExperiments(const std::string &dir,
+               const std::vector<std::string> &candidates)
+{
+    std::vector<std::string> ran;
+    for (const std::string &name : candidates)
+        if (std::filesystem::exists(dir + "/ran_" + name))
+            ran.push_back(name);
+    return ran;
 }
 
 TEST(Supervisor, RetriesTransientFailuresDeterministically)
 {
+    // Fails twice, then succeeds: a counter file carries the attempt
+    // number across child processes.
+    const std::string dir = testDir("retry_counter");
+    ASSERT_TRUE(createDirectories(dir).isOk());
+    const std::string counter = dir + "/count";
     SupervisorOptions options;
-    options.retry = fastRetry(3);
-    int calls = 0;
+    options.maxAttempts = 3;
     const SuiteManifest m = Supervisor(options).run(
         {"flaky"},
-        [&](const std::string &, ExperimentOutcome &) -> Status {
-            ++calls;
-            if (calls < 3)
-                return ioError("transient");
-            return Status::ok();
-        },
-        noChild);
-    EXPECT_EQ(calls, 3);
+        shellChild("n=$(cat " + counter + " 2>/dev/null || echo 0); "
+                   "n=$((n + 1)); echo $n > " + counter + "; "
+                   "[ $n -ge 3 ]"));
+    EXPECT_EQ(slurp(counter), "3\n");
     ASSERT_EQ(m.outcomes.size(), 1u);
     EXPECT_EQ(m.outcomes[0].state, RunState::Retried);
     EXPECT_EQ(m.outcomes[0].attempts, 3);
@@ -276,34 +232,31 @@ TEST(Supervisor, RetriesTransientFailuresDeterministically)
 
 TEST(Supervisor, PermanentErrorsAreNotRetried)
 {
+    // A child that cannot even be exec'd fails the same way every time.
     SupervisorOptions options;
-    options.retry = fastRetry(5);
-    int calls = 0;
-    const SuiteManifest m = Supervisor(options).run(
-        {"broken"},
-        [&](const std::string &, ExperimentOutcome &) -> Status {
-            ++calls;
-            return invalidArgumentError("bad config");
-        },
-        noChild);
-    EXPECT_EQ(calls, 1) << "InvalidArgument must not burn retries";
+    options.maxAttempts = 5;
+    const SuiteManifest m =
+        Supervisor(options).run({"broken"}, [](const std::string &) {
+            ChildPlan plan;
+            plan.argv = {"/nonexistent/bigfish", "run", "broken"};
+            return plan;
+        });
     EXPECT_EQ(m.outcomes[0].state, RunState::Failed);
-    EXPECT_NE(m.outcomes[0].message.find("bad config"), std::string::npos);
+    EXPECT_EQ(m.outcomes[0].exitCode, 127);
+    EXPECT_EQ(m.outcomes[0].attempts, 1) << "exec failures must not retry";
+    EXPECT_NE(m.outcomes[0].message.find("exec"), std::string::npos);
     EXPECT_EQ(m.exitCode(), 1);
 }
 
 TEST(Supervisor, FailureSkipsRemainderWithoutKeepGoing)
 {
-    SupervisorOptions options;
-    std::vector<std::string> ran;
-    const auto run = [&](const std::string &name,
-                         ExperimentOutcome &) -> Status {
-        ran.push_back(name);
-        return name == "b" ? ioError("boom") : Status::ok();
-    };
-    const SuiteManifest m =
-        Supervisor(options).run({"a", "b", "c", "d"}, run, noChild);
-    EXPECT_EQ(ran, (std::vector<std::string>{"a", "b"}));
+    const std::string dir = testDir("skip_remainder");
+    ASSERT_TRUE(createDirectories(dir).isOk());
+    const std::vector<std::string> names = {"a", "b", "c", "d"};
+    const SuiteManifest m = Supervisor(SupervisorOptions{})
+                                .run(names, recordingChild(dir, "b"));
+    EXPECT_EQ(ranExperiments(dir, names),
+              (std::vector<std::string>{"a", "b"}));
     EXPECT_EQ(m.outcomes[0].state, RunState::Ok);
     EXPECT_EQ(m.outcomes[1].state, RunState::Failed);
     EXPECT_EQ(m.outcomes[2].state, RunState::Skipped);
@@ -314,36 +267,44 @@ TEST(Supervisor, FailureSkipsRemainderWithoutKeepGoing)
 
 TEST(Supervisor, KeepGoingRunsEverythingAndStillFailsTheSuite)
 {
+    const std::string dir = testDir("keep_going");
+    ASSERT_TRUE(createDirectories(dir).isOk());
     SupervisorOptions options;
     options.keepGoing = true;
-    std::vector<std::string> ran;
-    const auto run = [&](const std::string &name,
-                         ExperimentOutcome &) -> Status {
-        ran.push_back(name);
-        return name == "b" ? ioError("boom") : Status::ok();
-    };
+    const std::vector<std::string> names = {"a", "b", "c"};
     const SuiteManifest m =
-        Supervisor(options).run({"a", "b", "c"}, run, noChild);
-    EXPECT_EQ(ran, (std::vector<std::string>{"a", "b", "c"}));
+        Supervisor(options).run(names, recordingChild(dir, "b"));
+    EXPECT_EQ(ranExperiments(dir, names), names);
+    EXPECT_EQ(m.outcomes[1].state, RunState::Failed);
     EXPECT_EQ(m.outcomes[2].state, RunState::Ok);
     EXPECT_FALSE(m.allOk());
     EXPECT_EQ(m.exitCode(), 1);
 }
 
+volatile std::sig_atomic_t g_interrupted = 0;
+
+void
+setInterrupted(int)
+{
+    g_interrupted = 1;
+}
+
 TEST(Supervisor, InterruptSkipsRemainingExperimentsAndExits130)
 {
-    static volatile std::sig_atomic_t interrupted = 0;
-    interrupted = 0;
+    // The first child signals its parent mid-experiment, as a Ctrl-C
+    // would reach bigfish, then finishes: it ignores the SIGTERM the
+    // supervisor forwards, so its outcome is deterministic.
+    g_interrupted = 0;
+    struct sigaction action = {};
+    struct sigaction previous = {};
+    action.sa_handler = setInterrupted;
+    ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
     SupervisorOptions options;
-    options.interrupted = &interrupted;
-    const auto run = [&](const std::string &name,
-                         ExperimentOutcome &) -> Status {
-        if (name == "a")
-            interrupted = 1; // Signal arrives mid-first-experiment.
-        return Status::ok();
-    };
-    const SuiteManifest m =
-        Supervisor(options).run({"a", "b", "c"}, run, noChild);
+    options.interrupted = &g_interrupted;
+    const SuiteManifest m = Supervisor(options).run(
+        {"a", "b", "c"},
+        shellChild("trap '' TERM; kill -USR1 $PPID; sleep 0.1; exit 0"));
+    ::sigaction(SIGUSR1, &previous, nullptr);
     EXPECT_TRUE(m.interrupted);
     EXPECT_EQ(m.outcomes[0].state, RunState::Ok);
     EXPECT_EQ(m.outcomes[1].state, RunState::Skipped);
@@ -359,54 +320,28 @@ TEST(Supervisor, ManifestIsFlushedAfterEveryExperiment)
     options.keepGoing = true;
     options.manifestPath = dir + "/suite-manifest.json";
 
-    std::vector<std::string> snapshots;
-    const auto run = [&](const std::string &,
-                         ExperimentOutcome &) -> Status {
-        // Capture what was on disk when this experiment STARTED.
-        std::ifstream in(options.manifestPath);
-        std::ostringstream text;
-        text << in.rdbuf();
-        snapshots.push_back(text.str());
-        return Status::ok();
+    // Each child snapshots the manifest on disk when it STARTS.
+    const ChildCommand snapshot = [&](const std::string &name) {
+        return shellChild("cat " + options.manifestPath + " > " + dir +
+                          "/seen_" + name + " 2>/dev/null; exit 0")(name);
     };
     const SuiteManifest manifest =
-        Supervisor(options).run({"a", "b"}, run, noChild);
+        Supervisor(options).run({"a", "b"}, snapshot);
     EXPECT_TRUE(manifest.allOk());
-    ASSERT_EQ(snapshots.size(), 2u);
-    EXPECT_EQ(snapshots[0], "") << "no manifest before the first run";
-    EXPECT_NE(snapshots[1].find("\"name\": \"a\""), std::string::npos)
+    EXPECT_EQ(slurp(dir + "/seen_a"), "")
+        << "no manifest before the first run";
+    EXPECT_NE(slurp(dir + "/seen_b").find("\"name\": \"a\""),
+              std::string::npos)
         << "manifest flushed after experiment a, before b started";
     const std::string final_manifest = slurp(options.manifestPath);
     EXPECT_NE(final_manifest.find("\"name\": \"b\""), std::string::npos);
 }
 
-// ---------------------------------------------------------------------
-// Supervisor — isolate mode (real /bin/sh children)
-// ---------------------------------------------------------------------
-
-ChildCommand
-shellChild(const std::string &script)
-{
-    return [script](const std::string &) {
-        ChildPlan plan;
-        plan.argv = {"/bin/sh", "-c", script};
-        return plan;
-    };
-}
-
-Status
-mustNotRunInProcess(const std::string &, ExperimentOutcome &)
-{
-    ADD_FAILURE() << "isolate mode must not run in-process";
-    return invalidArgumentError("unreachable");
-}
-
 TEST(SupervisorIsolate, SuccessfulChildReportsOk)
 {
     SupervisorOptions options;
-    options.isolate = true;
     const SuiteManifest m = Supervisor(options).run(
-        {"child"}, mustNotRunInProcess, shellChild("exit 0"));
+        {"child"}, shellChild("exit 0"));
     ASSERT_EQ(m.outcomes.size(), 1u);
     EXPECT_EQ(m.outcomes[0].state, RunState::Ok);
     EXPECT_EQ(m.outcomes[0].exitCode, 0);
@@ -415,9 +350,8 @@ TEST(SupervisorIsolate, SuccessfulChildReportsOk)
 TEST(SupervisorIsolate, FailingChildReportsExitCode)
 {
     SupervisorOptions options;
-    options.isolate = true;
     const SuiteManifest m = Supervisor(options).run(
-        {"child"}, mustNotRunInProcess, shellChild("exit 3"));
+        {"child"}, shellChild("exit 3"));
     EXPECT_EQ(m.outcomes[0].state, RunState::Failed);
     EXPECT_EQ(m.outcomes[0].exitCode, 3);
     EXPECT_EQ(m.exitCode(), 1);
@@ -426,11 +360,9 @@ TEST(SupervisorIsolate, FailingChildReportsExitCode)
 TEST(SupervisorIsolate, CrashingChildIsContainedAndReported)
 {
     SupervisorOptions options;
-    options.isolate = true;
     options.keepGoing = true;
     const SuiteManifest m = Supervisor(options).run(
-        {"crasher"}, mustNotRunInProcess,
-        shellChild("kill -ABRT $$"));
+        {"crasher"}, shellChild("kill -ABRT $$"));
     EXPECT_EQ(m.outcomes[0].state, RunState::Crashed);
     EXPECT_EQ(m.outcomes[0].exitCode, 128 + SIGABRT);
     EXPECT_NE(m.outcomes[0].message.find("signal"), std::string::npos);
@@ -461,11 +393,9 @@ TEST(SupervisorIsolate, HungChildIsKilledAtTheDeadline)
     ASSERT_TRUE(createDirectories(dir).isOk());
     const std::string pid_file = dir + "/grandchild.pid";
     SupervisorOptions options;
-    options.isolate = true;
     options.timeoutSeconds = 0.3;
     const SuiteManifest m = Supervisor(options).run(
-        {"hung"}, mustNotRunInProcess,
-        shellChild("sleep 30 & echo $! > " + pid_file + "; wait"));
+        {"hung"}, shellChild("sleep 30 & echo $! > " + pid_file + "; wait"));
     EXPECT_EQ(m.outcomes[0].state, RunState::Timeout);
     EXPECT_EQ(m.outcomes[0].exitCode, 128 + SIGKILL);
     EXPECT_LT(m.outcomes[0].wallSeconds, 10.0);
@@ -488,15 +418,14 @@ TEST(SupervisorIsolate, CrashedChildIsRetriedPerPolicy)
     const std::string dir = testDir("retry_marker");
     ASSERT_TRUE(createDirectories(dir).isOk());
     SupervisorOptions options;
-    options.isolate = true;
-    options.retry = fastRetry(3);
+    options.maxAttempts = 3;
     // Crash until the marker file exists, then succeed: models a
     // transient crash that a retry (with journaled progress) survives.
     const std::string script = "if [ -e " + dir + "/marker ]; then exit 0; "
                                "else touch " + dir + "/marker; "
                                "kill -ABRT $$; fi";
     const SuiteManifest m = Supervisor(options).run(
-        {"flaky_crasher"}, mustNotRunInProcess, shellChild(script));
+        {"flaky_crasher"}, shellChild(script));
     EXPECT_EQ(m.outcomes[0].state, RunState::Retried);
     EXPECT_EQ(m.outcomes[0].attempts, 2);
     EXPECT_EQ(m.exitCode(), 0);
@@ -507,12 +436,11 @@ TEST(SupervisorIsolate, UsageErrorExitCode2IsNotRetried)
     const std::string dir = testDir("usage_marker");
     ASSERT_TRUE(createDirectories(dir).isOk());
     SupervisorOptions options;
-    options.isolate = true;
-    options.retry = fastRetry(5);
+    options.maxAttempts = 5;
     const std::string script =
         "touch " + dir + "/attempt_$$; exit 2";
     const SuiteManifest m = Supervisor(options).run(
-        {"usage"}, mustNotRunInProcess, shellChild(script));
+        {"usage"}, shellChild(script));
     EXPECT_EQ(m.outcomes[0].state, RunState::Failed);
     EXPECT_EQ(m.outcomes[0].exitCode, 2);
     EXPECT_EQ(m.outcomes[0].attempts, 1);

@@ -14,16 +14,18 @@
  * resolution order: defaults -> preset -> spec file -> flags; malformed
  * values fail with the offending source named.
  *
- * Resilience flags (core/supervisor.hh): --cache-dir=DIR (also spelled
- * --resume=DIR) stores every collected cell and stage output in DIR, so
- * a rerun resumes or replays bit-identically, --isolate runs
- * each experiment as a subprocess so a crash cannot take down --all,
- * --keep-going continues past failures, --timeout=SECS bounds each
- * experiment (enforced under --isolate), --retries=N retries transient
- * failures with deterministic seeded backoff, --manifest=PATH writes the
- * suite manifest (defaults to <json-dir>/suite-manifest.json). SIGINT /
- * SIGTERM stop the suite gracefully: the partial manifest is flushed and
- * the exit status is 130.
+ * One named experiment runs directly in this process. Every other run
+ * is a supervised suite (core/supervisor.hh): several names, --all, or
+ * one experiment with a deadline or retries, which only a child process
+ * can honour. Each experiment then runs as its own `bigfish run <name>`
+ * child, so a crash cannot take down --all; --keep-going continues past
+ * failures, --timeout=SECS kills an experiment's child at its deadline,
+ * --retries=N reruns a child that crashed, timed out or exited 1, and
+ * the suite manifest is rewritten to <json-dir>/suite-manifest.json
+ * after every experiment. SIGINT / SIGTERM stop a suite gracefully: the
+ * partial manifest is flushed and the exit status is 130.
+ * --cache-dir=DIR stores every collected cell and stage output in DIR,
+ * so a rerun (or a retry) resumes or replays bit-identically.
  *
  * Exit status: 0 success, 1 a run failed, 2 usage error, 130 interrupted.
  */
@@ -53,10 +55,10 @@ namespace {
 volatile std::sig_atomic_t g_interrupted = 0;
 
 /**
- * First SIGINT/SIGTERM requests a graceful stop: the supervisor finishes
- * (or kills, under --isolate) the current experiment, marks the rest
- * skipped, flushes the manifest, and exits 130. A second signal gets the
- * default action — die immediately.
+ * A supervised suite's first SIGINT/SIGTERM requests a graceful stop:
+ * the supervisor terminates the current experiment's child, marks the
+ * rest skipped, flushes the manifest, and exits 130. A second signal
+ * gets the default action — die immediately.
  */
 void
 handleInterrupt(int sig)
@@ -114,21 +116,20 @@ printUsage()
         "                     whose input fingerprint is unchanged "
         "(e.g.\n"
         "                     an eval-only change skips collection AND\n"
-        "                     training), bit-identically\n"
-        "  --resume=DIR       the same as --cache-dir=DIR: a run killed\n"
-        "                     mid-collection resumes from its stored\n"
-        "                     cells (the two flags must not name\n"
-        "                     different directories)\n"
-        "  --isolate          run each experiment as a subprocess; a\n"
-        "                     crash is contained, not fatal to --all\n"
+        "                     training), bit-identically; a run killed\n"
+        "                     mid-collection resumes from its stored "
+        "cells\n"
         "  --keep-going       keep running later experiments after a "
         "failure\n"
-        "  --timeout=SECS     per-experiment deadline (enforced with "
-        "--isolate)\n"
-        "  --retries=N        retry transient failures up to N times\n"
-        "                     (deterministic seeded backoff)\n"
-        "  --manifest=PATH    suite manifest JSON (default:\n"
-        "                     <json-dir>/suite-manifest.json)\n"
+        "  --timeout=SECS     per-experiment deadline; the experiment's\n"
+        "                     child process is killed when it expires\n"
+        "  --retries=N        rerun an experiment whose child crashed,\n"
+        "                     timed out or failed, up to N times\n"
+        "\n"
+        "One named experiment runs in this process. Several names, --all,\n"
+        "--timeout or --retries run each experiment as a child process,\n"
+        "so a crash is contained, and write the suite manifest to\n"
+        "<json-dir>/suite-manifest.json after every experiment.\n"
         "\n"
         "Parameter resolution: defaults -> preset -> spec file -> "
         "flags.\n"
@@ -183,7 +184,6 @@ struct RunOptions
     bool smoke = false;
     bool full = false;
     bool help = false;
-    bool isolate = false;
     bool keepGoing = false;
     bool explain = false;
     double timeoutSeconds = 0.0;
@@ -192,7 +192,6 @@ struct RunOptions
     std::string jsonPath;
     std::string jsonDir;
     std::string cacheDir;
-    std::string manifestPath;
     std::vector<std::pair<std::string, std::string>> flags;
 };
 
@@ -246,7 +245,7 @@ readFile(const std::string &path)
     return text.str();
 }
 
-/** This binary's own path, for spawning --isolate children. */
+/** This binary's own path, for spawning supervised children. */
 std::string
 selfExecutable(const char *argv0)
 {
@@ -266,6 +265,36 @@ struct PreparedRun
     spec::RunSpec spec;
     std::string artifactPath;
 };
+
+/** Runs one experiment in this process and writes its artifact. */
+Status
+runDirect(const PreparedRun &p, bool explain)
+{
+    core::RunContext ctx;
+    ctx.descriptor = p.descriptor;
+    ctx.spec = p.spec;
+
+    const int threads = static_cast<int>(ctx.spec.getInt("threads"));
+    if (threads > 0)
+        setGlobalThreads(threads);
+
+    core::printExperimentBanner(ctx);
+    Stopwatch wall;
+    auto artifact = p.descriptor->run(ctx);
+    if (!artifact.isOk())
+        return artifact.status();
+    artifact.value().setWallSeconds(wall.seconds());
+    if (explain) {
+        std::printf("\nstage graph (fingerprints + cache "
+                    "provenance):\n%s",
+                    artifact.value().explainText().c_str());
+    }
+    if (!p.artifactPath.empty()) {
+        BF_RETURN_IF_ERROR(artifact.value().writeJson(p.artifactPath));
+        std::printf("report written: %s\n", p.artifactPath.c_str());
+    }
+    return Status::ok();
+}
 
 int
 cmdRun(const core::ExperimentRegistry &registry,
@@ -290,17 +319,17 @@ cmdRun(const core::ExperimentRegistry &registry,
             options.jsonPath = value;
         } else if (key == "json-dir") {
             options.jsonDir = value;
-        } else if (key == "cache-dir" || key == "resume") {
+        } else if (key == "cache-dir") {
             // Kept both as a CLI option (directory creation) and as a
-            // spec flag: the pipeline reads it from the resolved scale,
-            // and the spec layer rejects --resume and --cache-dir
-            // naming different directories.
+            // spec flag: the pipeline reads it from the resolved scale.
             options.cacheDir = value;
             options.flags.emplace_back(key, value);
+        } else if (key == "resume") {
+            // The schema still knows this spelling for
+            // bench/harness/trace.cc; the CLI has one: --cache-dir.
+            return usageError("unknown flag --resume (use --cache-dir)");
         } else if (key == "explain" && value.empty()) {
             options.explain = true;
-        } else if (key == "isolate" && value.empty()) {
-            options.isolate = true;
         } else if (key == "keep-going" && value.empty()) {
             options.keepGoing = true;
         } else if (key == "timeout") {
@@ -313,8 +342,6 @@ cmdRun(const core::ExperimentRegistry &registry,
                 return usageError(
                     "--retries expects an integer in [0, 1000], got \"" +
                     value + "\"");
-        } else if (key == "manifest") {
-            options.manifestPath = value;
         } else if (key == "paper-model" && value.empty()) {
             // Convenience: the old binaries took --paper-model as a
             // bare switch; keep that spelling working.
@@ -424,54 +451,33 @@ cmdRun(const core::ExperimentRegistry &registry,
             return 1;
         }
     }
-    if (options.manifestPath.empty() && !options.jsonDir.empty())
-        options.manifestPath = options.jsonDir + "/suite-manifest.json";
 
+    // One named experiment with no deadline and no retries needs no
+    // child: it runs here, with the default signal actions.
+    if (names.size() == 1 && !options.all &&
+        options.timeoutSeconds == 0.0 && options.retries == 0) {
+        const Status run =
+            runDirect(prepared.at(names[0]), options.explain);
+        if (run.isOk())
+            return 0;
+        std::fprintf(stderr, "bigfish: %s: %s\n", names[0].c_str(),
+                     run.toString().c_str());
+        return 1;
+    }
+
+    // A supervised suite: each experiment is a child `bigfish run` of
+    // its own, which never carries --timeout, --retries or --keep-going
+    // and so is always a direct run.
+    std::signal(SIGINT, handleInterrupt);
+    std::signal(SIGTERM, handleInterrupt);
     core::SupervisorOptions supervisor_options;
     supervisor_options.keepGoing = options.keepGoing;
-    supervisor_options.isolate = options.isolate;
     supervisor_options.timeoutSeconds = options.timeoutSeconds;
-    supervisor_options.retry.maxAttempts = options.retries + 1;
-    // Fixed seed: the retry schedule is part of the reproducible record,
-    // not an entropy source (see base/retry.hh).
-    supervisor_options.retry.seed = 2022;
-    supervisor_options.manifestPath = options.manifestPath;
+    supervisor_options.maxAttempts = options.retries + 1;
+    if (!options.jsonDir.empty())
+        supervisor_options.manifestPath =
+            options.jsonDir + "/suite-manifest.json";
     supervisor_options.interrupted = &g_interrupted;
-
-    const core::InProcessRun in_process =
-        [&](const std::string &name,
-            core::ExperimentOutcome &out) -> Status {
-        PreparedRun &p = prepared.at(name);
-        core::RunContext ctx;
-        ctx.descriptor = p.descriptor;
-        ctx.spec = p.spec;
-
-        const int threads = static_cast<int>(ctx.spec.getInt("threads"));
-        if (threads > 0)
-            setGlobalThreads(threads);
-
-        core::printExperimentBanner(ctx);
-        Stopwatch wall;
-        auto artifact = p.descriptor->run(ctx);
-        if (!artifact.isOk())
-            return artifact.status();
-        artifact.value().setWallSeconds(wall.seconds());
-        if (options.explain) {
-            std::printf("\nstage graph (fingerprints + cache "
-                        "provenance):\n%s",
-                        artifact.value().explainText().c_str());
-        }
-
-        out.collectedTraces = artifact.value().collectedTraces();
-        out.droppedTraces = artifact.value().droppedTraces();
-        out.artifactPath = p.artifactPath;
-        if (!p.artifactPath.empty()) {
-            BF_RETURN_IF_ERROR(
-                artifact.value().writeJson(p.artifactPath));
-            std::printf("report written: %s\n", p.artifactPath.c_str());
-        }
-        return Status::ok();
-    };
 
     const std::string exe = selfExecutable(argv0);
     const core::ChildCommand child_command =
@@ -495,21 +501,16 @@ cmdRun(const core::ExperimentRegistry &registry,
     };
 
     const core::SuiteManifest manifest =
-        core::Supervisor(supervisor_options)
-            .run(names, in_process, child_command);
+        core::Supervisor(supervisor_options).run(names, child_command);
 
-    if (names.size() > 1 || !manifest.allOk()) {
-        std::printf("\nsuite summary:\n");
-        for (const auto &o : manifest.outcomes)
-            std::printf("  %-28s %-8s attempts=%d wall=%.1fs%s%s\n",
-                        o.name.c_str(), core::runStateName(o.state),
-                        o.attempts, o.wallSeconds,
-                        o.message.empty() ? "" : "  ",
-                        o.message.c_str());
-        if (manifest.interrupted)
-            std::printf("  (interrupted: remaining experiments "
-                        "skipped)\n");
-    }
+    std::printf("\nsuite summary:\n");
+    for (const auto &o : manifest.outcomes)
+        std::printf("  %-28s %-8s attempts=%d wall=%.1fs%s%s\n",
+                    o.name.c_str(), core::runStateName(o.state),
+                    o.attempts, o.wallSeconds,
+                    o.message.empty() ? "" : "  ", o.message.c_str());
+    if (manifest.interrupted)
+        std::printf("  (interrupted: remaining experiments skipped)\n");
     if (!supervisor_options.manifestPath.empty())
         std::printf("suite manifest: %s\n",
                     supervisor_options.manifestPath.c_str());
@@ -521,9 +522,6 @@ cmdRun(const core::ExperimentRegistry &registry,
 int
 main(int argc, char **argv)
 {
-    std::signal(SIGINT, handleInterrupt);
-    std::signal(SIGTERM, handleInterrupt);
-
     core::ExperimentRegistry registry;
     bench::registerAllExperiments(registry);
 
