@@ -11,6 +11,7 @@
 #include <malloc.h>
 #endif
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -27,6 +28,7 @@
 #include "ml/lstm.hh"
 #include "ml/matrix.hh"
 #include "sim/engine.hh"
+#include "sim/interrupt.hh"
 #include "sim/synthesizer.hh"
 #include "web/catalog.hh"
 
@@ -61,6 +63,36 @@ BM_SynthesizeTimeline(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SynthesizeTimeline);
+
+void
+BM_NormalizeTimeline(benchmark::State &state)
+{
+    // A 15 s run's stream in a fixed-seed shuffle: no sorted prefix, so
+    // each call sorts the whole stream, then serializes and clips it.
+    // Manual time: the per-iteration copy of the input is not timed.
+    const sim::RunTimeline timeline = benchTimeline(15 * kSec);
+    std::vector<sim::StolenInterval> shuffled = timeline.stolen;
+    Rng rng(3);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
+    double seconds = 0.0;
+    for (auto _ : state) {
+        std::vector<sim::StolenInterval> stolen = shuffled;
+        const auto begin = std::chrono::steady_clock::now();
+        sim::normalizeTimeline(stolen, timeline.duration);
+        benchmark::DoNotOptimize(stolen.data());
+        benchmark::ClobberMemory();
+        const auto end = std::chrono::steady_clock::now();
+        state.SetIterationTime(
+            std::chrono::duration<double>(end - begin).count());
+        seconds += std::chrono::duration<double>(end - begin).count();
+    }
+    state.counters["ns_per_interval"] =
+        seconds * 1e9 /
+        (static_cast<double>(state.iterations()) *
+         static_cast<double>(shuffled.size()));
+    state.SetLabel(std::to_string(shuffled.size()) + " intervals");
+}
+BENCHMARK(BM_NormalizeTimeline)->UseManualTime();
 
 void
 BM_EngineClosedForm(benchmark::State &state)

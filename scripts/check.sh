@@ -56,6 +56,17 @@
 #               through one call: three and five timeline groups, and
 #               one group for all five Table 4 rows) whose artifacts
 #               must match between --threads=1 and --threads=4.
+#   parent-identity — run by name only: builds the lint-diff base
+#               revision (origin/main, else HEAD~1) from `git archive`
+#               and runs the same commands on both trees, at
+#               --threads=1 and 4 under BF_SIMD=scalar and avx2: every
+#               experiment's smoke, the Table 1 harness spec into a
+#               stage cache, `gap_attribution --runs=30` and
+#               `background_noise --sites=15 --traces=15 --folds=10`;
+#               then examples/fault_injection. Artifacts minus
+#               `Seconds` lines, the stage-cache trees and the
+#               fault_injection output must match byte for byte: the
+#               gate for a change that must not move a bit.
 #   address   — full build + ctest under AddressSanitizer.
 #   undefined — full build + ctest under UBSan.
 #   thread    — full build + ctest under ThreadSanitizer.
@@ -72,8 +83,8 @@
 # stage fails the gate instead of silently passing.
 #
 # Usage:
-#   scripts/check.sh [lint-diff|lint|cppcheck|cli-smoke|resume-smoke|simd|stage-cache|sim-perf|address|undefined|thread|threads8]...
-#   With no arguments, runs every stage.
+#   scripts/check.sh [lint-diff|lint|cppcheck|cli-smoke|resume-smoke|simd|stage-cache|sim-perf|parent-identity|address|undefined|thread|threads8]...
+#   With no arguments, runs every stage but parent-identity.
 
 set -euo pipefail
 
@@ -536,6 +547,85 @@ for stage in "${stages[@]}"; do
             echo "== [sim-perf] $exp bit-identical at 1 and 4 threads"
         done
         ;;
+      parent-identity)
+        base=""
+        if git -C "$repo" rev-parse --verify -q origin/main > /dev/null
+        then
+            base=origin/main
+        elif git -C "$repo" rev-parse --verify -q HEAD~1 > /dev/null; then
+            base=HEAD~1
+        fi
+        if [ -z "$base" ]; then
+            echo "== [parent-identity] no base revision to compare, skipping"
+            stage_state=skipped
+        else
+            idir="$(mktemp -d)"
+            tmpdirs+=("$idir")
+            echo "== [parent-identity] build this tree"
+            cmake -B "$repo/build" -S "$repo" > /dev/null
+            cmake --build "$repo/build" --target bigfish fault_injection \
+                -j "$jobs"
+            echo "== [parent-identity] build $base from git archive"
+            mkdir "$idir/base-src"
+            git -C "$repo" archive "$base" | tar -x -C "$idir/base-src"
+            cmake -B "$idir/base-build" -S "$idir/base-src" > /dev/null
+            cmake --build "$idir/base-build" --target bigfish \
+                fault_injection -j "$jobs" > "$idir/base-build.log" ||
+                { tail -n 40 "$idir/base-build.log"; exit 1; }
+            for side in base head; do
+                bin="$repo/build"
+                [ "$side" = base ] && bin="$idir/base-build"
+                echo "== [parent-identity] run the commands on $side"
+                mkdir "$idir/$side"
+                # Relative output paths, so the artifacts' config echo
+                # (--cache-dir) reads the same on both sides.
+                (
+                    cd "$idir/$side"
+                    for t in 1 4; do
+                        for isa in scalar avx2; do
+                            run="t$t-$isa"
+                            export BF_SIMD="$isa"
+                            "$bin/bigfish" run --all --smoke --threads="$t" \
+                                --json-dir="smoke-$run" > /dev/null
+                            "$bin/bigfish" run table1_fingerprinting \
+                                --sites=4 --traces=6 --open=4 --folds=7 \
+                                --threads="$t" --cache-dir="cache-$run" \
+                                --json="table1-$run.json" > /dev/null
+                            "$bin/bigfish" run gap_attribution --runs=30 \
+                                --threads="$t" --json="gap-$run.json" \
+                                > /dev/null
+                            "$bin/bigfish" run background_noise \
+                                --sites=15 --traces=15 --folds=10 \
+                                --threads="$t" --json="bg-$run.json" \
+                                > /dev/null
+                        done
+                    done
+                    unset BF_SIMD
+                    "$bin/examples/fault_injection" > fault_injection.txt 2>&1
+                )
+            done
+            echo "== [parent-identity] compare $base against this tree"
+            files="$(cd "$idir/base" && find . -type f | sort)"
+            if ! diff <(echo "$files") \
+                      <(cd "$idir/head" && find . -type f | sort); then
+                echo "the two trees wrote different files" >&2
+                exit 1
+            fi
+            differ=0
+            while IFS= read -r f; do
+                case "$f" in
+                  *.json)
+                    diff -q <(grep -v Seconds "$idir/base/$f") \
+                            <(grep -v Seconds "$idir/head/$f") > /dev/null
+                    ;;
+                  *) cmp -s "$idir/base/$f" "$idir/head/$f" ;;
+                esac || { echo "differs from $base: $f" >&2; differ=1; }
+            done <<< "$files"
+            [ "$differ" -eq 0 ]
+            echo "== [parent-identity] $(echo "$files" | wc -l) files" \
+                 "identical to $base"
+        fi
+        ;;
       address|undefined|thread)
         san="$stage"
         builddir="$repo/build-$san"
@@ -561,7 +651,7 @@ for stage in "${stages[@]}"; do
       *)
         echo "unknown stage '$stage' (want lint-diff, lint, cppcheck," \
              "cli-smoke, resume-smoke, simd, stage-cache, sim-perf," \
-             "address, undefined, thread or threads8)" >&2
+             "parent-identity, address, undefined, thread or threads8)" >&2
         exit 2
         ;;
     esac

@@ -1,7 +1,10 @@
 #include "sim/interrupt.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "base/logging.hh"
 
@@ -135,102 +138,114 @@ HandlerCostModel::sample(InterruptKind kind, Rng &rng, bool vmIsolated,
 
 namespace {
 
-constexpr auto byArrival = [](const StolenInterval &a,
-                              const StolenInterval &b) {
-    return a.arrival < b.arrival;
-};
+/** Queues @p interval behind the handler running until @p busy_until,
+ *  as one core executes them, and advances @p busy_until past it. */
+StolenInterval
+queued(StolenInterval interval, TimeNs &busy_until)
+{
+    interval.arrival = std::max(interval.arrival, busy_until);
+    busy_until = interval.end();
+    return interval;
+}
 
 /**
- * Sorts intervals by arrival with a bucket sort: arrivals are
- * near-uniform over the run (the synthesizer emits them clustered by
- * activity step), so scattering into ~size/16 arrival-range buckets and
- * insertion-sorting each bucket is O(n) where a comparison sort was a
- * quarter of trace-collection time at paper scale. Bucket assignment is
- * pure arithmetic on the arrival, so the result is deterministic and
- * independent of thread count.
+ * Sorts intervals by (arrival, input position) with a stable LSD radix
+ * sort, and serializes them as it gathers. Each interval packs into one
+ * 64-bit key, (arrival - min) above its input index; the passes run
+ * 12-bit digits over the arrival bits only, so the index bits break
+ * ties by input position, and one gather then moves each 24-byte
+ * record once. A pass whose digit every key shares is skipped.
+ *
+ * The key holds bit_width(max - min) + bit_width(n - 1) <= 64 bits. A
+ * 50 s run (the longest web/browser.cc builds) spans under 2^36 ns and
+ * its streams stay under 2^20 intervals, so 3 passes cover every run
+ * with 8 bits to spare; a stream past the bound is a bug, not a case.
  */
 void
-bucketSortByArrival(std::vector<StolenInterval> &stolen, PerfCounters *perf)
+radixSortQueued(std::vector<StolenInterval> &stolen, PerfCounters *perf)
 {
+    constexpr unsigned kDigitBits = 12;
+    constexpr std::uint64_t kDigitMask = (1u << kDigitBits) - 1;
+    const std::size_t n = stolen.size();
     TimeNs lo = stolen[0].arrival;
     TimeNs hi = lo;
     for (const StolenInterval &s : stolen) {
         lo = std::min(lo, s.arrival);
         hi = std::max(hi, s.arrival);
     }
-    const std::size_t buckets =
-        std::max<std::size_t>(stolen.size() / 16, 1);
-    const double scale = static_cast<double>(buckets) /
-                         (static_cast<double>(hi - lo) + 1.0);
-    const auto bucket_of = [&](const StolenInterval &s) {
-        return std::min<std::size_t>(
-            static_cast<std::size_t>(
-                static_cast<double>(s.arrival - lo) * scale),
-            buckets - 1);
+    const auto offset = [lo](TimeNs arrival) {
+        return static_cast<std::uint64_t>(arrival) -
+               static_cast<std::uint64_t>(lo);
     };
-    std::vector<std::size_t> offsets(buckets + 1, 0);
-    for (const StolenInterval &s : stolen)
-        ++offsets[bucket_of(s) + 1];
-    for (std::size_t b = 1; b <= buckets; ++b)
-        offsets[b] += offsets[b - 1];
-    std::vector<StolenInterval> sorted(stolen.size());
-    {
-        std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-        for (const StolenInterval &s : stolen)
-            sorted[cursor[bucket_of(s)]++] = s;
+    const auto index_bits = static_cast<unsigned>(std::bit_width(n - 1));
+    const auto range_bits =
+        static_cast<unsigned>(std::bit_width(offset(hi)));
+    // The digit counts are 32-bit, so n stays at or under 2^31.
+    panicIf(index_bits > 31 || index_bits + range_bits > 64,
+            "normalizeTimeline: stream too long for 64-bit sort keys");
+    const unsigned passes = (range_bits + kDigitBits - 1) / kDigitBits;
+
+    // The keys and every pass's digit histogram in one read of the
+    // records; the key buffers are written before they are read.
+    auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(2 * n);
+    std::uint64_t *src = keys.get();
+    std::uint64_t *dst = src + n;
+    std::vector<std::uint32_t> counts(std::size_t{passes} << kDigitBits);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t at = offset(stolen[i].arrival);
+        src[i] = at << index_bits | i;
+        for (unsigned p = 0; p < passes; ++p)
+            ++counts[(p << kDigitBits) + (at >> p * kDigitBits & kDigitMask)];
     }
-    // Buckets average ~16 elements: insertion sort handles those, while
-    // softirq-storm clusters that land many intervals in one bucket fall
-    // back to std::sort. The fallback is not stable, and that is safe:
-    // tied intervals serialize into one back-to-back chain, which the
-    // attacker is charged as one span (the tie-policy note on
-    // normalizeTimeline). It stays for speed: stable orders measured
-    // 4-19 % more Table 1 CPU.
-    for (std::size_t b = 0; b < buckets; ++b) {
-        const std::size_t len = offsets[b + 1] - offsets[b];
-        if (len < 2)
+    for (unsigned p = 0; p < passes; ++p) {
+        std::uint32_t *count = &counts[std::size_t{p} << kDigitBits];
+        const unsigned shift = index_bits + p * kDigitBits;
+        if (count[src[0] >> shift & kDigitMask] == n)
             continue;
-        if (len > 48) {
-            std::sort(sorted.begin() +
-                          static_cast<std::ptrdiff_t>(offsets[b]),
-                      sorted.begin() +
-                          static_cast<std::ptrdiff_t>(offsets[b + 1]),
-                      byArrival);
-            continue;
+        std::uint32_t start = 0;
+        for (std::uint64_t d = 0; d <= kDigitMask; ++d) {
+            const std::uint32_t len = count[d];
+            count[d] = start;
+            start += len;
         }
-        for (std::size_t i = offsets[b] + 1; i < offsets[b + 1]; ++i) {
-            StolenInterval v = sorted[i];
-            std::size_t j = i;
-            while (j > offsets[b] && v.arrival < sorted[j - 1].arrival) {
-                sorted[j] = sorted[j - 1];
-                --j;
-            }
-            sorted[j] = v;
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            dst[count[src[i] >> shift & kDigitMask]++] = src[i];
+        std::swap(src, dst);
     }
+    std::vector<StolenInterval> sorted;
+    sorted.reserve(n);
+    const std::uint64_t index_mask = (std::uint64_t{1} << index_bits) - 1;
+    TimeNs busy_until = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        sorted.push_back(queued(stolen[src[i] & index_mask], busy_until));
     stolen = std::move(sorted);
     if (perf) {
-        perf->bytesSorted += static_cast<long long>(
-            stolen.size() * sizeof(StolenInterval));
+        perf->bytesSorted +=
+            static_cast<long long>(n * sizeof(StolenInterval));
     }
 }
 
 /**
- * Merges an already-sorted prefix with a sorted tail in place, working
- * backward from the end. Output is element-for-element identical to
- * std::inplace_merge: on ties (equal arrivals) the prefix element
- * precedes the tail element, because a tail element only overtakes a
- * prefix element when the prefix arrival is *strictly* greater. Unlike
- * std::inplace_merge, which may copy the whole range into a temporary,
- * only the short tail is copied.
+ * Insertion-sorts the tail after an already-sorted prefix, then merges
+ * the two backward from the end, in place. Both steps are stable: an
+ * element only moves ahead of another whose arrival is *strictly*
+ * later, so ties keep input order (prefix first, the std::inplace_merge
+ * contract). Only the short tail is copied.
  */
 void
 mergeSortedTail(std::vector<StolenInterval> &stolen,
                 std::size_t sorted_prefix, PerfCounters *perf)
 {
-    const std::vector<StolenInterval> tailBuf(
+    std::vector<StolenInterval> tailBuf(
         stolen.begin() + static_cast<std::ptrdiff_t>(sorted_prefix),
         stolen.end());
+    for (std::size_t i = 1; i < tailBuf.size(); ++i) {
+        const StolenInterval v = tailBuf[i];
+        std::size_t j = i;
+        for (; j > 0 && v.arrival < tailBuf[j - 1].arrival; --j)
+            tailBuf[j] = tailBuf[j - 1];
+        tailBuf[j] = v;
+    }
     std::ptrdiff_t i = static_cast<std::ptrdiff_t>(sorted_prefix) - 1;
     std::ptrdiff_t j = static_cast<std::ptrdiff_t>(tailBuf.size()) - 1;
     std::ptrdiff_t k = static_cast<std::ptrdiff_t>(stolen.size()) - 1;
@@ -246,7 +261,7 @@ mergeSortedTail(std::vector<StolenInterval> &stolen,
     }
     if (perf) {
         perf->bytesSorted += static_cast<long long>(
-            stolen.size() * sizeof(StolenInterval));
+            (tailBuf.size() + stolen.size()) * sizeof(StolenInterval));
     }
 }
 
@@ -256,37 +271,23 @@ void
 normalizeTimeline(std::vector<StolenInterval> &stolen, TimeNs duration,
                   PerfCounters *perf)
 {
-    if (stolen.size() > 1) {
-        // Re-normalization after appending a few intervals to an
-        // already-normalized stream (browser stalls, injected faults) is
-        // common: detect the sorted prefix and merge the short tail
-        // instead of re-sorting everything.
-        std::size_t sorted_prefix = 1;
-        while (sorted_prefix < stolen.size() &&
-               stolen[sorted_prefix].arrival >=
-                   stolen[sorted_prefix - 1].arrival)
-            ++sorted_prefix;
-        const std::size_t tail = stolen.size() - sorted_prefix;
-        if (tail == 0) {
-            // Already sorted: only the clamp pass below is needed.
-        } else if (tail <= 256) {
-            const auto mid =
-                stolen.begin() + static_cast<std::ptrdiff_t>(sorted_prefix);
-            std::sort(mid, stolen.end(), byArrival);
-            if (perf) {
-                perf->bytesSorted += static_cast<long long>(
-                    tail * sizeof(StolenInterval));
-            }
+    // Re-normalization after appending a few intervals to an
+    // already-normalized stream (browser stalls, injected faults) is
+    // common: detect the sorted prefix and merge the short tail
+    // instead of re-sorting everything.
+    std::size_t sorted_prefix = std::min<std::size_t>(stolen.size(), 1);
+    while (sorted_prefix < stolen.size() &&
+           stolen[sorted_prefix].arrival >= stolen[sorted_prefix - 1].arrival)
+        ++sorted_prefix;
+    const std::size_t tail = stolen.size() - sorted_prefix;
+    if (tail > 256) {
+        radixSortQueued(stolen, perf);
+    } else {
+        if (tail > 0)
             mergeSortedTail(stolen, sorted_prefix, perf);
-        } else {
-            bucketSortByArrival(stolen, perf);
-        }
-    }
-    TimeNs busy_until = 0;
-    for (auto &interval : stolen) {
-        if (interval.arrival < busy_until)
-            interval.arrival = busy_until;
-        busy_until = interval.end();
+        TimeNs busy_until = 0;
+        for (StolenInterval &interval : stolen)
+            interval = queued(interval, busy_until);
     }
     // Serialization may push the last handlers past the end of the run:
     // drop those that start after it and cut the one that straddles it.

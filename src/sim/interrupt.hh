@@ -151,16 +151,12 @@ class HandlerCostModel
  * single core would process it; handlers that serialization pushes to
  * or past @p duration are dropped, and the one straddling it is cut.
  *
- * Tie policy (DESIGN.md §13): equal arrivals are *common* —
- * tick-piggybacked softirq/IRQ-work entries arrive at exactly the
- * tick's end. The short-tail merge path is stable (prefix entries
- * precede appended entries on ties, the std::inplace_merge contract);
- * the bucket sort is not. Tied intervals serialize into one
- * back-to-back chain with the same start and end in any order, and
- * both the attacker engine and the gap detector charge a chain as one
- * span, so no attacker trace or gap attribution depends on tie order
- * (tests/attack_test.cc, TieOrder*). The sort is deterministic for a
- * fixed input either way.
+ * Order (DESIGN.md §13): by (arrival, input position) on every path, a
+ * total order that does not depend on the standard library. Equal
+ * arrivals are common (tick-piggybacked softirq/IRQ-work entries
+ * arrive at exactly the tick's end); they keep their input order, so
+ * entries appended to a normalized stream go after the entries they
+ * tie with.
  *
  * @param duration The run's length; the output ends by it.
  * @param perf When non-null, accumulates the bytes sorted and merged.

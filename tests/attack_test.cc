@@ -424,9 +424,10 @@ TEST(TieOrder, ReachesNoAttackerTraceOrGapAttribution)
 {
     // Tied arrivals serialize into one back-to-back chain whose start
     // and end do not depend on member order, and the engine charges a
-    // chain as one span. So the unstable sort in normalizeTimeline()
-    // may order ties any way it likes: this pins that no attacker count,
-    // wall time or gap attribution can tell the difference.
+    // chain as one span. So the tie order normalizeTimeline() picks
+    // (input position) is a choice, not a baseline: this pins that no
+    // attacker count, wall time or gap attribution can tell another
+    // order from it.
     sim::MachineConfig isolated = sim::MachineConfig::linuxDesktop();
     isolated.vmIsolation = true;
     isolated.routing = sim::IrqRoutingPolicy::PinnedAway;

@@ -16,9 +16,10 @@
  *
  * The comparison encodes libstdc++'s implementation, which ROADMAP
  * and DESIGN already pin as the reproducibility baseline (the
- * byArrival introsort permutation has the same dependence), so it is
- * compiled only under __GLIBCXX__. The value-level invariants at the
- * bottom hold on any standard library.
+ * interrupt stream's order does not depend on it: it is a total
+ * order, DESIGN.md §13), so it is compiled only under __GLIBCXX__.
+ * The value-level invariants at the bottom hold on any standard
+ * library.
  */
 
 #include <gtest/gtest.h>

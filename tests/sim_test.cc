@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
@@ -200,36 +201,106 @@ tieHeavyStream(std::size_t groups, std::size_t per_group,
     return stolen;
 }
 
+/** What normalizeTimeline() must produce, built the obvious way: a
+ *  stable sort by arrival, then serialization and the clip. */
+std::vector<StolenInterval>
+stableSortReference(std::vector<StolenInterval> stolen, TimeNs duration)
+{
+    std::stable_sort(stolen.begin(), stolen.end(),
+                     [](const StolenInterval &a, const StolenInterval &b) {
+                         return a.arrival < b.arrival;
+                     });
+    TimeNs busy = 0;
+    for (StolenInterval &s : stolen) {
+        if (s.arrival < busy)
+            s.arrival = busy;
+        busy = s.end();
+    }
+    while (!stolen.empty() && stolen.back().arrival >= duration)
+        stolen.pop_back();
+    if (!stolen.empty() && stolen.back().end() > duration)
+        stolen.back().duration = duration - stolen.back().arrival;
+    return stolen;
+}
+
+/** @p count intervals with distinct durations (so a swapped tie shows)
+ *  and arrivals drawn uniformly from [lo, hi], in draw order. */
+std::vector<StolenInterval>
+uniformStream(std::size_t count, TimeNs lo, TimeNs hi, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<StolenInterval> stolen(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        stolen[i].arrival = rng.uniformInt(lo, hi);
+        stolen[i].duration = 100 + static_cast<TimeNs>(i);
+        stolen[i].kind = InterruptKind::NetworkRx;
+    }
+    return stolen;
+}
+
 TEST(NormalizeTimeline, TieHeavyStreamsNormalizeDeterministically)
 {
-    // byArrival compares with strict `<` — a valid strict weak ordering
-    // that treats tied arrivals as equivalent. What order equivalent
-    // elements end up in is the library sort's business in the bucket
-    // fallback; this property pins the part we rely on: for a fixed
-    // input the result is reproducible call over call, sorted, and
-    // loses no events. Exercises both the short-tail merge (small
-    // stream) and the bucket sort (large stream).
+    // Every path orders by (arrival, input position): the short-tail
+    // merge (8 groups) and the whole-stream radix sort (600 groups)
+    // both equal a stable sort, tie for tie.
     for (const std::size_t groups : {8u, 600u}) {
         const auto original = tieHeavyStream(groups, 6, 2022);
-        auto first = original;
-        normalizeTimeline(first, kTieStreamEnd);
-        auto second = original;
-        normalizeTimeline(second, kTieStreamEnd);
-        EXPECT_TRUE(sameIntervals(first, second)) << groups << " groups";
-        ASSERT_EQ(first.size(), original.size());
-        TimeNs busy = 0;
-        for (const StolenInterval &s : first) {
-            EXPECT_GE(s.arrival, busy); // Sorted and serialized.
-            busy = s.end();
-        }
-        // Same work, just reordered: durations survive as a multiset.
-        std::multiset<TimeNs> want, got;
-        for (const StolenInterval &s : original)
-            want.insert(s.duration);
-        for (const StolenInterval &s : first)
-            got.insert(s.duration);
-        EXPECT_EQ(want, got);
+        auto got = original;
+        normalizeTimeline(got, kTieStreamEnd);
+        EXPECT_TRUE(
+            sameIntervals(got, stableSortReference(original, kTieStreamEnd)))
+            << groups << " groups";
     }
+}
+
+TEST(NormalizeTimeline, EdgeStreamsMatchAStableSortReference)
+{
+    struct Case
+    {
+        const char *name;
+        std::vector<StolenInterval> stolen;
+        TimeNs duration;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"one interval, clipped",
+                     {{900, 300, InterruptKind::Disk}}, 1000});
+    // All 600 arrivals tie, so the stream is its own sorted prefix; with
+    // two arrival values it reaches the radix sort with one range bit.
+    for (const TimeNs step : {TimeNs{0}, TimeNs{1}}) {
+        auto stolen = uniformStream(600, 5000, 5000, 1);
+        for (std::size_t i = 0; i < stolen.size(); i += 2)
+            stolen[i].arrival += step;
+        cases.push_back({step == 0 ? "all arrivals equal"
+                                   : "two arrival values",
+                         std::move(stolen), kTieStreamEnd});
+    }
+    cases.push_back({"negative arrivals",
+                     uniformStream(1000, -kMsec, kMsec, 11), kSec});
+    // 300 intervals take 9 index bits, and arrivals spanning
+    // [-2^54, 2^54 - 1] take the other 55: the key is exactly full.
+    constexpr TimeNs kHalfSpan = TimeNs{1} << 54;
+    auto bound = uniformStream(300, -kHalfSpan, kHalfSpan - 1, 13);
+    bound[17].arrival = -kHalfSpan;
+    bound[200].arrival = kHalfSpan - 1;
+    cases.push_back({"stream at the packed-key bound", bound, kHalfSpan});
+    for (const Case &c : cases) {
+        auto got = c.stolen;
+        normalizeTimeline(got, c.duration);
+        EXPECT_TRUE(
+            sameIntervals(got, stableSortReference(c.stolen, c.duration)))
+            << c.name;
+    }
+}
+
+TEST(NormalizeTimelineDeathTest, StreamPastThePackedKeyBoundPanics)
+{
+    // One more range bit than the bound above leaves no room for the
+    // index: a bug in the caller, never a silently wrong order.
+    constexpr TimeNs kHalfSpan = TimeNs{1} << 55;
+    auto stolen = uniformStream(300, -kHalfSpan, kHalfSpan - 1, 13);
+    stolen[17].arrival = -kHalfSpan;
+    stolen[200].arrival = kHalfSpan - 1;
+    EXPECT_DEATH(normalizeTimeline(stolen, kHalfSpan), "64-bit sort keys");
 }
 
 TEST(NormalizeTimeline, TiedTailEntriesStayBehindTiedPrefixEntries)

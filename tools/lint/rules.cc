@@ -408,9 +408,9 @@ ruleAllocatingAlgorithm(const std::string &relPath, const LexedFile &file,
             kAllocating.count(toks[i + 2].text) != 0) {
             emit(out, file, relPath, toks[i].line, "allocating-algorithm",
                  "'std::" + toks[i + 2].text + "' allocates a hidden "
-                 "temporary buffer per call; in simulator hot paths use "
-                 "an explicit merge into a local buffer, or a plain "
-                 "std::sort instead");
+                 "temporary buffer per call; in simulator hot paths sort "
+                 "and merge through explicit local buffers instead, as "
+                 "normalizeTimeline's radix sort and tail merge do");
         }
     }
 }

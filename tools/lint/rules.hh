@@ -19,8 +19,9 @@
  *                         stable_partition: each allocates a hidden
  *                         temporary buffer per call, the cold-run cost
  *                         class the simulator hot path eliminated
- *                         (DESIGN.md §13); use an explicit merge
- *                         into a local buffer, or a plain std::sort.
+ *                         (DESIGN.md §13); sort and merge through
+ *                         explicit local buffers, as
+ *                         normalizeTimeline's radix sort does.
  *  parallel-float-accum — no `x += ...` reductions onto captured
  *                         variables inside parallelFor/parallelMap
  *                         bodies; accumulate into pre-sized slots or
