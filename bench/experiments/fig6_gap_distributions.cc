@@ -41,15 +41,14 @@ run(const core::RunContext &ctx)
     const web::SiteCatalog catalog(std::max(scale.sites, 10), 7);
     const int loads = static_cast<int>(ctx.spec.getInt("loads"));
 
-    std::vector<ktrace::AttributedGap> all_gaps;
+    ktrace::GapLengthsByKind by_kind;
     for (int load = 0; load < loads; ++load) {
         const auto &site = catalog.site(load % 10);
         const auto timeline =
             collector.synthesizeTimeline(site, 1000 + load);
-        const auto gaps = ktrace::attributeGaps(
-            ktrace::GapDetector().detect(timeline),
-            ktrace::KernelTracer().record(timeline));
-        all_gaps.insert(all_gaps.end(), gaps.begin(), gaps.end());
+        ktrace::forEachAttributedGap(
+            timeline,
+            [&](const ktrace::AttributedGap &g) { by_kind.add(g); });
     }
 
     const sim::InterruptKind kinds[] = {
@@ -63,7 +62,7 @@ run(const core::RunContext &ctx)
 
     double min_gap_us = 1e18;
     for (const auto kind : kinds) {
-        auto lengths = ktrace::gapLengthsForKind(all_gaps, kind);
+        auto &lengths = by_kind[kind];
         if (lengths.empty()) {
             std::printf("%s: no samples\n\n",
                         sim::interruptKindName(kind).c_str());

@@ -37,32 +37,27 @@ run(const core::RunContext &ctx)
     if (runs == 0)
         runs = scale.tracesPerSite >= 100 ? 100 : 25;
 
-    std::size_t total_gaps = 0, attributed = 0;
+    ktrace::AttributionReport report;
     for (const auto &site : web::SiteCatalog::exampleSites()) {
         for (int run_index = 0; run_index < runs; ++run_index) {
             const auto timeline =
                 collector.synthesizeTimeline(site, run_index);
-            const auto records = ktrace::KernelTracer().record(timeline);
-            const auto gap_report =
-                ktrace::summarize(ktrace::attributeGaps(
-                    ktrace::GapDetector().detect(timeline), records));
-            total_gaps += gap_report.totalGaps;
-            attributed += gap_report.attributedToInterrupt;
+            ktrace::forEachAttributedGap(
+                timeline,
+                [&](const ktrace::AttributedGap &g) { report.add(g); });
         }
     }
 
-    const double fraction = total_gaps > 0
-                                ? static_cast<double>(attributed) /
-                                      static_cast<double>(total_gaps)
-                                : 0.0;
+    const double fraction = report.interruptFraction();
     std::printf("\ngap attribution (threshold 100 ns, %d runs x 3 "
                 "sites):\n", runs);
     std::printf("  paper:    >99%% of gaps caused by interrupts\n");
     std::printf("  measured: %.2f%% of %zu gaps attributed to "
-                "interrupts\n", fraction * 100.0, total_gaps);
+                "interrupts\n", fraction * 100.0, report.totalGaps);
 
     artifact.addMetric("interrupt_attribution_fraction", fraction);
-    artifact.addMetric("total_gaps", static_cast<double>(total_gaps));
+    artifact.addMetric("total_gaps",
+                       static_cast<double>(report.totalGaps));
     return artifact;
 }
 

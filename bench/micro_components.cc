@@ -214,6 +214,21 @@ BM_GapDetectionAndAttribution(benchmark::State &state)
 }
 BENCHMARK(BM_GapDetectionAndAttribution);
 
+/** The same detection and join as one walk that only counts. */
+void
+BM_GapAttributionOneWalk(benchmark::State &state)
+{
+    const auto timeline = benchTimeline(15 * kSec);
+    for (auto _ : state) {
+        ktrace::AttributionReport report;
+        ktrace::forEachAttributedGap(
+            timeline,
+            [&](const ktrace::AttributedGap &g) { report.add(g); });
+        benchmark::DoNotOptimize(report);
+    }
+}
+BENCHMARK(BM_GapAttributionOneWalk);
+
 /**
  * Old-vs-new dense-kernel comparison: matmulReference is the naive
  * i-j-k triple loop every layer used before the blocked kernels landed.

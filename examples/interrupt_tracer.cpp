@@ -43,38 +43,30 @@ main(int argc, char **argv)
                 "(gap detector + kernel tracer on one clock)\n\n",
                 runs, site.name.c_str());
 
-    std::size_t total_gaps = 0, interrupt_gaps = 0, any_gaps = 0;
-    std::vector<double> per_kind[sim::kNumInterruptKinds];
+    ktrace::AttributionReport report;
+    ktrace::GapLengthsByKind by_kind;
     for (int run = 0; run < runs; ++run) {
         const auto timeline = collector.synthesizeTimeline(site, run);
-        const auto gaps = ktrace::GapDetector().detect(timeline);
-        const auto records = ktrace::KernelTracer().record(timeline);
-        const auto attributed = ktrace::attributeGaps(gaps, records);
-        const auto report = ktrace::summarize(attributed);
-        total_gaps += report.totalGaps;
-        interrupt_gaps += report.attributedToInterrupt;
-        any_gaps += report.attributedToAny;
-        for (int k = 0; k < sim::kNumInterruptKinds; ++k) {
-            const auto lengths = ktrace::gapLengthsForKind(
-                attributed, static_cast<sim::InterruptKind>(k));
-            per_kind[k].insert(per_kind[k].end(), lengths.begin(),
-                               lengths.end());
-        }
+        ktrace::forEachAttributedGap(
+            timeline, [&](const ktrace::AttributedGap &g) {
+                report.add(g);
+                by_kind.add(g);
+            });
     }
 
-    std::printf("gaps longer than 100 ns:        %zu\n", total_gaps);
+    std::printf("gaps longer than 100 ns:        %zu\n", report.totalGaps);
     std::printf("attributed to interrupts:       %.2f%%  "
                 "(paper: over 99%%)\n",
-                100.0 * static_cast<double>(interrupt_gaps) /
-                    static_cast<double>(total_gaps));
+                100.0 * static_cast<double>(report.attributedToInterrupt) /
+                    static_cast<double>(report.totalGaps));
     std::printf("attributed to any kernel event: %.2f%%\n\n",
-                100.0 * static_cast<double>(any_gaps) /
-                    static_cast<double>(total_gaps));
+                100.0 * static_cast<double>(report.attributedToAny) /
+                    static_cast<double>(report.totalGaps));
 
     std::printf("%-18s %8s %10s %10s %10s\n", "interrupt kind", "gaps",
                 "p50 (us)", "p90 (us)", "max (us)");
     for (int k = 0; k < sim::kNumInterruptKinds; ++k) {
-        auto &lengths = per_kind[k];
+        auto &lengths = by_kind.lengths[static_cast<std::size_t>(k)];
         if (lengths.empty())
             continue;
         for (double &v : lengths)

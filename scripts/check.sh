@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Pre-merge verification gate. Stages, in default order:
 #
-#   lint-diff — bigfish-lint --since=origin/main (HEAD~1 when there is
-#               no origin/main): the fast first gate, linting only the
-#               files this branch changed while the cross-TU passes
-#               still scan the whole tree. Skipped (with a notice) in
-#               a repo with no base revision.
+#   lint-diff — bigfish-lint --since=<base>, the parent commit HEAD~1
+#               (see base_revision below): the fast first gate, linting
+#               only the files changed since the parent while the
+#               cross-TU passes still scan the whole tree. Skipped (with
+#               a notice) in a repo with no parent commit.
 #   lint      — bigfish-lint over src/ bench/ examples/ tests/ and
 #               tools/bigfish/ with the checked-in config
 #               (tools/lint/bigfish-lint.toml): the determinism,
@@ -56,8 +56,8 @@
 #               through one call: three and five timeline groups, and
 #               one group for all five Table 4 rows) whose artifacts
 #               must match between --threads=1 and --threads=4.
-#   parent-identity — run by name only: builds the lint-diff base
-#               revision (origin/main, else HEAD~1) from `git archive`
+#   parent-identity — run by name only: builds the same base revision
+#               as lint-diff (the parent commit) from `git archive`
 #               and runs the same commands on both trees, at
 #               --threads=1 and 4 under BF_SIMD=scalar and avx2: every
 #               experiment's smoke, the Table 1 harness spec into a
@@ -96,6 +96,16 @@ if [ ${#stages[@]} -eq 0 ]; then
 fi
 
 jobs="$(nproc 2>/dev/null || echo 4)"
+
+# The revision lint-diff and parent-identity compare against: the parent
+# commit, since each change lands as one commit on it. A remote branch
+# such as origin/main can sit many commits behind and would fold earlier
+# changes into the diff. Prints nothing in a repo with a single commit.
+base_revision() {
+    if git -C "$repo" rev-parse --verify -q HEAD~1 > /dev/null; then
+        echo HEAD~1
+    fi
+}
 
 # Temp dirs registered by stages; removed on exit.
 tmpdirs=()
@@ -157,13 +167,7 @@ for stage in "${stages[@]}"; do
         echo "== [lint-diff] build bigfish-lint"
         cmake -B "$repo/build" -S "$repo" > /dev/null
         cmake --build "$repo/build" --target bigfish-lint -j "$jobs"
-        base=""
-        if git -C "$repo" rev-parse --verify -q origin/main > /dev/null
-        then
-            base=origin/main
-        elif git -C "$repo" rev-parse --verify -q HEAD~1 > /dev/null; then
-            base=HEAD~1
-        fi
+        base="$(base_revision)"
         if [ -z "$base" ]; then
             echo "== [lint-diff] no base revision to diff against, skipping"
             stage_state=skipped
@@ -548,13 +552,7 @@ for stage in "${stages[@]}"; do
         done
         ;;
       parent-identity)
-        base=""
-        if git -C "$repo" rev-parse --verify -q origin/main > /dev/null
-        then
-            base=origin/main
-        elif git -C "$repo" rev-parse --verify -q HEAD~1 > /dev/null; then
-            base=HEAD~1
-        fi
+        base="$(base_revision)"
         if [ -z "$base" ]; then
             echo "== [parent-identity] no base revision to compare, skipping"
             stage_state=skipped

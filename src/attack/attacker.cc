@@ -100,37 +100,22 @@ collectGapTrace(const sim::RunTimeline &timeline, TimeNs period,
     trace.counts.assign(bins, 0.0);
     trace.wallTimes.assign(bins, period);
 
-    // Between stolen intervals consecutive monotonic readings differ by
-    // exactly one poll, so each observable jump corresponds to a span of
-    // stolen time (spans closer together than one poll merge, exactly as
-    // in ktrace::GapDetector). The jump's length is charged to the bins
-    // it overlaps.
-    const auto &stolen = timeline.stolen;
-    std::size_t i = 0;
-    while (i < stolen.size()) {
-        const TimeNs gap_start = stolen[i].arrival;
-        TimeNs gap_end = stolen[i].end();
-        std::size_t j = i + 1;
-        while (j < stolen.size() &&
-               stolen[j].arrival - gap_end < poll_cost_ns) {
-            gap_end = stolen[j].end();
-            ++j;
-        }
-        if ((gap_end - gap_start) + poll_cost_ns >= threshold) {
+    // Each observed jump (RunTimeline::forEachObservedGap, the scan
+    // ktrace::GapDetector runs) charges its stolen span, the jump minus
+    // one poll, to the bins it overlaps.
+    timeline.forEachObservedGap(
+        poll_cost_ns, threshold, [&](TimeNs gap_start, TimeNs observed) {
+            const TimeNs gap_end = gap_start + observed - poll_cost_ns;
             TimeNs t = gap_start;
             while (t < gap_end) {
                 const std::size_t bin =
-                    std::min(static_cast<std::size_t>(t / period),
-                             bins - 1);
-                const TimeNs bin_end =
-                    (static_cast<TimeNs>(bin) + 1) * period;
+                    std::min(static_cast<std::size_t>(t / period), bins - 1);
+                const TimeNs bin_end = (static_cast<TimeNs>(bin) + 1) * period;
                 const TimeNs slice = std::min(gap_end, bin_end) - t;
                 trace.counts[bin] += static_cast<double>(slice);
                 t += slice;
             }
-        }
-        i = j;
-    }
+        });
     return trace;
 }
 

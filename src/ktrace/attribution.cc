@@ -8,28 +8,9 @@ attributeGaps(const std::vector<Gap> &gaps,
 {
     std::vector<AttributedGap> out;
     out.reserve(gaps.size());
-    std::size_t r = 0;
-    for (const Gap &gap : gaps) {
-        AttributedGap attributed;
-        attributed.gap = gap;
-        // Rewind is never needed: both streams are time-sorted and gap
-        // ends are non-decreasing, but records may overlap multiple gaps'
-        // probe windows, so only advance past records that end before the
-        // gap starts.
-        while (r < records.size() && records[r].end() < gap.start)
-            ++r;
-        for (std::size_t k = r;
-             k < records.size() && records[k].start <= gap.end(); ++k) {
-            if (records[k].end() < gap.start)
-                continue;
-            attributed.kinds[static_cast<std::size_t>(records[k].kind)] =
-                true;
-            attributed.attributedToAny = true;
-            if (sim::isInterrupt(records[k].kind))
-                attributed.attributedToInterrupt = true;
-        }
-        out.push_back(attributed);
-    }
+    std::size_t cursor = 0;
+    for (const Gap &gap : gaps)
+        out.push_back(detail::attributeGap(gap, records, cursor));
     return out;
 }
 
@@ -37,25 +18,9 @@ AttributionReport
 summarize(const std::vector<AttributedGap> &gaps)
 {
     AttributionReport report;
-    report.totalGaps = gaps.size();
-    for (const AttributedGap &g : gaps) {
-        if (g.attributedToInterrupt)
-            ++report.attributedToInterrupt;
-        if (g.attributedToAny)
-            ++report.attributedToAny;
-    }
-    return report;
-}
-
-std::vector<double>
-gapLengthsForKind(const std::vector<AttributedGap> &gaps,
-                  sim::InterruptKind kind)
-{
-    std::vector<double> lengths;
     for (const AttributedGap &g : gaps)
-        if (g.kinds[static_cast<std::size_t>(kind)])
-            lengths.push_back(static_cast<double>(g.gap.length));
-    return lengths;
+        report.add(g);
+    return report;
 }
 
 } // namespace bigfish::ktrace

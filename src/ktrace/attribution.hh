@@ -9,6 +9,11 @@
  * the unattributed residue comes from untraceable SMI-like stalls (and,
  * in the paper, Turbo Boost artifacts).
  *
+ * forEachAttributedGap runs detection and the join as one walk over the
+ * timeline's stream; attributeGaps is the same join over the vectors
+ * GapDetector::detect and KernelTracer::record return, and both apply
+ * one per-gap rule (detail::attributeGap).
+ *
  * The join also produces Figure 6's per-kind gap-length distributions:
  * each gap is labeled with the kinds of the records inside it, so a gap
  * containing a timer tick plus piggybacked IRQ work contributes its
@@ -46,6 +51,17 @@ struct AttributionReport
     std::size_t attributedToInterrupt = 0;
     std::size_t attributedToAny = 0;
 
+    /** Counts one attributed gap. */
+    void
+    add(const AttributedGap &g)
+    {
+        ++totalGaps;
+        if (g.attributedToInterrupt)
+            ++attributedToInterrupt;
+        if (g.attributedToAny)
+            ++attributedToAny;
+    }
+
     /** Fraction of gaps explained by interrupts (the >99% result). */
     double interruptFraction() const
     {
@@ -64,6 +80,99 @@ struct AttributionReport
 };
 
 /**
+ * Figure 6's per-kind gap-length samples, in ns: a gap containing
+ * several kinds adds its total length under each of them.
+ */
+struct GapLengthsByKind
+{
+    std::array<std::vector<double>, sim::kNumInterruptKinds> lengths;
+
+    /** Adds @p g's length under every kind found inside it. */
+    void
+    add(const AttributedGap &g)
+    {
+        for (std::size_t k = 0; k < lengths.size(); ++k)
+            if (g.kinds[k])
+                lengths[k].push_back(static_cast<double>(g.gap.length));
+    }
+
+    std::vector<double> &
+    operator[](sim::InterruptKind kind)
+    {
+        return lengths[static_cast<std::size_t>(kind)];
+    }
+};
+
+namespace detail {
+
+inline TimeNs startOf(const InterruptRecord &r) { return r.start; }
+inline TimeNs startOf(const sim::StolenInterval &s) { return s.arrival; }
+inline bool traced(const InterruptRecord &) { return true; }
+inline bool
+traced(const sim::StolenInterval &s)
+{
+    return sim::isTraceable(s.kind);
+}
+
+/**
+ * The per-gap attribution rule over a time-sorted log: tracer records,
+ * or the stolen intervals of the timeline the gaps came from, of which
+ * only the traceable ones count. @p cursor carries over from gap to gap
+ * (gaps in time order) and never rewinds: it skips entries that end
+ * before the gap starts. Every counted entry from there on that starts
+ * by the gap's end is marked, unless it ended before the gap started.
+ */
+template <typename Entry>
+AttributedGap
+attributeGap(const Gap &gap, const std::vector<Entry> &log,
+             std::size_t &cursor)
+{
+    AttributedGap out;
+    out.gap = gap;
+    while (cursor < log.size() &&
+           (!traced(log[cursor]) || log[cursor].end() < gap.start))
+        ++cursor;
+    for (std::size_t k = cursor; k < log.size(); ++k) {
+        const Entry &e = log[k];
+        if (!traced(e))
+            continue;
+        if (startOf(e) > gap.end())
+            break;
+        if (e.end() < gap.start)
+            continue;
+        out.kinds[static_cast<std::size_t>(e.kind)] = true;
+        out.attributedToAny = true;
+        if (sim::isInterrupt(e.kind))
+            out.attributedToInterrupt = true;
+    }
+    return out;
+}
+
+} // namespace detail
+
+/**
+ * The one walk: detects each gap of @p timeline and attributes it to
+ * the traceable intervals of the same stream, calling
+ * `visit(const AttributedGap &)` once per gap in time order. Gap for
+ * gap it equals `attributeGaps(GapDetector().detect(timeline),
+ * KernelTracer().record(timeline))`, without materializing the records,
+ * the gaps or the attributed gaps.
+ */
+template <typename Visit>
+void
+forEachAttributedGap(const sim::RunTimeline &timeline, Visit &&visit)
+{
+    const GapDetectorConfig config;
+    std::size_t cursor = 0;
+    timeline.forEachObservedGap(
+        config.pollCostNs, config.threshold,
+        [&](TimeNs start, TimeNs length) {
+            visit(detail::attributeGap(Gap{start, length}, timeline.stolen,
+                                       cursor));
+        });
+}
+
+/**
  * Joins gaps with tracer records (both sorted by time).
  *
  * @param gaps GapDetector output.
@@ -76,13 +185,6 @@ attributeGaps(const std::vector<Gap> &gaps,
 
 /** Summarizes an attribution join. */
 AttributionReport summarize(const std::vector<AttributedGap> &gaps);
-
-/**
- * Gap lengths (in ns) of all gaps containing @p kind, for Figure 6's
- * per-kind distributions.
- */
-std::vector<double> gapLengthsForKind(const std::vector<AttributedGap> &gaps,
-                                      sim::InterruptKind kind);
 
 } // namespace bigfish::ktrace
 

@@ -13,30 +13,9 @@ std::vector<Gap>
 GapDetector::detect(const sim::RunTimeline &timeline) const
 {
     std::vector<Gap> gaps;
-    const TimeNs poll = config_.pollCostNs;
-    const auto &stolen = timeline.stolen;
-
-    // Between stolen intervals consecutive readings differ by exactly one
-    // poll cost, so only stolen time can produce a jump. Two stolen
-    // intervals closer together than one poll leave no room for a reading
-    // in between and are observed as a single merged gap.
-    std::size_t i = 0;
-    while (i < stolen.size()) {
-        const TimeNs gap_start = stolen[i].arrival;
-        TimeNs gap_end = stolen[i].end();
-        std::size_t j = i + 1;
-        while (j < stolen.size() && stolen[j].arrival - gap_end < poll) {
-            gap_end = stolen[j].end();
-            ++j;
-        }
-        // The reading before the gap happened up to one poll earlier and
-        // the one after it one poll later; the observed jump is the
-        // stolen span plus a single poll interval.
-        const TimeNs observed = (gap_end - gap_start) + poll;
-        if (observed >= config_.threshold)
-            gaps.push_back({gap_start, observed});
-        i = j;
-    }
+    timeline.forEachObservedGap(
+        config_.pollCostNs, config_.threshold,
+        [&](TimeNs start, TimeNs length) { gaps.push_back({start, length}); });
     return gaps;
 }
 

@@ -10,6 +10,8 @@
  * stolen time. Stolen intervals separated by less than one poll are
  * observed as a single merged gap — the reason softirq/IRQ-work gap
  * distributions include the timer tick they piggyback on (Figure 6).
+ * The loop is RunTimeline::forEachObservedGap, which the gap-trace
+ * attacker (attack::collectGapTrace) runs too.
  */
 
 #ifndef BF_KTRACE_GAP_DETECTOR_HH

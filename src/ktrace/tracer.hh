@@ -13,7 +13,9 @@
  * Crucially the tracer does NOT share code with the GapDetector: the
  * attribution experiment joins two independently produced event streams
  * on their timestamps, as the paper does with the shared monotonic
- * clock.
+ * clock. (forEachAttributedGap in attribution.hh reads the tracer's
+ * view — the traceable intervals — straight from the stream instead of
+ * from record()'s copy; the join is the same.)
  */
 
 #ifndef BF_KTRACE_TRACER_HH

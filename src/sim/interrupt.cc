@@ -60,21 +60,6 @@ isMovable(InterruptKind kind)
     }
 }
 
-bool
-isInterrupt(InterruptKind kind)
-{
-    return kind != InterruptKind::Preemption &&
-           kind != InterruptKind::UntraceableStall &&
-           kind != InterruptKind::NumKinds;
-}
-
-bool
-isTraceable(InterruptKind kind)
-{
-    return kind != InterruptKind::UntraceableStall &&
-           kind != InterruptKind::NumKinds;
-}
-
 HandlerCostModel::HandlerCostModel()
 {
     // Medians chosen so the *total* gap (median + 1.5us context switch)

@@ -60,15 +60,29 @@ std::string interruptKindName(InterruptKind kind);
  */
 bool isMovable(InterruptKind kind);
 
+// isInterrupt and isTraceable are inline: the gap attribution walk asks
+// them of every interval in the stream.
+
 /** True for genuine interrupts (excludes preemption and SMI stalls). */
-bool isInterrupt(InterruptKind kind);
+inline bool
+isInterrupt(InterruptKind kind)
+{
+    return kind != InterruptKind::Preemption &&
+           kind != InterruptKind::UntraceableStall &&
+           kind != InterruptKind::NumKinds;
+}
 
 /**
  * True when the kind is visible to the eBPF-analog kernel tracer. The
  * paper notes Linux restricts which entry points can be kprobe'd; we model
  * the untraceable residue with the UntraceableStall kind.
  */
-bool isTraceable(InterruptKind kind);
+inline bool
+isTraceable(InterruptKind kind)
+{
+    return kind != InterruptKind::UntraceableStall &&
+           kind != InterruptKind::NumKinds;
+}
 
 /**
  * One interval of time stolen from the attacker's core.

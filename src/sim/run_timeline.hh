@@ -93,6 +93,43 @@ struct RunTimeline
 
     /** Sum of all stolen durations. */
     TimeNs totalStolenAll() const;
+
+    /**
+     * The observed-gap scan: replays a loop that spins reading the
+     * monotonic clock, each read costing @p poll_cost ns, over this
+     * schedule (the gap detector and the gap-trace attacker of Section
+     * 5.2 both run it).
+     *
+     * Between stolen intervals consecutive readings differ by exactly
+     * one poll, so only stolen time produces a jump. Intervals less
+     * than one poll apart leave no room for a reading in between and
+     * merge into one jump. The reading before a jump happened up to one
+     * poll earlier and the one after it one poll later, so the observed
+     * jump is the merged stolen span plus one poll. Calls
+     * `visit(start, length)` in time order for every jump whose length
+     * reaches @p threshold; the stolen span is [start, start + length -
+     * poll_cost).
+     */
+    template <typename Visit>
+    void
+    forEachObservedGap(TimeNs poll_cost, TimeNs threshold,
+                       Visit &&visit) const
+    {
+        std::size_t i = 0;
+        while (i < stolen.size()) {
+            const TimeNs start = stolen[i].arrival;
+            TimeNs end = stolen[i].end();
+            std::size_t j = i + 1;
+            while (j < stolen.size() && stolen[j].arrival - end < poll_cost) {
+                end = stolen[j].end();
+                ++j;
+            }
+            const TimeNs observed = (end - start) + poll_cost;
+            if (observed >= threshold)
+                visit(start, observed);
+            i = j;
+        }
+    }
 };
 
 } // namespace bigfish::sim
