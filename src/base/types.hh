@@ -25,9 +25,6 @@ constexpr TimeNs kMsec = 1'000'000;
 /** One second in TimeNs units. */
 constexpr TimeNs kSec = 1'000'000'000;
 
-/** Identifier of a simulated CPU core. */
-using CoreId = int;
-
 /** Identifier of a website in a SiteCatalog. */
 using SiteId = int;
 

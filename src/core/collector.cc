@@ -547,7 +547,10 @@ collectionFingerprint(const CollectionConfig &config,
 
     const sim::MachineConfig &m = config.machine;
     canon.add("machine.numCores", m.numCores);
-    canon.add("machine.attackerCore", m.attackerCore);
+    // MachineConfig has no attacker-core field (nothing read it); this
+    // constant keeps every cell key. Drop the line when "format" moves
+    // past bigfish-collection-v1.
+    canon.add("machine.attackerCore", 1);
     canon.add("machine.os.name", m.os.name);
     canon.add("machine.os.tickHz", m.os.tickHz);
     canon.add("machine.os.handlerScale", m.os.handlerScale);

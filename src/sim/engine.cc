@@ -110,14 +110,6 @@ ExecutionEngine::runPeriod(timers::TimerModel &timer, TimeNs period,
 }
 
 void
-ExecutionEngine::restart()
-{
-    now_ = 0.0;
-    stolenIdx_ = 0;
-    stepBegin_ = stepLimit_ = 0;
-}
-
-void
 ExecutionEngine::seekStep(TimeNs t)
 {
     if (t >= stepBegin_ && t < stepLimit_)

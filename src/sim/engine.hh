@@ -96,9 +96,6 @@ class ExecutionEngine
     /** True when the run's duration has been consumed. */
     bool atEnd() const { return now_ >= durationF_; }
 
-    /** Rewinds to the start of the run. */
-    void restart();
-
   private:
     /**
      * Executes exactly one iteration from real time @p t, charging any

@@ -79,8 +79,6 @@ struct MachineConfig
 {
     /** Number of physical cores (paper machines: 4, no hyperthreading). */
     int numCores = 4;
-    /** Core the attacker runs on. */
-    CoreId attackerCore = 1;
 
     OsProfile os = OsProfile::linux();
 

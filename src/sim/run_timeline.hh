@@ -61,15 +61,6 @@ struct RunTimeline
         return std::min(index, iterCostFactor.size() - 1);
     }
 
-    /** Iteration-cost factor in effect at real time @p t. */
-    double
-    iterCostFactorAt(TimeNs t) const
-    {
-        if (iterCostFactor.empty())
-            return 1.0;
-        return iterCostFactor[stepAt(t)];
-    }
-
     /** Real time at which the step containing @p t ends. */
     TimeNs
     stepEnd(TimeNs t) const

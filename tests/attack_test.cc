@@ -12,8 +12,6 @@
 #include "attack/segmentation.hh"
 #include "attack/trace.hh"
 #include "ktrace/attribution.hh"
-#include "ktrace/gap_detector.hh"
-#include "ktrace/tracer.hh"
 #include "sim/synthesizer.hh"
 #include "stats/descriptive.hh"
 #include "timers/timer.hh"
@@ -483,24 +481,28 @@ TEST(TieOrder, ReachesNoAttackerTraceOrGapAttribution)
         expectSameTrace(collectGapTrace(timeline, 5 * kMsec).valueOrDie(),
                         collectGapTrace(reversed, 5 * kMsec).valueOrDie());
 
-        const ktrace::GapDetector detector;
-        const ktrace::KernelTracer tracer;
-        const auto gaps_a = ktrace::attributeGaps(detector.detect(timeline),
-                                                  tracer.record(timeline));
-        const auto gaps_b = ktrace::attributeGaps(detector.detect(reversed),
-                                                  tracer.record(reversed));
-        const ktrace::AttributionReport sum_a = ktrace::summarize(gaps_a);
-        const ktrace::AttributionReport sum_b = ktrace::summarize(gaps_b);
+        // Gap for gap through the one walk: the reversed stream's gaps
+        // are checked against the original's as they are visited.
+        std::vector<ktrace::AttributedGap> gaps_a;
+        ktrace::AttributionReport sum_a, sum_b;
+        ktrace::forEachAttributedGap(
+            timeline, [&](const ktrace::AttributedGap &g) {
+                sum_a.add(g);
+                gaps_a.push_back(g);
+            });
+        ktrace::forEachAttributedGap(
+            reversed, [&](const ktrace::AttributedGap &g) {
+                const std::size_t i = sum_b.totalGaps;
+                sum_b.add(g);
+                ASSERT_LT(i, gaps_a.size());
+                EXPECT_EQ(gaps_a[i].gap.start, g.gap.start);
+                EXPECT_EQ(gaps_a[i].gap.length, g.gap.length);
+                EXPECT_EQ(gaps_a[i].kinds, g.kinds);
+            });
         EXPECT_GT(sum_a.totalGaps, 0u);
         EXPECT_EQ(sum_a.totalGaps, sum_b.totalGaps);
         EXPECT_EQ(sum_a.attributedToInterrupt, sum_b.attributedToInterrupt);
         EXPECT_EQ(sum_a.attributedToAny, sum_b.attributedToAny);
-        ASSERT_EQ(gaps_a.size(), gaps_b.size());
-        for (std::size_t g = 0; g < gaps_a.size(); ++g) {
-            EXPECT_EQ(gaps_a[g].gap.start, gaps_b[g].gap.start);
-            EXPECT_EQ(gaps_a[g].gap.length, gaps_b[g].gap.length);
-            EXPECT_EQ(gaps_a[g].kinds, gaps_b[g].kinds);
-        }
     }
 }
 

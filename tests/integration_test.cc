@@ -131,9 +131,9 @@ TEST(Integration, GapAttributionHoldsUnderTheAttackConfig)
     const core::TraceCollector collector(config);
     const auto timeline =
         collector.synthesizeTimeline(web::weatherSignature(2), 0);
-    const auto report = ktrace::summarize(ktrace::attributeGaps(
-        ktrace::GapDetector().detect(timeline),
-        ktrace::KernelTracer().record(timeline)));
+    ktrace::AttributionReport report;
+    ktrace::forEachAttributedGap(
+        timeline, [&](const ktrace::AttributedGap &g) { report.add(g); });
     ASSERT_GT(report.totalGaps, 500u);
     EXPECT_GT(report.interruptFraction(), 0.985);
 }

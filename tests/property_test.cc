@@ -198,9 +198,9 @@ TEST_P(MachineProperties, GapAttributionNeverBelow95Percent)
         workload_rng);
     Rng rng(8);
     const auto timeline = synth.synthesize(activity, rng);
-    const auto report = ktrace::summarize(ktrace::attributeGaps(
-        ktrace::GapDetector().detect(timeline),
-        ktrace::KernelTracer().record(timeline)));
+    ktrace::AttributionReport report;
+    ktrace::forEachAttributedGap(
+        timeline, [&](const ktrace::AttributedGap &g) { report.add(g); });
     ASSERT_GT(report.totalGaps, 100u);
     EXPECT_GT(report.anyFraction(), 0.95);
 }

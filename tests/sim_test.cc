@@ -1,10 +1,11 @@
 /**
  * @file
  * Unit and property tests for the machine simulator: interrupt taxonomy,
- * handler-cost model, activity timelines, the synthesizer's routing
- * semantics (Table 3's isolation knobs), and the closed-form execution
- * engine — including equivalence against a brute-force iteration-by-
- * iteration reference interpreter.
+ * handler-cost model, activity timelines, the one interrupt model (the
+ * synthesizer's routing semantics, i.e. Table 3's isolation knobs, and a
+ * digest of its full output), and the closed-form execution engine —
+ * including equivalence against a brute-force iteration-by-iteration
+ * reference interpreter.
  */
 
 #include <gtest/gtest.h>
@@ -14,16 +15,13 @@
 #include <set>
 #include <string>
 
-#include "attack/attacker.hh"
 #include "base/hash.hh"
 #include "sim/activity.hh"
 #include "sim/engine.hh"
 #include "sim/interrupt.hh"
-#include "sim/kernel_sim.hh"
 #include "sim/machine.hh"
 #include "sim/run_timeline.hh"
 #include "sim/synthesizer.hh"
-#include "stats/descriptive.hh"
 #include "timers/timer.hh"
 
 namespace bigfish::sim {
@@ -597,52 +595,17 @@ TEST(Synthesizer, OccupancyMirrorsActivity)
     EXPECT_LT(timeline.occupancy.front(), 0.1);
 }
 
-TEST(KernelSim, ProducesWellFormedTimeline)
+TEST(Synthesizer, SpreadRoutingDeliversOneNthOfDeviceIrqs)
 {
-    KernelSim kernel(MachineConfig::linuxDesktop());
-    Rng rng(31);
-    const RunTimeline timeline = kernel.run(busyActivity(), rng);
-    ASSERT_FALSE(timeline.stolen.empty());
-    for (std::size_t i = 1; i < timeline.stolen.size(); ++i)
-        EXPECT_GE(timeline.stolen[i].arrival,
-                  timeline.stolen[i - 1].end());
-    EXPECT_LE(timeline.stolen.back().end(), timeline.duration);
-}
-
-TEST(KernelSim, IrqPinningRemovesMovableFromAttackerCore)
-{
-    MachineConfig pinned = MachineConfig::linuxDesktop();
-    pinned.routing = IrqRoutingPolicy::PinnedAway;
-    // Core 0 receives all pinned IRQs, so the attacker must not be 0
-    // (default attacker core is 1).
-    KernelSim kernel(pinned);
-    Rng rng(32);
-    const RunTimeline timeline = kernel.run(busyActivity(), rng);
-    std::size_t movable = 0, softirq = 0;
-    for (const auto &s : timeline.stolen) {
-        if (isMovable(s.kind))
-            ++movable;
-        if (s.kind == InterruptKind::SoftirqNetRx)
-            ++softirq;
-    }
-    EXPECT_EQ(movable, 0u);
-    // The ksoftirqd migration path still delivers deferred work.
-    EXPECT_GT(softirq, 0u);
-}
-
-TEST(KernelSim, SpreadRoutingDeliversRoughlyOneNthOfIrqs)
-{
-    // Mechanistic check of the synthesizer's 1/numCores thinning: with
-    // round-robin routing over 4 cores the attacker should see about a
-    // quarter of the system-wide device IRQs.
-    MachineConfig config = MachineConfig::linuxDesktop();
-    KernelSim kernel(config);
+    // Round-robin routing over 4 cores thins a device's stream to the
+    // attacker's share: about a quarter of the system-wide IRQs.
+    InterruptSynthesizer synth(MachineConfig::linuxDesktop());
     ActivityTimeline activity(2 * kSec);
     ActivitySample s;
     s.gfxRate = 1000.0; // Pure movable stream, no softirq coupling.
     activity.addSpan(0, 2 * kSec, s);
     Rng rng(33);
-    const RunTimeline timeline = kernel.run(activity, rng);
+    const RunTimeline timeline = synth.synthesize(activity, rng);
     std::size_t gfx = 0;
     for (const auto &e : timeline.stolen)
         if (e.kind == InterruptKind::Graphics)
@@ -651,74 +614,16 @@ TEST(KernelSim, SpreadRoutingDeliversRoughlyOneNthOfIrqs)
     EXPECT_NEAR(static_cast<double>(gfx), 500.0, 90.0);
 }
 
-TEST(KernelSim, CrossValidatesAgainstSynthesizer)
-{
-    // The event-driven kernel and the statistical synthesizer must
-    // agree on the aggregate: total interrupt time stolen from the
-    // attacker's core for the same workload, within a loose band.
-    const MachineConfig config = MachineConfig::linuxDesktop();
-    KernelSim kernel(config);
-    InterruptSynthesizer synth(config);
-
-    double kernel_total = 0.0, synth_total = 0.0;
-    const int runs = 8;
-    for (int run = 0; run < runs; ++run) {
-        Rng r1(500 + run), r2(800 + run);
-        const auto a = busyActivity(2 * kSec);
-        const auto t_kernel = kernel.run(a, r1);
-        const auto t_synth = synth.synthesize(a, r2);
-        auto interrupt_time = [](const RunTimeline &t) {
-            return static_cast<double>(t.totalStolen(
-                [](const StolenInterval &s) {
-                    return isInterrupt(s.kind);
-                }));
-        };
-        kernel_total += interrupt_time(t_kernel);
-        synth_total += interrupt_time(t_synth);
-    }
-    // Same order of magnitude, within 2x either way.
-    EXPECT_GT(kernel_total, synth_total * 0.5);
-    EXPECT_LT(kernel_total, synth_total * 2.0);
-}
-
-TEST(KernelSim, AttackerTracesFromBothModelsLookAlike)
-{
-    // End-to-end: run the loop attacker over both models' timelines for
-    // the same site and compare counter statistics.
-    const MachineConfig config = MachineConfig::linuxDesktop();
-    KernelSim kernel(config);
-    InterruptSynthesizer synth(config);
-    Rng w1(41), w2(41), r1(42), r2(43);
-    const auto site_activity_a = busyActivity(3 * kSec);
-    const auto site_activity_b = busyActivity(3 * kSec);
-
-    bigfish::attack::AttackerParams params;
-    timers::PreciseTimer timer_a, timer_b;
-    const auto trace_kernel = bigfish::attack::collectTrace(
-        bigfish::attack::AttackerKind::LoopCounting, params, config,
-        kernel.run(site_activity_a, r1), timer_a, 5 * kMsec)
-        .valueOrDie();
-    const auto trace_synth = bigfish::attack::collectTrace(
-        bigfish::attack::AttackerKind::LoopCounting, params, config,
-        synth.synthesize(site_activity_b, r2), timer_b, 5 * kMsec)
-        .valueOrDie();
-
-    EXPECT_NEAR(trace_kernel.maxCount(), trace_synth.maxCount(),
-                trace_synth.maxCount() * 0.05);
-    const double mean_kernel = bigfish::stats::mean(trace_kernel.counts);
-    const double mean_synth = bigfish::stats::mean(trace_synth.counts);
-    EXPECT_NEAR(mean_kernel, mean_synth, mean_synth * 0.05);
-}
-
-TEST(KernelSim, OutputDigestIsPinned)
+TEST(Synthesizer, OutputDigestIsPinned)
 {
     // The tests above are statistical and would not notice a change in
-    // the order phase 2 processes events in (each event draws from the
-    // shared rng, so any reordering moves every later draw). This pins
-    // the whole output for one machine, seed and activity.
-    KernelSim kernel(MachineConfig::linuxDesktop());
+    // the synthesizer's draw order (every draw comes from the shared
+    // rng, so any reordering moves every later draw). This pins the
+    // whole output for one machine, seed and activity.
+    InterruptSynthesizer synth(MachineConfig::linuxDesktop());
     Rng rng(2022);
-    const RunTimeline timeline = kernel.run(busyActivity(2 * kSec), rng);
+    const RunTimeline timeline =
+        synth.synthesize(busyActivity(2 * kSec), rng);
     ASSERT_GT(timeline.stolen.size(), 1000u);
     std::string canon;
     for (const StolenInterval &s : timeline.stolen)
@@ -729,7 +634,7 @@ TEST(KernelSim, OutputDigestIsPinned)
         canon += hexDouble(f) + '\n';
     for (double o : timeline.occupancy)
         canon += hexDouble(o) + '\n';
-    EXPECT_EQ(hex16(fnv64(canon)), "3755aa2ae934a1e7");
+    EXPECT_EQ(hex16(fnv64(canon)), "2ce89950c8fa2cea");
 }
 
 TEST(RunTimeline, StepLookupAndEnds)
@@ -738,10 +643,8 @@ TEST(RunTimeline, StepLookupAndEnds)
     timeline.duration = 100 * kMsec;
     timeline.activityInterval = 10 * kMsec;
     timeline.iterCostFactor = std::vector<double>(10, 1.0);
-    timeline.iterCostFactor[3] = 2.0;
     timeline.occupancy = std::vector<double>(10, 0.0);
     EXPECT_EQ(timeline.stepAt(35 * kMsec), 3u);
-    EXPECT_DOUBLE_EQ(timeline.iterCostFactorAt(35 * kMsec), 2.0);
     EXPECT_EQ(timeline.stepEnd(35 * kMsec), 40 * kMsec);
     EXPECT_EQ(timeline.stepEnd(95 * kMsec), 100 * kMsec);
 }
@@ -978,22 +881,6 @@ TEST(ExecutionEngine, ConsumesWholeRun)
     // Wall times plus skipped leading stolen time cover the duration.
     EXPECT_GE(covered, timeline.duration * 95 / 100);
     EXPECT_FALSE(engine.runPeriod(timer, 5 * kMsec, result));
-}
-
-TEST(ExecutionEngine, RestartReproducesExactly)
-{
-    const RunTimeline timeline = handTimeline();
-    ExecutionEngine engine(
-        timeline, std::vector<double>(timeline.iterCostFactor.size(), 185.0));
-    timers::PreciseTimer timer;
-    std::vector<std::int64_t> first, second;
-    PeriodResult result;
-    while (engine.runPeriod(timer, 5 * kMsec, result))
-        first.push_back(result.iterations);
-    engine.restart();
-    while (engine.runPeriod(timer, 5 * kMsec, result))
-        second.push_back(result.iterations);
-    EXPECT_EQ(first, second);
 }
 
 TEST(ExecutionEngine, DoWhileSemanticsAlwaysCountsOne)
